@@ -31,7 +31,7 @@ from .graphs import (
     perturbation_matrix,
     validate_perturbation,
 )
-from .spectral import is_connected_matrix, perron, perron_components
+from .spectral import full_spectrum, is_connected_matrix, perron, perron_components
 
 _RESIDUAL_TOL = 1e-10
 _DEFAULT_ODE_STEPS = 10_000
@@ -87,13 +87,12 @@ def sample_path(
     pert: Perturbation,
     steps: int = 32,
     tol: float = 1e-11,
-    fd_step: float | None = None,
 ) -> PerturbationPath:
     """Sample the path on the uniform grid ``t_k = k/steps``, k = 0..steps.
 
-    Each solve is warm-started from the previous grid point's eigenvector
-    (the eigenpair path is continuous, so this tracks it and converges fast).
-    Interior points get central-difference and quadratic-form derivatives,
+    Each grid point gets its own certified Perron pair; a disconnected
+    ``t = 0`` endpoint takes the best component's pair.  Interior points get
+    the quadratic-form derivative and a central difference of eigenvalues,
     with step ``min(1e-5, 1/(4 steps))``.  The final graph must be connected.
     """
     if steps < 2:
@@ -106,22 +105,20 @@ def sample_path(
     if not is_connected_matrix(a_initial + p_mat):
         raise ValueError("the perturbed graph must be connected")
 
-    h = fd_step if fd_step is not None else min(1e-5, 1.0 / (4.0 * steps))
+    h = min(1e-5, 1.0 / (4.0 * steps))
     samples = []
-    x_prev: np.ndarray | None = None
     for k in range(steps + 1):
         t = k / steps
         a_t = a_initial + t * p_mat
         if k == 0 and not is_connected_matrix(a_t):
             value, vector = perron_components(a_t, tol=tol)
         else:
-            pair = perron(a_t, tol=tol, x0=x_prev)
+            pair = perron(a_t, tol=tol)
             value, vector = pair.value, np.array(pair.vector)
-        x_prev = vector
         lhs = rhs = None
         if 0 < k < steps:
-            lam_plus = perron(a_initial + (t + h) * p_mat, tol=tol, x0=vector).value
-            lam_minus = perron(a_initial + (t - h) * p_mat, tol=tol, x0=vector).value
+            lam_plus = float(full_spectrum(a_initial + (t + h) * p_mat)[0])
+            lam_minus = float(full_spectrum(a_initial + (t - h) * p_mat)[0])
             lhs = (lam_plus - lam_minus) / (2.0 * h)
             rhs = float(vector @ (p_mat @ vector))
         samples.append(
@@ -207,15 +204,19 @@ def comparison_solution(
     Vertex connection and edge addition have closed forms (a quadratic in
     each case); the pendant-edge problem is integrated by fixed-step RK4,
     whose value at t = 1 matches the cubic-root inverse to well below 1e-6.
+    At ``t = 0`` every kind returns ``lambda_i`` itself.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if kind is PerturbationKind.VERTEX_CONNECTION:
         if lambda_i < 0.0:
             raise ValueError("lambda_i must be nonnegative")
-        return 0.5 * (lambda_i + math.sqrt(lambda_i * lambda_i + 4.0 * g * t * t))
-    if lambda_i <= 0.0:
+    elif lambda_i <= 0.0:
         raise ValueError("lambda_i must be positive")
+    if t == 0.0:
+        return lambda_i
+    if kind is PerturbationKind.VERTEX_CONNECTION:
+        return 0.5 * (lambda_i + math.sqrt(lambda_i * lambda_i + 4.0 * g * t * t))
     if kind is PerturbationKind.EDGE_ADDITION:
         d = delta_u + delta_v
         c = lambda_i - d / lambda_i
@@ -225,8 +226,6 @@ def comparison_solution(
         disc = math.sqrt(max(s * s - 4.0 * q, 0.0))
         return 0.5 * (s + disc) if s >= 0.0 else (2.0 * q) / (s - disc)
     if kind is PerturbationKind.PENDANT_EDGE:
-        if t == 0.0:
-            return lambda_i
         return _pendant_rk4(lambda_i, delta_u, 0.0, t, ode_steps)
     raise ValueError(f"unknown perturbation kind {kind}")  # pragma: no cover
 

@@ -1,7 +1,7 @@
 """Assemble full bound reports for concrete graph instances.
 
 Ties the pieces together: exact initial and final indices from the
-eigensolvers, the closed-form bound, the first-order gap estimate, and the
+eigensolver, the closed-form bound, the first-order gap estimate, and the
 structural equality recognizer for the perturbation kind.
 """
 
@@ -51,7 +51,7 @@ def bound_report(graph: Graph, pert: Perturbation, tol: float = 1e-11) -> BoundR
     """Evaluate one instance end to end.
 
     The final graph must be connected (the bounds do not apply otherwise);
-    the exact final index comes from the Jacobi oracle.
+    the exact final index is the top of the final graph's full spectrum.
     """
     final = apply_perturbation(graph, pert)
     if not is_connected(final):

@@ -126,12 +126,19 @@ def test_comparison_solution_closed_forms():
 
 
 def test_comparison_solution_initial_condition():
+    lams = [1.7] + np.linspace(0.05, 40.0, 400).tolist()
     for kind, params in (
         (PerturbationKind.VERTEX_CONNECTION, {"g": 3}),
         (PerturbationKind.EDGE_ADDITION, {"delta_u": 2, "delta_v": 1}),
         (PerturbationKind.PENDANT_EDGE, {"delta_u": 2}),
     ):
-        assert sb.comparison_solution(kind, 1.7, 0.0, **params) == 1.7
+        for lam in lams:
+            assert sb.comparison_solution(kind, lam, 0.0, **params) == lam
+    # the initial value is still validated before it is returned
+    with pytest.raises(ValueError):
+        sb.comparison_solution(PerturbationKind.EDGE_ADDITION, 0.0, 0.0, delta_u=1, delta_v=1)
+    with pytest.raises(ValueError):
+        sb.comparison_solution(PerturbationKind.VERTEX_CONNECTION, -1.0, 0.0, g=1)
 
 
 def test_comparison_solution_domain_errors():

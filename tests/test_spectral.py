@@ -1,4 +1,5 @@
-"""Eigensolvers: shifted power iteration, Jacobi oracle, derivative identity."""
+"""Eigensolvers: the LAPACK-backed library solver, the pure-Python oracles,
+the derivative identity."""
 
 import math
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 import specbound as sb
+from oracles import jacobi_spectrum, power_perron
 from specbound.rng import SplitMix64, random_connected_graph
+from specbound.spectral import perron_components
 
 SQRT2 = math.sqrt(2.0)
 
@@ -73,7 +76,7 @@ def test_full_spectrum_matches_numpy_on_random_symmetric():
     for n in (2, 3, 5, 9, 14, 20):
         m = rng.normal(size=(n, n))
         m = (m + m.T) / 2  # signed entries: the oracle works on any symmetric matrix
-        ours = sb.full_spectrum(m)
+        ours = jacobi_spectrum(m)
         ref = np.linalg.eigvalsh(m)[::-1]
         assert np.max(np.abs(ours - ref)) <= 1e-10
 
@@ -83,7 +86,9 @@ def test_perron_agrees_with_jacobi_on_random_graphs():
     for _ in range(50):
         g = random_connected_graph(rng, rng.randint(2, 12), 0.5)
         a = g.adjacency()
-        assert sb.perron(a).value == pytest.approx(float(sb.full_spectrum(a)[0]), abs=1e-9)
+        jacobi = float(jacobi_spectrum(a)[0])
+        assert power_perron(a).value == pytest.approx(jacobi, abs=1e-9)
+        assert sb.perron(a).value == pytest.approx(jacobi, abs=1e-9)
 
 
 def test_adjacency_spectrum_is_traceless():
@@ -146,7 +151,57 @@ def test_strict_growth_under_perturbation():
 
 def test_warm_start_accepts_seed_vector():
     a = sb.cycle_graph(5).adjacency()
-    cold = sb.perron(a)
-    warm = sb.perron(a, x0=cold.vector)
+    cold = power_perron(a)
+    warm = power_perron(a, x0=cold.vector)
     assert warm.value == pytest.approx(cold.value, abs=1e-12)
     assert warm.iterations <= cold.iterations
+
+
+def test_perron_components_ties_pick_first_component():
+    rng = SplitMix64(61)
+    np_rng = np.random.default_rng(61)
+    for _ in range(200):
+        g = random_connected_graph(rng, rng.randint(2, 25), 0.5)
+        a = g.adjacency()
+        n = g.n
+        perm = np_rng.permutation(n)
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n] = a
+        block[n:, n:] = a[np.ix_(perm, perm)]  # isomorphic, relabelled
+        value, vector = perron_components(block)
+        assert value == pytest.approx(float(sb.full_spectrum(a)[0]), abs=1e-9)
+        assert np.all(vector[n:] == 0.0)
+        assert vector[:n].min() > 0.0
+
+
+def _lollipop(k: int, tail: int) -> sb.Graph:
+    """K_k with a path of ``tail`` extra vertices hanging off vertex k-1."""
+    clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    path = [(v, v + 1) for v in range(k - 1, k + tail - 1)]
+    return sb.from_edge_list(k + tail, clique + path)
+
+
+@pytest.mark.parametrize("k, tail", [(20, 20), (20, 40), (30, 100)])
+def test_perron_certifies_lollipops_with_tiny_entries(k, tail):
+    # The true Perron entries at the tail end reach 1e-144, far below roundoff.
+    lollipop = _lollipop(k, tail)
+    n = lollipop.n
+    pair = sb.perron(lollipop.adjacency())
+    assert pair.vector.min() > 0.0
+    assert pair.residual <= 1e-11
+    assert pair.value == pytest.approx(float(jacobi_spectrum(lollipop.adjacency())[0]), abs=1e-9)
+
+    with_isolated = sb.from_edge_list(n + 1, sorted(lollipop.edges))
+    instances = [
+        (with_isolated, sb.Perturbation.vertex_connection(n, [n - 1])),
+        (lollipop, sb.Perturbation.edge_addition(0, n - 1)),
+        (lollipop, sb.Perturbation.pendant_edge(n - 1)),
+    ]
+    for host, pert in instances:
+        final = sb.perron(sb.apply_perturbation(host, pert).adjacency())
+        assert final.vector.min() > 0.0 and final.residual <= 1e-11
+        rep = sb.bound_report(host, pert)
+        assert rep.slack >= 0.0
+        path = sb.sample_path(host, pert, steps=8)
+        assert all(s.vector.min() >= 0.0 for s in path.samples)
+        assert sb.check_comparison(path).ok
