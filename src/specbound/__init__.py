@@ -19,8 +19,10 @@ from .bounds import (
     bound_pendant_edge,
     bound_vertex_connection,
     coclique_bound,
+    comparison_solution,
     h_fn,
     h_inv,
+    inequality_rhs,
     k_fn,
     k_inv,
     l1,
@@ -67,9 +69,7 @@ from .pathsim import (
     closed_form_pendant_join,
     closed_form_vertex_join,
     comparison_curve,
-    comparison_solution,
     format_path_dump,
-    inequality_rhs,
     sample_path,
 )
 from .report import bound_input, bound_report, equality_case

@@ -1,35 +1,41 @@
-"""Closed-form upper bounds for the spectral radius after a local perturbation.
+"""Sharp upper bounds on the index after a local perturbation, all derived
+from one first integral per perturbation kind.
 
-Each perturbation kind comes with an invertible auxiliary function whose
-inverse turns the initial index ``lambda_I`` and the degrees involved into a
-sharp bound on the final index ``lambda_F``:
+Run the perturbation as the matrix path ``A(t) = A_I + t P`` for t in
+[0, 1].  Along it the index obeys ``lambda' <= f(t, lambda)``, and the
+majorizing Cauchy problem ``y' = f(t, y), y(0) = lambda_I`` keeps a first
+integral ``Phi(t, y; d)`` constant along its solution ``u(t)``:
 
-* vertex connection (isolated vertex joined to g vertices):
-  ``bound = H^-1(lambda_I)`` with ``H(x) = x - g/x``;
-* edge addition (nonadjacent endpoints of degrees du, dv):
-  ``bound = 1 + K^-1(K(lambda_I) - 1)`` with ``K(x) = x - (du+dv)/x``;
-* pendant edge (anchor of degree du):
-  ``bound = L2^-1(L1(lambda_I))`` with ``L1(x) = x - du/x`` and
-  ``L2(x) = x - du/(x - 1/x)`` on ``(1, inf)``.
+* vertex connection (isolated vertex joined to g vertices), ``d = g``:
+  ``Phi(t, y) = y - d t^2 / y``;
+* edge addition (nonadjacent endpoints of degrees du, dv), ``d = du + dv``:
+  ``Phi(t, y) = y - d / (y - t)``;
+* pendant edge (anchor of degree du), ``d = du``:
+  ``Phi(t, y) = y - d y / (y^2 - t^2)``.
 
-The pendant inverse reduces to a cubic; its relevant root is the unique one
-greater than 1, which for inputs arising from actual graphs also satisfies
-``root >= sqrt(du + 1)`` (the final graph contains a star on du+1 leaves).
+So ``u(t)`` is the largest root of ``Phi(t, y) = Phi(0, lambda_I)``, the
+bound on the final index is ``u(1)``, and ``f = -Phi_t / Phi_y``.  The
+paper's auxiliary maps are slices of Phi: ``H(x) = x - g/x`` and
+``L2(x) = x - du/(x - 1/x)`` at t = 1, ``K(x) = x - (du+dv)/x`` and
+``L1(x) = x - du/x`` at t = 0.  The vertex and edge roots are quadratic; the
+pendant root is the one above t of the cubic
+``y^3 - c y^2 - (d + t^2) y + c t^2``.  :data:`KIND_SPECS` holds these per
+kind, and every function below reads it.
 
-First-order expansions of the three bound gaps (``g/lambda``,
-``(du+dv)/lambda^2``, ``du/lambda^3``) and the iterated bound for joining a
-coclique complete the module.
+First-order expansions of the bound gaps (``d / lambda^p`` with p = 1, 2, 3)
+and the iterated bound for joining a coclique complete the module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .graphs import PerturbationKind
 
 _CUBIC_TOL = 1e-12
+_COMPLEX_STEP = 1e-100
 
 
 def _check_count(name: str, value: int, minimum: int) -> int:
@@ -47,114 +53,65 @@ def _larger_quadratic_root(y: float, c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vertex connection: H(x) = x - g/x
+# First integrals and their roots
 # ---------------------------------------------------------------------------
 
-def h_fn(xi: float, g: int) -> float:
-    _check_count("g", g, 1)
-    if xi <= 0.0:
-        raise ValueError(f"h_fn is defined on (0, inf), got {xi}")
-    return xi - g / xi
+# Each Phi must also accept complex t and y: inequality_rhs differentiates
+# it by complex step.
 
-def h_inv(y: float, g: int) -> float:
-    """Unique positive solution of ``h_fn(x, g) = y``."""
-    _check_count("g", g, 1)
-    return _larger_quadratic_root(y, float(g))
+def _phi_vertex(t, y, d):
+    return y - d * t * t / y if t else y  # Phi(0, .) is the identity, also at y = 0
 
-def bound_vertex_connection(lambda_i: float, g: int) -> float:
-    """Upper bound on the index after joining an isolated vertex to g vertices.
 
-    ``lambda_i = 0`` is allowed (empty host); the bound is then ``sqrt(g)``,
-    attained by the star.
+def _phi_edge(t, y, d):
+    return y - d / (y - t)
+
+
+def _phi_pendant(t, y, d):
+    # d y / (y^2 - t^2) in the form that gives L1 and L2 bit for bit
+    return y - d / (y - t * t / y)
+
+
+def _root_vertex(t: float, c: float, d: int) -> float:
+    return _larger_quadratic_root(c, d * t * t)
+
+
+def _root_edge(t: float, c: float, d: int) -> float:
+    return t + _larger_quadratic_root(c - t, d)
+
+
+def _root_pendant(t: float, c: float, d: int) -> float:
+    """Unique root above t of ``v^3 - c v^2 - (d + t^2) v + c t^2``.
+
+    That cubic is ``(v - c)(v^2 - t^2) - d v``: negative at ``v = t``, at most
+    0 at ``sqrt(d + t^2)`` when ``c >= 0`` (every input coming from a graph),
+    and nonnegative at ``max(sqrt(d + t^2), c + d + 2)``.  Bracketed Newton
+    with bisection fallback solves it to 1e-12 on the polynomial value.
     """
-    if lambda_i < 0.0:
-        raise ValueError(f"lambda_i must be nonnegative, got {lambda_i}")
-    return h_inv(lambda_i, g)
-
-
-# ---------------------------------------------------------------------------
-# Edge addition: K(x) = x - (du+dv)/x
-# ---------------------------------------------------------------------------
-
-def k_fn(xi: float, d: float) -> float:
-    if d < 0:
-        raise ValueError(f"degree sum must be nonnegative, got {d}")
-    if xi <= 0.0:
-        raise ValueError(f"k_fn is defined on (0, inf), got {xi}")
-    return xi - d / xi
-
-def k_inv(y: float, d: float) -> float:
-    """Positive root of ``x^2 - y x - d = 0`` (the inverse of k_fn for d > 0)."""
-    if d < 0:
-        raise ValueError(f"degree sum must be nonnegative, got {d}")
-    return _larger_quadratic_root(y, float(d))
-
-def bound_edge_addition(lambda_i: float, delta_u: int, delta_v: int) -> float:
-    """Upper bound on the index after adding one edge between nonadjacent
-    vertices of degrees ``delta_u`` and ``delta_v``.  The bound depends on the
-    degrees only through their sum."""
-    du = _check_count("delta_u", delta_u, 0)
-    dv = _check_count("delta_v", delta_v, 0)
-    if lambda_i <= 0.0:
-        raise ValueError(f"lambda_i must be positive, got {lambda_i}")
-    d = du + dv
     if d == 0:
-        # Both endpoints isolated: the auxiliary map degenerates to the identity.
-        if lambda_i <= 1.0:
-            raise ValueError("degenerate zero-degree edge addition needs lambda_i > 1")
-        return lambda_i
-    return 1.0 + k_inv(k_fn(lambda_i, d) - 1.0, d)
+        # Phi degenerates to the identity on (t, inf).
+        if c <= t:
+            raise ValueError(f"no root above t={t} for c={c} with d=0")
+        return float(c)
 
-
-# ---------------------------------------------------------------------------
-# Pendant edge: L1(x) = x - du/x, L2(x) = x - du/(x - 1/x)
-# ---------------------------------------------------------------------------
-
-def l1(xi: float, delta_u: int) -> float:
-    _check_count("delta_u", delta_u, 0)
-    if xi <= 0.0:
-        raise ValueError(f"l1 is defined on (0, inf), got {xi}")
-    return xi - delta_u / xi
-
-def l2(xi: float, delta_u: int) -> float:
-    _check_count("delta_u", delta_u, 0)
-    if xi <= 1.0:
-        raise ValueError(f"l2 is defined on (1, inf), got {xi}")
-    return xi - delta_u / (xi - 1.0 / xi)
-
-def l2_inv(y: float, delta_u: int) -> float:
-    """Unique solution in ``(1, inf)`` of ``l2(x, delta_u) = y``.
-
-    Solves the cubic ``v^3 - y v^2 - (delta_u + 1) v + y = 0`` by bracketed
-    Newton with bisection fallback, to 1e-12 on the polynomial value.  The
-    cubic has three real roots, exactly one of them above 1; when
-    ``y >= 0`` (every input coming from a graph) that root also satisfies
-    ``root >= sqrt(delta_u + 1)``.
-    """
-    d = _check_count("delta_u", delta_u, 0)
-    if d == 0:
-        # l2 degenerates to the identity on (1, inf).
-        if y <= 1.0:
-            raise ValueError(f"no inverse above 1 for y={y} with delta_u=0")
-        return float(y)
-
-    dp1 = d + 1.0
+    dt2 = d + t * t
+    ct2 = c * t * t
 
     def poly(v: float) -> float:
-        return ((v - y) * v - dp1) * v + y
+        return ((v - c) * v - dt2) * v + ct2
 
     def dpoly(v: float) -> float:
-        return (3.0 * v - 2.0 * y) * v - dp1
+        return (3.0 * v - 2.0 * c) * v - dt2
 
-    lo = 1.0 if y < 0.0 else math.sqrt(dp1)
-    hi = max(math.sqrt(dp1), y + d + 2.0)
+    lo = t if c < 0.0 else math.sqrt(dt2)
+    hi = max(math.sqrt(dt2), c + d + 2.0)
     flo, fhi = poly(lo), poly(hi)
-    if abs(flo) <= _CUBIC_TOL:
+    if c >= 0.0 and abs(flo) <= _CUBIC_TOL:  # p(t) = -d t is never a root, however small
         return lo
     if abs(fhi) <= _CUBIC_TOL:
         return hi
     if flo > 0.0 or fhi < 0.0:  # pragma: no cover - bracket is analytic
-        raise RuntimeError(f"cubic bracket failed for y={y}, delta_u={d}")
+        raise RuntimeError(f"cubic bracket failed for t={t}, c={c}, d={d}")
 
     x = 0.5 * (lo + hi)
     for _ in range(200):
@@ -174,33 +131,112 @@ def l2_inv(y: float, delta_u: int) -> float:
         else:
             x = 0.5 * (lo + hi)
     raise RuntimeError(  # pragma: no cover - Newton/bisection always lands
-        f"cubic root search stalled for y={y}, delta_u={d} on [{lo}, {hi}]"
+        f"cubic root search stalled for t={t}, c={c}, d={d} on [{lo}, {hi}]"
     )
 
-def bound_pendant_edge(lambda_i: float, delta_u: int, *, g: int = 1) -> float:
-    """Upper bound on the index after attaching a pendant edge at a vertex of
-    degree ``delta_u``.
 
-    ``g`` scales the degree term (``g * delta_u`` replaces ``delta_u`` in both
-    auxiliary maps); the default 1 is the derived form, larger values exist
-    only for side-by-side comparison with the coupled variant.
+class KindSpec(NamedTuple):
+    """The first integral of one perturbation kind and what hangs off it."""
+
+    params: tuple[str, ...]  # degree keywords; the weight d is their sum
+    min_degree: int  # smallest value each degree keyword may take
+    empty_host: bool  # whether lambda_I = 0 lies in the domain of Phi(0, .)
+    phi: Callable  # Phi(t, y, d)
+    root: Callable  # root(t, c, d): the largest y with Phi(t, y, d) = c
+    gap_power: int  # bound - lambda_I ~ d / lambda_I**gap_power
+
+
+KIND_SPECS = {
+    PerturbationKind.VERTEX_CONNECTION: KindSpec(("g",), 1, True, _phi_vertex, _root_vertex, 1),
+    PerturbationKind.EDGE_ADDITION: KindSpec(
+        ("delta_u", "delta_v"), 0, False, _phi_edge, _root_edge, 2
+    ),
+    PerturbationKind.PENDANT_EDGE: KindSpec(("delta_u",), 0, False, _phi_pendant, _root_pendant, 3),
+}
+
+
+def _weight(kind: PerturbationKind, g, delta_u, delta_v) -> tuple[KindSpec, int]:
+    """The kind's spec and its weight d, after checking the degrees it uses."""
+    spec = KIND_SPECS[kind]
+    degrees = {"g": g, "delta_u": delta_u, "delta_v": delta_v}
+    return spec, sum(_check_count(name, degrees[name], spec.min_degree) for name in spec.params)
+
+
+def _initial_value(kind: PerturbationKind, lambda_i: float, g, delta_u, delta_v) -> tuple:
+    """Validate one instance; return its spec, weight d and ``Phi(0, lambda_i)``."""
+    spec, d = _weight(kind, g, delta_u, delta_v)
+    if lambda_i < 0.0 or (lambda_i == 0.0 and not spec.empty_host):
+        raise ValueError(f"lambda_i must be {'nonnegative' if spec.empty_host else 'positive'}")
+    if d == 0 and lambda_i <= 1.0:
+        raise ValueError(f"degenerate zero-degree {kind.value} perturbation needs lambda_i > 1")
+    return spec, d, spec.phi(0.0, lambda_i, d)
+
+
+class DegreeParams:
+    """``params()`` for records with ``kind``, ``g``, ``delta_u`` and ``delta_v``."""
+
+    def params(self) -> dict[str, int]:
+        """The degree keywords of this record's kind, with their values."""
+        return {name: getattr(self, name) for name in KIND_SPECS[self.kind].params}
+
+
+# ---------------------------------------------------------------------------
+# The majorizing problem: its solution, right-hand side and end value
+# ---------------------------------------------------------------------------
+
+def comparison_solution(
+    kind: PerturbationKind,
+    lambda_i: float,
+    t: float,
+    *,
+    g: int = 0,
+    delta_u: int = 0,
+    delta_v: int = 0,
+) -> float:
+    """Exact solution ``u(t)`` of ``y' = f(t, y), y(0) = lambda_I``.
+
+    ``u(t)`` is the largest root of ``Phi(t, y) = Phi(0, lambda_I)``: a
+    quadratic for vertex connection and edge addition, a cubic for the
+    pendant edge.  At ``t = 0`` every kind returns ``lambda_i`` itself.
     """
-    _check_count("delta_u", delta_u, 0)
-    _check_count("g", g, 1)
-    if lambda_i <= 0.0:
-        raise ValueError(f"lambda_i must be positive, got {lambda_i}")
-    d_eff = g * delta_u
-    if d_eff == 0:
-        # Degree-zero anchor: the two auxiliary maps coincide and cancel.
-        if lambda_i <= 1.0:
-            raise ValueError("degenerate zero-degree pendant needs lambda_i > 1")
-        return lambda_i
-    return l2_inv(l1(lambda_i, d_eff), d_eff)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    spec, d, c = _initial_value(kind, lambda_i, g, delta_u, delta_v)
+    return lambda_i if t == 0.0 else spec.root(t, c, d)
 
 
-# ---------------------------------------------------------------------------
-# Asymptotics and multiple perturbations
-# ---------------------------------------------------------------------------
+def inequality_rhs(
+    kind: PerturbationKind,
+    t: float,
+    lam: float,
+    *,
+    g: int = 0,
+    delta_u: int = 0,
+    delta_v: int = 0,
+) -> float:
+    """The majorant ``f(t, lambda) = -Phi_t / Phi_y`` with ``lambda' <= f``
+    along the path.
+
+    Both partial derivatives are complex steps ``Im Phi(x + ih) / h``, exact
+    to rounding for the rational Phi; the step h cancels in the quotient.
+    """
+    spec, d = _weight(kind, g, delta_u, delta_v)
+    phi_t = spec.phi(complex(t, _COMPLEX_STEP), lam, d).imag
+    phi_y = spec.phi(t, complex(lam, _COMPLEX_STEP), d).imag
+    return -phi_t / phi_y
+
+
+def perturbation_bound(
+    kind: PerturbationKind,
+    lambda_i: float,
+    *,
+    g: int | None = None,
+    delta_u: int | None = None,
+    delta_v: int | None = None,
+) -> float:
+    """The bound on the final index: the comparison solution at t = 1."""
+    return comparison_solution(kind, lambda_i, 1.0, g=g, delta_u=delta_u, delta_v=delta_v)
+
 
 def asymptotic_gap(
     kind: PerturbationKind,
@@ -214,16 +250,86 @@ def asymptotic_gap(
     ``g/lambda``, ``(du+dv)/lambda^2``, or ``du/lambda^3`` by kind."""
     if lambda_i <= 0.0:
         raise ValueError(f"lambda_i must be positive, got {lambda_i}")
-    if kind is PerturbationKind.VERTEX_CONNECTION:
-        return _check_count("g", g, 1) / lambda_i
-    if kind is PerturbationKind.EDGE_ADDITION:
-        du = _check_count("delta_u", delta_u, 0)
-        dv = _check_count("delta_v", delta_v, 0)
-        return (du + dv) / lambda_i**2
-    if kind is PerturbationKind.PENDANT_EDGE:
-        return _check_count("delta_u", delta_u, 0) / lambda_i**3
-    raise ValueError(f"unknown perturbation kind {kind}")  # pragma: no cover
+    spec, d = _weight(kind, g, delta_u, delta_v)
+    return d / lambda_i**spec.gap_power
 
+
+# ---------------------------------------------------------------------------
+# The paper's auxiliary maps and the per-kind bounds
+# ---------------------------------------------------------------------------
+
+def h_fn(xi: float, g: int) -> float:
+    """``H(x) = x - g/x``, the vertex first integral at t = 1."""
+    _check_count("g", g, 1)
+    if xi <= 0.0:
+        raise ValueError(f"h_fn is defined on (0, inf), got {xi}")
+    return _phi_vertex(1.0, xi, g)
+
+def h_inv(y: float, g: int) -> float:
+    """Unique positive solution of ``h_fn(x, g) = y``."""
+    return _root_vertex(1.0, y, _check_count("g", g, 1))
+
+def bound_vertex_connection(lambda_i: float, g: int) -> float:
+    """Upper bound on the index after joining an isolated vertex to g vertices.
+
+    ``lambda_i = 0`` is allowed (empty host); the bound is then ``sqrt(g)``,
+    attained by the star.
+    """
+    return perturbation_bound(PerturbationKind.VERTEX_CONNECTION, lambda_i, g=g)
+
+
+def k_fn(xi: float, d: float) -> float:
+    """``K(x) = x - d/x``, the edge first integral at t = 0."""
+    if d < 0:
+        raise ValueError(f"degree sum must be nonnegative, got {d}")
+    if xi <= 0.0:
+        raise ValueError(f"k_fn is defined on (0, inf), got {xi}")
+    return _phi_edge(0.0, xi, d)
+
+def k_inv(y: float, d: float) -> float:
+    """Positive root of ``x^2 - y x - d = 0`` (the inverse of k_fn for d > 0)."""
+    if d < 0:
+        raise ValueError(f"degree sum must be nonnegative, got {d}")
+    return _root_edge(0.0, y, float(d))
+
+def bound_edge_addition(lambda_i: float, delta_u: int, delta_v: int) -> float:
+    """Upper bound on the index after adding one edge between nonadjacent
+    vertices of degrees ``delta_u`` and ``delta_v``.  The bound depends on the
+    degrees only through their sum."""
+    return perturbation_bound(
+        PerturbationKind.EDGE_ADDITION, lambda_i, delta_u=delta_u, delta_v=delta_v
+    )
+
+
+def l1(xi: float, delta_u: int) -> float:
+    """``L1(x) = x - du/x``, the pendant first integral at t = 0."""
+    _check_count("delta_u", delta_u, 0)
+    if xi <= 0.0:
+        raise ValueError(f"l1 is defined on (0, inf), got {xi}")
+    return _phi_pendant(0.0, xi, delta_u)
+
+def l2(xi: float, delta_u: int) -> float:
+    """``L2(x) = x - du/(x - 1/x)``, the pendant first integral at t = 1."""
+    _check_count("delta_u", delta_u, 0)
+    if xi <= 1.0:
+        raise ValueError(f"l2 is defined on (1, inf), got {xi}")
+    return _phi_pendant(1.0, xi, delta_u)
+
+def l2_inv(y: float, delta_u: int) -> float:
+    """Unique solution in ``(1, inf)`` of ``l2(x, delta_u) = y``: the root
+    above 1 of ``v^3 - y v^2 - (delta_u + 1) v + y``, which is at least
+    ``sqrt(delta_u + 1)`` when ``y >= 0``."""
+    return _root_pendant(1.0, y, _check_count("delta_u", delta_u, 0))
+
+def bound_pendant_edge(lambda_i: float, delta_u: int) -> float:
+    """Upper bound on the index after attaching a pendant edge at a vertex of
+    degree ``delta_u``."""
+    return perturbation_bound(PerturbationKind.PENDANT_EDGE, lambda_i, delta_u=delta_u)
+
+
+# ---------------------------------------------------------------------------
+# Multiple perturbations
+# ---------------------------------------------------------------------------
 
 class CocliqueBound(NamedTuple):
     asymptotic: float
@@ -259,27 +365,9 @@ def coclique_bound(lambda_i: float, degrees: Sequence[int]) -> CocliqueBound:
 # Aggregates
 # ---------------------------------------------------------------------------
 
-def perturbation_bound(
-    kind: PerturbationKind,
-    lambda_i: float,
-    *,
-    g: int | None = None,
-    delta_u: int | None = None,
-    delta_v: int | None = None,
-) -> float:
-    """Dispatch to the bound for the given perturbation kind."""
-    if kind is PerturbationKind.VERTEX_CONNECTION:
-        return bound_vertex_connection(lambda_i, _check_count("g", g, 1))
-    if kind is PerturbationKind.EDGE_ADDITION:
-        return bound_edge_addition(lambda_i, delta_u, delta_v)
-    if kind is PerturbationKind.PENDANT_EDGE:
-        return bound_pendant_edge(lambda_i, delta_u)
-    raise ValueError(f"unknown perturbation kind {kind}")  # pragma: no cover
-
-
 @dataclass(frozen=True)
-class BoundInput:
-    """Numeric payload of one bound evaluation."""
+class BoundInput(DegreeParams):
+    """Numeric payload of one bound evaluation, validated on construction."""
 
     kind: PerturbationKind
     lambda_i: float
@@ -288,23 +376,7 @@ class BoundInput:
     delta_v: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind is PerturbationKind.VERTEX_CONNECTION:
-            if self.g < 1:
-                raise ValueError("vertex connection needs g >= 1")
-            if self.lambda_i < 0.0:
-                raise ValueError("lambda_i must be nonnegative")
-        else:
-            if self.lambda_i <= 0.0:
-                raise ValueError("lambda_i must be positive")
-            if min(self.delta_u, self.delta_v) < 0:
-                raise ValueError("degrees must be nonnegative")
-
-    def params(self) -> dict[str, int]:
-        if self.kind is PerturbationKind.VERTEX_CONNECTION:
-            return {"g": self.g}
-        if self.kind is PerturbationKind.EDGE_ADDITION:
-            return {"delta_u": self.delta_u, "delta_v": self.delta_v}
-        return {"delta_u": self.delta_u}
+        _initial_value(self.kind, self.lambda_i, self.g, self.delta_u, self.delta_v)
 
     def bound(self) -> float:
         return perturbation_bound(self.kind, self.lambda_i, **self.params())

@@ -47,6 +47,8 @@ from .pathsim import (
     closed_form_edge_join,
     closed_form_pendant_join,
     closed_form_vertex_join,
+    comparison_curve,
+    format_number,
     format_path_dump,
     sample_path,
 )
@@ -65,11 +67,7 @@ _ORACLE_TOL = 1e-9
 def _round12(value):
     """Round floats to 12 significant digits, recursively, for stable output."""
     if isinstance(value, float):
-        if math.isnan(value):
-            return None
-        if math.isinf(value):
-            return None
-        return float(f"{value:.12g}")
+        return float(format_number(value)) if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -127,18 +125,8 @@ def _cmd_bound(args) -> int:
     else:
         keys = list(payload)
         print("\t".join(keys))
-        print("\t".join(_format_cell(payload[k]) for k in keys))
+        print("\t".join(format_number(payload[k]) for k in keys))
     return EXIT_OK
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
 
 
 def _cmd_path(args) -> int:
@@ -156,25 +144,27 @@ def _cmd_path(args) -> int:
     if not is_connected(apply_perturbation(graph, pert)):
         print("error: the perturbed graph is disconnected", file=sys.stderr)
         return EXIT_STRUCTURE
-    path = sample_path(graph, pert, steps=args.steps)
-    if args.format == "json":
-        from .pathsim import comparison_curve
-
+    try:
+        path = sample_path(graph, pert, steps=args.steps)
+        if args.format == "tsv":
+            sys.stdout.write(format_path_dump(path))
+            return EXIT_OK
         curve = comparison_curve(path)
-        rows = [
-            {
-                "t": s.t,
-                "lambda": s.value,
-                "derivative_lhs": s.derivative_lhs,
-                "derivative_rhs": s.derivative_rhs,
-                "comparison_u": u,
-                "margin": u - s.value,
-            }
-            for s, u in zip(path.samples, curve)
-        ]
-        _print_json({"kind": path.kind.value, "rows": rows})
-    else:
-        sys.stdout.write(format_path_dump(path))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    rows = [
+        {
+            "t": s.t,
+            "lambda": s.value,
+            "derivative_lhs": s.derivative_lhs,
+            "derivative_rhs": s.derivative_rhs,
+            "comparison_u": u,
+            "margin": u - s.value,
+        }
+        for s, u in zip(path.samples, curve)
+    ]
+    _print_json({"kind": path.kind.value, "rows": rows})
     return EXIT_OK
 
 

@@ -6,8 +6,10 @@ continuously differentiable with ``lambda'(t) = <P x(t), x(t)>``; this module
 samples the path, checks the derivative identity against central finite
 differences, evaluates the per-kind differential inequality
 ``lambda' <= f(t, lambda)``, and compares ``lambda(t)`` against the exact
-solution of the majorizing Cauchy problem ``y' = f(t, y), y(0) = lambda_I``
-(which dominates the path and is attained exactly in the equality cases).
+solution ``u(t)`` of the majorizing Cauchy problem
+``y' = f(t, y), y(0) = lambda_I`` (which dominates the path and is attained
+exactly in the equality cases).  ``f`` and ``u`` both come from the kind's
+first integral in :mod:`specbound.bounds`.
 
 The equality cases are cones and double cones over regular graphs; their
 eigenpairs along the path have closed forms that are evaluated and residual
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from . import bounds
+from .bounds import KIND_SPECS, DegreeParams, comparison_solution, inequality_rhs
 from .graphs import (
     Graph,
     Perturbation,
@@ -34,7 +36,6 @@ from .graphs import (
 from .spectral import full_spectrum, is_connected_matrix, perron, perron_components
 
 _RESIDUAL_TOL = 1e-10
-_DEFAULT_ODE_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class PathSample:
 
 
 @dataclass(frozen=True)
-class PerturbationPath:
+class PerturbationPath(DegreeParams):
     """Samples of one continuous perturbation, with its kind and degree data."""
 
     kind: PerturbationKind
@@ -73,13 +74,6 @@ class PerturbationPath:
     @property
     def lambda_f(self) -> float:
         return self.samples[-1].value
-
-    def params(self) -> dict[str, int]:
-        if self.kind is PerturbationKind.VERTEX_CONNECTION:
-            return {"g": self.g}
-        if self.kind is PerturbationKind.EDGE_ADDITION:
-            return {"delta_u": self.delta_u, "delta_v": self.delta_v}
-        return {"delta_u": self.delta_u}
 
 
 def sample_path(
@@ -128,29 +122,8 @@ def sample_path(
 
 
 # ---------------------------------------------------------------------------
-# Differential inequality
+# Differential inequality and comparison dominance
 # ---------------------------------------------------------------------------
-
-def inequality_rhs(
-    kind: PerturbationKind,
-    t: float,
-    lam: float,
-    *,
-    g: int = 0,
-    delta_u: int = 0,
-    delta_v: int = 0,
-) -> float:
-    """The majorant ``f(t, lambda)`` with ``lambda' <= f`` along the path."""
-    if kind is PerturbationKind.VERTEX_CONNECTION:
-        return 2.0 * g * t * lam / (lam * lam + g * t * t)
-    if kind is PerturbationKind.EDGE_ADDITION:
-        d = delta_u + delta_v
-        return d / ((lam - t) ** 2 + d)
-    if kind is PerturbationKind.PENDANT_EDGE:
-        d = delta_u
-        return 2.0 * lam * t * d / ((lam * lam - t * t) ** 2 + d * (lam * lam + t * t))
-    raise ValueError(f"unknown perturbation kind {kind}")  # pragma: no cover
-
 
 def check_differential_inequality(path: PerturbationPath) -> float:
     """Max over interior samples of ``<P x, x> - f(t, lambda)``.
@@ -167,84 +140,9 @@ def check_differential_inequality(path: PerturbationPath) -> float:
     return worst
 
 
-# ---------------------------------------------------------------------------
-# Comparison (majorizing) solution
-# ---------------------------------------------------------------------------
-
-def _pendant_rk4(lam_i: float, d: int, t0: float, t1: float, steps: int) -> float:
-    """Integrate y' = 2 d t y / ((y^2-t^2)^2 + d (y^2+t^2)) from t0 to t1."""
-
-    def f(t: float, y: float) -> float:
-        return 2.0 * d * t * y / ((y * y - t * t) ** 2 + d * (y * y + t * t))
-
-    h = (t1 - t0) / steps
-    t, y = t0, lam_i
-    for _ in range(steps):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        t += h
-    return y
-
-
-def comparison_solution(
-    kind: PerturbationKind,
-    lambda_i: float,
-    t: float,
-    *,
-    g: int = 0,
-    delta_u: int = 0,
-    delta_v: int = 0,
-    ode_steps: int = _DEFAULT_ODE_STEPS,
-) -> float:
-    """Exact solution ``u(t)`` of ``y' = f(t, y), y(0) = lambda_I``.
-
-    Vertex connection and edge addition have closed forms (a quadratic in
-    each case); the pendant-edge problem is integrated by fixed-step RK4,
-    whose value at t = 1 matches the cubic-root inverse to well below 1e-6.
-    At ``t = 0`` every kind returns ``lambda_i`` itself.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    if kind is PerturbationKind.VERTEX_CONNECTION:
-        if lambda_i < 0.0:
-            raise ValueError("lambda_i must be nonnegative")
-    elif lambda_i <= 0.0:
-        raise ValueError("lambda_i must be positive")
-    if t == 0.0:
-        return lambda_i
-    if kind is PerturbationKind.VERTEX_CONNECTION:
-        return 0.5 * (lambda_i + math.sqrt(lambda_i * lambda_i + 4.0 * g * t * t))
-    if kind is PerturbationKind.EDGE_ADDITION:
-        d = delta_u + delta_v
-        c = lambda_i - d / lambda_i
-        # Larger root of y^2 - (t + c) y + (t c - d) = 0, stable form.
-        s = t + c
-        q = t * c - d
-        disc = math.sqrt(max(s * s - 4.0 * q, 0.0))
-        return 0.5 * (s + disc) if s >= 0.0 else (2.0 * q) / (s - disc)
-    if kind is PerturbationKind.PENDANT_EDGE:
-        return _pendant_rk4(lambda_i, delta_u, 0.0, t, ode_steps)
-    raise ValueError(f"unknown perturbation kind {kind}")  # pragma: no cover
-
-
-def comparison_curve(path: PerturbationPath, ode_steps: int = _DEFAULT_ODE_STEPS) -> list[float]:
-    """``u(t_k)`` on the path's grid; the pendant ODE is integrated once,
-    accumulating segment by segment."""
-    ts = [s.t for s in path.samples]
-    lam_i = path.lambda_i
-    if path.kind is not PerturbationKind.PENDANT_EDGE:
-        return [comparison_solution(path.kind, lam_i, t, **path.params()) for t in ts]
-    d = path.delta_u
-    values = [lam_i]
-    y = lam_i
-    for t_prev, t_next in zip(ts, ts[1:]):
-        seg_steps = max(1, round(ode_steps * (t_next - t_prev)))
-        y = _pendant_rk4(y, d, t_prev, t_next, seg_steps)
-        values.append(y)
-    return values
+def comparison_curve(path: PerturbationPath) -> list[float]:
+    """``u(t_k)`` on the path's grid."""
+    return [comparison_solution(path.kind, path.lambda_i, s.t, **path.params()) for s in path.samples]
 
 
 @dataclass(frozen=True)
@@ -335,34 +233,21 @@ def closed_form_edge_join(n: int, delta: int, t: float) -> JoinSolution:
     return JoinSolution(value=lam, alpha=alpha, beta=None, gamma=gamma, residual=residual)
 
 
-def _max_real_cubic_root(c2: float, c1: float, c0: float) -> float:
-    """Largest real root of ``x^3 + c2 x^2 + c1 x + c0``, Newton-polished."""
-    roots = np.roots([1.0, c2, c1, c0])
-    real = [float(r.real) for r in roots if abs(r.imag) < 1e-8]
-    x = max(real)
-    for _ in range(3):
-        fx = ((x + c2) * x + c1) * x + c0
-        dfx = (3.0 * x + 2.0 * c2) * x + c1
-        if dfx == 0.0:
-            break
-        x -= fx / dfx
-    return x
-
-
 def closed_form_pendant_join(n: int, delta: int, t: float) -> JoinSolution:
     """Eigenpair of the path attaching a pendant edge at the apex of a cone
     over a delta-regular graph: eigenvector ``(alpha, beta, gamma, ..., gamma)``
     with the pendant vertex first, the apex second.
 
     The spectral radius is the largest root of
-    ``x^3 - delta x^2 - (n + t^2) x + delta t^2``.  The eigenvector direction
+    ``x^3 - delta x^2 - (n + t^2) x + delta t^2``: the pendant first
+    integral's cubic with ``c = delta`` and ``d = n``.  The eigenvector direction
     ``(t (lam - delta), lam (lam - delta), lam)`` is normalized directly;
     ``normalization_gap`` records the defect of the closed-form constant
     ``2 (n+t^2) lam^2 - delta (n+t+3t^2) lam + 2 t^2 delta^2`` against the
     direct squared norm (nonzero off t = 1).
     """
     _check_join_args(n, delta, t)
-    lam = _max_real_cubic_root(-float(delta), -(n + t * t), delta * t * t)
+    lam = KIND_SPECS[PerturbationKind.PENDANT_EDGE].root(t, delta, n)
     raw = np.array([t * (lam - delta), lam * (lam - delta), lam])
     norm_sq = raw[0] ** 2 + raw[1] ** 2 + n * raw[2] ** 2
     alpha, beta, gamma = (raw / math.sqrt(norm_sq)).tolist()
@@ -372,7 +257,7 @@ def closed_form_pendant_join(n: int, delta: int, t: float) -> JoinSolution:
         abs(beta + delta * gamma - lam * gamma),
         abs(alpha * alpha + beta * beta + n * gamma * gamma - 1.0),
     )
-    if residual > _RESIDUAL_TOL:  # pragma: no cover - polished root
+    if residual > _RESIDUAL_TOL:  # pragma: no cover - root solved to 1e-12
         raise RuntimeError(f"pendant join eigenpair residual {residual:.3e}")
     closed_form_norm = (
         2.0 * (n + t * t) * lam * lam
@@ -393,20 +278,25 @@ def closed_form_pendant_join(n: int, delta: int, t: float) -> JoinSolution:
 # Dump format
 # ---------------------------------------------------------------------------
 
+def format_number(value) -> str:
+    """Text form of one output value: floats at 12 significant digits,
+    ``None`` as ``nan``, booleans as ``true``/``false``."""
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
 def format_path_dump(path: PerturbationPath) -> str:
     """Tab-separated rows ``t lambda derivative_lhs derivative_rhs
     comparison_u margin`` at 12 significant digits (endpoint derivatives are
     ``nan``), preceded by a ``#`` header line."""
-
-    def fmt(x: Optional[float]) -> str:
-        return "nan" if x is None else f"{x:.12g}"
-
     curve = comparison_curve(path)
     lines = ["#t\tlambda\tderivative_lhs\tderivative_rhs\tcomparison_u\tmargin"]
     for s, u in zip(path.samples, curve):
-        lines.append(
-            "\t".join(
-                (fmt(s.t), fmt(s.value), fmt(s.derivative_lhs), fmt(s.derivative_rhs), fmt(u), fmt(u - s.value))
-            )
-        )
+        row = (s.t, s.value, s.derivative_lhs, s.derivative_rhs, u, u - s.value)
+        lines.append("\t".join(map(format_number, row)))
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Pure-Python eigensolvers kept as independent test oracles.
+"""Pure-Python solvers kept as independent test oracles.
 
 The library computes spectra with LAPACK.  These two solvers share no code
 with it and none with each other, so agreement among all three at 1e-9
@@ -10,6 +10,11 @@ certifies the library's numbers:
   matrices, whose spectrum contains -lambda_1.
 * :func:`jacobi_spectrum` -- a cyclic Jacobi rotation sweep returning all
   eigenvalues.  It is slow but has no convergence caveats.
+
+The library solves the majorizing Cauchy problem through a first integral
+(a quadratic or cubic root).  :func:`rk4` integrates the same problem
+numerically from the right-hand sides in :data:`MAJORANTS`, written out here
+from the paper rather than taken from the library.
 """
 
 from __future__ import annotations
@@ -121,3 +126,26 @@ def jacobi_spectrum(a) -> np.ndarray:
         raise RuntimeError(f"Jacobi did not converge within {_MAX_JACOBI_SWEEPS} sweeps")
     vals = np.sort(np.diagonal(w).copy())[::-1]
     return vals
+
+
+# y' = f(t, y; d) for each perturbation kind, keyed by its spec name
+MAJORANTS = {
+    "vertex": lambda t, y, d: 2.0 * d * t * y / (y * y + d * t * t),
+    "edge": lambda t, y, d: d / ((y - t) ** 2 + d),
+    "pendant": lambda t, y, d: 2.0 * d * t * y / ((y * y - t * t) ** 2 + d * (y * y + t * t)),
+}
+
+
+def rk4(f, y0: float, t0: float, t1: float, steps: int) -> float:
+    """Integrate ``y' = f(t, y)`` from ``(t0, y0)`` to ``t1`` by classical
+    fixed-step fourth-order Runge-Kutta."""
+    h = (t1 - t0) / steps
+    t, y = t0, y0
+    for _ in range(steps):
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        y += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        t += h
+    return y

@@ -4,8 +4,8 @@ Each criterion is one test that prints a single PASS/FAIL line (visible with
 ``pytest -v -s`` or in failure output).  Expected values come from the
 library-independent oracles: the library's LAPACK eigensolver is
 cross-checked against pure-Python cyclic Jacobi and shifted power iteration
-(``oracles.py``), closed forms against the eigensolver, and the pendant ODE
-against the cubic-root inverse.
+(``oracles.py``), closed forms against the eigensolver, and the first-integral
+roots of the majorizing ODE against Runge-Kutta integration (``oracles.py``).
 
 Criteria 1-2 share one corpus: every connected graph on at most 7 vertices
 (up to isomorphism, via the networkx atlas) with exhaustive edge/pendant
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import specbound as sb
-from oracles import jacobi_spectrum, power_perron
+from oracles import MAJORANTS, jacobi_spectrum, power_perron, rk4
 from specbound import Perturbation, PerturbationKind
 from specbound.rng import SplitMix64, random_instance
 
@@ -521,19 +521,31 @@ def test_criterion_9_solver_cross_check():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 10: pendant ODE vs cubic inverse
+# Criterion 10: integrated majorizing ODE vs first-integral roots
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_pendant_ode_consistency():
+    # name kept from when only the pendant curve was integrated; every kind
+    # is checked now, against a Runge-Kutta oracle sharing no library code
+    degree_params = {
+        PerturbationKind.VERTEX_CONNECTION: lambda d: {"g": d},
+        PerturbationKind.EDGE_ADDITION: lambda d: {"delta_u": d // 2, "delta_v": d - d // 2},
+        PerturbationKind.PENDANT_EDGE: lambda d: {"delta_u": d},
+    }
     worst = 0.0
-    for lam in (1.0, 2.0, 5.0, 10.0):
-        for du in (1, 2, 5):
-            ode = sb.comparison_solution(PerturbationKind.PENDANT_EDGE, lam, 1.0, delta_u=du)
-            closed = sb.l2_inv(sb.l1(lam, du), du)
-            worst = max(worst, abs(ode - closed))
+    for kind in KINDS:
+        f = MAJORANTS[kind.value]
+        for lam in (1.0, 2.0, 5.0, 10.0):
+            for d in (1, 2, 5):
+                params = degree_params[kind](d)
+                y, t_prev = lam, 0.0
+                for t in (0.25, 0.5, 1.0):
+                    y = rk4(lambda s, v: f(s, v, d), y, t_prev, t, round(10_000 * (t - t_prev)))
+                    t_prev = t
+                    worst = max(worst, abs(y - sb.comparison_solution(kind, lam, t, **params)))
     _verdict(
         10,
-        "integrated pendant solution matches the cubic-root inverse",
-        worst <= 1e-6,
-        f"max |rk4 - root| = {worst:.3e} over 12 parameter pairs",
+        "integrated majorizing ODE matches the first-integral roots",
+        worst <= 1e-9,
+        f"max |rk4 - root| = {worst:.3e} over 3 kinds x 12 parameter pairs x 3 times",
     )

@@ -180,12 +180,6 @@ def test_bound_pendant_edge_c4_strict():
     assert bound - eig_max(tadpole) > 1e-7
 
 
-def test_bound_pendant_degree_factor_flag():
-    # doubling the degree term reproduces the coupled variant
-    assert sb.bound_pendant_edge(3.0, 2, g=2) == sb.bound_pendant_edge(3.0, 4)
-    assert sb.bound_pendant_edge(3.0, 2, g=2) > sb.bound_pendant_edge(3.0, 2)
-
-
 def test_bound_domain_errors():
     with pytest.raises(ValueError):
         sb.bound_vertex_connection(-0.5, 1)

@@ -157,6 +157,27 @@ def test_path_steps_usage_error_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def _assert_refused_like_bound(capsys, gfile, spec):
+    # `bound` refuses these hosts (lambda_I = 0); `path` must refuse them the
+    # same way, with one error line and no traceback
+    code, _, bound_err = run(capsys, ["bound", gfile, *spec])
+    assert code == 3
+    for fmt in ("tsv", "json"):
+        code, out, err = run(capsys, ["path", gfile, "--format", fmt, *spec])
+        assert (code, out, err) == (3, "", bound_err)
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_path_edge_between_isolated_pair_exit_3(tmp_path, capsys):
+    gfile = write_graph(tmp_path, sb.empty_graph(2))
+    _assert_refused_like_bound(capsys, gfile, ["edge", "0", "1"])
+
+
+def test_path_pendant_on_single_vertex_exit_3(tmp_path, capsys):
+    gfile = write_graph(tmp_path, sb.empty_graph(1))
+    _assert_refused_like_bound(capsys, gfile, ["pendant", "0"])
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

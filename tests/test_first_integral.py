@@ -1,0 +1,123 @@
+"""Property tests for the per-kind first integrals behind the bounds.
+
+Phi is restated here from the paper's formulas rather than imported, so the
+properties check the library's roots and majorant against an independent
+statement of the same conserved quantity:
+
+* vertex connection, ``d = g``:         ``Phi(t, y) = y - d t^2 / y``
+* edge addition, ``d = du + dv``:       ``Phi(t, y) = y - d / (y - t)``
+* pendant edge, ``d = du``:             ``Phi(t, y) = y - d y / (y^2 - t^2)``
+"""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import specbound as sb
+from specbound import PerturbationKind
+from specbound.bounds import KIND_SPECS
+
+PHI = {
+    PerturbationKind.VERTEX_CONNECTION: lambda t, y, d: y - d * t * t / y,
+    PerturbationKind.EDGE_ADDITION: lambda t, y, d: y - d / (y - t),
+    PerturbationKind.PENDANT_EDGE: lambda t, y, d: y - d * y / (y * y - t * t),
+}
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=400, deadline=None)
+
+
+def degree_params(kind: PerturbationKind, d: int) -> dict[str, int]:
+    if kind is PerturbationKind.VERTEX_CONNECTION:
+        return {"g": d}
+    if kind is PerturbationKind.EDGE_ADDITION:
+        return {"delta_u": d // 2, "delta_v": d - d // 2}
+    return {"delta_u": d}
+
+
+@st.composite
+def instances(draw, graph_regime: bool = False):
+    """(kind, d, lambda_I) inside the bounds' domain.
+
+    ``graph_regime`` keeps ``lambda_I`` at least the square root of each
+    degree involved, as in every graph (the host contains that star).
+    """
+    kind = draw(st.sampled_from(list(PerturbationKind)))
+    d = draw(st.integers(1 if kind is PerturbationKind.VERTEX_CONNECTION else 0, 50))
+    floor = math.sqrt(max(degree_params(kind, d).values())) if graph_regime else 0.01
+    lam = draw(st.floats(max(floor, 0.01), 50.0))
+    assume(d > 0 or lam > 1.0)  # the zero-degree perturbations need lambda_I > 1
+    return kind, d, lam
+
+
+def u(kind, lam, t, d):
+    return sb.comparison_solution(kind, lam, t, **degree_params(kind, d))
+
+
+times = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@PROPERTY
+@given(instances(graph_regime=True), times)
+def test_phi_is_conserved_along_the_comparison_solution(inst, t):
+    kind, d, lam = inst
+    assert PHI[kind](t, u(kind, lam, t, d), d) == pytest.approx(
+        PHI[kind](0.0, lam, d), abs=1e-12 * max(1.0, lam)
+    )
+
+
+@PROPERTY
+@given(instances(), times)
+def test_comparison_solution_is_a_root_off_the_graph_regime(inst, t):
+    # Far below sqrt(d), Phi(0, lambda_I) is very negative and u(t) sits
+    # near the pole y = t, where Phi is steep: Phi_y = 1 + d w.  Conservation
+    # then holds to 1e-12 max(1, lambda) in y, i.e. scaled by Phi_y.
+    kind, d, lam = inst
+    y = u(kind, lam, t, d)
+    h = 1e-7 * (y - t if kind is not PerturbationKind.VERTEX_CONNECTION else y)
+    phi_y = (PHI[kind](t, y + h, d) - PHI[kind](t, y - h, d)) / (2.0 * h)
+    defect = abs(PHI[kind](t, y, d) - PHI[kind](0.0, lam, d))
+    assert defect <= 1e-12 * max(1.0, lam) * max(1.0, phi_y)
+
+
+@PROPERTY
+@given(instances(), times, times)
+def test_comparison_solution_starts_at_lambda_and_never_decreases(inst, s, t):
+    kind, d, lam = inst
+    assert u(kind, lam, 0.0, d) == lam
+    lo, hi = sorted((s, t))
+    # nondecreasing up to rounding: roots at nearly equal t may differ by an ulp
+    assert u(kind, lam, hi, d) >= u(kind, lam, lo, d) - 1e-14 * max(1.0, lam)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(list(PerturbationKind)),
+    st.integers(0, 50),
+    times,
+    st.floats(1.0, 50.0),
+)
+def test_inequality_rhs_is_the_first_integral_slope(kind, d, t, gap):
+    # f = -Phi_t / Phi_y, checked by central differences away from the pole
+    assume(d > 0 or kind is not PerturbationKind.VERTEX_CONNECTION)
+    y, h, phi = t + gap, 1e-5, PHI[kind]
+    phi_t = (phi(t + h, y, d) - phi(t - h, y, d)) / (2.0 * h)
+    phi_y = (phi(t, y + h, d) - phi(t, y - h, d)) / (2.0 * h)
+    rhs = sb.inequality_rhs(kind, t, y, **degree_params(kind, d))
+    assert rhs == pytest.approx(-phi_t / phi_y, abs=1e-7)
+
+
+@PROPERTY
+@given(times, st.integers(0, 50), st.data())
+def test_pendant_root_bracket_holds_on_the_whole_path(t, d, data):
+    c = data.draw(st.floats(-float(d), 50.0))
+    root = KIND_SPECS[PerturbationKind.PENDANT_EDGE].root
+    if d == 0 and c <= t:
+        with pytest.raises(ValueError):
+            root(t, c, d)
+        return
+    y = root(t, c, d)  # never the RuntimeError of a failed bracket
+    assert math.isfinite(y) and y >= t
+    if d == 0:
+        assert y == c

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import specbound as sb
+from oracles import MAJORANTS, rk4
 from specbound import Perturbation, PerturbationKind
-from specbound.pathsim import _pendant_rk4
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,14 +154,23 @@ def test_comparison_matches_bounds_at_t1():
     # the end of the majorizing solution is exactly the closed-form bound
     assert sb.comparison_solution(
         PerturbationKind.VERTEX_CONNECTION, 1.3, 1.0, g=5
-    ) == pytest.approx(sb.bound_vertex_connection(1.3, 5), abs=1e-12)
+    ) == sb.bound_vertex_connection(1.3, 5)
     assert sb.comparison_solution(
         PerturbationKind.EDGE_ADDITION, 2.7, 1.0, delta_u=2, delta_v=3
-    ) == pytest.approx(sb.bound_edge_addition(2.7, 2, 3), abs=1e-12)
+    ) == sb.bound_edge_addition(2.7, 2, 3)
     for lam, du in ((1.0, 1), (2.5, 2), (10.0, 5)):
         assert sb.comparison_solution(
             PerturbationKind.PENDANT_EDGE, lam, 1.0, delta_u=du
-        ) == pytest.approx(sb.bound_pendant_edge(lam, du), abs=1e-6)
+        ) == sb.bound_pendant_edge(lam, du)
+    for kind, params in (
+        (PerturbationKind.VERTEX_CONNECTION, {"g": 3}),
+        (PerturbationKind.EDGE_ADDITION, {"delta_u": 2, "delta_v": 1}),
+        (PerturbationKind.PENDANT_EDGE, {"delta_u": 2}),
+    ):
+        for lam in (1.5, 2.0, 3.7, 11.0):
+            assert sb.comparison_solution(kind, lam, 1.0, **params) == sb.perturbation_bound(
+                kind, lam, **params
+            )
 
 
 def test_check_comparison_equality_profile():
@@ -192,7 +201,7 @@ def test_comparison_curve_consistent_with_pointwise():
 
 def test_pendant_rk4_converges_to_cubic_root():
     for lam, du in ((1.0, 1), (SQRT2, 1), (2.0, 2), (5.0, 5)):
-        y1 = _pendant_rk4(lam, du, 0.0, 1.0, 10_000)
+        y1 = rk4(lambda t, y: MAJORANTS["pendant"](t, y, du), lam, 0.0, 1.0, 10_000)
         assert y1 == pytest.approx(sb.l2_inv(sb.l1(lam, du), du), abs=1e-8)
 
 
