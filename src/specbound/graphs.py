@@ -2,8 +2,9 @@
 
 A :class:`Graph` is an immutable value: a vertex count ``n`` plus a set of
 normalized edges ``(i, j)`` with ``i < j``.  Vertices are the integers
-``0 .. n-1``.  Self-loops are rejected; duplicate edges collapse under set
-semantics.
+``0 .. n-1`` (Python or numpy integers, never ``bool``) and ``edges`` is a
+``frozenset``; construction rejects anything else, and self-loops.
+Duplicate edges collapse under set semantics.
 
 Three perturbation kinds are modeled:
 
@@ -44,6 +45,11 @@ def _normalize_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _is_index(x) -> bool:
+    """True for Python and numpy integers; ``bool`` is not a vertex."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices ``0 .. n-1``."""
@@ -52,9 +58,20 @@ class Graph:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        if not _is_index(self.n):
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        for i, j in self.edges:
+        if not isinstance(self.edges, frozenset):
+            raise ValueError(f"edges must be a frozenset, got {type(self.edges).__name__}")
+        for edge in self.edges:
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a vertex pair") from None
+            if type(i) is not int or type(j) is not int:  # plain ints skip the slower test
+                if not (_is_index(i) and _is_index(j)):
+                    raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer vertex")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < j < self.n):
@@ -249,21 +266,36 @@ class Perturbation:
     u: int
     targets: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, PerturbationKind):
+            raise PerturbationError(f"unknown perturbation kind {self.kind!r}")
+        if not isinstance(self.targets, tuple):
+            raise PerturbationError(f"targets must be a tuple, got {type(self.targets).__name__}")
+        for v in (self.u, *self.targets):
+            if not _is_index(v) or v < 0:
+                raise PerturbationError(f"vertex {v!r} is not a nonnegative integer")
+        ts = self.targets
+        if self.kind is PerturbationKind.VERTEX_CONNECTION:
+            if not ts:
+                raise PerturbationError("vertex connection needs at least one target")
+            if len(set(ts)) != len(ts):
+                raise PerturbationError(f"duplicate targets in {ts}")
+            if self.u in ts:
+                raise PerturbationError(f"target list contains the isolated vertex {self.u}")
+        elif self.kind is PerturbationKind.EDGE_ADDITION:
+            if len(ts) != 1:
+                raise PerturbationError(f"edge addition needs one opposite endpoint, got {ts}")
+            if self.u == ts[0]:
+                raise PerturbationError("edge endpoints must be distinct")
+        elif ts:
+            raise PerturbationError(f"pendant edge takes no targets, got {ts}")
+
     @classmethod
     def vertex_connection(cls, u: int, targets: Sequence[int]) -> "Perturbation":
-        ts = tuple(sorted(targets))
-        if not ts:
-            raise PerturbationError("vertex connection needs at least one target")
-        if len(set(ts)) != len(ts):
-            raise PerturbationError(f"duplicate targets in {ts}")
-        if u in ts:
-            raise PerturbationError(f"target list contains the isolated vertex {u}")
-        return cls(PerturbationKind.VERTEX_CONNECTION, u, ts)
+        return cls(PerturbationKind.VERTEX_CONNECTION, u, tuple(sorted(targets)))
 
     @classmethod
     def edge_addition(cls, u: int, v: int) -> "Perturbation":
-        if u == v:
-            raise PerturbationError("edge endpoints must be distinct")
         return cls(PerturbationKind.EDGE_ADDITION, u, (v,))
 
     @classmethod
@@ -291,18 +323,12 @@ def validate_perturbation(g: Graph, p: Perturbation) -> None:
         for t in p.targets:
             if not (0 <= t < g.n):
                 raise PerturbationError(f"target {t} out of range for n={g.n}")
-            if t == p.u:
-                raise PerturbationError(f"target equals the isolated vertex {p.u}")
     elif p.kind is PerturbationKind.EDGE_ADDITION:
         v = p.targets[0]
         if not (0 <= v < g.n):
             raise PerturbationError(f"vertex {v} out of range for n={g.n}")
         if g.has_edge(p.u, v):
             raise PerturbationError(f"edge ({p.u}, {v}) already present")
-    elif p.kind is PerturbationKind.PENDANT_EDGE:
-        pass  # u in range is all there is; the new vertex is fresh
-    else:  # pragma: no cover - exhaustive enum
-        raise PerturbationError(f"unknown perturbation kind {p.kind}")
 
 
 def perturbed_dimension(g: Graph, p: Perturbation) -> int:

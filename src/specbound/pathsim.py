@@ -33,7 +33,7 @@ from .graphs import (
     perturbation_matrix,
     validate_perturbation,
 )
-from .spectral import full_spectrum, is_connected_matrix, perron, perron_components
+from .spectral import _certified_perron, _top_eigenvalue, is_connected_matrix, perron_components
 
 _RESIDUAL_TOL = 1e-10
 
@@ -88,6 +88,7 @@ def sample_path(
     ``t = 0`` endpoint takes the best component's pair.  Interior points get
     the quadratic-form derivative and a central difference of eigenvalues,
     with step ``min(1e-5, 1/(4 steps))``.  The final graph must be connected.
+    Solves past ``t = 0`` skip the input checks, made once on ``A_I + P``.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
@@ -104,15 +105,15 @@ def sample_path(
     for k in range(steps + 1):
         t = k / steps
         a_t = a_initial + t * p_mat
-        if k == 0 and not is_connected_matrix(a_t):
+        if k == 0:
             value, vector = perron_components(a_t, tol=tol)
         else:
-            pair = perron(a_t, tol=tol)
-            value, vector = pair.value, np.array(pair.vector)
+            pair = _certified_perron(a_t, tol)
+            value, vector = pair.value, pair.vector
         lhs = rhs = None
         if 0 < k < steps:
-            lam_plus = float(full_spectrum(a_initial + (t + h) * p_mat)[0])
-            lam_minus = float(full_spectrum(a_initial + (t - h) * p_mat)[0])
+            lam_plus = _top_eigenvalue(a_initial + (t + h) * p_mat)
+            lam_minus = _top_eigenvalue(a_initial + (t - h) * p_mat)
             lhs = (lam_plus - lam_minus) / (2.0 * h)
             rhs = float(vector @ (p_mat @ vector))
         samples.append(

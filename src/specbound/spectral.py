@@ -1,21 +1,21 @@
 """Exact spectral computations for dense symmetric matrices.
 
 One production eigensolver, LAPACK's symmetric driver through ``numpy``,
-backs both entry points:
+backs every entry point:
 
 * :func:`full_spectrum` -- all eigenvalues, nonincreasing.
 * :func:`perron` -- the dominant eigenpair of a connected nonnegative
   symmetric matrix, returned only with a certificate: a unit vector whose
   residual is within tolerance and whose entries are all positive.
+  :func:`perron_components` and :func:`spectral_radius` apply it per component.
 
-Independent pure-Python solvers (cyclic Jacobi, shifted power iteration)
-live with the tests as oracles for these.  Matrices are plain ``numpy``
-arrays; inputs are validated, never mutated.
+Public functions validate their input and never mutate it.  Callers that
+checked a whole family once (``sample_path``) use the private solves, which
+skip the checks, never the certificate.  Oracles live with the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +53,7 @@ def connected_components(a) -> list[list[int]]:
         stack = [start]
         while stack:
             i = stack.pop()
-            for j in np.nonzero(m[i])[0]:
-                j = int(j)
+            for j in np.nonzero(m[i])[0].tolist():
                 if j != i and not seen[j]:
                     seen[j] = True
                     comp.append(j)
@@ -82,29 +81,36 @@ class PerronPair:
 def perron(a, tol: float = 1e-11) -> PerronPair:
     """Dominant eigenpair of a connected nonnegative symmetric matrix.
 
-    Takes the top eigenvector from LAPACK and makes it entrywise positive:
-    its absolute value, then steps ``x <- (a + I) x / ||.||`` until no entry
-    is zero.  Perron entries far from the bulk of the graph can lie below
-    roundoff (1e-144 on a clique with a long path tail), so LAPACK returns
-    them with either sign or as zeros; on a connected matrix at most ``n``
-    steps reach every entry, and each step keeps the eigenvector.  The
-    value is the Rayleigh quotient of the result.  Raises ``ValueError`` for
-    matrices outside the contract and ``RuntimeError`` when the residual
-    ``||a x - lambda x||`` exceeds ``tol`` or an entry stays nonpositive.
+    LAPACK's top eigenvector made entrywise positive: its absolute value,
+    then at most ``n`` steps ``x <- (a + I) x / ||.||``, which keep the
+    eigenvector and on a connected matrix reach every entry (LAPACK returns
+    Perron entries below roundoff, 1e-144 on a clique with a long path tail,
+    with either sign or as zeros).  The value is the Rayleigh quotient.
+    ``ValueError`` outside the contract; ``RuntimeError`` unless the residual
+    ``||a x - lambda x||`` is within ``tol`` and every entry is positive.
     """
+    m = _require_nonnegative(a, tol)
+    if not is_connected_matrix(m):
+        raise ValueError("matrix is not connected; positivity of the eigenvector fails")
+    return _certified_perron(m, tol)
+
+
+def _require_nonnegative(a, tol: float) -> np.ndarray:
+    """``a`` as a symmetric nonnegative array, given a positive ``tol``."""
     m = _require_symmetric(a)
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if m.min() < 0:
         raise ValueError("matrix has negative entries")
-    n = m.shape[0]
-    if n == 1:
-        return PerronPair(float(m[0, 0]), np.array([1.0]), 0.0)
-    if not is_connected_matrix(m):
-        raise ValueError("matrix is not connected; positivity of the eigenvector fails")
+    return m
 
+
+def _certified_perron(m: np.ndarray, tol: float) -> PerronPair:
+    """:func:`perron` on a matrix known to be connected, nonnegative, symmetric."""
+    if len(m) == 1:
+        return PerronPair(float(m[0, 0]), np.array([1.0]), 0.0)
     x = np.abs(np.linalg.eigh(m)[1][:, -1])
-    for _ in range(n):
+    for _ in range(len(m)):
         if x.min() > 0.0:
             break
         y = m @ x + x
@@ -120,44 +126,37 @@ def perron(a, tol: float = 1e-11) -> PerronPair:
     )
 
 
-def spectral_radius(a, tol: float = 1e-11) -> float:
-    """Largest eigenvalue of a nonnegative symmetric matrix, components allowed."""
-    m = _require_symmetric(a)
+def _top_eigenvalue(m: np.ndarray) -> float:
+    """Largest eigenvalue of a matrix known to be symmetric."""
+    return float(np.linalg.eigvalsh(m)[-1])
+
+
+def _component_pairs(a, tol: float) -> tuple[np.ndarray, list]:
+    """The checked matrix and each component's ``(indices, certified pair)``."""
+    m = _require_nonnegative(a, tol)
     comps = connected_components(m)
     if len(comps) == 1:
-        return perron(m, tol=tol).value
-    best = -math.inf
-    for comp in comps:
-        sub = m[np.ix_(comp, comp)]
-        best = max(best, perron(sub, tol=tol).value)
-    return best
+        return m, [(comps[0], _certified_perron(m, tol))]
+    return m, [(comp, _certified_perron(m[np.ix_(comp, comp)], tol)) for comp in comps]
+
+
+def spectral_radius(a, tol: float = 1e-11) -> float:
+    """Largest eigenvalue of a nonnegative symmetric matrix, components allowed."""
+    return max(pair.value for _, pair in _component_pairs(a, tol)[1])
 
 
 def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
-    """Spectral radius of a possibly disconnected nonnegative symmetric matrix,
-    with the maximizing component's eigenvector zero-padded to full size.
-
-    Used for the t=0 endpoint of perturbation paths, where the matrix may be
-    disconnected and the limit eigenvector is supported on one component.
-    Ties, values within ``tol`` of each other, pick the lowest-indexed
-    component.
-    """
-    m = _require_symmetric(a)
-    comps = connected_components(m)
-    if len(comps) == 1:
-        pair = perron(m, tol=tol)
-        return pair.value, np.array(pair.vector)
-    best_val = -math.inf
-    best_vec = None
-    for comp in comps:
-        sub = m[np.ix_(comp, comp)]
-        pair = perron(sub, tol=tol)
-        if pair.value > best_val + tol:
-            best_val = pair.value
-            vec = np.zeros(m.shape[0])
-            vec[comp] = pair.vector
-            best_vec = vec
-    return best_val, best_vec
+    """Spectral radius of a possibly disconnected nonnegative symmetric matrix
+    (the t = 0 end of a path) and its eigenvector, zero-padded to full size,
+    from the lowest-indexed component within ``tol`` of the maximum."""
+    m, pairs = _component_pairs(a, tol)
+    comp, best = pairs[0]
+    for c, pair in pairs[1:]:
+        if pair.value > best.value + tol:
+            comp, best = c, pair
+    vector = np.zeros(len(m))
+    vector[comp] = best.vector
+    return best.value, vector
 
 
 def full_spectrum(a) -> np.ndarray:

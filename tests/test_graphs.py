@@ -249,3 +249,60 @@ def test_graphs_are_immutable_values():
     a = g.adjacency()
     a[0, 1] = 7.0  # exports are fresh copies
     assert g.adjacency()[0, 1] == 1.0
+
+
+def test_graph_rejects_fractional_vertex():
+    with pytest.raises(ValueError, match="non-integer vertex"):
+        sb.Graph(2, frozenset({(0, 1.5)}))
+
+
+def test_graph_rejects_bool_vertices():
+    with pytest.raises(ValueError, match="non-integer vertex"):
+        sb.Graph(2, frozenset({(False, True)}))
+
+
+def test_graph_rejects_edge_that_is_not_a_pair():
+    with pytest.raises(ValueError, match="not a vertex pair"):
+        sb.Graph(3, frozenset({5}))
+
+
+def test_graph_rejects_mutable_edge_set():
+    with pytest.raises(ValueError, match="frozenset"):
+        sb.Graph(2, {(0, 1)})
+
+
+def test_graph_rejects_float_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be an integer"):
+        sb.Graph(3.0)
+
+
+def test_graph_rejects_bool_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be an integer"):
+        sb.Graph(True)
+
+
+def test_perturbation_rejects_negative_vertex():
+    with pytest.raises(PerturbationError, match="nonnegative integer"):
+        Perturbation.pendant_edge(-1)
+
+
+def test_perturbation_rejects_bool_vertex():
+    with pytest.raises(PerturbationError, match="nonnegative integer"):
+        Perturbation.edge_addition(0, True)
+
+
+def test_perturbation_rejects_fractional_target():
+    with pytest.raises(PerturbationError, match="nonnegative integer"):
+        Perturbation.vertex_connection(3, [0, 1.5])
+
+
+def test_perturbation_rejects_wrong_target_count():
+    with pytest.raises(PerturbationError, match="one opposite endpoint"):
+        Perturbation(PerturbationKind.EDGE_ADDITION, 0, ())
+
+
+def test_graph_and_perturbation_accept_numpy_integers():
+    g = sb.Graph(np.int64(3), frozenset({(np.int64(0), np.int32(2))}))
+    assert g.adjacency()[0, 2] == 1.0 and g.m == 1
+    pert = Perturbation.pendant_edge(np.int64(1))
+    assert sb.apply_perturbation(g, pert).n == 4

@@ -1,13 +1,16 @@
 """Continuous-perturbation paths, differential certificates, closed forms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import specbound as sb
 from oracles import MAJORANTS, rk4
-from specbound import Perturbation, PerturbationKind
+from specbound import Perturbation, PerturbationKind, spectral
+from specbound.rng import SplitMix64, random_instance
+from specbound.spectral import perron_components
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,6 +83,78 @@ def test_path_rejects_bad_inputs():
     host = sb.disjoint_union(sb.disjoint_union(sb.cycle_graph(3), sb.complete_graph(2)), sb.empty_graph(1))
     with pytest.raises(ValueError):
         sb.sample_path(host, Perturbation.vertex_connection(5, [0]))
+
+
+def _reference_samples(host, pert, steps):
+    """Every grid point rebuilt with the public, fully checked solvers."""
+    p_mat = sb.perturbation_matrix(host, pert)
+    a_initial = np.zeros_like(p_mat)
+    a_initial[: host.n, : host.n] = host.adjacency()
+    h = min(1e-5, 1.0 / (4.0 * steps))
+    rows = []
+    for k in range(steps + 1):
+        t = k / steps
+        if k == 0:
+            value, vector = perron_components(a_initial)
+        else:
+            pair = sb.perron(a_initial + t * p_mat)
+            value, vector = pair.value, pair.vector
+        lhs = None
+        if 0 < k < steps:
+            lam_plus = float(sb.full_spectrum(a_initial + (t + h) * p_mat)[0])
+            lam_minus = float(sb.full_spectrum(a_initial + (t - h) * p_mat)[0])
+            lhs = (lam_plus - lam_minus) / (2.0 * h)
+        rows.append((value, vector, lhs))
+    return rows
+
+
+def test_path_samples_equal_the_public_solves_exactly():
+    # Checking the contract once per path must not change a single bit.
+    for kind in PerturbationKind:
+        for i in range(20):
+            rng = SplitMix64.spawn(4041 + 100 * list(PerturbationKind).index(kind), i)
+            host, pert = random_instance(rng, kind, 12, (0.25, 0.5, 0.8)[i % 3])
+            path = sb.sample_path(host, pert, steps=8)
+            for s, (value, vector, lhs) in zip(path.samples, _reference_samples(host, pert, 8)):
+                assert s.value == value
+                assert np.array_equal(s.vector, vector)
+                assert s.derivative_lhs == lhs
+
+
+def _count_connectivity_passes(monkeypatch):
+    """Count calls of ``connected_components`` through every name bound to it."""
+    calls = []
+    original = spectral.connected_components
+
+    def counted(a):
+        calls.append(1)
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("specbound") and getattr(module, "connected_components", None) is original:
+            monkeypatch.setattr(module, "connected_components", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pert", [Perturbation.edge_addition(0, 5), Perturbation.pendant_edge(0)])
+def test_path_checks_connectivity_once_per_path(monkeypatch, pert):
+    calls = _count_connectivity_passes(monkeypatch)
+    per_path = []
+    for steps in (4, 32):
+        calls.clear()
+        sb.sample_path(sb.path_graph(6), pert, steps=steps)
+        per_path.append(len(calls))
+    assert per_path[0] == per_path[1] <= 2
+    calls.clear()
+    sb.spectral_radius(sb.path_graph(6).adjacency())
+    assert len(calls) == 1
+
+
+def test_path_grid_solves_stay_certified():
+    # t = 0 is the zero matrix (exact 1x1 solves); every t > 0 has a residual
+    # near 1e-16, so a tolerance of 1e-300 must be refused past t = 0.
+    with pytest.raises(RuntimeError, match="not certified"):
+        sb.sample_path(sb.empty_graph(4), Perturbation.vertex_connection(3, [0, 1, 2]), steps=4, tol=1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,34 @@ def test_perron_single_vertex():
 
 def test_perron_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        sb.perron(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
-    with pytest.raises(ValueError):
         sb.perron(np.zeros((2, 2)))  # disconnected
-    with pytest.raises(ValueError):
-        sb.perron(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative entries
-    with pytest.raises(ValueError):
-        sb.perron(sb.complete_graph(2).adjacency(), tol=0.0)
+    for solve in (sb.perron, sb.spectral_radius, perron_components):
+        with pytest.raises(ValueError):
+            solve(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
+        with pytest.raises(ValueError):
+            solve(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative entries
+        with pytest.raises(ValueError):
+            solve(sb.complete_graph(2).adjacency(), tol=0.0)
+
+
+def test_component_solves_are_certified():
+    # A residual above tol fails every component solve, as it fails perron.
+    block = np.zeros((6, 6))
+    block[:4, :4] = sb.path_graph(4).adjacency()
+    block[4:, 4:] = sb.path_graph(2).adjacency()
+    for solve in (sb.spectral_radius, perron_components):
+        with pytest.raises(RuntimeError, match="not certified"):
+            solve(block, tol=1e-300)
+
+
+def test_spectral_radius_is_the_largest_component_value():
+    # C4 and the star K_{1,4} both have index 2; LAPACK's two values can
+    # differ in the last bits, and spectral_radius returns the larger one exactly.
+    c4, star = sb.cycle_graph(4), sb.star_graph(4)
+    for first, second in ((c4, star), (star, c4)):
+        block = sb.disjoint_union(first, second).adjacency()
+        expected = max(sb.perron(c4.adjacency()).value, sb.perron(star.adjacency()).value)
+        assert sb.spectral_radius(block) == expected
 
 
 def test_perron_residual_contract():
