@@ -31,6 +31,7 @@ from .bounds import (
     perturbation_bound,
 )
 from .graphs import (
+    DisconnectedError,
     Graph,
     GraphParseError,
     Perturbation,

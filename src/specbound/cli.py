@@ -14,6 +14,8 @@ Graphs are read in the edge-list format (header ``n m``, then ``i j`` lines;
 
 Exit codes: 0 success, 1 invariant failure, 2 parse failure, 3 usage or
 invalid perturbation, 4 structural precondition (disconnected result).
+``bound`` and ``path`` leave the instance checks to the library and map the
+error class to the code, with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -26,22 +28,17 @@ from typing import Optional
 
 from .bounds import BoundReport
 from .graphs import (
+    DisconnectedError,
     Graph,
     GraphParseError,
     Perturbation,
-    PerturbationError,
-    PerturbationKind,
-    apply_perturbation,
     circulant_graph,
-    disjoint_union,
     empty_graph,
     format_edge_list,
     format_perturbation_spec,
-    is_connected,
     join,
     parse_edge_list,
     parse_perturbation_spec,
-    validate_perturbation,
 )
 from .pathsim import (
     closed_form_edge_join,
@@ -90,82 +87,65 @@ def _report_payload(rep: BoundReport) -> dict:
     }
 
 
-def _load_instance(args) -> tuple[Graph, Perturbation]:
+def _error(exc: ValueError) -> int:
+    """Print ``exc`` as one ``error:`` line; the exit code of its class."""
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, GraphParseError):
+        return EXIT_PARSE
+    return EXIT_STRUCTURE if isinstance(exc, DisconnectedError) else EXIT_USAGE
+
+
+def _run_instance(args, command) -> int:
+    """Read the instance ``args`` names and run ``command(graph, pert)`` on it."""
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise GraphParseError(f"cannot read {args.graph}: {exc}") from exc
-    graph = parse_edge_list(text)
-    pert = parse_perturbation_spec(" ".join(args.perturbation))
-    validate_perturbation(graph, pert)
-    return graph, pert
+        return _error(GraphParseError(f"cannot read {args.graph}: {exc}"))
+    try:
+        command(parse_edge_list(text), parse_perturbation_spec(" ".join(args.perturbation)))
+    except ValueError as exc:
+        return _error(exc)
+    return EXIT_OK
 
 
 def _cmd_bound(args) -> int:
-    try:
-        graph, pert = _load_instance(args)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PerturbationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not is_connected(apply_perturbation(graph, pert)):
-        print("error: the perturbed graph is disconnected", file=sys.stderr)
-        return EXIT_STRUCTURE
-    try:
-        rep = bound_report(graph, pert)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    payload = _report_payload(rep)
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        keys = list(payload)
-        print("\t".join(keys))
-        print("\t".join(format_number(payload[k]) for k in keys))
-    return EXIT_OK
+    def command(graph: Graph, pert: Perturbation) -> None:
+        payload = _report_payload(bound_report(graph, pert))
+        if args.format == "json":
+            _print_json(payload)
+        else:
+            keys = list(payload)
+            print("\t".join(keys))
+            print("\t".join(format_number(payload[k]) for k in keys))
+
+    return _run_instance(args, command)
 
 
 def _cmd_path(args) -> int:
     if args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        graph, pert = _load_instance(args)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PerturbationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not is_connected(apply_perturbation(graph, pert)):
-        print("error: the perturbed graph is disconnected", file=sys.stderr)
-        return EXIT_STRUCTURE
-    try:
+
+    def command(graph: Graph, pert: Perturbation) -> None:
         path = sample_path(graph, pert, steps=args.steps)
         if args.format == "tsv":
             sys.stdout.write(format_path_dump(path))
-            return EXIT_OK
-        curve = comparison_curve(path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = [
-        {
-            "t": s.t,
-            "lambda": s.value,
-            "derivative_lhs": s.derivative_lhs,
-            "derivative_rhs": s.derivative_rhs,
-            "comparison_u": u,
-            "margin": u - s.value,
-        }
-        for s, u in zip(path.samples, curve)
-    ]
-    _print_json({"kind": path.kind.value, "rows": rows})
-    return EXIT_OK
+            return
+        rows = [
+            {
+                "t": s.t,
+                "lambda": s.value,
+                "derivative_lhs": s.derivative_lhs,
+                "derivative_rhs": s.derivative_rhs,
+                "comparison_u": u,
+                "margin": u - s.value,
+            }
+            for s, u in zip(path.samples, comparison_curve(path))
+        ]
+        _print_json({"kind": path.kind.value, "rows": rows})
+
+    return _run_instance(args, command)
 
 
 def _cmd_verify(args) -> int:
@@ -179,8 +159,7 @@ def _cmd_verify(args) -> int:
             inject_failure=args.inject_failure,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc)
     _print_json(summary.to_dict())
     if not summary.ok:
         first = summary.failures[0]
@@ -221,9 +200,8 @@ def _cmd_construct(args) -> int:
         host, pert, lam_i_closed, lam_f_closed = _construct_instance(
             args.kind, args.n, args.delta
         )
-    except (ValueError, PerturbationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        return _error(exc)
     rep = bound_report(host, pert)
     checks = {
         "lambda_I": abs(rep.lambda_i - lam_i_closed),

@@ -15,14 +15,19 @@ Three perturbation kinds are modeled:
 
 The pendant vertex is always appended at index ``n`` so that the adjacency
 matrices of the initial and final graphs align deterministically (the
-initial matrix is zero-padded by one row/column).
+initial matrix is zero-padded by one row/column).  Each kind adds the edges
+``(u, t)`` for its targets ``t`` (``(u, n)`` for the pendant edge), and the
+final graph, the perturbation matrix and the applicability checks are all
+built from those edges; a per-kind table holds the rest (target count,
+usage line, whether ``u`` must be isolated).
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +38,10 @@ class GraphParseError(ValueError):
 
 class PerturbationError(ValueError):
     """A perturbation that violates its structural preconditions."""
+
+
+class DisconnectedError(ValueError):
+    """A perturbed graph that is disconnected, where the bounds do not apply."""
 
 
 class PerturbationKind(enum.Enum):
@@ -115,15 +124,9 @@ class Graph:
 
 
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from vertex pairs; duplicates collapse, self-loops raise."""
-    edges = set()
-    for i, j in pairs:
-        if i == j:
-            raise ValueError(f"self-loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        edges.add(_normalize_edge(i, j))
-    return Graph(n, frozenset(edges))
+    """Build a graph from vertex pairs; duplicates collapse, and :class:`Graph`
+    rejects self-loops and out-of-range vertices."""
+    return Graph(n, frozenset(_normalize_edge(i, j) for i, j in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +169,7 @@ def is_cone_over_regular(g: Graph, apex: int) -> bool:
     A single-vertex graph counts as a (degenerate) cone.
     """
     g._check_vertex(apex)
-    if g.degree(apex) != g.n - 1:
-        return False
-    if g.n == 1:
-        return True
-    rest = [v for v in range(g.n) if v != apex]
-    degs = [g.degree(v) for v in rest]  # each includes the apex edge
-    return all(d == degs[0] for d in degs)
+    return _is_cone(g, (apex,))
 
 
 def is_double_cone_over_regular(g: Graph, u: int, v: int) -> bool:
@@ -182,15 +179,19 @@ def is_double_cone_over_regular(g: Graph, u: int, v: int) -> bool:
     g._check_vertex(v)
     if u == v:
         raise ValueError("double-cone vertices must be distinct")
-    if g.has_edge(u, v):
+    return _is_cone(g, (u, v))
+
+
+def _is_cone(g: Graph, apexes: tuple[int, ...]) -> bool:
+    """True iff no edge joins two apexes, each apex is adjacent to every other
+    vertex, and the rest is regular (its degrees include the apex edges)."""
+    degs = g.degrees()
+    if any(degs[a] != g.n - len(apexes) for a in apexes):
         return False
-    if g.degree(u) != g.n - 2 or g.degree(v) != g.n - 2:
+    if any(g.has_edge(a, b) for a in apexes for b in apexes if a < b):
         return False
-    rest = [w for w in range(g.n) if w not in (u, v)]
-    if not rest:
-        return True
-    degs = [g.degree(w) for w in rest]  # each includes the two cone edges
-    return all(d == degs[0] for d in degs)
+    rest = [d for v, d in enumerate(degs) if v not in apexes]
+    return all(d == rest[0] for d in rest)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +254,32 @@ def circulant_graph(n: int, delta: int) -> Graph:
 # Perturbations
 # ---------------------------------------------------------------------------
 
+class _Shape(NamedTuple):
+    """What a kind asks of a perturbation, and the usage line of its spec."""
+
+    counts: range  # allowed number of targets
+    wording: str  # that rule, in words
+    usage: str
+    isolated: bool  # whether ``u`` must be isolated in the host
+
+
+_SHAPES = {
+    PerturbationKind.VERTEX_CONNECTION: _Shape(
+        range(1, sys.maxsize), "at least one target", "vertex u v1 [v2 ...]", True
+    ),
+    PerturbationKind.EDGE_ADDITION: _Shape(range(1, 2), "one opposite endpoint", "edge u v", False),
+    PerturbationKind.PENDANT_EDGE: _Shape(range(1), "no targets", "pendant u", False),
+}
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """One local modification: kind, anchor vertex ``u``, extra targets.
 
     ``targets`` holds the g connection targets for a vertex connection, the
     single opposite endpoint for an edge addition, and is empty for a pendant
-    edge (whose new vertex is implicitly index ``n``).
+    edge (whose new vertex is implicitly index ``n``).  The perturbation adds
+    the edges ``(u, t)`` for each target ``t``, or ``(u, n)`` without targets.
     """
 
     kind: PerturbationKind
@@ -275,20 +295,13 @@ class Perturbation:
             if not _is_index(v) or v < 0:
                 raise PerturbationError(f"vertex {v!r} is not a nonnegative integer")
         ts = self.targets
-        if self.kind is PerturbationKind.VERTEX_CONNECTION:
-            if not ts:
-                raise PerturbationError("vertex connection needs at least one target")
-            if len(set(ts)) != len(ts):
-                raise PerturbationError(f"duplicate targets in {ts}")
-            if self.u in ts:
-                raise PerturbationError(f"target list contains the isolated vertex {self.u}")
-        elif self.kind is PerturbationKind.EDGE_ADDITION:
-            if len(ts) != 1:
-                raise PerturbationError(f"edge addition needs one opposite endpoint, got {ts}")
-            if self.u == ts[0]:
-                raise PerturbationError("edge endpoints must be distinct")
-        elif ts:
-            raise PerturbationError(f"pendant edge takes no targets, got {ts}")
+        if len(ts) not in _SHAPES[self.kind].counts:
+            name = self.kind.name.lower().replace("_", " ")
+            raise PerturbationError(f"{name} needs {_SHAPES[self.kind].wording}, got {ts}")
+        if len(set(ts)) != len(ts):
+            raise PerturbationError(f"duplicate targets in {ts}")
+        if self.u in ts:
+            raise PerturbationError(f"self-loop at vertex {self.u}")
 
     @classmethod
     def vertex_connection(cls, u: int, targets: Sequence[int]) -> "Perturbation":
@@ -313,58 +326,43 @@ class Perturbation:
         return len(self.targets)
 
 
+def _added_edges(g: Graph, p: Perturbation) -> list[tuple[int, int]]:
+    """The edges ``p`` adds to ``g``, once ``p`` is checked to apply to ``g``."""
+    if p.u >= g.n:
+        raise PerturbationError(f"vertex {p.u} out of range for n={g.n}")
+    if _SHAPES[p.kind].isolated and g.degree(p.u) != 0:
+        raise PerturbationError(f"vertex {p.u} is not isolated")
+    for t in p.targets:
+        if t >= g.n:
+            raise PerturbationError(f"vertex {t} out of range for n={g.n}")
+        if g.has_edge(p.u, t):
+            raise PerturbationError(f"edge ({p.u}, {t}) already present")
+    return [_normalize_edge(p.u, t) for t in p.targets or (g.n,)]
+
+
 def validate_perturbation(g: Graph, p: Perturbation) -> None:
     """Raise :class:`PerturbationError` unless ``p`` is applicable to ``g``."""
-    if not (0 <= p.u < g.n):
-        raise PerturbationError(f"vertex {p.u} out of range for n={g.n}")
-    if p.kind is PerturbationKind.VERTEX_CONNECTION:
-        if g.degree(p.u) != 0:
-            raise PerturbationError(f"vertex {p.u} is not isolated")
-        for t in p.targets:
-            if not (0 <= t < g.n):
-                raise PerturbationError(f"target {t} out of range for n={g.n}")
-    elif p.kind is PerturbationKind.EDGE_ADDITION:
-        v = p.targets[0]
-        if not (0 <= v < g.n):
-            raise PerturbationError(f"vertex {v} out of range for n={g.n}")
-        if g.has_edge(p.u, v):
-            raise PerturbationError(f"edge ({p.u}, {v}) already present")
+    _added_edges(g, p)
 
 
 def perturbed_dimension(g: Graph, p: Perturbation) -> int:
     """Vertex count of the final graph (grows by one for a pendant edge)."""
-    return g.n + 1 if p.kind is PerturbationKind.PENDANT_EDGE else g.n
+    return g.n + (not p.targets)
 
 
 def apply_perturbation(g: Graph, p: Perturbation) -> Graph:
     """The final graph after the perturbation (validated)."""
-    validate_perturbation(g, p)
-    if p.kind is PerturbationKind.VERTEX_CONNECTION:
-        new_edges = {_normalize_edge(p.u, t) for t in p.targets}
-        return Graph(g.n, frozenset(g.edges | new_edges))
-    if p.kind is PerturbationKind.EDGE_ADDITION:
-        return Graph(g.n, frozenset(g.edges | {_normalize_edge(p.u, p.targets[0])}))
-    return Graph(g.n + 1, frozenset(g.edges | {(p.u, g.n)}))
+    return Graph(perturbed_dimension(g, p), g.edges | frozenset(_added_edges(g, p)))
 
 
 def perturbation_matrix(g: Graph, p: Perturbation) -> np.ndarray:
-    """The symmetric 0/1 difference matrix (final minus zero-padded initial).
+    """The symmetric 0/1 difference matrix (final minus zero-padded initial):
+    the adjacency matrix of the added edges alone.
 
     Its dimension matches the final graph, so for a pendant edge it is
     (n+1) x (n+1) with ones only at the new off-diagonal pair.
     """
-    validate_perturbation(g, p)
-    dim = perturbed_dimension(g, p)
-    mat = np.zeros((dim, dim))
-    if p.kind is PerturbationKind.VERTEX_CONNECTION:
-        for t in p.targets:
-            mat[p.u, t] = mat[t, p.u] = 1.0
-    elif p.kind is PerturbationKind.EDGE_ADDITION:
-        v = p.targets[0]
-        mat[p.u, v] = mat[v, p.u] = 1.0
-    else:
-        mat[p.u, g.n] = mat[g.n, p.u] = 1.0
-    return mat
+    return Graph(perturbed_dimension(g, p), frozenset(_added_edges(g, p))).adjacency()
 
 
 def bound_parameters(g: Graph, p: Perturbation) -> dict[str, int]:
@@ -372,9 +370,7 @@ def bound_parameters(g: Graph, p: Perturbation) -> dict[str, int]:
     validate_perturbation(g, p)
     if p.kind is PerturbationKind.VERTEX_CONNECTION:
         return {"g": len(p.targets)}
-    if p.kind is PerturbationKind.EDGE_ADDITION:
-        return {"delta_u": g.degree(p.u), "delta_v": g.degree(p.targets[0])}
-    return {"delta_u": g.degree(p.u)}
+    return {key: g.degree(v) for key, v in zip(("delta_u", "delta_v"), (p.u, *p.targets))}
 
 
 # ---------------------------------------------------------------------------
@@ -434,24 +430,14 @@ def parse_perturbation_spec(text: str) -> Perturbation:
         nums = [int(t) for t in args]
     except ValueError as exc:
         raise PerturbationError(f"non-integer vertex in {text!r}") from exc
-    if name == "vertex":
-        if len(nums) < 2:
-            raise PerturbationError("usage: vertex u v1 [v2 ...]")
-        return Perturbation.vertex_connection(nums[0], nums[1:])
-    if name == "edge":
-        if len(nums) != 2:
-            raise PerturbationError("usage: edge u v")
-        return Perturbation.edge_addition(nums[0], nums[1])
-    if name == "pendant":
-        if len(nums) != 1:
-            raise PerturbationError("usage: pendant u")
-        return Perturbation.pendant_edge(nums[0])
-    raise PerturbationError(f"unknown perturbation kind {name!r}")
+    try:
+        kind = PerturbationKind(name)
+    except ValueError:
+        raise PerturbationError(f"unknown perturbation kind {name!r}") from None
+    if not nums or len(nums) - 1 not in _SHAPES[kind].counts:
+        raise PerturbationError(f"usage: {_SHAPES[kind].usage}")
+    return Perturbation(kind, nums[0], tuple(sorted(nums[1:])))
 
 
 def format_perturbation_spec(p: Perturbation) -> str:
-    if p.kind is PerturbationKind.VERTEX_CONNECTION:
-        return "vertex " + " ".join(str(x) for x in (p.u, *p.targets))
-    if p.kind is PerturbationKind.EDGE_ADDITION:
-        return f"edge {p.u} {p.targets[0]}"
-    return f"pendant {p.u}"
+    return " ".join(str(x) for x in (p.kind.value, p.u, *p.targets))

@@ -26,12 +26,12 @@ import numpy as np
 
 from .bounds import KIND_SPECS, DegreeParams, comparison_solution, inequality_rhs
 from .graphs import (
+    DisconnectedError,
     Graph,
     Perturbation,
     PerturbationKind,
     bound_parameters,
     perturbation_matrix,
-    validate_perturbation,
 )
 from .spectral import _certified_perron, _top_eigenvalue, is_connected_matrix, perron_components
 
@@ -87,18 +87,18 @@ def sample_path(
     Each grid point gets its own certified Perron pair; a disconnected
     ``t = 0`` endpoint takes the best component's pair.  Interior points get
     the quadratic-form derivative and a central difference of eigenvalues,
-    with step ``min(1e-5, 1/(4 steps))``.  The final graph must be connected.
-    Solves past ``t = 0`` skip the input checks, made once on ``A_I + P``.
+    with step ``min(1e-5, 1/(4 steps))``.  The final graph must be connected
+    (:class:`DisconnectedError`).  Solves past ``t = 0`` skip the input
+    checks, made once on ``A_I + P``.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    validate_perturbation(graph, pert)
     p_mat = perturbation_matrix(graph, pert)
     dim = p_mat.shape[0]
     a_initial = np.zeros((dim, dim))
     a_initial[: graph.n, : graph.n] = graph.adjacency()
     if not is_connected_matrix(a_initial + p_mat):
-        raise ValueError("the perturbed graph must be connected")
+        raise DisconnectedError("the perturbed graph is disconnected")
 
     h = min(1e-5, 1.0 / (4.0 * steps))
     samples = []

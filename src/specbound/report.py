@@ -2,13 +2,16 @@
 
 Ties the pieces together: exact initial and final indices from the
 eigensolver, the closed-form bound, the first-order gap estimate, and the
-structural equality recognizer for the perturbation kind.
+structural equality recognizer for the perturbation kind.  A report builds
+the final graph once, for the connectivity check, the final index and the
+equality test.
 """
 
 from __future__ import annotations
 
 from .bounds import BoundInput, BoundReport
 from .graphs import (
+    DisconnectedError,
     Graph,
     Perturbation,
     PerturbationKind,
@@ -17,7 +20,6 @@ from .graphs import (
     is_cone_over_regular,
     is_connected,
     is_double_cone_over_regular,
-    validate_perturbation,
 )
 from .spectral import full_spectrum, spectral_radius
 
@@ -31,31 +33,35 @@ def equality_case(graph: Graph, pert: Perturbation) -> bool:
       apexes ``u`` and ``v``;
     * pendant edge: the host is a cone over a regular graph with apex ``u``.
     """
+    return _attains_bound(graph, apply_perturbation(graph, pert), pert)
+
+
+def _attains_bound(graph: Graph, final: Graph, pert: Perturbation) -> bool:
+    """:func:`equality_case` given the final graph as well."""
     if pert.kind is PerturbationKind.VERTEX_CONNECTION:
-        return is_cone_over_regular(apply_perturbation(graph, pert), pert.u)
+        return is_cone_over_regular(final, pert.u)
     if pert.kind is PerturbationKind.EDGE_ADDITION:
-        return is_double_cone_over_regular(graph, pert.u, pert.targets[0])
-    if pert.kind is PerturbationKind.PENDANT_EDGE:
-        return is_cone_over_regular(graph, pert.u)
-    raise ValueError(f"unknown perturbation kind {pert.kind}")  # pragma: no cover
+        return is_double_cone_over_regular(graph, pert.u, pert.v)
+    return is_cone_over_regular(graph, pert.u)
 
 
 def bound_input(graph: Graph, pert: Perturbation, tol: float = 1e-11) -> BoundInput:
     """Numeric bound inputs for an instance (initial index plus degree data)."""
-    validate_perturbation(graph, pert)
+    params = bound_parameters(graph, pert)
     lam_i = spectral_radius(graph.adjacency(), tol=tol) if graph.m else 0.0
-    return BoundInput(kind=pert.kind, lambda_i=lam_i, **bound_parameters(graph, pert))
+    return BoundInput(kind=pert.kind, lambda_i=lam_i, **params)
 
 
 def bound_report(graph: Graph, pert: Perturbation, tol: float = 1e-11) -> BoundReport:
     """Evaluate one instance end to end.
 
-    The final graph must be connected (the bounds do not apply otherwise);
-    the exact final index is the top of the final graph's full spectrum.
+    The final graph must be connected (the bounds do not apply otherwise;
+    :class:`DisconnectedError`); the exact final index is the top of the
+    final graph's full spectrum.
     """
     final = apply_perturbation(graph, pert)
     if not is_connected(final):
-        raise ValueError("the perturbed graph must be connected")
+        raise DisconnectedError("the perturbed graph is disconnected")
     inp = bound_input(graph, pert, tol=tol)
     bound = inp.bound()
     lam_f = float(full_spectrum(final.adjacency())[0])
@@ -65,6 +71,6 @@ def bound_report(graph: Graph, pert: Perturbation, tol: float = 1e-11) -> BoundR
         lambda_f_exact=lam_f,
         bound=bound,
         asymptotic_estimate=None if gap is None else inp.lambda_i + gap,
-        equality_case=equality_case(graph, pert),
+        equality_case=_attains_bound(graph, final, pert),
         slack=bound - lam_f,
     )

@@ -7,7 +7,8 @@ backs every entry point:
 * :func:`perron` -- the dominant eigenpair of a connected nonnegative
   symmetric matrix, returned only with a certificate: a unit vector whose
   residual is within tolerance and whose entries are all positive.
-  :func:`perron_components` and :func:`spectral_radius` apply it per component.
+  :func:`perron_components` applies it per component, and
+  :func:`spectral_radius` is its value.
 
 Public functions validate their input and never mutate it.  Callers that
 checked a whole family once (``sample_path``) use the private solves, which
@@ -131,32 +132,24 @@ def _top_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[-1])
 
 
-def _component_pairs(a, tol: float) -> tuple[np.ndarray, list]:
-    """The checked matrix and each component's ``(indices, certified pair)``."""
-    m = _require_nonnegative(a, tol)
-    comps = connected_components(m)
-    if len(comps) == 1:
-        return m, [(comps[0], _certified_perron(m, tol))]
-    return m, [(comp, _certified_perron(m[np.ix_(comp, comp)], tol)) for comp in comps]
-
-
 def spectral_radius(a, tol: float = 1e-11) -> float:
     """Largest eigenvalue of a nonnegative symmetric matrix, components allowed."""
-    return max(pair.value for _, pair in _component_pairs(a, tol)[1])
+    return perron_components(a, tol)[0]
 
 
 def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
     """Spectral radius of a possibly disconnected nonnegative symmetric matrix
-    (the t = 0 end of a path) and its eigenvector, zero-padded to full size,
-    from the lowest-indexed component within ``tol`` of the maximum."""
-    m, pairs = _component_pairs(a, tol)
-    comp, best = pairs[0]
-    for c, pair in pairs[1:]:
-        if pair.value > best.value + tol:
-            comp, best = c, pair
+    (the t = 0 end of a path), the largest of its components' certified
+    values, and an eigenvector zero-padded to full size, from the
+    lowest-indexed component within ``tol`` of that maximum."""
+    m = _require_nonnegative(a, tol)
+    comps = connected_components(m)
+    pairs = [_certified_perron(m if len(comps) == 1 else m[np.ix_(c, c)], tol) for c in comps]
+    value = max(pair.value for pair in pairs)
+    comp, best = next((c, p) for c, p in zip(comps, pairs) if p.value >= value - tol)
     vector = np.zeros(len(m))
     vector[comp] = best.vector
-    return best.value, vector
+    return value, vector
 
 
 def full_spectrum(a) -> np.ndarray:

@@ -23,11 +23,7 @@ from .pathsim import check_comparison, check_differential_inequality, sample_pat
 from .report import bound_report
 from .rng import EDGE_PROBABILITIES, SplitMix64, random_instance
 
-_KINDS = (
-    PerturbationKind.VERTEX_CONNECTION,
-    PerturbationKind.EDGE_ADDITION,
-    PerturbationKind.PENDANT_EDGE,
-)
+_KINDS = tuple(PerturbationKind)
 
 DERIVATIVE_TOL = 1e-6
 INEQUALITY_TOL = 1e-6

@@ -2,10 +2,12 @@
 
 import json
 import math
+import sys
 
 import pytest
 
 import specbound as sb
+from specbound import graphs
 from specbound.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -108,15 +110,43 @@ def test_bound_invalid_perturbation_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-def test_bound_disconnected_final_exit_4(tmp_path, capsys):
+def _disconnected_result(tmp_path):
     # triangle plus an isolated vertex plus the new one: connecting the new
     # vertex to the isolated one leaves the triangle detached
     host = sb.disjoint_union(
         sb.disjoint_union(sb.cycle_graph(3), sb.empty_graph(1)), sb.empty_graph(1)
     )
-    gfile = write_graph(tmp_path, host)
+    return write_graph(tmp_path, host)
+
+
+def test_bound_disconnected_final_exit_4(tmp_path, capsys):
+    gfile = _disconnected_result(tmp_path)
     code, _, _ = run(capsys, ["bound", gfile, "vertex", "4", "3"])
     assert code == 4
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of ``graphs.<name>`` through every module name bound to it."""
+    calls = []
+    original = getattr(graphs, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("specbound") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_bound_checks_each_instance_once(tmp_path, capsys, monkeypatch):
+    gfile = write_graph(tmp_path, sb.path_graph(6))
+    connected = _count_calls(monkeypatch, "is_connected")
+    applied = _count_calls(monkeypatch, "apply_perturbation")
+    code, _, _ = run(capsys, ["bound", gfile, "edge", "0", "5"])
+    assert code == 0
+    assert (len(connected), len(applied)) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +185,13 @@ def test_path_steps_usage_error_exit_3(tmp_path, capsys):
     gfile = write_graph(tmp_path, sb.path_graph(3))
     code, _, _ = run(capsys, ["path", gfile, "--steps", "1", "edge", "0", "2"])
     assert code == 3
+
+
+def test_path_disconnected_final_exit_4(tmp_path, capsys):
+    gfile = _disconnected_result(tmp_path)
+    for fmt in ("tsv", "json"):
+        code, out, err = run(capsys, ["path", gfile, "--format", fmt, "vertex", "4", "3"])
+        assert (code, out, err) == (4, "", "error: the perturbed graph is disconnected\n")
 
 
 def _assert_refused_like_bound(capsys, gfile, spec):

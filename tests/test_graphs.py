@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specbound as sb
 from specbound import Perturbation, PerturbationError, PerturbationKind
@@ -157,6 +159,8 @@ def test_is_double_cone_over_regular():
     assert sb.is_double_cone_over_regular(sb.path_graph(3), 0, 2)
     assert sb.is_double_cone_over_regular(sb.cycle_graph(4), 0, 2)
     assert not sb.is_double_cone_over_regular(sb.path_graph(4), 0, 3)
+    assert sb.is_double_cone_over_regular(sb.empty_graph(2), 0, 1)  # degenerate pair
+    assert not sb.is_double_cone_over_regular(sb.complete_graph(2), 0, 1)
     with pytest.raises(ValueError):
         sb.is_double_cone_over_regular(sb.cycle_graph(4), 1, 1)
 
@@ -306,3 +310,49 @@ def test_graph_and_perturbation_accept_numpy_integers():
     assert g.adjacency()[0, 2] == 1.0 and g.m == 1
     pert = Perturbation.pendant_edge(np.int64(1))
     assert sb.apply_perturbation(g, pert).n == 4
+
+
+# ---------------------------------------------------------------------------
+# Text formats round-trip (property tests)
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+VERTICES = st.integers(0, 40)
+
+
+@st.composite
+def perturbations(draw):
+    kind = draw(st.sampled_from(list(PerturbationKind)))
+    u = draw(VERTICES)
+    if kind is PerturbationKind.VERTEX_CONNECTION:
+        targets = draw(st.sets(VERTICES.filter(lambda t: t != u), min_size=1, max_size=8))
+        return Perturbation.vertex_connection(u, targets)
+    if kind is PerturbationKind.EDGE_ADDITION:
+        return Perturbation.edge_addition(u, draw(VERTICES.filter(lambda v: v != u)))
+    return Perturbation.pendant_edge(u)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return sb.Graph(n, frozenset(edges))
+
+
+@PROPERTY
+@given(perturbations())
+def test_perturbation_spec_parse_inverts_format(pert):
+    assert sb.parse_perturbation_spec(sb.format_perturbation_spec(pert)) == pert
+
+
+@PROPERTY
+@given(graphs())
+def test_edge_list_parse_inverts_format(g):
+    assert sb.parse_edge_list(sb.format_edge_list(g)) == g
+
+
+def test_perturbation_uses_the_self_loop_wording():
+    for spec in ("edge 2 2", "vertex 1 1"):
+        with pytest.raises(PerturbationError, match="self-loop at vertex"):
+            sb.parse_perturbation_spec(spec)

@@ -150,6 +150,21 @@ def test_path_checks_connectivity_once_per_path(monkeypatch, pert):
     assert len(calls) == 1
 
 
+def test_path_and_report_agree_on_tied_components():
+    # K_{1,4} and C4 both have index 2: the t = 0 value is the largest
+    # component value, as in bound_report, not the first one within tol
+    host = sb.disjoint_union(sb.star_graph(4), sb.cycle_graph(4))
+    pert = Perturbation.edge_addition(1, 6)
+    assert sb.sample_path(host, pert, steps=4).lambda_i == sb.bound_report(host, pert).lambda_i
+
+
+def test_disconnected_result_raises_disconnected_error():
+    host = sb.disjoint_union(sb.disjoint_union(sb.cycle_graph(3), sb.complete_graph(2)), sb.empty_graph(1))
+    for solve in (sb.sample_path, sb.bound_report):
+        with pytest.raises(sb.DisconnectedError, match="the perturbed graph is disconnected"):
+            solve(host, Perturbation.vertex_connection(5, [0]))
+
+
 def test_path_grid_solves_stay_certified():
     # t = 0 is the zero matrix (exact 1x1 solves); every t > 0 has a residual
     # near 1e-16, so a tolerance of 1e-300 must be refused past t = 0.
