@@ -67,6 +67,7 @@ from .pathsim import (
     check_comparison,
     check_differential_inequality,
     closed_form_edge_join,
+    closed_form_join,
     closed_form_pendant_join,
     closed_form_vertex_join,
     comparison_curve,

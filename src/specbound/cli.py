@@ -5,8 +5,8 @@ Four commands:
 * ``bound GRAPH SPEC``      -- one-instance report (JSON or TSV),
 * ``path GRAPH SPEC``       -- sampled continuous-perturbation dump,
 * ``verify``                -- seeded randomized invariant suite,
-* ``construct KIND N DELTA``-- emit an equality-case instance with its
-  closed-form values, cross-checked against the exact eigensolver.
+* ``construct KIND N DELTA``-- emit the equality-case instance of the
+  closed-form table, with its closed-form values checked by the eigensolver.
 
 Graphs are read in the edge-list format (header ``n m``, then ``i j`` lines;
 ``#`` comments and blank lines ignored).  Perturbations use the mini-grammar
@@ -26,13 +26,16 @@ import math
 import sys
 from typing import Optional
 
-from .bounds import BoundReport
+from .bounds import KIND_SPECS, BoundReport
 from .graphs import (
+    _SHAPES,
     DisconnectedError,
     Graph,
     GraphParseError,
     Perturbation,
+    PerturbationKind,
     circulant_graph,
+    disjoint_union,
     empty_graph,
     format_edge_list,
     format_perturbation_spec,
@@ -41,9 +44,8 @@ from .graphs import (
     parse_perturbation_spec,
 )
 from .pathsim import (
-    closed_form_edge_join,
-    closed_form_pendant_join,
-    closed_form_vertex_join,
+    _JOINS,
+    closed_form_join,
     comparison_curve,
     format_number,
     format_path_dump,
@@ -173,35 +175,20 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _construct_instance(kind: str, n: int, delta: int):
-    core = circulant_graph(n, delta)
-    if kind == "vertex":
-        host = Graph(n + 1, core.edges)
-        pert = Perturbation.vertex_connection(n, range(n))
-        lam_i_closed = float(delta)
-        lam_f_closed = closed_form_vertex_join(n, delta, 1.0).value
-    elif kind == "edge":
-        host = join(empty_graph(2), core)
-        pert = Perturbation.edge_addition(0, 1)
-        lam_i_closed = 0.5 * (delta + math.sqrt(delta * delta + 8.0 * n))
-        lam_f_closed = closed_form_edge_join(n, delta, 1.0).value
-    elif kind == "pendant":
-        host = join(empty_graph(1), core)
-        pert = Perturbation.pendant_edge(0)
-        lam_i_closed = closed_form_vertex_join(n, delta, 1.0).value
-        lam_f_closed = closed_form_pendant_join(n, delta, 1.0).value
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {kind}")
-    return host, pert, lam_i_closed, lam_f_closed
-
-
 def _cmd_construct(args) -> int:
+    kind, n, delta = PerturbationKind(args.kind), args.n, args.delta
     try:
-        host, pert, lam_i_closed, lam_f_closed = _construct_instance(
-            args.kind, args.n, args.delta
-        )
+        core = circulant_graph(n, delta)
     except ValueError as exc:
         return _error(exc)
+    k = _JOINS[kind].apexes
+    if _SHAPES[kind].isolated:  # u is a new vertex, joined to the core
+        host, u, targets = disjoint_union(core, empty_graph(1)), n, range(n)
+    else:  # u is the first of k apexes joined to the core in the host
+        host, u, targets = join(empty_graph(k), core), 0, range(1, k)
+    pert = Perturbation(kind, u, tuple(targets))
+    lam_i_closed = KIND_SPECS[kind].root(0.0, delta, k * n)
+    lam_f_closed = closed_form_join(kind, n, delta, 1.0).value
     rep = bound_report(host, pert)
     checks = {
         "lambda_I": abs(rep.lambda_i - lam_i_closed),
@@ -271,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_con = sub.add_parser("construct", help="emit an equality-case instance")
-    p_con.add_argument("kind", choices=("vertex", "edge", "pendant"))
+    p_con.add_argument("kind", choices=[kind.value for kind in PerturbationKind])
     p_con.add_argument("n", type=int, help="order of the regular core graph")
     p_con.add_argument("delta", type=int, help="degree of the regular core graph")
     p_con.add_argument("--out", help="also write the host edge list to this file")

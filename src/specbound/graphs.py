@@ -316,12 +316,6 @@ class Perturbation:
         return cls(PerturbationKind.PENDANT_EDGE, u, ())
 
     @property
-    def v(self) -> int:
-        if self.kind is not PerturbationKind.EDGE_ADDITION:
-            raise AttributeError("v is only defined for edge additions")
-        return self.targets[0]
-
-    @property
     def g(self) -> int:
         return len(self.targets)
 

@@ -11,20 +11,20 @@ solution ``u(t)`` of the majorizing Cauchy problem
 exactly in the equality cases).  ``f`` and ``u`` both come from the kind's
 first integral in :mod:`specbound.bounds`.
 
-The equality cases are cones and double cones over regular graphs; their
-eigenpairs along the path have closed forms that are evaluated and residual
-checked by the ``closed_form_*`` functions.
+The equality cases are cones and double cones over regular graphs, where the
+path is ``u(t)`` itself; :func:`closed_form_join` gives its eigenpairs from
+the first integral and the quotient of one equitable partition per kind.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import KIND_SPECS, DegreeParams, comparison_solution, inequality_rhs
+from .bounds import KIND_SPECS, DegreeParams, _check_count, comparison_solution, inequality_rhs
 from .graphs import (
     DisconnectedError,
     Graph,
@@ -174,105 +174,82 @@ class JoinSolution:
     ``alpha`` is the entry on the perturbing vertex (pendant vertex for the
     pendant case), ``beta`` the second distinguished entry where one exists,
     ``gamma`` the common entry on the regular block.  ``residual`` is the max
-    defect of the reduced eigensystem rows.  For the pendant case,
-    ``normalization_gap`` reports how far the closed-form normalization
-    constant sits from the directly computed squared norm (they agree at
-    t = 1 but not at interior t, so the eigenvector here is renormalized
-    independently).
+    defect of the quotient eigensystem rows and of the normalization.
     """
 
     value: float
-    alpha: float
-    beta: Optional[float]
-    gamma: Optional[float]
     residual: float
-    normalization_gap: Optional[float] = None
+    alpha: float
+    beta: Optional[float] = None
+    gamma: Optional[float] = None
+
+
+class _Join(NamedTuple):
+    """The equitable partition of one kind's equality path, cells in vector order."""
+
+    apexes: int  # k, the vertices joined to the whole core: d = k n
+    fields: tuple[str, ...]  # the JoinSolution entry of each cell
+    partition: Callable  # partition(n, delta, t): cell sizes, tridiagonal quotient matrix
+
+
+_JOINS = {  # cells: new vertex, core | both apexes, core | pendant vertex, apex, core
+    PerturbationKind.VERTEX_CONNECTION: _Join(
+        1, ("alpha", "beta"), lambda n, c, t: ((1, n), ((0, t * n), (t, c)))
+    ),
+    PerturbationKind.EDGE_ADDITION: _Join(
+        2, ("alpha", "gamma"), lambda n, c, t: ((2, n), ((t, n), (2, c)))
+    ),
+    PerturbationKind.PENDANT_EDGE: _Join(
+        1, ("alpha", "beta", "gamma"), lambda n, c, t: ((1, 1, n), ((0, t, 0), (t, 0, n), (0, 1, c)))
+    ),
+}
 
 
 def _check_join_args(n: int, delta: int, t: float) -> None:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not 0 <= delta <= n - 1:
+    if _check_count("delta", delta, 0) >= _check_count("n", n, 1):
         raise ValueError(f"delta must lie in [0, {n - 1}], got {delta}")
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
 
 
+def closed_form_join(kind: PerturbationKind, n: int, delta: int, t: float) -> JoinSolution:
+    """Perron eigenpair at ``t`` of the equality path of ``kind`` over a
+    delta-regular core on n vertices: the comparison solution, root of
+    ``Phi(t, y; k n) = delta``, and the quotient matrix's Perron vector, each
+    row of ``B v = lambda v`` giving the next entry; the last row certifies."""
+    _check_join_args(n, delta, t)
+    join = _JOINS[kind]
+    lam = KIND_SPECS[kind].root(t, delta, join.apexes * n)
+    sizes, b = map(np.array, join.partition(n, delta, t))
+    v = [1.0]
+    for i in range(len(b) - 1):
+        below = b[i, i - 1] * v[i - 1] if i else 0.0
+        v.append(((lam - b[i, i]) * v[i] - below) / b[i, i + 1])
+    vec = np.array(v) / math.sqrt(sizes @ np.square(v))
+    residual = max(np.abs(b @ vec - lam * vec).max(), abs(sizes @ np.square(vec) - 1.0))
+    if residual > _RESIDUAL_TOL:  # pragma: no cover - root solved to 1e-12
+        raise RuntimeError(f"{kind.value} join eigenpair residual {residual:.3e}")
+    return JoinSolution(lam, float(residual), **dict(zip(join.fields, vec.tolist())))
+
+
 def closed_form_vertex_join(n: int, delta: int, t: float) -> JoinSolution:
     """Eigenpair of the path joining a new vertex to all n vertices of a
     delta-regular graph: eigenvector ``(alpha, beta, ..., beta)``."""
-    _check_join_args(n, delta, t)
-    lam = 0.5 * delta + math.sqrt(0.25 * delta * delta + n * t * t)
-    alpha = math.sqrt((lam - delta) / (2.0 * lam - delta))
-    beta = math.sqrt(lam / (n * (2.0 * lam - delta)))
-    residual = max(
-        abs(t * n * beta - lam * alpha),
-        abs(t * alpha + delta * beta - lam * beta),
-        abs(alpha * alpha + n * beta * beta - 1.0),
-    )
-    if residual > _RESIDUAL_TOL:  # pragma: no cover - algebraic identity
-        raise RuntimeError(f"vertex join eigenpair residual {residual:.3e}")
-    return JoinSolution(value=lam, alpha=alpha, beta=beta, gamma=None, residual=residual)
+    return closed_form_join(PerturbationKind.VERTEX_CONNECTION, n, delta, t)
 
 
 def closed_form_edge_join(n: int, delta: int, t: float) -> JoinSolution:
     """Eigenpair of the path adding the edge between the two apexes of a
     double cone over a delta-regular graph: eigenvector
     ``(alpha, alpha, gamma, ..., gamma)``."""
-    _check_join_args(n, delta, t)
-    disc = math.sqrt((delta - t) ** 2 + 8.0 * n)
-    lam = 0.5 * (t + delta + disc)
-    alpha = 0.5 * math.sqrt(1.0 - (delta - t) / disc)
-    gamma = math.sqrt(1.0 + (delta - t) / disc) / math.sqrt(2.0 * n)
-    residual = max(
-        abs(t * alpha + n * gamma - lam * alpha),
-        abs(2.0 * alpha + delta * gamma - lam * gamma),
-        abs(2.0 * alpha * alpha + n * gamma * gamma - 1.0),
-    )
-    if residual > _RESIDUAL_TOL:  # pragma: no cover - algebraic identity
-        raise RuntimeError(f"edge join eigenpair residual {residual:.3e}")
-    return JoinSolution(value=lam, alpha=alpha, beta=None, gamma=gamma, residual=residual)
+    return closed_form_join(PerturbationKind.EDGE_ADDITION, n, delta, t)
 
 
 def closed_form_pendant_join(n: int, delta: int, t: float) -> JoinSolution:
     """Eigenpair of the path attaching a pendant edge at the apex of a cone
     over a delta-regular graph: eigenvector ``(alpha, beta, gamma, ..., gamma)``
-    with the pendant vertex first, the apex second.
-
-    The spectral radius is the largest root of
-    ``x^3 - delta x^2 - (n + t^2) x + delta t^2``: the pendant first
-    integral's cubic with ``c = delta`` and ``d = n``.  The eigenvector direction
-    ``(t (lam - delta), lam (lam - delta), lam)`` is normalized directly;
-    ``normalization_gap`` records the defect of the closed-form constant
-    ``2 (n+t^2) lam^2 - delta (n+t+3t^2) lam + 2 t^2 delta^2`` against the
-    direct squared norm (nonzero off t = 1).
-    """
-    _check_join_args(n, delta, t)
-    lam = KIND_SPECS[PerturbationKind.PENDANT_EDGE].root(t, delta, n)
-    raw = np.array([t * (lam - delta), lam * (lam - delta), lam])
-    norm_sq = raw[0] ** 2 + raw[1] ** 2 + n * raw[2] ** 2
-    alpha, beta, gamma = (raw / math.sqrt(norm_sq)).tolist()
-    residual = max(
-        abs(t * beta - lam * alpha),
-        abs(t * alpha + n * gamma - lam * beta),
-        abs(beta + delta * gamma - lam * gamma),
-        abs(alpha * alpha + beta * beta + n * gamma * gamma - 1.0),
-    )
-    if residual > _RESIDUAL_TOL:  # pragma: no cover - root solved to 1e-12
-        raise RuntimeError(f"pendant join eigenpair residual {residual:.3e}")
-    closed_form_norm = (
-        2.0 * (n + t * t) * lam * lam
-        - delta * (n + t + 3.0 * t * t) * lam
-        + 2.0 * t * t * delta * delta
-    )
-    return JoinSolution(
-        value=lam,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        residual=residual,
-        normalization_gap=abs(closed_form_norm - norm_sq),
-    )
+    with the pendant vertex first, the apex second."""
+    return closed_form_join(PerturbationKind.PENDANT_EDGE, n, delta, t)
 
 
 # ---------------------------------------------------------------------------

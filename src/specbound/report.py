@@ -2,25 +2,26 @@
 
 Ties the pieces together: exact initial and final indices from the
 eigensolver, the closed-form bound, the first-order gap estimate, and the
-structural equality recognizer for the perturbation kind.  A report builds
-the final graph once, for the connectivity check, the final index and the
-equality test.
+structural equality recognizer, its apexes read from the closed-form table
+in :mod:`specbound.pathsim`.  A report builds the final graph once, for the
+connectivity check, the final index and the equality test.
 """
 
 from __future__ import annotations
 
 from .bounds import BoundInput, BoundReport
 from .graphs import (
+    _SHAPES,
     DisconnectedError,
     Graph,
     Perturbation,
-    PerturbationKind,
     apply_perturbation,
     bound_parameters,
     is_cone_over_regular,
     is_connected,
     is_double_cone_over_regular,
 )
+from .pathsim import _JOINS
 from .spectral import full_spectrum, spectral_radius
 
 
@@ -37,12 +38,13 @@ def equality_case(graph: Graph, pert: Perturbation) -> bool:
 
 
 def _attains_bound(graph: Graph, final: Graph, pert: Perturbation) -> bool:
-    """:func:`equality_case` given the final graph as well."""
-    if pert.kind is PerturbationKind.VERTEX_CONNECTION:
-        return is_cone_over_regular(final, pert.u)
-    if pert.kind is PerturbationKind.EDGE_ADDITION:
-        return is_double_cone_over_regular(graph, pert.u, pert.v)
-    return is_cone_over_regular(graph, pert.u)
+    """:func:`equality_case` given the final graph as well: the apexes are
+    the first k of ``u`` and its targets, in the final graph if ``u`` starts
+    isolated and in the host otherwise."""
+    apexes = (pert.u, *pert.targets)[: _JOINS[pert.kind].apexes]
+    cone = final if _SHAPES[pert.kind].isolated else graph
+    recognize = is_cone_over_regular if len(apexes) == 1 else is_double_cone_over_regular
+    return recognize(cone, *apexes)
 
 
 def bound_input(graph: Graph, pert: Perturbation, tol: float = 1e-11) -> BoundInput:

@@ -8,8 +8,8 @@ certifies the library's numbers:
   eigenpair of a connected nonnegative symmetric matrix.  The +1 shift
   makes the top eigenvalue strictly dominant even for bipartite adjacency
   matrices, whose spectrum contains -lambda_1.
-* :func:`jacobi_spectrum` -- a cyclic Jacobi rotation sweep returning all
-  eigenvalues.  It is slow but has no convergence caveats.
+* :func:`jacobi_spectrum` -- Jacobi rotation sweeps in round-robin order
+  returning all eigenvalues.  It is slow but has no convergence caveats.
 
 The library solves the majorizing Cauchy problem through a first integral
 (a quadratic or cubic root).  :func:`rk4` integrates the same problem
@@ -84,45 +84,60 @@ def power_perron(a, tol: float = 1e-11, x0=None, maxiter: int | None = None) -> 
     )
 
 
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(p, q)`` index pairs of each round of a round-robin tournament
+    on ``0 .. n-1``: every pair meets once, the pairs of a round are
+    disjoint.  Index 0 stays put and the others rotate; for odd n the
+    player paired with the phantom index n sits out."""
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        ring = [0] + [1 + (i + r) % (m - 1) for i in range(m - 1)]
+        pairs = [sorted((ring[i], ring[m - 1 - i])) for i in range(m // 2)]
+        pairs = np.array([pq for pq in pairs if pq[1] < n])
+        rounds.append((pairs[:, 0], pairs[:, 1]))
+    return rounds
+
+
 def jacobi_spectrum(a) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, nonincreasing.
 
-    Cyclic Jacobi rotations run until the off-diagonal Frobenius norm falls
-    below 1e-12; each eigenvalue is then accurate to well below 1e-10 at the
-    dense sizes the tests use.
+    Jacobi rotations in round-robin order (Brent and Luk's parallel
+    ordering): each round zeroes the disjoint pairs ``(p, q)`` of one
+    tournament round together, as one orthogonal similarity ``J^T W J``,
+    and ``n - 1`` rounds make a sweep.  Sweeps run until the off-diagonal
+    Frobenius norm falls below 1e-12; each eigenvalue is then accurate to
+    well below 1e-10 at the dense sizes the tests use.
     """
     m = _require_symmetric(a)
     n = m.shape[0]
     if n == 1:
         return np.array([m[0, 0]])
     w = m.copy()
+    rounds = _round_robin(n)
     for _ in range(_MAX_JACOBI_SWEEPS):
         off = math.sqrt(2.0 * float((np.triu(w, 1) ** 2).sum()))
         if off <= _JACOBI_OFF_TOL:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e12:
-                    t = 0.0 if math.isinf(theta) else 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                colp = w[:, p].copy()
-                colq = w[:, q].copy()
-                w[:, p] = c * colp - s * colq
-                w[:, q] = s * colp + c * colq
-                rowp = w[p, :].copy()
-                rowq = w[q, :].copy()
-                w[p, :] = c * rowp - s * rowq
-                w[q, :] = s * rowp + c * rowq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-    else:  # pragma: no cover - cyclic Jacobi converges long before the cap
+        for p, q in rounds:
+            apq = w[p, q]
+            diff = w[q, q] - w[p, p]
+            # tan of the rotation angle: the root of smaller magnitude of
+            # t^2 + 2 theta t - 1 = 0, theta = diff / (2 apq), written without
+            # theta so that apq = 0 gives t = 0 and no division warning
+            den = np.abs(diff) + np.hypot(diff, 2.0 * apq)
+            t = np.copysign(1.0, diff) * 2.0 * apq / np.where(den > 0.0, den, 1.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            j = np.eye(n)
+            j[p, p] = c
+            j[q, q] = c
+            j[p, q] = s
+            j[q, p] = -s
+            w = j.T @ w @ j
+            w[p, q] = 0.0
+            w[q, p] = 0.0
+    else:  # pragma: no cover - Jacobi converges long before the cap
         raise RuntimeError(f"Jacobi did not converge within {_MAX_JACOBI_SWEEPS} sweeps")
     vals = np.sort(np.diagonal(w).copy())[::-1]
     return vals
@@ -134,6 +149,18 @@ MAJORANTS = {
     "edge": lambda t, y, d: d / ((y - t) ** 2 + d),
     "pendant": lambda t, y, d: 2.0 * d * t * y / ((y * y - t * t) ** 2 + d * (y * y + t * t)),
 }
+
+
+def pendant_normalization_constant(n: int, delta: int, t: float, lam: float) -> float:
+    """The paper's closed-form squared norm of the pendant equality path's
+    eigenvector direction ``(t (lam - delta), lam (lam - delta), lam)``:
+    ``2 (n+t^2) lam^2 - delta (n+t+3t^2) lam + 2 t^2 delta^2``.  It equals
+    the direct squared norm at t = 1 (and for delta = 0), not in between."""
+    return (
+        2.0 * (n + t * t) * lam * lam
+        - delta * (n + t + 3.0 * t * t) * lam
+        + 2.0 * t * t * delta * delta
+    )
 
 
 def rk4(f, y0: float, t0: float, t1: float, steps: int) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import specbound as sb
-from oracles import MAJORANTS, rk4
+from oracles import MAJORANTS, pendant_normalization_constant, rk4
 from specbound import Perturbation, PerturbationKind, spectral
 from specbound.rng import SplitMix64, random_instance
 from specbound.spectral import perron_components
@@ -334,12 +334,19 @@ def test_closed_form_pendant_join_values():
 
 
 def test_pendant_join_normalization_constant_gap():
-    # the closed-form normalization constant matches the direct squared norm
-    # only at t = 1; off the endpoint the eigenvector must be renormalized
-    # independently (which closed_form_pendant_join does)
-    assert sb.closed_form_pendant_join(4, 2, 1.0).normalization_gap == pytest.approx(0.0, abs=1e-9)
-    assert sb.closed_form_pendant_join(4, 2, 0.5).normalization_gap > 0.1
-    assert sb.closed_form_pendant_join(3, 0, 0.5).normalization_gap == pytest.approx(0.0, abs=1e-9)
+    # the paper's closed-form normalization constant matches the direct
+    # squared norm of the eigenvector direction only at t = 1; off the
+    # endpoint the eigenvector must be normalized directly (which
+    # closed_form_pendant_join does)
+    def gap(n, delta, t):
+        lam = sb.closed_form_pendant_join(n, delta, t).value
+        direction = (t * (lam - delta), lam * (lam - delta), lam)
+        norm_sq = direction[0] ** 2 + direction[1] ** 2 + n * direction[2] ** 2
+        return abs(pendant_normalization_constant(n, delta, t, lam) - norm_sq)
+
+    assert gap(4, 2, 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert gap(4, 2, 0.5) > 0.1
+    assert gap(3, 0, 0.5) == pytest.approx(0.0, abs=1e-9)
 
 
 ALL_FEASIBLE_CORES = [
@@ -384,6 +391,48 @@ def test_closed_form_domain_errors():
         sb.closed_form_edge_join(3, 1, 0.0)
     with pytest.raises(ValueError):
         sb.closed_form_pendant_join(0, 0, 1.0)
+    # fractional orders and degrees have no regular core
+    with pytest.raises(ValueError):
+        sb.closed_form_edge_join(3.5, 1, 1.0)
+    with pytest.raises(ValueError):
+        sb.closed_form_pendant_join(4, 1.5, 1.0)
+    with pytest.raises(ValueError):
+        sb.closed_form_join(PerturbationKind.VERTEX_CONNECTION, 4, 0.5, 1.0)
+
+
+def _equality_instance(kind, core):
+    """Host, perturbation and the vertex of each closed-form cell, in cell
+    order, for the equality path of ``kind`` over ``core``."""
+    n = core.n
+    if kind is PerturbationKind.VERTEX_CONNECTION:
+        host = sb.disjoint_union(core, sb.empty_graph(1))
+        return host, Perturbation.vertex_connection(n, range(n)), ([n], range(n))
+    if kind is PerturbationKind.EDGE_ADDITION:
+        host = sb.join(sb.empty_graph(2), core)
+        return host, Perturbation.edge_addition(0, 1), ([0, 1], range(2, n + 2))
+    host = sb.join(sb.empty_graph(1), core)
+    return host, Perturbation.pendant_edge(0), ([n + 1], [0], range(1, n + 1))
+
+
+@pytest.mark.parametrize("kind", list(PerturbationKind))
+@pytest.mark.parametrize("n,delta", ALL_FEASIBLE_CORES)
+def test_closed_form_join_is_the_equality_profile(kind, n, delta):
+    host, pert, cells = _equality_instance(kind, sb.circulant_graph(n, delta))
+    p_mat = sb.perturbation_matrix(host, pert)
+    a_initial = np.zeros_like(p_mat)
+    a_initial[: host.n, : host.n] = host.adjacency()
+    inp = sb.bound_input(host, pert)
+    for t in (0.25, 0.5, 0.75, 1.0):
+        sol = sb.closed_form_join(kind, n, delta, t)
+        # the cells, lifted to the full vertex order, are the Perron vector
+        entries = [e for e in (sol.alpha, sol.beta, sol.gamma) if e is not None]
+        lifted = np.zeros(p_mat.shape[0])
+        for entry, vertices in zip(entries, cells):
+            lifted[list(vertices)] = entry
+        assert np.max(np.abs(lifted - sb.perron(a_initial + t * p_mat).vector)) <= 1e-9
+        # and the value is the comparison solution from the host's index
+        u = sb.comparison_solution(kind, inp.lambda_i, t, **inp.params())
+        assert sol.value == pytest.approx(u, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
