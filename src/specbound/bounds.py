@@ -29,6 +29,7 @@ and the iterated bound for joining a coclique complete the module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -39,7 +40,7 @@ _COMPLEX_STEP = 1e-100
 
 
 def _check_count(name: str, value: int, minimum: int) -> int:
-    if int(value) != value or value < minimum:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
@@ -201,8 +202,14 @@ def comparison_solution(
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
+    return _comparison(kind, lambda_i, g=g, delta_u=delta_u, delta_v=delta_v)(t)
+
+
+def _comparison(kind: PerturbationKind, lambda_i: float, *, g=0, delta_u=0, delta_v=0) -> Callable:
+    """:func:`comparison_solution` of one instance as a function of t in
+    [0, 1], the instance validated once."""
     spec, d, c = _initial_value(kind, lambda_i, g, delta_u, delta_v)
-    return lambda_i if t == 0.0 else spec.root(t, c, d)
+    return lambda t: lambda_i if t == 0.0 else spec.root(t, c, d)
 
 
 def inequality_rhs(
@@ -220,10 +227,20 @@ def inequality_rhs(
     Both partial derivatives are complex steps ``Im Phi(x + ih) / h``, exact
     to rounding for the rational Phi; the step h cancels in the quotient.
     """
+    return _majorant(kind, g=g, delta_u=delta_u, delta_v=delta_v)(t, lam)
+
+
+def _majorant(kind: PerturbationKind, *, g=0, delta_u=0, delta_v=0) -> Callable:
+    """:func:`inequality_rhs` of one instance as a function of ``(t, lam)``,
+    the degrees checked once."""
     spec, d = _weight(kind, g, delta_u, delta_v)
-    phi_t = spec.phi(complex(t, _COMPLEX_STEP), lam, d).imag
-    phi_y = spec.phi(t, complex(lam, _COMPLEX_STEP), d).imag
-    return -phi_t / phi_y
+
+    def f(t, lam):
+        phi_t = spec.phi(complex(t, _COMPLEX_STEP), lam, d).imag
+        phi_y = spec.phi(t, complex(lam, _COMPLEX_STEP), d).imag
+        return -phi_t / phi_y
+
+    return f
 
 
 def perturbation_bound(

@@ -93,12 +93,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return _normalize_edge(i, j) in self.edges
 
-    def neighbors(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        out = [j for i, j in self.edges if i == v]
-        out += [i for i, j in self.edges if j == v]
-        return sorted(out)
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return sum(1 for e in self.edges if v in e)

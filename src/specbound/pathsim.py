@@ -3,13 +3,14 @@
 The perturbation is run as a linear matrix path ``A(t) = A_initial + t * P``
 for ``t`` in [0, 1].  Along the path the spectral radius ``lambda(t)`` is
 continuously differentiable with ``lambda'(t) = <P x(t), x(t)>``; this module
-samples the path, checks the derivative identity against central finite
-differences, evaluates the per-kind differential inequality
-``lambda' <= f(t, lambda)``, and compares ``lambda(t)`` against the exact
-solution ``u(t)`` of the majorizing Cauchy problem
-``y' = f(t, y), y(0) = lambda_I`` (which dominates the path and is attained
-exactly in the equality cases).  ``f`` and ``u`` both come from the kind's
-first integral in :mod:`specbound.bounds`.
+samples the path (its grid and finite-difference matrices built and solved
+as stacks of bounded size, a few certified LAPACK calls per path), checks
+the derivative identity against central finite differences, evaluates the
+per-kind differential inequality ``lambda' <= f(t, lambda)``, and compares
+``lambda(t)`` against the exact solution ``u(t)`` of the majorizing Cauchy
+problem ``y' = f(t, y), y(0) = lambda_I`` (which dominates the path and is
+attained exactly in the equality cases).  ``f`` and ``u`` both come from the
+kind's first integral in :mod:`specbound.bounds`, set up once per path.
 
 The equality cases are cones and double cones over regular graphs, where the
 path is ``u(t)`` itself; :func:`closed_form_join` gives its eigenpairs from
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import KIND_SPECS, DegreeParams, _check_count, comparison_solution, inequality_rhs
+from .bounds import KIND_SPECS, DegreeParams, _check_count, _comparison, _majorant
 from .graphs import (
     DisconnectedError,
     Graph,
@@ -33,9 +34,10 @@ from .graphs import (
     bound_parameters,
     perturbation_matrix,
 )
-from .spectral import _certified_perron, _top_eigenvalue, is_connected_matrix, perron_components
+from .spectral import _certified_perron, _top_eigenvalues, is_connected_matrix, perron_components
 
 _RESIDUAL_TOL = 1e-10
+_STACK_ENTRIES = 1 << 15  # matrix entries per stacked solve: 256 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,16 @@ class PerturbationPath(DegreeParams):
         return self.samples[-1].value
 
 
+def _stacks(a_initial: np.ndarray, p_mat: np.ndarray, ts: np.ndarray):
+    """``A_I + t P`` for each ``t`` of ``ts``, in stacks of at most
+    ``_STACK_ENTRIES`` matrix entries."""
+    per_stack = max(1, _STACK_ENTRIES // p_mat.size)
+    for i in range(0, len(ts), per_stack):
+        stack = ts[i : i + per_stack, None, None] * p_mat
+        stack += a_initial
+        yield stack
+
+
 def sample_path(
     graph: Graph,
     pert: Perturbation,
@@ -88,11 +100,12 @@ def sample_path(
     ``t = 0`` endpoint takes the best component's pair.  Interior points get
     the quadratic-form derivative and a central difference of eigenvalues,
     with step ``min(1e-5, 1/(4 steps))``.  The final graph must be connected
-    (:class:`DisconnectedError`).  Solves past ``t = 0`` skip the input
-    checks, made once on ``A_I + P``.
+    (:class:`DisconnectedError`); ``steps`` must be an integer >= 2.  The
+    points past ``t = 0`` and the finite-difference points are solved as
+    stacks of matrices, one LAPACK call per stack, skipping the input checks
+    made once on ``A_I + P``; every point still gets its certificate.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
+    steps = _check_count("steps", steps, 2)
     p_mat = perturbation_matrix(graph, pert)
     dim = p_mat.shape[0]
     a_initial = np.zeros((dim, dim))
@@ -100,25 +113,21 @@ def sample_path(
     if not is_connected_matrix(a_initial + p_mat):
         raise DisconnectedError("the perturbed graph is disconnected")
 
+    value, vector = perron_components(a_initial, tol=tol)
+    grid = np.arange(1, steps + 1) / steps
+    solves = [_certified_perron(stack, tol) for stack in _stacks(a_initial, p_mat, grid)]
+    values, vectors, _ = map(np.concatenate, zip(*solves))
     h = min(1e-5, 1.0 / (4.0 * steps))
-    samples = []
-    for k in range(steps + 1):
-        t = k / steps
-        a_t = a_initial + t * p_mat
-        if k == 0:
-            value, vector = perron_components(a_t, tol=tol)
-        else:
-            pair = _certified_perron(a_t, tol)
-            value, vector = pair.value, pair.vector
-        lhs = rhs = None
-        if 0 < k < steps:
-            lam_plus = _top_eigenvalue(a_initial + (t + h) * p_mat)
-            lam_minus = _top_eigenvalue(a_initial + (t - h) * p_mat)
-            lhs = (lam_plus - lam_minus) / (2.0 * h)
-            rhs = float(vector @ (p_mat @ vector))
-        samples.append(
-            PathSample(t=t, value=value, vector=vector, derivative_lhs=lhs, derivative_rhs=rhs)
-        )
+    inner = grid[:-1]
+    fd_points = np.concatenate([inner + h, inner - h])
+    tops = np.concatenate([_top_eigenvalues(s) for s in _stacks(a_initial, p_mat, fd_points)])
+    lhs = (tops[: steps - 1] - tops[steps - 1 :]) / (2.0 * h)
+    x = vectors[:-1]
+    rhs = (x[:, None, :] @ (p_mat @ x[:, :, None]))[:, 0, 0]
+
+    lhs, rhs = lhs.tolist() + [None], rhs.tolist() + [None]  # none at t = 1
+    samples = [PathSample(0.0, value, vector, None, None)]
+    samples += map(PathSample, grid.tolist(), values.tolist(), vectors, lhs, rhs)
     return PerturbationPath(kind=pert.kind, samples=tuple(samples), **bound_parameters(graph, pert))
 
 
@@ -131,11 +140,12 @@ def check_differential_inequality(path: PerturbationPath) -> float:
 
     Nonpositive up to solver noise; values above ~1e-6 indicate a failure.
     """
+    f = _majorant(path.kind, **path.params())
     worst = -math.inf
     for s in path.samples:
         if s.derivative_rhs is None:
             continue
-        worst = max(worst, s.derivative_rhs - inequality_rhs(path.kind, s.t, s.value, **path.params()))
+        worst = max(worst, s.derivative_rhs - f(s.t, s.value))
     if worst == -math.inf:
         raise ValueError("path has no interior samples")
     return worst
@@ -143,7 +153,8 @@ def check_differential_inequality(path: PerturbationPath) -> float:
 
 def comparison_curve(path: PerturbationPath) -> list[float]:
     """``u(t_k)`` on the path's grid."""
-    return [comparison_solution(path.kind, path.lambda_i, s.t, **path.params()) for s in path.samples]
+    u = _comparison(path.kind, path.lambda_i, **path.params())
+    return [u(s.t) for s in path.samples]
 
 
 @dataclass(frozen=True)

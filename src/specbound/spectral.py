@@ -10,8 +10,13 @@ backs every entry point:
   :func:`perron_components` applies it per component, and
   :func:`spectral_radius` is its value.
 
-Public functions validate their input and never mutate it.  Callers that
-checked a whole family once (``sample_path``) use the private solves, which
+Public functions validate their input and never mutate it.  The private
+solves take a stack ``(k, n, n)`` of matrices and make one LAPACK call per
+stack: the certified Perron solve checks the residual and the positivity of
+every matrix in it, with stacked ``matmul`` that runs the same BLAS kernels
+per matrix as a single solve, so a matrix gets the same bits alone or in a
+stack.  The public functions call them with a stack of one matrix; callers
+that checked a whole family once (``sample_path``) pass bigger stacks and
 skip the checks, never the certificate.  Oracles live with the tests.
 """
 
@@ -93,7 +98,7 @@ def perron(a, tol: float = 1e-11) -> PerronPair:
     m = _require_nonnegative(a, tol)
     if not is_connected_matrix(m):
         raise ValueError("matrix is not connected; positivity of the eigenvector fails")
-    return _certified_perron(m, tol)
+    return _perron_pair(m, tol)
 
 
 def _require_nonnegative(a, tol: float) -> np.ndarray:
@@ -106,30 +111,46 @@ def _require_nonnegative(a, tol: float) -> np.ndarray:
     return m
 
 
-def _certified_perron(m: np.ndarray, tol: float) -> PerronPair:
-    """:func:`perron` on a matrix known to be connected, nonnegative, symmetric."""
-    if len(m) == 1:
-        return PerronPair(float(m[0, 0]), np.array([1.0]), 0.0)
-    x = np.abs(np.linalg.eigh(m)[1][:, -1])
-    for _ in range(len(m)):
-        if x.min() > 0.0:
-            break
-        y = m @ x + x
-        x = y / float(np.linalg.norm(y))
-    y = m @ x
-    lam = float(x @ y)
-    res = float(np.linalg.norm(y - lam * x))
-    if res <= tol and x.min() > 0.0:
-        return PerronPair(lam, x, res)
-    raise RuntimeError(
-        f"Perron pair not certified: residual {res:.3e} (tolerance {tol}), "
-        f"min entry {x.min():.3e}"
-    )
+def _certified_perron(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`perron` on a stack ``(k, n, n)`` of matrices known to be
+    connected, nonnegative and symmetric, in one ``eigh`` call: the values,
+    the vectors as rows, and the residuals.  The positivity fix-up runs only
+    on the rows that need it; ``RuntimeError`` names the first matrix that
+    fails its certificate."""
+    if stack.shape[-1] == 1:
+        return stack[:, 0, 0].copy(), np.ones((len(stack), 1)), np.zeros(len(stack))
+    x = np.abs(np.linalg.eigh(stack)[1][:, :, -1])
+    for i in np.flatnonzero(~(x.min(axis=1) > 0.0)):
+        m, v = stack[i], x[i]
+        for _ in range(len(m)):
+            if v.min() > 0.0:
+                break
+            y = m @ v + v
+            v = y / float(np.linalg.norm(y))
+        x[i] = v
+    y = stack @ x[:, :, None]
+    lam = (x[:, None, :] @ y)[:, 0, 0]
+    r = y[:, :, 0] - lam[:, None] * x
+    res = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+    certified = (res <= tol) & (x.min(axis=1) > 0.0)
+    if not certified.all():
+        i = int(np.argmin(certified))
+        raise RuntimeError(
+            f"Perron pair not certified: residual {float(res[i]):.3e} (tolerance {tol}), "
+            f"min entry {float(x[i].min()):.3e}"
+        )
+    return lam, x, res
 
 
-def _top_eigenvalue(m: np.ndarray) -> float:
-    """Largest eigenvalue of a matrix known to be symmetric."""
-    return float(np.linalg.eigvalsh(m)[-1])
+def _top_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each matrix of a stack known to be symmetric."""
+    return np.linalg.eigvalsh(stack)[:, -1]
+
+
+def _perron_pair(m: np.ndarray, tol: float) -> PerronPair:
+    """:func:`_certified_perron` on one matrix."""
+    values, vectors, residuals = _certified_perron(m[None], tol)
+    return PerronPair(float(values[0]), vectors[0], float(residuals[0]))
 
 
 def spectral_radius(a, tol: float = 1e-11) -> float:
@@ -144,7 +165,7 @@ def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
     lowest-indexed component within ``tol`` of that maximum."""
     m = _require_nonnegative(a, tol)
     comps = connected_components(m)
-    pairs = [_certified_perron(m if len(comps) == 1 else m[np.ix_(c, c)], tol) for c in comps]
+    pairs = [_perron_pair(m if len(comps) == 1 else m[np.ix_(c, c)], tol) for c in comps]
     value = max(pair.value for pair in pairs)
     comp, best = next((c, p) for c, p in zip(comps, pairs) if p.value >= value - tol)
     vector = np.zeros(len(m))

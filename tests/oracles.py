@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from specbound.graphs import Graph, from_edge_list
 from specbound.spectral import _require_symmetric, is_connected_matrix
 
 _JACOBI_OFF_TOL = 1e-12
@@ -176,3 +177,11 @@ def rk4(f, y0: float, t0: float, t1: float, steps: int) -> float:
         y += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         t += h
     return y
+
+
+def lollipop_graph(k: int, tail: int) -> Graph:
+    """K_k with a path of ``tail`` extra vertices hanging off vertex k-1: its
+    Perron entries fall below roundoff along the tail."""
+    clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    path = [(v, v + 1) for v in range(k - 1, k + tail - 1)]
+    return from_edge_list(k + tail, clique + path)

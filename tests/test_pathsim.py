@@ -2,13 +2,14 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import specbound as sb
-from oracles import MAJORANTS, pendant_normalization_constant, rk4
-from specbound import Perturbation, PerturbationKind, spectral
+from oracles import MAJORANTS, lollipop_graph, pendant_normalization_constant, rk4
+from specbound import Perturbation, PerturbationKind, pathsim, spectral
 from specbound.rng import SplitMix64, random_instance
 from specbound.spectral import perron_components
 
@@ -85,6 +86,21 @@ def test_path_rejects_bad_inputs():
         sb.sample_path(host, Perturbation.vertex_connection(5, [0]))
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, True])
+def test_path_rejects_non_integer_steps(steps):
+    with pytest.raises(ValueError, match="steps must be an integer >= 2"):
+        sb.sample_path(sb.path_graph(3), Perturbation.edge_addition(0, 2), steps=steps)
+
+
+def test_path_accepts_numpy_integer_steps():
+    host, pert = sb.path_graph(5), Perturbation.edge_addition(0, 4)
+    path = sb.sample_path(host, pert, steps=np.int64(4))
+    ref = sb.sample_path(host, pert, steps=4)
+    assert [s.t for s in path.samples] == [s.t for s in ref.samples] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all(type(s.t) is float for s in path.samples)
+    assert [s.derivative_lhs for s in path.samples] == [s.derivative_lhs for s in ref.samples]
+
+
 def _reference_samples(host, pert, steps):
     """Every grid point rebuilt with the public, fully checked solvers."""
     p_mat = sb.perturbation_matrix(host, pert)
@@ -99,26 +115,97 @@ def _reference_samples(host, pert, steps):
         else:
             pair = sb.perron(a_initial + t * p_mat)
             value, vector = pair.value, pair.vector
-        lhs = None
+        lhs = rhs = None
         if 0 < k < steps:
             lam_plus = float(sb.full_spectrum(a_initial + (t + h) * p_mat)[0])
             lam_minus = float(sb.full_spectrum(a_initial + (t - h) * p_mat)[0])
             lhs = (lam_plus - lam_minus) / (2.0 * h)
-        rows.append((value, vector, lhs))
+            rhs = sb.lambda_derivative(p_mat, vector)
+        rows.append((value, vector, lhs, rhs))
     return rows
 
 
+def _assert_path_equals_the_public_solves(host, pert, steps):
+    path = sb.sample_path(host, pert, steps=steps)
+    reference = _reference_samples(host, pert, steps)
+    for s, (value, vector, lhs, rhs) in zip(path.samples, reference, strict=True):
+        assert s.value == value
+        assert np.array_equal(s.vector, vector)
+        assert s.derivative_lhs == lhs
+        assert s.derivative_rhs == rhs
+
+
 def test_path_samples_equal_the_public_solves_exactly():
-    # Checking the contract once per path must not change a single bit.
+    # Checking the contract once per path and solving in stacks must not
+    # change a single bit.
     for kind in PerturbationKind:
         for i in range(20):
             rng = SplitMix64.spawn(4041 + 100 * list(PerturbationKind).index(kind), i)
             host, pert = random_instance(rng, kind, 12, (0.25, 0.5, 0.8)[i % 3])
-            path = sb.sample_path(host, pert, steps=8)
-            for s, (value, vector, lhs) in zip(path.samples, _reference_samples(host, pert, 8)):
-                assert s.value == value
-                assert np.array_equal(s.vector, vector)
-                assert s.derivative_lhs == lhs
+            _assert_path_equals_the_public_solves(host, pert, 8)
+
+
+@pytest.mark.parametrize(
+    "host, pert",
+    [
+        (sb.path_graph(64), Perturbation.edge_addition(0, 32)),
+        (sb.cycle_graph(60), Perturbation.pendant_edge(0)),
+        # LAPACK's top vector underflows along the tail at every t > 0, so
+        # the positivity fix-up runs inside stacks of 19 matrices.
+        (lollipop_graph(20, 20), Perturbation.pendant_edge(39)),
+    ],
+    ids=["P64-edge", "C60-pendant", "K20+P20-pendant"],
+)
+def test_path_spanning_several_stacks_equals_the_public_solves(host, pert):
+    dim = sb.perturbation_matrix(host, pert).shape[0]
+    assert 32 > pathsim._STACK_ENTRIES // dim**2  # at least two grid stacks
+    _assert_path_equals_the_public_solves(host, pert, 32)
+
+
+def _count_lapack_calls(monkeypatch):
+    """Count the ``numpy.linalg`` eigensolver calls made from now on."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_path_solves_in_a_few_lapack_calls(monkeypatch):
+    # n <= 12: one stack holds every grid point and one every
+    # finite-difference point, whatever the step count.
+    calls = _count_lapack_calls(monkeypatch)
+    for kind in PerturbationKind:
+        for i in range(10):
+            rng = SplitMix64.spawn(5051 + 100 * list(PerturbationKind).index(kind), i)
+            host, pert = random_instance(rng, kind, 12, (0.25, 0.5, 0.8)[i % 3])
+            a_initial = np.zeros_like(sb.perturbation_matrix(host, pert))
+            a_initial[: host.n, : host.n] = host.adjacency()
+            per_path = []
+            for steps in (8, 32):
+                calls.clear()
+                sb.sample_path(host, pert, steps=steps)
+                per_path.append(len(calls))
+            assert per_path[0] == per_path[1] <= 2 + len(spectral.connected_components(a_initial))
+
+
+def test_path_memory_stays_bounded():
+    # Stacks of at most 256 KiB peak near 700 KiB here; one matrix at a time
+    # peaks near 184 KiB, and one unchunked stack of all 94 matrices near 2.1 MiB.
+    host, pert = sb.path_graph(64), Perturbation.edge_addition(0, 32)
+    sb.sample_path(host, pert, steps=32)
+    tracemalloc.start()
+    try:
+        sb.sample_path(host, pert, steps=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _count_connectivity_passes(monkeypatch):

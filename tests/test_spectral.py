@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import specbound as sb
-from oracles import jacobi_spectrum, power_perron
+from oracles import jacobi_spectrum, lollipop_graph, power_perron
+from specbound import spectral
 from specbound.rng import SplitMix64, random_connected_graph
 from specbound.spectral import perron_components
 
@@ -195,17 +196,38 @@ def test_perron_components_ties_pick_first_component():
         assert vector[:n].min() > 0.0
 
 
-def _lollipop(k: int, tail: int) -> sb.Graph:
-    """K_k with a path of ``tail`` extra vertices hanging off vertex k-1."""
-    clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    path = [(v, v + 1) for v in range(k - 1, k + tail - 1)]
-    return sb.from_edge_list(k + tail, clique + path)
+def test_stacked_perron_solves_each_matrix_as_alone():
+    # Only the lollipop in the middle needs the positivity fix-up.
+    mats = [g.adjacency() for g in (sb.path_graph(40), lollipop_graph(20, 20), sb.complete_graph(40))]
+    values, vectors, residuals = spectral._certified_perron(np.stack(mats), 1e-11)
+    for m, value, vector, residual in zip(mats, values, vectors, residuals, strict=True):
+        pair = sb.perron(m)
+        assert (value, residual) == (pair.value, pair.residual)
+        assert np.array_equal(vector, pair.vector)
+
+
+def test_stacked_perron_reports_the_first_uncertified_matrix():
+    # Both residuals are near 1e-15, so a tolerance of 1e-300 refuses both.
+    c5, p5 = sb.cycle_graph(5).adjacency(), sb.path_graph(5).adjacency()
+    messages = []
+    for first, second in ((c5, p5), (p5, c5)):
+        with pytest.raises(RuntimeError) as alone:
+            sb.perron(first, tol=1e-300)
+        with pytest.raises(RuntimeError) as stacked:
+            spectral._certified_perron(np.stack([first, second]), 1e-300)
+        assert str(stacked.value) == str(alone.value)
+        messages.append(str(alone.value))
+    assert messages[0] != messages[1]
+    # K3 + K2: the top vector is zero on K2, which no fix-up step can change.
+    split = sb.disjoint_union(sb.complete_graph(3), sb.complete_graph(2)).adjacency()
+    with pytest.raises(RuntimeError, match=r"min entry 0\.000e\+00"):
+        spectral._certified_perron(np.stack([c5, split, p5]), 1e-11)
 
 
 @pytest.mark.parametrize("k, tail", [(20, 20), (20, 40), (30, 100)])
 def test_perron_certifies_lollipops_with_tiny_entries(k, tail):
     # The true Perron entries at the tail end reach 1e-144, far below roundoff.
-    lollipop = _lollipop(k, tail)
+    lollipop = lollipop_graph(k, tail)
     n = lollipop.n
     pair = sb.perron(lollipop.adjacency())
     assert pair.vector.min() > 0.0
