@@ -15,12 +15,14 @@ Graphs are read in the edge-list format (header ``n m``, then ``i j`` lines;
 Exit codes: 0 success, 1 invariant failure, 2 parse failure, 3 usage or
 invalid perturbation, 4 structural precondition (disconnected result).
 ``bound`` and ``path`` leave the instance checks to the library and map the
-error class to the code, with one ``error:`` line on stderr.
+error class to the code, with one ``error:`` line on stderr.  ``main`` may be
+called any number of times in one process; it builds its parser once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -125,10 +127,6 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    if args.steps < 2:
-        print("error: --steps must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
-
     def command(graph: Graph, pert: Perturbation) -> None:
         path = sample_path(graph, pert, steps=args.steps)
         if args.format == "tsv":
@@ -221,7 +219,9 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="specbound",
         description="Spectral-radius bounds for graphs under local perturbations.",

@@ -16,6 +16,7 @@ bit-for-bit reproducible and order-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .graphs import PerturbationKind, format_edge_list, format_perturbation_spec
@@ -107,6 +108,8 @@ def run_verification(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     summary = VerifySummary(seed=seed, trials=trials, n_max=n_max, tolerance=tolerance)
 
     for trial in range(trials):

@@ -1,13 +1,17 @@
 """CLI commands, output schemas, and exit codes."""
 
+import argparse
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import specbound as sb
-from specbound import graphs
+from specbound import cli, graphs
 from specbound.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -182,9 +186,11 @@ def test_path_json_format(tmp_path, capsys):
 
 
 def test_path_steps_usage_error_exit_3(tmp_path, capsys):
+    # `sample_path` owns the rule, so `path` and `verify` refuse alike
     gfile = write_graph(tmp_path, sb.path_graph(3))
-    code, _, _ = run(capsys, ["path", gfile, "--steps", "1", "edge", "0", "2"])
-    assert code == 3
+    refusal = (3, "", "error: steps must be an integer >= 2, got 1\n")
+    assert run(capsys, ["path", gfile, "--steps", "1", "edge", "0", "2"]) == refusal
+    assert run(capsys, ["verify", "--trials", "3", "--steps", "1"]) == refusal
 
 
 def test_path_disconnected_final_exit_4(tmp_path, capsys):
@@ -241,6 +247,15 @@ def test_verify_usage_errors_exit_3(capsys):
     assert code == 3
     code, _, _ = run(capsys, ["verify", "--n-max", "2"])
     assert code == 3
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_verify_refuses_meaningless_tolerance_exit_3(capsys, tolerance):
+    # a negative tolerance fails bounds that hold, nan fails every trial and
+    # inf passes every trial
+    code, out, err = run(capsys, ["verify", "--trials", "3", "--tolerance", tolerance])
+    expected = f"error: tolerance must be finite and >= 0, got {float(tolerance)}\n"
+    assert (code, out, err) == (3, "", expected)
 
 
 def test_verify_injected_failure_exit_1(capsys):
@@ -301,3 +316,74 @@ def test_unknown_command_exit_3(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+MIXED_CODES = [0, 0, 0, 0, 0, 0, 0, 3, 0, 3]
+
+
+def _mixed_calls(tmp_path):
+    gfile = write_graph(tmp_path, sb.path_graph(4))
+    return [
+        ["bound", gfile, "edge", "0", "3"],
+        ["bound", gfile, "--format", "tsv", "pendant", "1"],
+        ["bound", gfile, "edge", "0", "3"],
+        ["path", gfile, "--steps", "4", "--format", "json", "edge", "0", "2"],
+        ["path", gfile, "pendant", "0"],
+        ["verify", "--seed", "3", "--trials", "3", "--n-max", "5"],
+        ["construct", "edge", "1", "0"],
+        ["frobnicate"],
+        ["--help"],
+        ["bound", gfile, "--format", "xml", "edge", "0", "3"],
+    ]
+
+
+def test_parser_is_built_once_across_commands(tmp_path, capsys, monkeypatch):
+    progs = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    calls = _mixed_calls(tmp_path)
+    codes = [run(capsys, calls[0])[0]]
+    built = len(progs)  # the top-level parser and one per command
+    codes += [run(capsys, argv)[0] for argv in calls[1:] + calls]
+    assert codes == MIXED_CODES * 2
+    assert progs.count("specbound") == 1 and len(progs) == built
+
+
+def test_shared_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    calls = _mixed_calls(tmp_path)
+    shared = [run(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run(capsys, argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == MIXED_CODES
+
+
+def _run_fresh_interpreter(*argv):
+    """``python -m specbound.cli ARGV`` in a new process, from this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "specbound.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+
+
+def test_fresh_interpreter_matches_in_process(tmp_path, capsys):
+    gfile = write_graph(tmp_path, sb.path_graph(3))
+    argv = ["bound", gfile, "edge", "0", "2"]
+    proc = _run_fresh_interpreter(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)
+    assert _run_fresh_interpreter("--help").returncode == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3 1\n0 0\n")  # self-loop
+    assert _run_fresh_interpreter("bound", str(bad), "edge", "0", "2").returncode == 2
