@@ -57,7 +57,6 @@ from .graphs import (
     path_graph,
     perturbation_matrix,
     star_graph,
-    validate_perturbation,
 )
 from .pathsim import (
     ComparisonCheck,
@@ -74,15 +73,13 @@ from .pathsim import (
     format_path_dump,
     sample_path,
 )
-from .report import bound_input, bound_report, equality_case
+from .report import bound_report, equality_case
 from .rng import SplitMix64, random_connected_graph, random_instance
 from .spectral import (
     PerronPair,
     connected_components,
     full_spectrum,
-    lambda_derivative,
     perron,
-    rayleigh_quotient,
     spectral_radius,
 )
 from .verify import VerifySummary, run_verification

@@ -13,13 +13,16 @@ Three perturbation kinds are modeled:
 * ``EDGE_ADDITION`` -- add one edge between two nonadjacent vertices,
 * ``PENDANT_EDGE`` -- attach a brand-new degree-1 vertex to ``u``.
 
-The pendant vertex is always appended at index ``n`` so that the adjacency
-matrices of the initial and final graphs align deterministically (the
-initial matrix is zero-padded by one row/column).  Each kind adds the edges
-``(u, t)`` for its targets ``t`` (``(u, n)`` for the pendant edge), and the
-final graph, the perturbation matrix and the applicability checks are all
-built from those edges; a per-kind table holds the rest (target count,
-usage line, whether ``u`` must be isolated).
+Each kind adds the edges ``(u, t)`` for its targets ``t`` (``(u, n)`` for
+the pendant edge), and the final graph, the perturbation matrix and the
+applicability checks are all built from those edges; a per-kind table holds
+the rest (target count, usage line, whether ``u`` must be isolated).  The
+pendant vertex is always index ``n``, so the matrices of the path
+``A_I + t P`` align once ``A_I`` is zero-padded by one row and column; one
+private helper builds both and checks that ``A_I + P`` is connected, for
+``bound_report`` and ``sample_path`` alike.  Connectivity, there and in
+:func:`is_connected`, is the one search of :mod:`specbound.spectral`, fed
+the matrix pattern there and the edge list here.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from .spectral import _components, is_connected_matrix
 
 
 class GraphParseError(ValueError):
@@ -131,22 +136,11 @@ def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component (n >= 1)."""
     if g.n < 1:
         raise ValueError("connectivity is undefined for the empty graph")
-    adj: list[list[int]] = [[] for _ in range(g.n)]
+    neighbors = [0] * g.n
     for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
+        neighbors[i] |= 1 << j
+        neighbors[j] |= 1 << i
+    return len(_components(neighbors)) == 1
 
 
 def is_regular(g: Graph) -> Optional[int]:
@@ -328,11 +322,6 @@ def _added_edges(g: Graph, p: Perturbation) -> list[tuple[int, int]]:
     return [_normalize_edge(p.u, t) for t in p.targets or (g.n,)]
 
 
-def validate_perturbation(g: Graph, p: Perturbation) -> None:
-    """Raise :class:`PerturbationError` unless ``p`` is applicable to ``g``."""
-    _added_edges(g, p)
-
-
 def perturbed_dimension(g: Graph, p: Perturbation) -> int:
     """Vertex count of the final graph (grows by one for a pendant edge)."""
     return g.n + (not p.targets)
@@ -353,9 +342,24 @@ def perturbation_matrix(g: Graph, p: Perturbation) -> np.ndarray:
     return Graph(perturbed_dimension(g, p), frozenset(_added_edges(g, p))).adjacency()
 
 
+def _path_matrices(g: Graph, p: Perturbation) -> tuple[np.ndarray, np.ndarray]:
+    """``A_I`` and ``P`` of the path ``A(t) = A_I + t P`` from ``g`` to the
+    perturbed graph: the host adjacency zero-padded to the size of
+    :func:`perturbation_matrix`, and that matrix.
+
+    :class:`DisconnectedError` unless ``A_I + P`` is connected.
+    """
+    p_mat = perturbation_matrix(g, p)
+    a_initial = np.zeros_like(p_mat)
+    a_initial[: g.n, : g.n] = g.adjacency()
+    if not is_connected_matrix(a_initial + p_mat):
+        raise DisconnectedError("the perturbed graph is disconnected")
+    return a_initial, p_mat
+
+
 def bound_parameters(g: Graph, p: Perturbation) -> dict[str, int]:
     """The degree/size data the closed-form bounds need, read off the host."""
-    validate_perturbation(g, p)
+    _added_edges(g, p)
     if p.kind is PerturbationKind.VERTEX_CONNECTION:
         return {"g": len(p.targets)}
     return {key: g.degree(v) for key, v in zip(("delta_u", "delta_v"), (p.u, *p.targets))}

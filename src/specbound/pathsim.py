@@ -1,7 +1,9 @@
 """Continuous-perturbation paths and their differential certificates.
 
 The perturbation is run as a linear matrix path ``A(t) = A_initial + t * P``
-for ``t`` in [0, 1].  Along the path the spectral radius ``lambda(t)`` is
+for ``t`` in [0, 1]; both matrices, and the check that ``A(1)`` is
+connected, come from the one setup in :mod:`specbound.graphs` that the bound
+report uses too.  Along the path the spectral radius ``lambda(t)`` is
 continuously differentiable with ``lambda'(t) = <P x(t), x(t)>``; this module
 samples the path (its grid and finite-difference matrices built and solved
 as stacks of bounded size, a few certified LAPACK calls per path), checks
@@ -26,15 +28,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import KIND_SPECS, DegreeParams, _check_count, _comparison, _majorant
-from .graphs import (
-    DisconnectedError,
-    Graph,
-    Perturbation,
-    PerturbationKind,
-    bound_parameters,
-    perturbation_matrix,
-)
-from .spectral import _certified_perron, _top_eigenvalues, is_connected_matrix, perron_components
+from .graphs import Graph, Perturbation, PerturbationKind, _path_matrices, bound_parameters
+from .spectral import _certified_perron, _top_eigenvalues, perron_components
 
 _RESIDUAL_TOL = 1e-10
 _STACK_ENTRIES = 1 << 15  # matrix entries per stacked solve: 256 KiB of float64
@@ -106,13 +101,7 @@ def sample_path(
     made once on ``A_I + P``; every point still gets its certificate.
     """
     steps = _check_count("steps", steps, 2)
-    p_mat = perturbation_matrix(graph, pert)
-    dim = p_mat.shape[0]
-    a_initial = np.zeros((dim, dim))
-    a_initial[: graph.n, : graph.n] = graph.adjacency()
-    if not is_connected_matrix(a_initial + p_mat):
-        raise DisconnectedError("the perturbed graph is disconnected")
-
+    a_initial, p_mat = _path_matrices(graph, pert)
     value, vector = perron_components(a_initial, tol=tol)
     grid = np.arange(1, steps + 1) / steps
     solves = [_certified_perron(stack, tol) for stack in _stacks(a_initial, p_mat, grid)]

@@ -17,7 +17,7 @@ bit-for-bit reproducible and order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .graphs import PerturbationKind, format_edge_list, format_perturbation_spec
 from .pathsim import check_comparison, check_differential_inequality, sample_path
@@ -43,14 +43,7 @@ class TrialFailure:
     perturbation: str
 
     def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "kind": self.kind,
-            "check": self.check,
-            "detail": self.detail,
-            "graph": self.graph,
-            "perturbation": self.perturbation,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import specbound as sb
-from specbound import cli, graphs
+from specbound import cli, graphs, spectral
 from specbound.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -129,28 +129,36 @@ def test_bound_disconnected_final_exit_4(tmp_path, capsys):
     assert code == 4
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls of ``graphs.<name>`` through every module name bound to it."""
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.<name>`` through every module name bound to it."""
     calls = []
-    original = getattr(graphs, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("specbound") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
+    for module_name, bound in list(sys.modules.items()):
+        if module_name.startswith("specbound") and getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counted)
     return calls
 
 
 def test_bound_checks_each_instance_once(tmp_path, capsys, monkeypatch):
-    gfile = write_graph(tmp_path, sb.path_graph(6))
-    connected = _count_calls(monkeypatch, "is_connected")
-    applied = _count_calls(monkeypatch, "apply_perturbation")
-    code, _, _ = run(capsys, ["bound", gfile, "edge", "0", "5"])
-    assert code == 0
-    assert (len(connected), len(applied)) == (1, 1)
+    # One matrix search for the final pattern and one for the host's
+    # components; the final graph is built only for the vertex kind, whose
+    # cone lives in it.
+    p6 = write_graph(tmp_path, sb.path_graph(6), "p6.txt")
+    p6_k1 = write_graph(tmp_path, sb.disjoint_union(sb.path_graph(6), sb.empty_graph(1)), "p6_k1.txt")
+    searches = _count_calls(monkeypatch, spectral, "connected_components")
+    applied = _count_calls(monkeypatch, graphs, "apply_perturbation")
+    cases = [(p6, "edge 0 5", 0), (p6, "pendant 0", 0), (p6_k1, "vertex 6 0 5", 1)]
+    for gfile, spec, builds in cases:
+        searches.clear()
+        applied.clear()
+        code, _, _ = run(capsys, ["bound", gfile, *spec.split()])
+        assert code == 0
+        assert (len(searches), len(applied)) == (2, builds), spec
 
 
 # ---------------------------------------------------------------------------

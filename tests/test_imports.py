@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module, and only
+"""Every name a library module imports is used in that module, each module
+imports only package modules below it in one layer order, and only
 ``spectral`` reaches LAPACK.
 
 The package ``__init__`` is left out of the import check: its imports are the
@@ -71,3 +72,39 @@ def test_checker_passes_other_names():
 def test_only_spectral_reaches_lapack(path):
     # One production eigensolver: every LAPACK call goes through spectral.
     assert references_linalg(path.read_text(encoding="utf-8")) == (path.name == "spectral.py")
+
+
+# Each module may import only the package modules listed before it, so no
+# import cycle can form.
+LAYERS = ("spectral", "graphs", "bounds", "pathsim", "report", "rng", "verify", "cli")
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("specbound."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("specbound."))
+    return found
+
+
+def test_checker_reads_package_imports():
+    source = (
+        "from .graphs import Graph\nfrom . import bounds\nimport specbound.rng\n"
+        "from specbound.cli import main\nimport numpy as np\nfrom math import pi\n"
+    )
+    assert package_imports(source) == {"graphs", "bounds", "rng", "cli"}
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == [p.stem for p in MODULES]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_earlier_layers(path):
+    below = set(LAYERS[: LAYERS.index(path.stem)])
+    assert package_imports(path.read_text(encoding="utf-8")) <= below

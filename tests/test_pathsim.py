@@ -120,7 +120,7 @@ def _reference_samples(host, pert, steps):
             lam_plus = float(sb.full_spectrum(a_initial + (t + h) * p_mat)[0])
             lam_minus = float(sb.full_spectrum(a_initial + (t - h) * p_mat)[0])
             lhs = (lam_plus - lam_minus) / (2.0 * h)
-            rhs = sb.lambda_derivative(p_mat, vector)
+            rhs = float(vector @ (p_mat @ vector))
         rows.append((value, vector, lhs, rhs))
     return rows
 
@@ -239,10 +239,17 @@ def test_path_checks_connectivity_once_per_path(monkeypatch, pert):
 
 def test_path_and_report_agree_on_tied_components():
     # K_{1,4} and C4 both have index 2: the t = 0 value is the largest
-    # component value, as in bound_report, not the first one within tol
-    host = sb.disjoint_union(sb.star_graph(4), sb.cycle_graph(4))
-    pert = Perturbation.edge_addition(1, 6)
-    assert sb.sample_path(host, pert, steps=4).lambda_i == sb.bound_report(host, pert).lambda_i
+    # component value, as in bound_report, not the first one within tol.
+    # One instance per kind: the pendant edge pads A_I with a zero row, and
+    # the vertex connection starts from an isolated anchor.
+    ties = sb.disjoint_union(sb.star_graph(4), sb.cycle_graph(4))
+    instances = [
+        (ties, Perturbation.edge_addition(1, 6)),
+        (sb.cycle_graph(4), Perturbation.pendant_edge(0)),
+        (sb.disjoint_union(ties, sb.empty_graph(1)), Perturbation.vertex_connection(9, [1, 6])),
+    ]
+    for host, pert in instances:
+        assert sb.sample_path(host, pert, steps=4).lambda_i == sb.bound_report(host, pert).lambda_i
 
 
 def test_disconnected_result_raises_disconnected_error():
@@ -508,7 +515,8 @@ def test_closed_form_join_is_the_equality_profile(kind, n, delta):
     p_mat = sb.perturbation_matrix(host, pert)
     a_initial = np.zeros_like(p_mat)
     a_initial[: host.n, : host.n] = host.adjacency()
-    inp = sb.bound_input(host, pert)
+    lambda_i = sb.bound_report(host, pert).lambda_i
+    params = sb.bound_parameters(host, pert)
     for t in (0.25, 0.5, 0.75, 1.0):
         sol = sb.closed_form_join(kind, n, delta, t)
         # the cells, lifted to the full vertex order, are the Perron vector
@@ -518,7 +526,7 @@ def test_closed_form_join_is_the_equality_profile(kind, n, delta):
             lifted[list(vertices)] = entry
         assert np.max(np.abs(lifted - sb.perron(a_initial + t * p_mat).vector)) <= 1e-9
         # and the value is the comparison solution from the host's index
-        u = sb.comparison_solution(kind, inp.lambda_i, t, **inp.params())
+        u = sb.comparison_solution(kind, lambda_i, t, **params)
         assert sol.value == pytest.approx(u, rel=1e-12)
 
 

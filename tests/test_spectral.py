@@ -1,8 +1,9 @@
 """Eigensolvers: the LAPACK-backed library solver, the pure-Python oracles,
-the derivative identity."""
+and the graph search behind every connectivity check."""
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -120,45 +121,29 @@ def test_adjacency_spectrum_is_traceless():
         assert abs(sb.full_spectrum(g.adjacency()).sum()) <= 1e-9
 
 
+def test_one_search_splits_matrices_and_edge_lists_like_networkx():
+    # Orders cross the byte and 64-bit word edges of the packed rows;
+    # diagonal entries and non-unit weights do not change the pattern.
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 8, 9, 63, 64, 65, 130):
+        for density in (0.0, 1.5 / n, 4.0 / n, 0.5):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            a = (upper | upper.T) * rng.choice([1.0, 0.5, 3.0], size=(n, n))
+            a = np.maximum(a, a.T) + np.diag(rng.random(n) < 0.3)
+            host = nx.Graph(list(zip(*np.nonzero(upper))))
+            host.add_nodes_from(range(n))
+            expected = sorted(sorted(c) for c in nx.connected_components(host))
+            assert sb.connected_components(a) == expected
+            graph = sb.from_edge_list(n, [(int(i), int(j)) for i, j in host.edges])
+            assert sb.is_connected(graph) == (len(expected) == 1)
+
+
 def test_spectral_radius_handles_components():
     block = np.zeros((6, 6))
     block[:4, :4] = sb.cycle_graph(4).adjacency()
     block[4:, 4:] = sb.complete_graph(2).adjacency()
     assert sb.spectral_radius(block) == pytest.approx(2.0, abs=1e-10)
     assert sb.spectral_radius(np.zeros((3, 3))) == 0.0
-
-
-def test_rayleigh_quotient():
-    c4 = sb.cycle_graph(4).adjacency()
-    assert sb.rayleigh_quotient(c4, np.ones(4)) == pytest.approx(2.0)
-    pair = sb.perron(sb.path_graph(3).adjacency())
-    assert sb.rayleigh_quotient(sb.path_graph(3).adjacency(), pair.vector) == pytest.approx(
-        pair.value, abs=1e-12
-    )
-    assert sb.rayleigh_quotient(np.zeros((2, 2)), np.ones(2)) == 0.0
-    with pytest.raises(ValueError):
-        sb.rayleigh_quotient(c4, np.zeros(4))
-
-
-def test_lambda_derivative_basics():
-    assert sb.lambda_derivative(np.zeros((2, 2)), np.array([1 / SQRT2, 1 / SQRT2])) == 0.0
-    p = np.zeros((2, 2))
-    p[0, 1] = p[1, 0] = 1.0
-    assert sb.lambda_derivative(p, np.array([1 / SQRT2, 1 / SQRT2])) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        sb.lambda_derivative(p, np.array([1.0, 1.0]))  # not unit norm
-
-
-def test_lambda_derivative_matches_finite_difference():
-    # chord addition on the 4-cycle, evaluated mid-path
-    a0 = sb.cycle_graph(4).adjacency()
-    p = np.zeros((4, 4))
-    p[0, 2] = p[2, 0] = 1.0
-    t, h = 0.5, 1e-5
-    x = sb.perron(a0 + t * p, tol=1e-12).vector
-    identity = sb.lambda_derivative(p, x)
-    fd = (sb.perron(a0 + (t + h) * p).value - sb.perron(a0 + (t - h) * p).value) / (2 * h)
-    assert identity == pytest.approx(fd, abs=1e-6)
 
 
 def test_strict_growth_under_perturbation():
