@@ -12,8 +12,9 @@ Graphs are read in the edge-list format (header ``n m``, then ``i j`` lines;
 ``#`` comments and blank lines ignored).  Perturbations use the mini-grammar
 ``vertex u v1 ... vg`` | ``edge u v`` | ``pendant u``.
 
-Exit codes: 0 success, 1 invariant failure, 2 parse failure, 3 usage or
-invalid perturbation, 4 structural precondition (disconnected result).
+Exit codes: 0 success, 1 invariant failure, 2 parse failure, 3 usage, invalid
+perturbation or unwritable ``construct --out``, 4 structural precondition
+(disconnected result).
 ``bound`` and ``path`` leave the instance checks to the library and map the
 error class to the code, with one ``error:`` line on stderr.  ``main`` may be
 called any number of times in one process; it builds its parser once.
@@ -47,8 +48,9 @@ from .graphs import (
 )
 from .pathsim import (
     _JOINS,
+    _PATH_COLUMNS,
+    _path_rows,
     closed_form_join,
-    comparison_curve,
     format_number,
     format_path_dump,
     sample_path,
@@ -132,17 +134,7 @@ def _cmd_path(args) -> int:
         if args.format == "tsv":
             sys.stdout.write(format_path_dump(path))
             return
-        rows = [
-            {
-                "t": s.t,
-                "lambda": s.value,
-                "derivative_lhs": s.derivative_lhs,
-                "derivative_rhs": s.derivative_rhs,
-                "comparison_u": u,
-                "margin": u - s.value,
-            }
-            for s, u in zip(path.samples, comparison_curve(path))
-        ]
+        rows = [dict(zip(_PATH_COLUMNS, row)) for row in _path_rows(path)]
         _print_json({"kind": path.kind.value, "rows": rows})
 
     return _run_instance(args, command)
@@ -196,8 +188,11 @@ def _cmd_construct(args) -> int:
     }
     graph_text = format_edge_list(host)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(graph_text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(graph_text)
+        except OSError as exc:
+            return _error(ValueError(f"cannot write {args.out}: {exc}"))
     payload = {
         "kind": args.kind,
         "n": args.n,

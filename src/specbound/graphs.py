@@ -18,11 +18,11 @@ the pendant edge), and the final graph, the perturbation matrix and the
 applicability checks are all built from those edges; a per-kind table holds
 the rest (target count, usage line, whether ``u`` must be isolated).  The
 pendant vertex is always index ``n``, so the matrices of the path
-``A_I + t P`` align once ``A_I`` is zero-padded by one row and column; one
-private helper builds both and checks that ``A_I + P`` is connected, for
-``bound_report`` and ``sample_path`` alike.  Connectivity, there and in
-:func:`is_connected`, is the one search of :mod:`specbound.spectral`, fed
-the matrix pattern there and the edge list here.
+``A_I + t P`` align once ``A_I`` is zero-padded by one row and column.  One
+private instance holds both matrices, the bounds' degree data and the
+path's start ``(lambda_I, x_I)`` from one solve of ``A_I``, once ``A_I + P``
+passes the one connectivity search of :mod:`specbound.spectral`, which
+:func:`is_connected` shares; ``bound_report`` and ``sample_path`` read it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .spectral import _components, is_connected_matrix
+from .spectral import _components, is_connected_matrix, perron_components
 
 
 class GraphParseError(ValueError):
@@ -342,27 +342,35 @@ def perturbation_matrix(g: Graph, p: Perturbation) -> np.ndarray:
     return Graph(perturbed_dimension(g, p), frozenset(_added_edges(g, p))).adjacency()
 
 
-def _path_matrices(g: Graph, p: Perturbation) -> tuple[np.ndarray, np.ndarray]:
-    """``A_I`` and ``P`` of the path ``A(t) = A_I + t P`` from ``g`` to the
-    perturbed graph: the host adjacency zero-padded to the size of
-    :func:`perturbation_matrix`, and that matrix.
-
-    :class:`DisconnectedError` unless ``A_I + P`` is connected.
-    """
-    p_mat = perturbation_matrix(g, p)
-    a_initial = np.zeros_like(p_mat)
-    a_initial[: g.n, : g.n] = g.adjacency()
-    if not is_connected_matrix(a_initial + p_mat):
-        raise DisconnectedError("the perturbed graph is disconnected")
-    return a_initial, p_mat
-
-
 def bound_parameters(g: Graph, p: Perturbation) -> dict[str, int]:
     """The degree/size data the closed-form bounds need, read off the host."""
     _added_edges(g, p)
     if p.kind is PerturbationKind.VERTEX_CONNECTION:
         return {"g": len(p.targets)}
     return {key: g.degree(v) for key, v in zip(("delta_u", "delta_v"), (p.u, *p.targets))}
+
+
+class _Instance(NamedTuple):
+    """``pert`` on ``graph``, set up once for the path ``A_I + t P``."""
+
+    graph: Graph
+    pert: Perturbation
+    a_initial: np.ndarray  # the host adjacency, zero-padded to the size of ``p_mat``
+    p_mat: np.ndarray  # :func:`perturbation_matrix`
+    params: dict[str, int]  # :func:`bound_parameters`
+    lambda_i: float  # with ``vector``, :func:`perron_components` of ``a_initial``
+    vector: np.ndarray
+
+
+def _instance(g: Graph, p: Perturbation, tol: float) -> _Instance:
+    """Set ``p`` on ``g`` up; :class:`DisconnectedError` unless ``A_I + P`` is connected."""
+    p_mat = perturbation_matrix(g, p)
+    a_initial = np.zeros_like(p_mat)
+    a_initial[: g.n, : g.n] = g.adjacency()
+    if not is_connected_matrix(a_initial + p_mat):
+        raise DisconnectedError("the perturbed graph is disconnected")
+    lambda_i, vector = perron_components(a_initial, tol)
+    return _Instance(g, p, a_initial, p_mat, bound_parameters(g, p), lambda_i, vector)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Continuous-perturbation paths and their differential certificates.
 
 The perturbation is run as a linear matrix path ``A(t) = A_initial + t * P``
-for ``t`` in [0, 1]; both matrices, and the check that ``A(1)`` is
-connected, come from the one setup in :mod:`specbound.graphs` that the bound
-report uses too.  Along the path the spectral radius ``lambda(t)`` is
+for ``t`` in [0, 1]; both matrices, the check that ``A(1)`` is connected,
+and the ``t = 0`` pair come from the one instance of :mod:`specbound.graphs`
+that the bound report reads too.  Along the path the spectral radius ``lambda(t)`` is
 continuously differentiable with ``lambda'(t) = <P x(t), x(t)>``; this module
 samples the path (its grid and finite-difference matrices built and solved
 as stacks of bounded size, a few certified LAPACK calls per path), checks
@@ -28,8 +28,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import KIND_SPECS, DegreeParams, _check_count, _comparison, _majorant
-from .graphs import Graph, Perturbation, PerturbationKind, _path_matrices, bound_parameters
-from .spectral import _certified_perron, _top_eigenvalues, perron_components
+from .graphs import Graph, Perturbation, PerturbationKind, _Instance, _instance
+from .spectral import _certified_perron, _top_eigenvalues
 
 _RESIDUAL_TOL = 1e-10
 _STACK_ENTRIES = 1 << 15  # matrix entries per stacked solve: 256 KiB of float64
@@ -73,13 +73,13 @@ class PerturbationPath(DegreeParams):
         return self.samples[-1].value
 
 
-def _stacks(a_initial: np.ndarray, p_mat: np.ndarray, ts: np.ndarray):
+def _stacks(inst: _Instance, ts: np.ndarray):
     """``A_I + t P`` for each ``t`` of ``ts``, in stacks of at most
     ``_STACK_ENTRIES`` matrix entries."""
-    per_stack = max(1, _STACK_ENTRIES // p_mat.size)
+    per_stack = max(1, _STACK_ENTRIES // inst.p_mat.size)
     for i in range(0, len(ts), per_stack):
-        stack = ts[i : i + per_stack, None, None] * p_mat
-        stack += a_initial
+        stack = ts[i : i + per_stack, None, None] * inst.p_mat
+        stack += inst.a_initial
         yield stack
 
 
@@ -101,23 +101,26 @@ def sample_path(
     made once on ``A_I + P``; every point still gets its certificate.
     """
     steps = _check_count("steps", steps, 2)
-    a_initial, p_mat = _path_matrices(graph, pert)
-    value, vector = perron_components(a_initial, tol=tol)
+    return _sample(_instance(graph, pert, tol), steps, tol)
+
+
+def _sample(inst: _Instance, steps: int, tol: float) -> PerturbationPath:
+    """:func:`sample_path` of an instance already set up, ``steps`` checked."""
     grid = np.arange(1, steps + 1) / steps
-    solves = [_certified_perron(stack, tol) for stack in _stacks(a_initial, p_mat, grid)]
+    solves = [_certified_perron(stack, tol) for stack in _stacks(inst, grid)]
     values, vectors, _ = map(np.concatenate, zip(*solves))
     h = min(1e-5, 1.0 / (4.0 * steps))
     inner = grid[:-1]
     fd_points = np.concatenate([inner + h, inner - h])
-    tops = np.concatenate([_top_eigenvalues(s) for s in _stacks(a_initial, p_mat, fd_points)])
+    tops = np.concatenate([_top_eigenvalues(s) for s in _stacks(inst, fd_points)])
     lhs = (tops[: steps - 1] - tops[steps - 1 :]) / (2.0 * h)
     x = vectors[:-1]
-    rhs = (x[:, None, :] @ (p_mat @ x[:, :, None]))[:, 0, 0]
+    rhs = (x[:, None, :] @ (inst.p_mat @ x[:, :, None]))[:, 0, 0]
 
     lhs, rhs = lhs.tolist() + [None], rhs.tolist() + [None]  # none at t = 1
-    samples = [PathSample(0.0, value, vector, None, None)]
+    samples = [PathSample(0.0, inst.lambda_i, inst.vector, None, None)]
     samples += map(PathSample, grid.tolist(), values.tolist(), vectors, lhs, rhs)
-    return PerturbationPath(kind=pert.kind, samples=tuple(samples), **bound_parameters(graph, pert))
+    return PerturbationPath(kind=inst.pert.kind, samples=tuple(samples), **inst.params)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +271,21 @@ def format_number(value) -> str:
     return str(value)
 
 
+_PATH_COLUMNS = ("t", "lambda", "derivative_lhs", "derivative_rhs", "comparison_u", "margin")
+
+
+def _path_rows(path: PerturbationPath) -> list[tuple]:
+    """One row per sample, its values in the order of ``_PATH_COLUMNS``."""
+    return [
+        (s.t, s.value, s.derivative_lhs, s.derivative_rhs, u, u - s.value)
+        for s, u in zip(path.samples, comparison_curve(path))
+    ]
+
+
 def format_path_dump(path: PerturbationPath) -> str:
     """Tab-separated rows ``t lambda derivative_lhs derivative_rhs
     comparison_u margin`` at 12 significant digits (endpoint derivatives are
     ``nan``), preceded by a ``#`` header line."""
-    curve = comparison_curve(path)
-    lines = ["#t\tlambda\tderivative_lhs\tderivative_rhs\tcomparison_u\tmargin"]
-    for s, u in zip(path.samples, curve):
-        row = (s.t, s.value, s.derivative_lhs, s.derivative_rhs, u, u - s.value)
-        lines.append("\t".join(map(format_number, row)))
+    lines = ["#" + "\t".join(_PATH_COLUMNS)]
+    lines += ["\t".join(map(format_number, row)) for row in _path_rows(path)]
     return "\n".join(lines) + "\n"

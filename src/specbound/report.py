@@ -3,10 +3,10 @@
 Ties the pieces together: exact initial and final indices from the
 eigensolver, the closed-form bound, the first-order gap estimate, and the
 structural equality recognizer, its apexes read from the closed-form table
-in :mod:`specbound.pathsim`.  A report reads both indices off the matrices
-``A_I`` and ``A_I + P`` of the path that :func:`~specbound.pathsim.sample_path`
-samples, from the same setup and its one connectivity check; the final
-graph is built only where the equality case lives in it.
+in :mod:`specbound.pathsim`.  A report reads the instance of
+:mod:`specbound.graphs` that :func:`~specbound.pathsim.sample_path` samples:
+``lambda_I`` is its start and the final index the top of the spectrum of
+``A_I + P``.  The final graph is built only where the equality case lives in it.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from .graphs import (
     Graph,
     Perturbation,
     _added_edges,
-    _path_matrices,
+    _Instance,
+    _instance,
     apply_perturbation,
-    bound_parameters,
     is_cone_over_regular,
     is_double_cone_over_regular,
 )
 from .pathsim import _JOINS
-from .spectral import full_spectrum, spectral_radius
+from .spectral import full_spectrum
 
 
 def equality_case(graph: Graph, pert: Perturbation) -> bool:
@@ -53,20 +53,22 @@ def bound_report(graph: Graph, pert: Perturbation, tol: float = 1e-11) -> BoundR
 
     The final graph must be connected (the bounds do not apply otherwise;
     :class:`~specbound.graphs.DisconnectedError`); the initial index is the
-    spectral radius of ``A_I`` (0 for an edgeless host) and the exact final
+    spectral radius of ``A_I``, certified to ``tol``, and the exact final
     index the top of the spectrum of ``A_I + P``.
     """
-    a_initial, p_mat = _path_matrices(graph, pert)
-    lam_i = spectral_radius(a_initial, tol=tol) if graph.m else 0.0
-    inp = BoundInput(kind=pert.kind, lambda_i=lam_i, **bound_parameters(graph, pert))
+    return _report(_instance(graph, pert, tol))
+
+
+def _report(inst: _Instance) -> BoundReport:
+    inp = BoundInput(kind=inst.pert.kind, lambda_i=inst.lambda_i, **inst.params)
     bound = inp.bound()
-    lam_f = float(full_spectrum(a_initial + p_mat)[0])
+    lam_f = float(full_spectrum(inst.a_initial + inst.p_mat)[0])
     gap = inp.gap_estimate()
     return BoundReport(
-        lambda_i=lam_i,
+        lambda_i=inst.lambda_i,
         lambda_f_exact=lam_f,
         bound=bound,
-        asymptotic_estimate=None if gap is None else lam_i + gap,
-        equality_case=equality_case(graph, pert),
+        asymptotic_estimate=None if gap is None else inst.lambda_i + gap,
+        equality_case=equality_case(inst.graph, inst.pert),
         slack=bound - lam_f,
     )

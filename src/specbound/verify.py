@@ -1,7 +1,7 @@
 """Randomized invariant harness behind the ``verify`` CLI command.
 
-Each trial draws a random connected instance of one perturbation kind and
-checks every certificate the library offers on it:
+Each trial draws a random connected instance of one perturbation kind, sets
+it up once and checks every certificate of its one report and path:
 
 * bound validity (exact final index <= bound, up to the tolerance),
 * the equality dichotomy (recognizer fires iff the bound is attained),
@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .graphs import PerturbationKind, format_edge_list, format_perturbation_spec
-from .pathsim import check_comparison, check_differential_inequality, sample_path
-from .report import bound_report
+from .bounds import _check_count
+from .graphs import PerturbationKind, _instance, format_edge_list, format_perturbation_spec
+from .pathsim import _sample, check_comparison, check_differential_inequality
+from .report import _report
 from .rng import EDGE_PROBABILITIES, SplitMix64, random_instance
 
 _KINDS = tuple(PerturbationKind)
@@ -31,6 +32,7 @@ INEQUALITY_TOL = 1e-6
 COMPARISON_TOL = 1e-9
 EQUALITY_GAP_TOL = 1e-8
 STRICT_SLACK_MIN = 1e-7
+_SOLVE_TOL = 1e-11  # Perron certificate tolerance: the default of bound_report and sample_path
 
 
 @dataclass
@@ -103,6 +105,7 @@ def run_verification(
         raise ValueError(f"n_max must be at least 3, got {n_max}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    steps = _check_count("steps", steps, 2)
     summary = VerifySummary(seed=seed, trials=trials, n_max=n_max, tolerance=tolerance)
 
     for trial in range(trials):
@@ -121,7 +124,8 @@ def run_verification(
         def fail(check: str, detail: str) -> None:
             summary.failures.append(TrialFailure(check=check, detail=detail, **repro))
 
-        rep = bound_report(host, pert)
+        inst = _instance(host, pert, _SOLVE_TOL)
+        rep = _report(inst)
         # self-test hook: force the first trial's bound below the exact value
         bound = rep.lambda_f_exact - 1.0 if (inject_failure and trial == 0) else rep.bound
         violation = rep.lambda_f_exact - bound
@@ -140,7 +144,7 @@ def run_verification(
             if gap < STRICT_SLACK_MIN:
                 fail("strict_slack", f"bound - lambda_F = {gap:.3e}")
 
-        path = sample_path(host, pert, steps=steps)
+        path = _sample(inst, steps, _SOLVE_TOL)
         values = [s.value for s in path.samples]
         if any(b <= a for a, b in zip(values, values[1:])):
             fail("monotonicity", f"lambda(t) not strictly increasing: {values}")

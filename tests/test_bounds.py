@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specbound as sb
 from specbound import PerturbationKind
@@ -269,6 +271,31 @@ def test_coclique_iterated_gap_asymptotics():
         # iterated and asymptotic agree to first order as whole values
         res = sb.coclique_bound(100.0, degs)
         assert abs(res.iterated - res.asymptotic) / res.asymptotic <= 1e-5
+
+
+@st.composite
+def coclique_joins(draw):
+    """A connected host on 3-10 vertices and a coclique of 2-4 of them: a
+    random tree over the other vertices, each coclique vertex hung from one
+    of them, then any further edges that keep the coclique independent."""
+    n = draw(st.integers(3, 10))
+    k = draw(st.integers(2, min(4, n - 1)))
+    rest = n - k  # vertices 0 .. rest-1; the coclique is rest .. n-1
+    tree = [(v, draw(st.integers(0, min(v, rest) - 1))) for v in range(1, n)]
+    allowed = [(i, j) for i in range(n) for j in range(i + 1, n) if i < rest]
+    extra = draw(st.lists(st.sampled_from(allowed), max_size=len(allowed)))
+    coclique = draw(st.permutations(range(rest, n)))
+    return sb.from_edge_list(n, tree + extra), coclique
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(coclique_joins())
+def test_coclique_iterated_bound_holds_on_random_hosts(instance):
+    host, coclique = instance
+    res = sb.coclique_bound(eig_max(host), [host.degree(v) for v in coclique])
+    joined = [(u, v) for u in coclique for v in coclique if u < v]
+    final = sb.from_edge_list(host.n, [*host.edges, *joined])
+    assert float(sb.full_spectrum(final.adjacency())[0]) <= res.iterated + 1e-9
 
 
 def test_coclique_does_not_mutate_degree_list():

@@ -278,6 +278,15 @@ def test_verify_injected_failure_exit_1(capsys):
     assert "reproducer" in err and "edge" in err or "vertex" in err or "pendant" in err
 
 
+def test_verify_sets_each_trial_up_once(monkeypatch):
+    # One solve of A_I per trial, read by both the bound report and the path.
+    solves = _count_calls(monkeypatch, spectral, "perron_components")
+    summary = sb.run_verification(42, 300).to_dict()
+    assert len(solves) == 300
+    assert summary["instances"] == {"vertex": 100, "edge": 100, "pendant": 100}
+    assert (summary["equality_cases"], summary["strict_cases"], summary["ok"]) == (63, 237, True)
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
@@ -314,6 +323,14 @@ def test_construct_pendant_p3(capsys):
 def test_construct_infeasible_exit_3(capsys):
     code, _, err = run(capsys, ["construct", "vertex", "3", "1"])  # odd degree sum
     assert code == 3 and "error" in err
+
+
+def test_construct_unwritable_out_exit_3(tmp_path, capsys):
+    # refused like `bound`'s unreadable graph file: one error line, no JSON
+    target = tmp_path / "no" / "such" / "h.txt"
+    code, out, err = run(capsys, ["construct", "vertex", "4", "2", "--out", str(target)])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_unknown_command_exit_3(capsys):

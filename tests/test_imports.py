@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, each module
-imports only package modules below it in one layer order, and only
-``spectral`` reaches LAPACK.
+imports only package modules below it in one layer order, only
+``spectral`` reaches LAPACK, and only ``graphs`` past it solves for the
+initial index ``lambda_I``.
 
 The package ``__init__`` is left out of the import check: its imports are the
 public API it re-exports.  Names are read with the standard ``ast`` module,
@@ -72,6 +73,41 @@ def test_checker_passes_other_names():
 def test_only_spectral_reaches_lapack(path):
     # One production eigensolver: every LAPACK call goes through spectral.
     assert references_linalg(path.read_text(encoding="utf-8")) == (path.name == "spectral.py")
+
+
+def mentioned_names(source: str) -> set[str]:
+    """The names a module's code mentions: names, attributes and imports,
+    but not its strings or comments."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_checker_finds_mentioned_names():
+    source = 'from .spectral import perron_components as pc\nx = s.spectral_radius(a)\n'
+    assert mentioned_names(source) >= {"perron_components", "s", "spectral_radius"}
+    assert "perron_components" not in mentioned_names('"""perron_components"""\n')
+
+
+# One lambda_I code path: each instance's starting pair comes from one
+# ``perron_components`` call in ``graphs``; no later layer solves A_I itself.
+SOLVER_MODULES = {
+    "perron_components": {"spectral.py", "graphs.py"},
+    "spectral_radius": {"spectral.py"},
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_graphs_solves_for_lambda_i(path):
+    found = mentioned_names(path.read_text(encoding="utf-8"))
+    strays = {name for name, owners in SOLVER_MODULES.items() if path.name not in owners}
+    assert found & strays == set()
 
 
 # Each module may import only the package modules listed before it, so no
