@@ -19,10 +19,12 @@ applicability checks are all built from those edges; a per-kind table holds
 the rest (target count, usage line, whether ``u`` must be isolated).  The
 pendant vertex is always index ``n``, so the matrices of the path
 ``A_I + t P`` align once ``A_I`` is zero-padded by one row and column.  One
-private instance holds both matrices, the bounds' degree data and the
-path's start ``(lambda_I, x_I)`` from one solve of ``A_I``, once ``A_I + P``
+private instance holds both matrices, the bounds' degree data, the path's
+start ``(lambda_I, x_I)`` from the certified solve of ``A_I``'s components,
+and whatever points of the path its caller asks for, once ``A_I + P``
 passes the one connectivity search of :mod:`specbound.spectral`, which
-:func:`is_connected` shares; ``bound_report`` and ``sample_path`` read it.
+:func:`is_connected` shares.  ``bound_report`` and ``sample_path`` set up
+one instance, ``verify`` a block of them, with one solve per matrix size.
 """
 
 from __future__ import annotations
@@ -30,11 +32,19 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .spectral import _components, is_connected_matrix, perron_components
+from .spectral import (
+    _component_pencils,
+    _components,
+    _solve_pencils,
+    _top_component,
+    connected_components,
+    is_connected_matrix,
+)
 
 
 class GraphParseError(ValueError):
@@ -112,9 +122,9 @@ class Graph:
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        ij = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
+        a[ij[0::2], ij[1::2]] = 1.0  # each edge (i, j), i < j, above the diagonal
+        a += a.T
         return a
 
     def _check_vertex(self, v: int) -> None:
@@ -345,32 +355,56 @@ def perturbation_matrix(g: Graph, p: Perturbation) -> np.ndarray:
 def bound_parameters(g: Graph, p: Perturbation) -> dict[str, int]:
     """The degree/size data the closed-form bounds need, read off the host."""
     _added_edges(g, p)
+    return _degree_data(g, p)
+
+
+def _degree_data(g: Graph, p: Perturbation) -> dict[str, int]:
+    """:func:`bound_parameters` of a perturbation known to apply."""
     if p.kind is PerturbationKind.VERTEX_CONNECTION:
         return {"g": len(p.targets)}
     return {key: g.degree(v) for key, v in zip(("delta_u", "delta_v"), (p.u, *p.targets))}
 
 
 class _Instance(NamedTuple):
-    """``pert`` on ``graph``, set up once for the path ``A_I + t P``."""
+    """``pert`` on ``graph``, set up and solved once for the path ``A_I + t P``."""
 
     graph: Graph
     pert: Perturbation
     a_initial: np.ndarray  # the host adjacency, zero-padded to the size of ``p_mat``
     p_mat: np.ndarray  # :func:`perturbation_matrix`
     params: dict[str, int]  # :func:`bound_parameters`
-    lambda_i: float  # with ``vector``, :func:`perron_components` of ``a_initial``
+    lambda_i: float  # with ``vector``, ``perron_components`` of ``a_initial``
     vector: np.ndarray
+    values: np.ndarray  # with ``vectors`` as rows, the Perron pairs at the ``certify`` points
+    vectors: np.ndarray
+    tops: np.ndarray  # the top eigenvalues at the ``top`` points
 
 
-def _instance(g: Graph, p: Perturbation, tol: float) -> _Instance:
-    """Set ``p`` on ``g`` up; :class:`DisconnectedError` unless ``A_I + P`` is connected."""
-    p_mat = perturbation_matrix(g, p)
-    a_initial = np.zeros_like(p_mat)
-    a_initial[: g.n, : g.n] = g.adjacency()
-    if not is_connected_matrix(a_initial + p_mat):
-        raise DisconnectedError("the perturbed graph is disconnected")
-    lambda_i, vector = perron_components(a_initial, tol)
-    return _Instance(g, p, a_initial, p_mat, bound_parameters(g, p), lambda_i, vector)
+def _instances(pairs, tol: float, certify=(), top=()) -> list[_Instance]:
+    """Set each ``(g, p)`` of ``pairs`` up, then solve them all together:
+    ``A_I``'s components and ``A_I + t P`` for ``t`` in ``certify`` with
+    certified Perron pairs, and ``A_I + t P`` for ``t`` in ``top`` for the
+    top eigenvalue, one LAPACK call per stack of equal-size matrices.
+    :class:`DisconnectedError` unless every ``A_I + P`` is connected."""
+    certify, top = np.asarray(certify, dtype=float), np.asarray(top, dtype=float)
+    setups, certify_at, top_at = [], [], []
+    for g, p in pairs:
+        p_mat = perturbation_matrix(g, p)  # checks that p applies to g
+        a_initial = np.zeros_like(p_mat)
+        a_initial[: g.n, : g.n] = g.adjacency()
+        if not is_connected_matrix(a_initial + p_mat):
+            raise DisconnectedError("the perturbed graph is disconnected")
+        comps = connected_components(a_initial)
+        certify_at += [*_component_pencils(a_initial, comps), (a_initial, p_mat, certify)]
+        top_at.append((a_initial, p_mat, top))
+        setups.append((g, p, a_initial, p_mat, _degree_data(g, p), comps))
+    solved, tops = _solve_pencils(certify_at, top_at, tol)
+    insts, at = [], 0
+    for (g, p, a_initial, p_mat, params, comps), top_k in zip(setups, tops):
+        start = _top_component(len(a_initial), comps, solved[at : at + len(comps)], tol)
+        at += len(comps) + 1
+        insts.append(_Instance(g, p, a_initial, p_mat, params, *start, *solved[at - 1], top_k))
+    return insts
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ for ``t`` in [0, 1]; both matrices, the check that ``A(1)`` is connected,
 and the ``t = 0`` pair come from the one instance of :mod:`specbound.graphs`
 that the bound report reads too.  Along the path the spectral radius ``lambda(t)`` is
 continuously differentiable with ``lambda'(t) = <P x(t), x(t)>``; this module
-samples the path (its grid and finite-difference matrices built and solved
-as stacks of bounded size, a few certified LAPACK calls per path), checks
+samples the path (its grid and finite-difference points solved with the
+instance, by matrix size in stacks of bounded size: a few LAPACK calls for a
+lone path, a few per block of paths in ``verify``), checks
 the derivative identity against central finite differences, evaluates the
 per-kind differential inequality ``lambda' <= f(t, lambda)``, and compares
 ``lambda(t)`` against the exact solution ``u(t)`` of the majorizing Cauchy
@@ -28,11 +29,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import KIND_SPECS, DegreeParams, _check_count, _comparison, _majorant
-from .graphs import Graph, Perturbation, PerturbationKind, _Instance, _instance
-from .spectral import _certified_perron, _top_eigenvalues
+from .graphs import Graph, Perturbation, PerturbationKind, _Instance, _instances
 
 _RESIDUAL_TOL = 1e-10
-_STACK_ENTRIES = 1 << 15  # matrix entries per stacked solve: 256 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -73,14 +72,12 @@ class PerturbationPath(DegreeParams):
         return self.samples[-1].value
 
 
-def _stacks(inst: _Instance, ts: np.ndarray):
-    """``A_I + t P`` for each ``t`` of ``ts``, in stacks of at most
-    ``_STACK_ENTRIES`` matrix entries."""
-    per_stack = max(1, _STACK_ENTRIES // inst.p_mat.size)
-    for i in range(0, len(ts), per_stack):
-        stack = ts[i : i + per_stack, None, None] * inst.p_mat
-        stack += inst.a_initial
-        yield stack
+def _path_points(steps: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The grid ``k/steps`` past ``t = 0``; the finite-difference points,
+    the interior grid plus ``h``, then minus ``h``; and ``h``."""
+    grid = np.arange(1, steps + 1) / steps
+    h = min(1e-5, 1.0 / (4.0 * steps))
+    return grid, np.concatenate([grid[:-1] + h, grid[:-1] - h]), h
 
 
 def sample_path(
@@ -101,25 +98,22 @@ def sample_path(
     made once on ``A_I + P``; every point still gets its certificate.
     """
     steps = _check_count("steps", steps, 2)
-    return _sample(_instance(graph, pert, tol), steps, tol)
+    grid, fd_points, h = _path_points(steps)
+    return _sample(_instances([(graph, pert)], tol, grid, fd_points)[0], grid, h)
 
 
-def _sample(inst: _Instance, steps: int, tol: float) -> PerturbationPath:
-    """:func:`sample_path` of an instance already set up, ``steps`` checked."""
-    grid = np.arange(1, steps + 1) / steps
-    solves = [_certified_perron(stack, tol) for stack in _stacks(inst, grid)]
-    values, vectors, _ = map(np.concatenate, zip(*solves))
-    h = min(1e-5, 1.0 / (4.0 * steps))
-    inner = grid[:-1]
-    fd_points = np.concatenate([inner + h, inner - h])
-    tops = np.concatenate([_top_eigenvalues(s) for s in _stacks(inst, fd_points)])
-    lhs = (tops[: steps - 1] - tops[steps - 1 :]) / (2.0 * h)
-    x = vectors[:-1]
+def _sample(inst: _Instance, grid: np.ndarray, h: float) -> PerturbationPath:
+    """:func:`sample_path` of an instance solved at the points of
+    :func:`_path_points`: its ``values`` and ``vectors`` at the grid, and its
+    ``tops`` at the finite-difference points first."""
+    inner = len(grid) - 1
+    lhs = (inst.tops[:inner] - inst.tops[inner : 2 * inner]) / (2.0 * h)
+    x = inst.vectors[:-1]
     rhs = (x[:, None, :] @ (inst.p_mat @ x[:, :, None]))[:, 0, 0]
 
     lhs, rhs = lhs.tolist() + [None], rhs.tolist() + [None]  # none at t = 1
     samples = [PathSample(0.0, inst.lambda_i, inst.vector, None, None)]
-    samples += map(PathSample, grid.tolist(), values.tolist(), vectors, lhs, rhs)
+    samples += map(PathSample, grid.tolist(), inst.values.tolist(), inst.vectors, lhs, rhs)
     return PerturbationPath(kind=inst.pert.kind, samples=tuple(samples), **inst.params)
 
 

@@ -18,9 +18,12 @@ solves take a stack ``(k, n, n)`` of matrices and make one LAPACK call per
 stack: the certified Perron solve checks the residual and the positivity of
 every matrix in it, with stacked ``matmul`` that runs the same BLAS kernels
 per matrix as a single solve, so a matrix gets the same bits alone or in a
-stack.  The public functions call them with a stack of one matrix; callers
-that checked a whole family once (``sample_path``) pass bigger stacks and
-skip the checks, never the certificate.  Oracles live with the tests.
+stack.  :func:`perron` calls it with a stack of one matrix.  Callers that
+checked their matrices once (the instances of :mod:`specbound.graphs`, one
+or a block of ``verify`` trials) name them as the points ``a + t p`` of
+pencils ``(a, p)``; :func:`_solve_pencils` builds them by size, in stacks of
+at most ``_STACK_ENTRIES`` entries, and skips the checks, never the
+certificate.  Oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _SYM_ATOL = 1e-12
+_STACK_ENTRIES = 1 << 15  # matrix entries per stacked solve: 256 KiB of float64
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -177,13 +181,86 @@ def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
     lowest-indexed component within ``tol`` of that maximum."""
     m = _require_nonnegative(a, tol)
     comps = connected_components(m)
+    pairs, _ = _solve_pencils(_component_pencils(m, comps), [], tol)
+    return _top_component(len(m), comps, pairs, tol)
+
+
+def _component_pencils(m: np.ndarray, comps: list[list[int]]) -> list[tuple]:
+    """Each component's block of ``m`` as the pencil ``(block, 0)`` at ``t = 0``."""
     # ``take`` copies a component's block in a third of the time of ``np.ix_``
-    pairs = [_perron_pair(m if len(comps) == 1 else m.take(c, 0).take(c, 1), tol) for c in comps]
-    value = max(pair.value for pair in pairs)
-    comp, best = next((c, p) for c, p in zip(comps, pairs) if p.value >= value - tol)
-    vector = np.zeros(len(m))
-    vector[comp] = best.vector
+    blocks = [m] if len(comps) == 1 else [m.take(c, 0).take(c, 1) for c in comps]
+    return [(b, 0.0, np.zeros(1)) for b in blocks]
+
+
+def _top_component(n: int, comps: list[list[int]], pairs, tol: float) -> tuple[float, np.ndarray]:
+    """:func:`perron_components` from the certified pairs of its component pencils."""
+    values = [float(v[0]) for v, _ in pairs]
+    value = max(values)
+    k = next(k for k, v in enumerate(values) if v >= value - tol)
+    vector = np.zeros(n)
+    vector[comps[k]] = pairs[k][1][0]
     return value, vector
+
+
+def _pencil_groups(pencils):
+    """The matrices ``a + t p`` of ``pencils``, triples ``(a, p, ts)`` of a
+    symmetric matrix, a symmetric matrix of its size or 0, and an array of
+    values ``t``, grouped by size.  Per size ``n``: each member pencil's
+    index with the slice of its matrices in the group's order, and the
+    group's stacks of at most ``_STACK_ENTRIES`` entries, built as they are
+    used."""
+    by_size: dict[int, list[int]] = {}
+    for k, (a, _, _) in enumerate(pencils):
+        by_size.setdefault(len(a), []).append(k)
+    for n, members in by_size.items():
+        spans, end = [], 0
+        for k in members:
+            start, end = end, end + len(pencils[k][2])
+            spans.append((k, slice(start, end)))
+        yield n, spans, _stacks(n, [pencils[k] for k in members], end)
+
+
+def _stacks(n: int, pencils, total: int):
+    """The ``total`` matrices of ``pencils`` of size ``n``, in order, in full stacks."""
+    per_stack = max(1, _STACK_ENTRIES // (n * n))
+    stack, filled = np.empty((min(per_stack, total), n, n)), 0
+    for a, p, ts in pencils:
+        while len(ts):
+            part = stack[filled : filled + len(ts)]
+            np.multiply(ts[: len(part), None, None], p, out=part)
+            part += a
+            ts, filled = ts[len(part) :], filled + len(part)
+            if filled == len(stack):
+                yield stack
+                total -= filled
+                stack, filled = np.empty((min(per_stack, total), n, n)), 0
+
+
+def _solve_pencils(certify, top, tol: float) -> tuple[list, list]:
+    """Solve the pencils of :func:`_pencil_groups`, one LAPACK call per stack:
+    for each pencil of ``certify`` the certified Perron values of its
+    matrices and their vectors as rows, for each pencil of ``top`` their top
+    eigenvalues.  ``RuntimeError`` names the first matrix of ``certify``
+    that fails its certificate, as lone solves in that order would."""
+    pairs, tops = [None] * len(certify), [None] * len(top)
+    try:
+        for n, spans, stacks in _pencil_groups(certify):
+            solved = [_certified_perron(stack, tol)[:2] for stack in stacks]
+            solved = solved or [(np.empty(0), np.empty((0, n)))]
+            values, vectors = solved[0] if len(solved) == 1 else map(np.concatenate, zip(*solved))
+            for k, span in spans:
+                pairs[k] = values[span], vectors[span]
+    except RuntimeError:
+        for a, p, ts in certify:
+            for t in ts:
+                _certified_perron((t * p + a)[None], tol)
+        raise
+    for _, spans, stacks in _pencil_groups(top):
+        solved = [_top_eigenvalues(stack) for stack in stacks] or [np.empty(0)]
+        values = solved[0] if len(solved) == 1 else np.concatenate(solved)
+        for k, span in spans:
+            tops[k] = values[span]
+    return pairs, tops
 
 
 def full_spectrum(a) -> np.ndarray:

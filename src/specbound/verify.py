@@ -11,17 +11,37 @@ it up once and checks every certificate of its one report and path:
 * dominance of the comparison solution.
 
 Trials are seeded per-index from a master splitmix64 seed, so summaries are
-bit-for-bit reproducible and order-independent.
+bit-for-bit reproducible and order-independent.  They run in blocks of about
+``_BLOCK_ENTRIES`` matrix entries: a block's instances are drawn and set up,
+all their matrices (``A_I``'s components, the path's grid and
+finite-difference points, ``A_I + P``) are solved together, one LAPACK call
+per matrix size and stack, and then each trial is checked in order.  A
+stacked matrix gets the same bits as a lone one, so the summary does not
+depend on the blocks.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 from .bounds import _check_count
-from .graphs import PerturbationKind, _instance, format_edge_list, format_perturbation_spec
-from .pathsim import _sample, check_comparison, check_differential_inequality
+from .graphs import (
+    PerturbationKind,
+    _Instance,
+    _instances,
+    format_edge_list,
+    format_perturbation_spec,
+    perturbed_dimension,
+)
+from .pathsim import (
+    PerturbationPath,
+    _path_points,
+    _sample,
+    check_comparison,
+    check_differential_inequality,
+)
 from .report import _report
 from .rng import EDGE_PROBABILITIES, SplitMix64, random_instance
 
@@ -33,6 +53,7 @@ COMPARISON_TOL = 1e-9
 EQUALITY_GAP_TOL = 1e-8
 STRICT_SLACK_MIN = 1e-7
 _SOLVE_TOL = 1e-11  # Perron certificate tolerance: the default of bound_report and sample_path
+_BLOCK_ENTRIES = 1 << 16  # matrix entries solved per block of trials: 512 KiB of float64
 
 
 @dataclass
@@ -99,6 +120,10 @@ def run_verification(
 ) -> VerifySummary:
     """Run the randomized suite; ``inject_failure`` corrupts the first trial's
     bound to prove the harness actually trips (self-test)."""
+    for name, count in (("trials", trials), ("n_max", n_max)):
+        if not isinstance(count, numbers.Integral) or isinstance(count, bool):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+    trials, n_max = int(trials), int(n_max)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if n_max < 3:
@@ -107,64 +132,87 @@ def run_verification(
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     steps = _check_count("steps", steps, 2)
     summary = VerifySummary(seed=seed, trials=trials, n_max=n_max, tolerance=tolerance)
+    grid, fd_points, h = _path_points(steps)
+    top = [*fd_points, 1.0]  # the finite-difference points, then A_I + P
 
+    for block in _blocks(seed, trials, n_max, steps):
+        insts = _instances([(host, pert) for _, host, pert in block], _SOLVE_TOL, grid, top)
+        for (trial, _, _), inst in zip(block, insts):
+            path = _sample(inst, grid, h)
+            _check_trial(summary, trial, inst, path, inject_failure and trial == 0)
+    return summary
+
+
+def _blocks(seed: int, trials: int, n_max: int, steps: int):
+    """The trials ``(trial, host, pert)``, drawn in order, in blocks that end
+    once their matrices reach ``_BLOCK_ENTRIES`` entries."""
+    block, entries = [], 0
     for trial in range(trials):
         kind = _KINDS[trial % 3]
         p_edge = EDGE_PROBABILITIES[(trial // 3) % 3]
-        rng = SplitMix64.spawn(seed, trial)
-        host, pert = random_instance(rng, kind, n_max, p_edge)
-        summary.counts[kind.value] = summary.counts.get(kind.value, 0) + 1
-        repro = {
-            "trial": trial,
-            "kind": kind.value,
-            "graph": format_edge_list(host),
-            "perturbation": format_perturbation_spec(pert),
-        }
+        host, pert = random_instance(SplitMix64.spawn(seed, trial), kind, n_max, p_edge)
+        block.append((trial, host, pert))
+        entries += 3 * steps * perturbed_dimension(host, pert) ** 2
+        if entries >= _BLOCK_ENTRIES:
+            yield block
+            block, entries = [], 0
+    if block:
+        yield block
 
-        def fail(check: str, detail: str) -> None:
-            summary.failures.append(TrialFailure(check=check, detail=detail, **repro))
 
-        inst = _instance(host, pert, _SOLVE_TOL)
-        rep = _report(inst)
-        # self-test hook: force the first trial's bound below the exact value
-        bound = rep.lambda_f_exact - 1.0 if (inject_failure and trial == 0) else rep.bound
-        violation = rep.lambda_f_exact - bound
-        summary.max_bound_violation = max(summary.max_bound_violation, violation)
-        if violation > tolerance:
-            fail("bound_validity", f"lambda_F - bound = {violation:.3e}")
-        gap = bound - rep.lambda_f_exact
-        if rep.equality_case:
-            summary.equality_cases += 1
-            summary.max_equality_gap = max(summary.max_equality_gap, abs(gap))
-            if abs(gap) > EQUALITY_GAP_TOL:
-                fail("equality_gap", f"|bound - lambda_F| = {abs(gap):.3e}")
-        else:
-            summary.strict_cases += 1
-            summary.min_strict_slack = min(summary.min_strict_slack, gap)
-            if gap < STRICT_SLACK_MIN:
-                fail("strict_slack", f"bound - lambda_F = {gap:.3e}")
+def _check_trial(
+    summary: VerifySummary, trial: int, inst: _Instance, path: PerturbationPath, corrupt: bool
+) -> None:
+    """Every check of one trial's solved instance and its path, into
+    ``summary``; ``corrupt`` forces its bound below the exact value."""
+    kind, tolerance = inst.pert.kind, summary.tolerance
+    summary.counts[kind.value] = summary.counts.get(kind.value, 0) + 1
+    repro = {
+        "trial": trial,
+        "kind": kind.value,
+        "graph": format_edge_list(inst.graph),
+        "perturbation": format_perturbation_spec(inst.pert),
+    }
 
-        path = _sample(inst, steps, _SOLVE_TOL)
-        values = [s.value for s in path.samples]
-        if any(b <= a for a, b in zip(values, values[1:])):
-            fail("monotonicity", f"lambda(t) not strictly increasing: {values}")
-        mismatch = max(
-            abs(s.derivative_lhs - s.derivative_rhs)
-            for s in path.samples
-            if s.derivative_lhs is not None
-        )
-        summary.max_derivative_mismatch = max(summary.max_derivative_mismatch, mismatch)
-        if mismatch > DERIVATIVE_TOL:
-            fail("derivative_identity", f"|fd - quadratic form| = {mismatch:.3e}")
-        ineq = check_differential_inequality(path)
-        summary.max_inequality_violation = max(summary.max_inequality_violation, ineq)
-        if ineq > INEQUALITY_TOL:
-            fail("differential_inequality", f"rhs - f(t, lambda) = {ineq:.3e}")
-        comp = check_comparison(path, tolerance=tolerance)
-        summary.max_comparison_violation = max(
-            summary.max_comparison_violation, comp.max_violation
-        )
-        if not comp.ok:
-            fail("comparison_dominance", f"lambda - u = {comp.max_violation:.3e}")
+    def fail(check: str, detail: str) -> None:
+        summary.failures.append(TrialFailure(check=check, detail=detail, **repro))
 
-    return summary
+    rep = _report(inst, inst.tops[-1])
+    bound = rep.lambda_f_exact - 1.0 if corrupt else rep.bound
+    violation = rep.lambda_f_exact - bound
+    summary.max_bound_violation = max(summary.max_bound_violation, violation)
+    if violation > tolerance:
+        fail("bound_validity", f"lambda_F - bound = {violation:.3e}")
+    gap = bound - rep.lambda_f_exact
+    if rep.equality_case:
+        summary.equality_cases += 1
+        summary.max_equality_gap = max(summary.max_equality_gap, abs(gap))
+        if abs(gap) > EQUALITY_GAP_TOL:
+            fail("equality_gap", f"|bound - lambda_F| = {abs(gap):.3e}")
+    else:
+        summary.strict_cases += 1
+        summary.min_strict_slack = min(summary.min_strict_slack, gap)
+        if gap < STRICT_SLACK_MIN:
+            fail("strict_slack", f"bound - lambda_F = {gap:.3e}")
+
+    values = [s.value for s in path.samples]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        fail("monotonicity", f"lambda(t) not strictly increasing: {values}")
+    mismatch = max(
+        abs(s.derivative_lhs - s.derivative_rhs)
+        for s in path.samples
+        if s.derivative_lhs is not None
+    )
+    summary.max_derivative_mismatch = max(summary.max_derivative_mismatch, mismatch)
+    if mismatch > DERIVATIVE_TOL:
+        fail("derivative_identity", f"|fd - quadratic form| = {mismatch:.3e}")
+    ineq = check_differential_inequality(path)
+    summary.max_inequality_violation = max(summary.max_inequality_violation, ineq)
+    if ineq > INEQUALITY_TOL:
+        fail("differential_inequality", f"rhs - f(t, lambda) = {ineq:.3e}")
+    comp = check_comparison(path, tolerance=tolerance)
+    summary.max_comparison_violation = max(
+        summary.max_comparison_violation, comp.max_violation
+    )
+    if not comp.ok:
+        fail("comparison_dominance", f"lambda - u = {comp.max_violation:.3e}")

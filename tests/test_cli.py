@@ -6,13 +6,17 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specbound as sb
 from specbound import cli, graphs, spectral
 from specbound.cli import main
+from specbound.rng import EDGE_PROBABILITIES
+from specbound.verify import COMPARISON_TOL
 
 SQRT2 = math.sqrt(2.0)
 
@@ -161,6 +165,21 @@ def test_bound_checks_each_instance_once(tmp_path, capsys, monkeypatch):
         assert (len(searches), len(applied)) == (2, builds), spec
 
 
+def test_bound_checks_each_perturbation_once(tmp_path, capsys, monkeypatch):
+    # One applicability check per op, with the instance; the vertex kind's
+    # recognizer applies the perturbation, which checks it once more.
+    p6 = write_graph(tmp_path, sb.path_graph(6), "p6.txt")
+    p6_k1 = write_graph(tmp_path, sb.disjoint_union(sb.path_graph(6), sb.empty_graph(1)), "p6_k1.txt")
+    checks = _count_calls(monkeypatch, graphs, "_added_edges")
+    applied = _count_calls(monkeypatch, graphs, "apply_perturbation")
+    for gfile, spec in [(p6, "edge 0 5"), (p6, "pendant 0"), (p6_k1, "vertex 6 0 5")]:
+        checks.clear()
+        applied.clear()
+        code, _, _ = run(capsys, ["bound", gfile, *spec.split()])
+        assert code == 0
+        assert len(checks) - len(applied) == 1, spec
+
+
 # ---------------------------------------------------------------------------
 # path
 # ---------------------------------------------------------------------------
@@ -278,13 +297,112 @@ def test_verify_injected_failure_exit_1(capsys):
     assert "reproducer" in err and "edge" in err or "vertex" in err or "pendant" in err
 
 
+def _lone_matrices(seed, trials, steps=8):
+    """Each verify trial's A_I component blocks and grid points A_I + t P,
+    rebuilt with the public functions, as (size, bytes) keys."""
+    keys = []
+    for trial in range(trials):
+        kind = list(sb.PerturbationKind)[trial % 3]
+        p_edge = EDGE_PROBABILITIES[(trial // 3) % 3]
+        host, pert = sb.random_instance(sb.SplitMix64.spawn(seed, trial), kind, 9, p_edge)
+        p_mat = sb.perturbation_matrix(host, pert)
+        a_initial = np.zeros_like(p_mat)
+        a_initial[: host.n, : host.n] = host.adjacency()
+        mats = [a_initial[np.ix_(c, c)] for c in spectral.connected_components(a_initial)]
+        mats += [(k / steps) * p_mat + a_initial for k in range(1, steps + 1)]
+        keys += [(len(m), m.tobytes()) for m in mats]
+    return keys
+
+
 def test_verify_sets_each_trial_up_once(monkeypatch):
-    # One solve of A_I per trial, read by both the bound report and the path.
-    solves = _count_calls(monkeypatch, spectral, "perron_components")
+    # Trials are solved in blocks: the certified solves cover each trial's
+    # A_I components (and its grid points) exactly once, and each solve runs
+    # once per matrix size and block, split only into full stacks.
+    blocks = _count_calls(monkeypatch, graphs, "_instances")
+    solves, certified = [], []
+    for name in ("_certified_perron", "_top_eigenvalues"):
+
+        def recorded(stack, *args, _name=name, _original=getattr(spectral, name)):
+            solves.append((_name, len(blocks), stack.shape[-1], len(stack)))
+            if _name == "_certified_perron":
+                certified.extend((len(m), m.tobytes()) for m in stack)
+            return _original(stack, *args)
+
+        monkeypatch.setattr(spectral, name, recorded)
     summary = sb.run_verification(42, 300).to_dict()
-    assert len(solves) == 300
     assert summary["instances"] == {"vertex": 100, "edge": 100, "pendant": 100}
     assert (summary["equality_cases"], summary["strict_cases"], summary["ok"]) == (63, 237, True)
+    assert Counter(certified) == Counter(_lone_matrices(42, 300))
+    groups = {}
+    for name, block, n, count in solves:
+        groups.setdefault((name, block, n), []).append(count)
+    for (_, _, n), counts in groups.items():
+        assert set(counts[:-1]) <= {spectral._STACK_ENTRIES // n**2}
+    splits = len(solves) - len(groups)
+    dims = {n for _, _, n, _ in solves}
+    assert len(solves) <= 2 * len(dims) * (len(blocks) + splits)
+    assert len(solves) < 300  # one trial alone makes at least four
+
+
+def test_verify_extremes_equal_the_lone_public_solves():
+    # Stacking a block of trials must not change a bit of the summary.
+    tol = COMPARISON_TOL
+    for seed in range(20):
+        worst = {
+            "max_bound_violation": 0.0,
+            "min_strict_slack": math.inf,
+            "max_equality_gap": 0.0,
+            "max_derivative_mismatch": 0.0,
+            "max_inequality_violation": -math.inf,
+            "max_comparison_violation": 0.0,
+        }
+        for trial in range(30):
+            kind = list(sb.PerturbationKind)[trial % 3]
+            p_edge = EDGE_PROBABILITIES[(trial // 3) % 3]
+            host, pert = sb.random_instance(sb.SplitMix64.spawn(seed, trial), kind, 9, p_edge)
+            rep = sb.bound_report(host, pert)
+            gap = rep.bound - rep.lambda_f_exact
+            worst["max_bound_violation"] = max(worst["max_bound_violation"], -gap)
+            if rep.equality_case:
+                worst["max_equality_gap"] = max(worst["max_equality_gap"], abs(gap))
+            else:
+                worst["min_strict_slack"] = min(worst["min_strict_slack"], gap)
+            path = sb.sample_path(host, pert, steps=8)
+            mismatch = max(
+                abs(s.derivative_lhs - s.derivative_rhs)
+                for s in path.samples
+                if s.derivative_lhs is not None
+            )
+            worst["max_derivative_mismatch"] = max(worst["max_derivative_mismatch"], mismatch)
+            ineq = sb.check_differential_inequality(path)
+            worst["max_inequality_violation"] = max(worst["max_inequality_violation"], ineq)
+            comp = sb.check_comparison(path, tolerance=tol).max_violation
+            worst["max_comparison_violation"] = max(worst["max_comparison_violation"], comp)
+        summary = sb.run_verification(seed, 30)
+        assert {key: getattr(summary, key) for key in worst} == worst, seed
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"trials": "3"}, "trials must be an integer, got '3'"),
+        ({"trials": 3, "n_max": 9.5}, "n_max must be an integer, got 9.5"),
+        ({"trials": 3, "n_max": False}, "n_max must be an integer, got False"),
+        ({"trials": 0}, "trials must be at least 1, got 0"),
+        ({"trials": 3, "n_max": 2}, "n_max must be at least 3, got 2"),
+    ],
+)
+def test_verify_refuses_non_integer_counts(counts, message):
+    with pytest.raises(ValueError) as excinfo:
+        sb.run_verification(42, **counts)
+    assert str(excinfo.value) == message
+
+
+def test_verify_accepts_numpy_integer_counts():
+    summary = sb.run_verification(42, np.int64(3), np.int32(6))
+    assert summary.ok and summary.counts == {"vertex": 1, "edge": 1, "pendant": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import specbound as sb
 from specbound import Perturbation, PerturbationError, PerturbationKind
-from specbound.rng import SplitMix64, random_instance
+from specbound.rng import SplitMix64, random_connected_graph, random_instance
 
 
 def test_from_edge_list_path():
@@ -253,6 +253,24 @@ def test_graphs_are_immutable_values():
     a = g.adjacency()
     a[0, 1] = 7.0  # exports are fresh copies
     assert g.adjacency()[0, 1] == 1.0
+
+
+def _reference_adjacency(g):
+    """The adjacency matrix written edge by edge."""
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def test_adjacency_equals_the_edge_by_edge_matrix():
+    graphs = [sb.empty_graph(0), sb.empty_graph(3), sb.complete_graph(150), sb.cycle_graph(7)]
+    graphs += [sb.Graph(np.int64(4), frozenset({(np.int32(0), np.int64(3))}))]
+    graphs += [random_connected_graph(SplitMix64(i), 5 + 7 * i, 0.3) for i in range(8)]
+    for g in graphs:
+        a = g.adjacency()
+        assert a.dtype == np.float64 and a.shape == (g.n, g.n)
+        assert np.array_equal(a, _reference_adjacency(g))
 
 
 def test_graph_rejects_fractional_vertex():

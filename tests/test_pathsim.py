@@ -9,7 +9,7 @@ import pytest
 
 import specbound as sb
 from oracles import MAJORANTS, lollipop_graph, pendant_normalization_constant, rk4
-from specbound import Perturbation, PerturbationKind, pathsim, spectral
+from specbound import Perturbation, PerturbationKind, spectral
 from specbound.rng import SplitMix64, random_instance
 from specbound.spectral import perron_components
 
@@ -158,7 +158,7 @@ def test_path_samples_equal_the_public_solves_exactly():
 )
 def test_path_spanning_several_stacks_equals_the_public_solves(host, pert):
     dim = sb.perturbation_matrix(host, pert).shape[0]
-    assert 32 > pathsim._STACK_ENTRIES // dim**2  # at least two grid stacks
+    assert 32 > spectral._STACK_ENTRIES // dim**2  # at least two grid stacks
     _assert_path_equals_the_public_solves(host, pert, 32)
 
 
@@ -202,6 +202,19 @@ def test_path_memory_stays_bounded():
     tracemalloc.start()
     try:
         sb.sample_path(host, pert, steps=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_verify_memory_stays_bounded():
+    # Blocks of about 2^16 matrix entries peak near 780 KiB here, whatever
+    # the trial count; solving all 300 trials as one block peaks near 1.8 MiB.
+    sb.run_verification(42, 30)
+    tracemalloc.start()
+    try:
+        sb.run_verification(42, 300)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

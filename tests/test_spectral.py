@@ -209,6 +209,25 @@ def test_stacked_perron_reports_the_first_uncertified_matrix():
         spectral._certified_perron(np.stack([c5, split, p5]), 1e-11)
 
 
+def test_solves_by_size_report_the_first_uncertified_matrix_in_order():
+    # Grouped by size, the 4-vertex matrices are solved first, but the error
+    # names the 5-vertex matrix that comes first in order, as lone solves do.
+    # Each failing matrix has a top vector that is zero on its isolated vertex.
+    good4 = sb.path_graph(4).adjacency()
+    bad5 = sb.disjoint_union(sb.complete_graph(4), sb.empty_graph(1)).adjacency()
+    bad4 = sb.disjoint_union(sb.complete_graph(3), sb.empty_graph(1)).adjacency()
+    alone = []
+    for m in (bad5, bad4):
+        with pytest.raises(RuntimeError) as excinfo:
+            spectral._certified_perron(m[None], 1e-11)
+        alone.append(str(excinfo.value))
+    assert alone[0] != alone[1]
+    pencils = [(m, 0.0, np.zeros(1)) for m in (good4, bad5, bad4)]
+    with pytest.raises(RuntimeError) as excinfo:
+        spectral._solve_pencils(pencils, [], 1e-11)
+    assert str(excinfo.value) == alone[0]
+
+
 @pytest.mark.parametrize("k, tail", [(20, 20), (20, 40), (30, 100)])
 def test_perron_certifies_lollipops_with_tiny_entries(k, tail):
     # The true Perron entries at the tail end reach 1e-144, far below roundoff.
