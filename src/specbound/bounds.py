@@ -145,14 +145,26 @@ class KindSpec(NamedTuple):
     phi: Callable  # Phi(t, y, d)
     root: Callable  # root(t, c, d): the largest y with Phi(t, y, d) = c
     gap_power: int  # bound - lambda_I ~ d / lambda_I**gap_power
+    # The equality path over a delta-regular core on n vertices.  Each degree
+    # keyword is one apex's degree, and each apex is joined to the whole core,
+    # so the path has len(params) apexes and weight d = len(params) * n.
+    cells: tuple[str, ...]  # the JoinSolution entry of each cell, in vector order
+    partition: Callable  # partition(n, delta, t): cell sizes, tridiagonal quotient matrix
 
 
-KIND_SPECS = {
-    PerturbationKind.VERTEX_CONNECTION: KindSpec(("g",), 1, True, _phi_vertex, _root_vertex, 1),
-    PerturbationKind.EDGE_ADDITION: KindSpec(
-        ("delta_u", "delta_v"), 0, False, _phi_edge, _root_edge, 2
+KIND_SPECS = {  # cells: new vertex, core | both apexes, core | pendant vertex, apex, core
+    PerturbationKind.VERTEX_CONNECTION: KindSpec(
+        ("g",), 1, True, _phi_vertex, _root_vertex, 1,
+        ("alpha", "beta"), lambda n, c, t: ((1, n), ((0, t * n), (t, c))),
     ),
-    PerturbationKind.PENDANT_EDGE: KindSpec(("delta_u",), 0, False, _phi_pendant, _root_pendant, 3),
+    PerturbationKind.EDGE_ADDITION: KindSpec(
+        ("delta_u", "delta_v"), 0, False, _phi_edge, _root_edge, 2,
+        ("alpha", "gamma"), lambda n, c, t: ((2, n), ((t, n), (2, c))),
+    ),
+    PerturbationKind.PENDANT_EDGE: KindSpec(
+        ("delta_u",), 0, False, _phi_pendant, _root_pendant, 3,
+        ("alpha", "beta", "gamma"), lambda n, c, t: ((1, 1, n), ((0, t, 0), (t, 0, n), (0, 1, c))),
+    ),
 }
 
 
@@ -163,7 +175,7 @@ def _weight(kind: PerturbationKind, g, delta_u, delta_v) -> tuple[KindSpec, int]
     return spec, sum(_check_count(name, degrees[name], spec.min_degree) for name in spec.params)
 
 
-def _initial_value(kind: PerturbationKind, lambda_i: float, g, delta_u, delta_v) -> tuple:
+def _initial_value(kind: PerturbationKind, lambda_i: float, g=0, delta_u=0, delta_v=0) -> tuple:
     """Validate one instance; return its spec, weight d and ``Phi(0, lambda_i)``."""
     spec, d = _weight(kind, g, delta_u, delta_v)
     if lambda_i < 0.0 or (lambda_i == 0.0 and not spec.empty_host):

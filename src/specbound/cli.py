@@ -6,7 +6,8 @@ Four commands:
 * ``path GRAPH SPEC``       -- sampled continuous-perturbation dump,
 * ``verify``                -- seeded randomized invariant suite,
 * ``construct KIND N DELTA``-- emit the equality-case instance of the
-  closed-form table, with its closed-form values checked by the eigensolver.
+  kind's entry in ``KIND_SPECS``, with its closed-form values checked by the
+  eigensolver.
 
 Graphs are read in the edge-list format (header ``n m``, then ``i j`` lines;
 ``#`` comments and blank lines ignored).  Perturbations use the mini-grammar
@@ -47,8 +48,6 @@ from .graphs import (
     parse_perturbation_spec,
 )
 from .pathsim import (
-    _JOINS,
-    _PATH_COLUMNS,
     _path_rows,
     closed_form_join,
     format_number,
@@ -134,8 +133,7 @@ def _cmd_path(args) -> int:
         if args.format == "tsv":
             sys.stdout.write(format_path_dump(path))
             return
-        rows = [dict(zip(_PATH_COLUMNS, row)) for row in _path_rows(path)]
-        _print_json({"kind": path.kind.value, "rows": rows})
+        _print_json({"kind": path.kind.value, "rows": _path_rows(path)})
 
     return _run_instance(args, command)
 
@@ -171,13 +169,14 @@ def _cmd_construct(args) -> int:
         core = circulant_graph(n, delta)
     except ValueError as exc:
         return _error(exc)
-    k = _JOINS[kind].apexes
+    spec = KIND_SPECS[kind]
+    k = len(spec.params)  # one apex per degree keyword
     if _SHAPES[kind].isolated:  # u is a new vertex, joined to the core
         host, u, targets = disjoint_union(core, empty_graph(1)), n, range(n)
     else:  # u is the first of k apexes joined to the core in the host
         host, u, targets = join(empty_graph(k), core), 0, range(1, k)
     pert = Perturbation(kind, u, tuple(targets))
-    lam_i_closed = KIND_SPECS[kind].root(0.0, delta, k * n)
+    lam_i_closed = spec.root(0.0, delta, k * n)
     lam_f_closed = closed_form_join(kind, n, delta, 1.0).value
     rep = bound_report(host, pert)
     checks = {

@@ -19,12 +19,13 @@ applicability checks are all built from those edges; a per-kind table holds
 the rest (target count, usage line, whether ``u`` must be isolated).  The
 pendant vertex is always index ``n``, so the matrices of the path
 ``A_I + t P`` align once ``A_I`` is zero-padded by one row and column.  One
-private instance holds both matrices, the bounds' degree data, the path's
-start ``(lambda_I, x_I)`` from the certified solve of ``A_I``'s components,
-and whatever points of the path its caller asks for, once ``A_I + P``
-passes the one connectivity search of :mod:`specbound.spectral`, which
-:func:`is_connected` shares.  ``bound_report`` and ``sample_path`` set up
-one instance, ``verify`` a block of them, with one solve per matrix size.
+private instance holds both matrices, the bounds' degree data and the solved
+path, once ``A_I + P`` passes the one connectivity search of
+:mod:`specbound.spectral`, which :func:`is_connected` shares.  The instance
+lays out the path's points: its start ``(lambda_I, x_I)``, certified pairs on
+the grid ``k/steps``, central differences around the interior grid, and the
+final index at ``t = 1``.  ``bound_report`` and ``sample_path`` set up one
+instance, ``verify`` a block of them, with one solve per matrix size.
 """
 
 from __future__ import annotations
@@ -37,14 +38,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .spectral import (
-    _component_pencils,
-    _components,
-    _solve_pencils,
-    _top_component,
-    connected_components,
-    is_connected_matrix,
-)
+from .spectral import _components, _solve_paths, is_connected_matrix
 
 
 class GraphParseError(ValueError):
@@ -375,35 +369,39 @@ class _Instance(NamedTuple):
     params: dict[str, int]  # :func:`bound_parameters`
     lambda_i: float  # with ``vector``, ``perron_components`` of ``a_initial``
     vector: np.ndarray
-    values: np.ndarray  # with ``vectors`` as rows, the Perron pairs at the ``certify`` points
+    grid: np.ndarray  # the points ``k/steps`` past ``t = 0``
+    values: np.ndarray  # with ``vectors`` as rows, the Perron pairs at the grid
     vectors: np.ndarray
-    tops: np.ndarray  # the top eigenvalues at the ``top`` points
+    lhs: np.ndarray  # central differences of the top eigenvalue at the interior grid
+    lambda_f: float  # the top eigenvalue of ``A_I + P``
 
 
-def _instances(pairs, tol: float, certify=(), top=()) -> list[_Instance]:
+def _instances(pairs, tol: float, steps: int = 0) -> list[_Instance]:
     """Set each ``(g, p)`` of ``pairs`` up, then solve them all together:
-    ``A_I``'s components and ``A_I + t P`` for ``t`` in ``certify`` with
-    certified Perron pairs, and ``A_I + t P`` for ``t`` in ``top`` for the
-    top eigenvalue, one LAPACK call per stack of equal-size matrices.
+    ``A_I``'s components, certified Perron pairs on the grid ``k/steps``,
+    top eigenvalues at the interior grid plus and minus
+    ``h = min(1e-5, 1/(4 steps))`` for central differences, and the top
+    eigenvalue of ``A_I + P``, one LAPACK call per stack of equal-size
+    matrices.  With ``steps = 0``, only ``A_I`` and ``A_I + P``.
     :class:`DisconnectedError` unless every ``A_I + P`` is connected."""
-    certify, top = np.asarray(certify, dtype=float), np.asarray(top, dtype=float)
-    setups, certify_at, top_at = [], [], []
+    grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
+    h = min(1e-5, 1.0 / (4.0 * max(steps, 1)))
+    inner = grid[:-1]
+    top = np.concatenate([inner + h, inner - h, [1.0]])  # the differences, then A_I + P
+    setups, paths = [], []
     for g, p in pairs:
         p_mat = perturbation_matrix(g, p)  # checks that p applies to g
         a_initial = np.zeros_like(p_mat)
         a_initial[: g.n, : g.n] = g.adjacency()
         if not is_connected_matrix(a_initial + p_mat):
             raise DisconnectedError("the perturbed graph is disconnected")
-        comps = connected_components(a_initial)
-        certify_at += [*_component_pencils(a_initial, comps), (a_initial, p_mat, certify)]
-        top_at.append((a_initial, p_mat, top))
-        setups.append((g, p, a_initial, p_mat, _degree_data(g, p), comps))
-    solved, tops = _solve_pencils(certify_at, top_at, tol)
-    insts, at = [], 0
-    for (g, p, a_initial, p_mat, params, comps), top_k in zip(setups, tops):
-        start = _top_component(len(a_initial), comps, solved[at : at + len(comps)], tol)
-        at += len(comps) + 1
-        insts.append(_Instance(g, p, a_initial, p_mat, params, *start, *solved[at - 1], top_k))
+        paths.append((a_initial, p_mat))
+        setups.append((g, p, a_initial, p_mat, _degree_data(g, p)))
+    solved = _solve_paths(paths, grid, top, tol)
+    insts = []
+    for setup, (lambda_i, vector, values, vectors, tops) in zip(setups, solved):
+        lhs = (tops[: len(inner)] - tops[len(inner) : -1]) / (2.0 * h)
+        insts.append(_Instance(*setup, lambda_i, vector, grid, values, vectors, lhs, tops[-1]))
     return insts
 
 

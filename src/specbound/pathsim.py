@@ -1,15 +1,14 @@
 """Continuous-perturbation paths and their differential certificates.
 
 The perturbation is run as a linear matrix path ``A(t) = A_initial + t * P``
-for ``t`` in [0, 1]; both matrices, the check that ``A(1)`` is connected,
-and the ``t = 0`` pair come from the one instance of :mod:`specbound.graphs`
-that the bound report reads too.  Along the path the spectral radius ``lambda(t)`` is
-continuously differentiable with ``lambda'(t) = <P x(t), x(t)>``; this module
-samples the path (its grid and finite-difference points solved with the
-instance, by matrix size in stacks of bounded size: a few LAPACK calls for a
-lone path, a few per block of paths in ``verify``), checks
-the derivative identity against central finite differences, evaluates the
-per-kind differential inequality ``lambda' <= f(t, lambda)``, and compares
+for ``t`` in [0, 1].  Along it the spectral radius ``lambda(t)`` is
+continuously differentiable with ``lambda'(t) = <P x(t), x(t)>``.  The one
+instance of :mod:`specbound.graphs` that the bound report reads too holds
+both matrices, the check that ``A(1)`` is connected, and every solved point
+of the path: the ``t = 0`` pair, a certified pair on each grid point and the
+central differences of the top eigenvalue.  This module turns them into
+samples, checks the derivative identity, evaluates the per-kind
+differential inequality ``lambda' <= f(t, lambda)``, and compares
 ``lambda(t)`` against the exact solution ``u(t)`` of the majorizing Cauchy
 problem ``y' = f(t, y), y(0) = lambda_I`` (which dominates the path and is
 attained exactly in the equality cases).  ``f`` and ``u`` both come from the
@@ -17,14 +16,15 @@ kind's first integral in :mod:`specbound.bounds`, set up once per path.
 
 The equality cases are cones and double cones over regular graphs, where the
 path is ``u(t)`` itself; :func:`closed_form_join` gives its eigenpairs from
-the first integral and the quotient of one equitable partition per kind.
+the first integral and the quotient of the equitable partition that
+:data:`~specbound.bounds.KIND_SPECS` holds for each kind.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -72,14 +72,6 @@ class PerturbationPath(DegreeParams):
         return self.samples[-1].value
 
 
-def _path_points(steps: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The grid ``k/steps`` past ``t = 0``; the finite-difference points,
-    the interior grid plus ``h``, then minus ``h``; and ``h``."""
-    grid = np.arange(1, steps + 1) / steps
-    h = min(1e-5, 1.0 / (4.0 * steps))
-    return grid, np.concatenate([grid[:-1] + h, grid[:-1] - h]), h
-
-
 def sample_path(
     graph: Graph,
     pert: Perturbation,
@@ -98,22 +90,17 @@ def sample_path(
     made once on ``A_I + P``; every point still gets its certificate.
     """
     steps = _check_count("steps", steps, 2)
-    grid, fd_points, h = _path_points(steps)
-    return _sample(_instances([(graph, pert)], tol, grid, fd_points)[0], grid, h)
+    return _sample(_instances([(graph, pert)], tol, steps)[0])
 
 
-def _sample(inst: _Instance, grid: np.ndarray, h: float) -> PerturbationPath:
-    """:func:`sample_path` of an instance solved at the points of
-    :func:`_path_points`: its ``values`` and ``vectors`` at the grid, and its
-    ``tops`` at the finite-difference points first."""
-    inner = len(grid) - 1
-    lhs = (inst.tops[:inner] - inst.tops[inner : 2 * inner]) / (2.0 * h)
+def _sample(inst: _Instance) -> PerturbationPath:
+    """:func:`sample_path` of an instance solved on its grid."""
     x = inst.vectors[:-1]
     rhs = (x[:, None, :] @ (inst.p_mat @ x[:, :, None]))[:, 0, 0]
 
-    lhs, rhs = lhs.tolist() + [None], rhs.tolist() + [None]  # none at t = 1
+    lhs, rhs = inst.lhs.tolist() + [None], rhs.tolist() + [None]  # none at t = 1
     samples = [PathSample(0.0, inst.lambda_i, inst.vector, None, None)]
-    samples += map(PathSample, grid.tolist(), inst.values.tolist(), inst.vectors, lhs, rhs)
+    samples += map(PathSample, inst.grid.tolist(), inst.values.tolist(), inst.vectors, lhs, rhs)
     return PerturbationPath(kind=inst.pert.kind, samples=tuple(samples), **inst.params)
 
 
@@ -181,27 +168,6 @@ class JoinSolution:
     gamma: Optional[float] = None
 
 
-class _Join(NamedTuple):
-    """The equitable partition of one kind's equality path, cells in vector order."""
-
-    apexes: int  # k, the vertices joined to the whole core: d = k n
-    fields: tuple[str, ...]  # the JoinSolution entry of each cell
-    partition: Callable  # partition(n, delta, t): cell sizes, tridiagonal quotient matrix
-
-
-_JOINS = {  # cells: new vertex, core | both apexes, core | pendant vertex, apex, core
-    PerturbationKind.VERTEX_CONNECTION: _Join(
-        1, ("alpha", "beta"), lambda n, c, t: ((1, n), ((0, t * n), (t, c)))
-    ),
-    PerturbationKind.EDGE_ADDITION: _Join(
-        2, ("alpha", "gamma"), lambda n, c, t: ((2, n), ((t, n), (2, c)))
-    ),
-    PerturbationKind.PENDANT_EDGE: _Join(
-        1, ("alpha", "beta", "gamma"), lambda n, c, t: ((1, 1, n), ((0, t, 0), (t, 0, n), (0, 1, c)))
-    ),
-}
-
-
 def _check_join_args(n: int, delta: int, t: float) -> None:
     if _check_count("delta", delta, 0) >= _check_count("n", n, 1):
         raise ValueError(f"delta must lie in [0, {n - 1}], got {delta}")
@@ -215,9 +181,9 @@ def closed_form_join(kind: PerturbationKind, n: int, delta: int, t: float) -> Jo
     ``Phi(t, y; k n) = delta``, and the quotient matrix's Perron vector, each
     row of ``B v = lambda v`` giving the next entry; the last row certifies."""
     _check_join_args(n, delta, t)
-    join = _JOINS[kind]
-    lam = KIND_SPECS[kind].root(t, delta, join.apexes * n)
-    sizes, b = map(np.array, join.partition(n, delta, t))
+    spec = KIND_SPECS[kind]
+    lam = spec.root(t, delta, len(spec.params) * n)
+    sizes, b = map(np.array, spec.partition(n, delta, t))
     v = [1.0]
     for i in range(len(b) - 1):
         below = b[i, i - 1] * v[i - 1] if i else 0.0
@@ -226,7 +192,7 @@ def closed_form_join(kind: PerturbationKind, n: int, delta: int, t: float) -> Jo
     residual = max(np.abs(b @ vec - lam * vec).max(), abs(sizes @ np.square(vec) - 1.0))
     if residual > _RESIDUAL_TOL:  # pragma: no cover - root solved to 1e-12
         raise RuntimeError(f"{kind.value} join eigenpair residual {residual:.3e}")
-    return JoinSolution(lam, float(residual), **dict(zip(join.fields, vec.tolist())))
+    return JoinSolution(lam, float(residual), **dict(zip(spec.cells, vec.tolist())))
 
 
 def closed_form_vertex_join(n: int, delta: int, t: float) -> JoinSolution:
@@ -268,12 +234,13 @@ def format_number(value) -> str:
 _PATH_COLUMNS = ("t", "lambda", "derivative_lhs", "derivative_rhs", "comparison_u", "margin")
 
 
-def _path_rows(path: PerturbationPath) -> list[tuple]:
-    """One row per sample, its values in the order of ``_PATH_COLUMNS``."""
-    return [
+def _path_rows(path: PerturbationPath) -> list[dict]:
+    """One row per sample, its values keyed by ``_PATH_COLUMNS`` in order."""
+    rows = (
         (s.t, s.value, s.derivative_lhs, s.derivative_rhs, u, u - s.value)
         for s, u in zip(path.samples, comparison_curve(path))
-    ]
+    )
+    return [dict(zip(_PATH_COLUMNS, row)) for row in rows]
 
 
 def format_path_dump(path: PerturbationPath) -> str:
@@ -281,5 +248,5 @@ def format_path_dump(path: PerturbationPath) -> str:
     comparison_u margin`` at 12 significant digits (endpoint derivatives are
     ``nan``), preceded by a ``#`` header line."""
     lines = ["#" + "\t".join(_PATH_COLUMNS)]
-    lines += ["\t".join(map(format_number, row)) for row in _path_rows(path)]
+    lines += ["\t".join(map(format_number, row.values())) for row in _path_rows(path)]
     return "\n".join(lines) + "\n"

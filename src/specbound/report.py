@@ -2,18 +2,18 @@
 
 Ties the pieces together: exact initial and final indices from the
 eigensolver, the closed-form bound, the first-order gap estimate, and the
-structural equality recognizer, its apexes read from the closed-form table
-in :mod:`specbound.pathsim`.  A report reads the instance of
-:mod:`specbound.graphs` that :func:`~specbound.pathsim.sample_path` samples:
-``lambda_I`` is its start and the final index, which the caller solves with
-it, the top of the spectrum of ``A_I + P``.  The perturbation is checked
-once, with the instance; the final graph is built only where the equality
-case lives in it.
+structural equality recognizer, one apex per degree keyword of the kind's
+entry in :data:`~specbound.bounds.KIND_SPECS`.  A report reads the instance
+of :mod:`specbound.graphs` that :func:`~specbound.pathsim.sample_path`
+samples: ``lambda_I`` is its start and the final index the top of the
+spectrum of ``A_I + P``, both solved with it.  The perturbation is checked
+once, with the instance, and its degree data once, for the bound and the
+gap; the final graph is built only where the equality case lives in it.
 """
 
 from __future__ import annotations
 
-from .bounds import BoundInput, BoundReport
+from .bounds import KIND_SPECS, BoundReport, _initial_value
 from .graphs import (
     _SHAPES,
     Graph,
@@ -25,7 +25,6 @@ from .graphs import (
     is_cone_over_regular,
     is_double_cone_over_regular,
 )
-from .pathsim import _JOINS
 
 
 def equality_case(graph: Graph, pert: Perturbation) -> bool:
@@ -48,7 +47,7 @@ def _equality(graph: Graph, pert: Perturbation) -> bool:
     """:func:`equality_case` of a perturbation known to apply."""
     if _SHAPES[pert.kind].isolated:
         graph = apply_perturbation(graph, pert)
-    apexes = (pert.u, *pert.targets)[: _JOINS[pert.kind].apexes]
+    apexes = (pert.u, *pert.targets)[: len(KIND_SPECS[pert.kind].params)]  # one per degree keyword
     recognize = is_cone_over_regular if len(apexes) == 1 else is_double_cone_over_regular
     return recognize(graph, *apexes)
 
@@ -61,20 +60,22 @@ def bound_report(graph: Graph, pert: Perturbation, tol: float = 1e-11) -> BoundR
     spectral radius of ``A_I``, certified to ``tol``, and the exact final
     index the top of the spectrum of ``A_I + P``.
     """
-    inst = _instances([(graph, pert)], tol, top=(1.0,))[0]
-    return _report(inst, inst.tops[0])
+    return _report(_instances([(graph, pert)], tol)[0])
 
 
-def _report(inst: _Instance, lambda_f: float) -> BoundReport:
-    """:func:`bound_report` of an instance, given its exact final index."""
-    inp = BoundInput(kind=inst.pert.kind, lambda_i=inst.lambda_i, **inst.params)
-    bound = inp.bound()
-    gap = inp.gap_estimate()
+def _report(inst: _Instance) -> BoundReport:
+    """:func:`bound_report` of a solved instance, its degree data checked
+    once: the bound is ``u(1)`` of :func:`~specbound.bounds.perturbation_bound`
+    and the gap that of :func:`~specbound.bounds.asymptotic_gap`."""
+    lambda_i = inst.lambda_i
+    spec, d, c = _initial_value(inst.pert.kind, lambda_i, **inst.params)
+    bound = spec.root(1.0, c, d)
+    gap = None if lambda_i <= 0.0 else d / lambda_i**spec.gap_power
     return BoundReport(
-        lambda_i=inst.lambda_i,
-        lambda_f_exact=lambda_f,
+        lambda_i=lambda_i,
+        lambda_f_exact=inst.lambda_f,
         bound=bound,
-        asymptotic_estimate=None if gap is None else inst.lambda_i + gap,
+        asymptotic_estimate=None if gap is None else lambda_i + gap,
         equality_case=_equality(inst.graph, inst.pert),
-        slack=bound - lambda_f,
+        slack=bound - inst.lambda_f,
     )

@@ -37,7 +37,8 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] (inclusive)."""
+        """Uniform integer in [lo, hi] (inclusive), as a Python ``int``."""
+        lo, hi = int(lo), int(hi)  # a numpy bound would overflow the 64-bit draw
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)

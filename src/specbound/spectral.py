@@ -18,12 +18,12 @@ solves take a stack ``(k, n, n)`` of matrices and make one LAPACK call per
 stack: the certified Perron solve checks the residual and the positivity of
 every matrix in it, with stacked ``matmul`` that runs the same BLAS kernels
 per matrix as a single solve, so a matrix gets the same bits alone or in a
-stack.  :func:`perron` calls it with a stack of one matrix.  Callers that
-checked their matrices once (the instances of :mod:`specbound.graphs`, one
-or a block of ``verify`` trials) name them as the points ``a + t p`` of
-pencils ``(a, p)``; :func:`_solve_pencils` builds them by size, in stacks of
-at most ``_STACK_ENTRIES`` entries, and skips the checks, never the
-certificate.  Oracles live with the tests.
+stack.  :func:`perron` calls it with a stack of one matrix.
+:func:`_solve_paths` owns the start of a path ``a + t p``: the best
+certified pair of ``a``'s components.  It solves that start with the points
+its caller names, for one instance or a block of ``verify`` trials, by size
+in stacks of at most ``_STACK_ENTRIES`` entries, skipping the input checks
+made once, never the certificate.  Oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -114,13 +114,14 @@ def perron(a, tol: float = 1e-11) -> PerronPair:
     m = _require_nonnegative(a, tol)
     if not is_connected_matrix(m):
         raise ValueError("matrix is not connected; positivity of the eigenvector fails")
-    return _perron_pair(m, tol)
+    values, vectors, residuals = _certified_perron(m[None], tol)
+    return PerronPair(float(values[0]), vectors[0], float(residuals[0]))
 
 
 def _require_nonnegative(a, tol: float) -> np.ndarray:
     """``a`` as a symmetric nonnegative array, given a positive ``tol``."""
     m = _require_symmetric(a)
-    if tol <= 0:
+    if not tol > 0:  # also refuses nan, which no certificate can pass
         raise ValueError(f"tolerance must be positive, got {tol}")
     if m.min() < 0:
         raise ValueError("matrix has negative entries")
@@ -163,12 +164,6 @@ def _top_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[:, -1]
 
 
-def _perron_pair(m: np.ndarray, tol: float) -> PerronPair:
-    """:func:`_certified_perron` on one matrix."""
-    values, vectors, residuals = _certified_perron(m[None], tol)
-    return PerronPair(float(values[0]), vectors[0], float(residuals[0]))
-
-
 def spectral_radius(a, tol: float = 1e-11) -> float:
     """Largest eigenvalue of a nonnegative symmetric matrix, components allowed."""
     return perron_components(a, tol)[0]
@@ -180,26 +175,39 @@ def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
     values, and an eigenvector zero-padded to full size, from the
     lowest-indexed component within ``tol`` of that maximum."""
     m = _require_nonnegative(a, tol)
-    comps = connected_components(m)
-    pairs, _ = _solve_pencils(_component_pencils(m, comps), [], tol)
-    return _top_component(len(m), comps, pairs, tol)
+    return _solve_paths([(m, 0.0)], (), (), tol)[0][:2]
 
 
-def _component_pencils(m: np.ndarray, comps: list[list[int]]) -> list[tuple]:
-    """Each component's block of ``m`` as the pencil ``(block, 0)`` at ``t = 0``."""
-    # ``take`` copies a component's block in a third of the time of ``np.ix_``
-    blocks = [m] if len(comps) == 1 else [m.take(c, 0).take(c, 1) for c in comps]
-    return [(b, 0.0, np.zeros(1)) for b in blocks]
-
-
-def _top_component(n: int, comps: list[list[int]], pairs, tol: float) -> tuple[float, np.ndarray]:
-    """:func:`perron_components` from the certified pairs of its component pencils."""
-    values = [float(v[0]) for v, _ in pairs]
-    value = max(values)
-    k = next(k for k, v in enumerate(values) if v >= value - tol)
-    vector = np.zeros(n)
-    vector[comps[k]] = pairs[k][1][0]
-    return value, vector
+def _solve_paths(paths, certify, top, tol: float) -> list[tuple]:
+    """Solve the paths ``a + t p`` of ``paths``, all together in the stacks
+    of :func:`_solve_pencils`, with ``a`` nonnegative and ``a + t p``
+    connected at the points of ``certify``.  For each path: its start, the
+    value and zero-padded vector of :func:`perron_components` of ``a``; the
+    certified pairs at the points of ``certify``, vectors as rows; and the
+    top eigenvalues at the points of ``top``.  ``ValueError`` unless ``tol``
+    is positive."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    certify, top = np.asarray(certify, dtype=float), np.asarray(top, dtype=float)
+    certify_at, top_at, splits = [], [], []
+    for a, p in paths:
+        comps = connected_components(a)
+        # ``take`` copies a component's block in a third of the time of ``np.ix_``
+        blocks = [a] if len(comps) == 1 else [a.take(c, 0).take(c, 1) for c in comps]
+        certify_at += [(b, 0.0, np.zeros(1)) for b in blocks] + [(a, p, certify)]
+        top_at.append((a, p, top))
+        splits.append(comps)
+    pairs, tops = _solve_pencils(certify_at, top_at, tol)
+    solved, at = [], 0
+    for (a, _), comps, top_k in zip(paths, splits, tops):
+        starts, at = pairs[at : at + len(comps)], at + len(comps) + 1
+        values = [float(v[0]) for v, _ in starts]
+        value = max(values)
+        k = next(k for k, v in enumerate(values) if v >= value - tol)
+        vector = np.zeros(len(a))
+        vector[comps[k]] = starts[k][1][0]
+        solved.append((value, vector, *pairs[at - 1], top_k))
+    return solved
 
 
 def _pencil_groups(pencils):

@@ -35,13 +35,7 @@ from .graphs import (
     format_perturbation_spec,
     perturbed_dimension,
 )
-from .pathsim import (
-    PerturbationPath,
-    _path_points,
-    _sample,
-    check_comparison,
-    check_differential_inequality,
-)
+from .pathsim import PerturbationPath, _sample, check_comparison, check_differential_inequality
 from .report import _report
 from .rng import EDGE_PROBABILITIES, SplitMix64, random_instance
 
@@ -132,14 +126,10 @@ def run_verification(
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     steps = _check_count("steps", steps, 2)
     summary = VerifySummary(seed=seed, trials=trials, n_max=n_max, tolerance=tolerance)
-    grid, fd_points, h = _path_points(steps)
-    top = [*fd_points, 1.0]  # the finite-difference points, then A_I + P
-
     for block in _blocks(seed, trials, n_max, steps):
-        insts = _instances([(host, pert) for _, host, pert in block], _SOLVE_TOL, grid, top)
+        insts = _instances([(host, pert) for _, host, pert in block], _SOLVE_TOL, steps)
         for (trial, _, _), inst in zip(block, insts):
-            path = _sample(inst, grid, h)
-            _check_trial(summary, trial, inst, path, inject_failure and trial == 0)
+            _check_trial(summary, trial, inst, _sample(inst), inject_failure and trial == 0)
     return summary
 
 
@@ -167,17 +157,13 @@ def _check_trial(
     ``summary``; ``corrupt`` forces its bound below the exact value."""
     kind, tolerance = inst.pert.kind, summary.tolerance
     summary.counts[kind.value] = summary.counts.get(kind.value, 0) + 1
-    repro = {
-        "trial": trial,
-        "kind": kind.value,
-        "graph": format_edge_list(inst.graph),
-        "perturbation": format_perturbation_spec(inst.pert),
-    }
 
     def fail(check: str, detail: str) -> None:
-        summary.failures.append(TrialFailure(check=check, detail=detail, **repro))
+        """Record one failed check with its reproducer, built only here."""
+        graph, pert = format_edge_list(inst.graph), format_perturbation_spec(inst.pert)
+        summary.failures.append(TrialFailure(trial, kind.value, check, detail, graph, pert))
 
-    rep = _report(inst, inst.tops[-1])
+    rep = _report(inst)
     bound = rep.lambda_f_exact - 1.0 if corrupt else rep.bound
     violation = rep.lambda_f_exact - bound
     summary.max_bound_violation = max(summary.max_bound_violation, violation)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import specbound as sb
-from specbound import cli, graphs, spectral
+from specbound import bounds, cli, graphs, spectral, verify
 from specbound.cli import main
 from specbound.rng import EDGE_PROBABILITIES
 from specbound.verify import COMPARISON_TOL
@@ -180,6 +180,17 @@ def test_bound_checks_each_perturbation_once(tmp_path, capsys, monkeypatch):
         assert len(checks) - len(applied) == 1, spec
 
 
+
+def test_bound_checks_the_degree_data_once(tmp_path, capsys, monkeypatch):
+    # The bound and the gap estimate come from one validated weight.
+    p6 = write_graph(tmp_path, sb.path_graph(6), "p6.txt")
+    p6_k1 = write_graph(tmp_path, sb.disjoint_union(sb.path_graph(6), sb.empty_graph(1)), "p6_k1.txt")
+    weights = _count_calls(monkeypatch, bounds, "_weight")
+    for gfile, spec in [(p6, "edge 0 5"), (p6, "pendant 0"), (p6_k1, "vertex 6 0 5")]:
+        weights.clear()
+        code, _, _ = run(capsys, ["bound", gfile, *spec.split()])
+        assert (code, len(weights)) == (0, 1), spec
+
 # ---------------------------------------------------------------------------
 # path
 # ---------------------------------------------------------------------------
@@ -296,6 +307,14 @@ def test_verify_injected_failure_exit_1(capsys):
     # the reproducer is printed for rerunning by hand
     assert "reproducer" in err and "edge" in err or "vertex" in err or "pendant" in err
 
+
+
+def test_verify_formats_reproducers_only_for_failures(monkeypatch):
+    formats = _count_calls(monkeypatch, verify, "format_edge_list")
+    assert sb.run_verification(42, 30).ok
+    assert formats == []
+    failed = sb.run_verification(7, 3, n_max=6, inject_failure=True)
+    assert len(formats) == len(failed.failures) > 0
 
 def _lone_matrices(seed, trials, steps=8):
     """Each verify trial's A_I component blocks and grid points A_I + t P,

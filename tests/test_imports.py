@@ -95,8 +95,9 @@ def test_checker_finds_mentioned_names():
     assert "perron_components" not in mentioned_names('"""perron_components"""\n')
 
 
-# One lambda_I code path: each instance's starting pair comes from one
-# ``perron_components`` call in ``graphs``; no later layer solves A_I itself.
+# One lambda_I code path: each instance's starting pair comes from the one
+# path solve of ``spectral`` that ``graphs`` calls; no later layer solves A_I
+# itself.
 SOLVER_MODULES = {
     "perron_components": {"spectral.py", "graphs.py"},
     "spectral_radius": {"spectral.py"},
@@ -144,3 +145,48 @@ def test_layers_name_every_module():
 def test_module_imports_only_earlier_layers(path):
     below = set(LAYERS[: LAYERS.index(path.stem)])
     assert package_imports(path.read_text(encoding="utf-8")) <= below
+
+
+# One owner per decision of the instance pipeline: ``spectral`` picks the
+# starting pair and solves the path, ``graphs`` lays out its points, and the
+# per-kind data, the equality path included, lives in two tables.
+PATH_OWNERS = {"spectral.py", "graphs.py"}
+
+
+@pytest.mark.parametrize("name", ["_solve_paths", "tops"])
+def test_only_graphs_and_spectral_see_the_path_solve(name):
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    mentioning = {file for file, source in sources.items() if name in mentioned_names(source)}
+    assert mentioning == PATH_OWNERS
+
+
+def test_report_imports_only_bounds_and_graphs():
+    assert package_imports((SRC / "report.py").read_text(encoding="utf-8")) == {"bounds", "graphs"}
+
+
+def kind_tables(source: str) -> set[str]:
+    """The module-level names bound to a dict literal keyed by
+    ``PerturbationKind`` members."""
+    found = set()
+    for node in ast.parse(source).body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        keys = value.keys if isinstance(value, ast.Dict) else []
+        members = [k for k in keys if isinstance(k, ast.Attribute) and isinstance(k.value, ast.Name)]
+        if any(k.value.id == "PerturbationKind" for k in members):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(t.id for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def test_checker_finds_kind_tables():
+    source = (
+        "A = {PerturbationKind.EDGE_ADDITION: 1}\nB: dict = {PerturbationKind.PENDANT_EDGE: 2}\n"
+        "C = {'edge': 3}\ndef f():\n    D = {PerturbationKind.EDGE_ADDITION: 4}\n"
+    )
+    assert kind_tables(source) == {"A", "B"}
+
+
+def test_per_kind_data_lives_in_two_tables():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    tables = {(module, name) for module, source in sources.items() for name in kind_tables(source)}
+    assert tables == {("graphs", "_SHAPES"), ("bounds", "KIND_SPECS")}

@@ -1,5 +1,6 @@
 """Deterministic PRNG and random instance generation."""
 
+import numpy as np
 import pytest
 
 import specbound as sb
@@ -63,3 +64,12 @@ def test_random_instances_are_valid():
             assert final.n <= 9
             assert sb.is_connected(final)
             assert pert.kind is kind
+
+
+def test_numpy_bounds_draw_like_python_ints():
+    assert type(SplitMix64(3).randint(0, np.int64(5))) is int
+    for kind in sb.PerturbationKind:
+        for i in range(10):
+            expected = random_instance(SplitMix64.spawn(100, i), kind, 9, 0.5)
+            for n_max in (np.int64(9), np.int32(9)):
+                assert random_instance(SplitMix64.spawn(100, i), kind, n_max, 0.5) == expected

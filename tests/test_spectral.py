@@ -51,6 +51,26 @@ def test_perron_rejects_bad_inputs():
             solve(sb.complete_graph(2).adjacency(), tol=0.0)
 
 
+_P4_EDGE = (sb.path_graph(4), sb.Perturbation.edge_addition(0, 2))
+_TOL_SOLVES = {
+    "bound_report": lambda tol: sb.bound_report(*_P4_EDGE, tol=tol),
+    "sample_path": lambda tol: sb.sample_path(*_P4_EDGE, tol=tol),
+    "perron": lambda tol: sb.perron(sb.complete_graph(3).adjacency(), tol=tol),
+    "perron_components": lambda tol: perron_components(np.zeros((2, 2)), tol=tol),
+    "spectral_radius": lambda tol: sb.spectral_radius(sb.path_graph(3).adjacency(), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=repr)
+@pytest.mark.parametrize("name", sorted(_TOL_SOLVES))
+def test_solves_refuse_a_meaningless_tolerance(name, tol):
+    # No certificate passes at tol <= 0 or nan: refused up front, not by a
+    # RuntimeError from the first certificate.
+    with pytest.raises(ValueError) as excinfo:
+        _TOL_SOLVES[name](tol)
+    assert str(excinfo.value) == f"tolerance must be positive, got {tol}"
+
+
 def test_component_solves_are_certified():
     # A residual above tol fails every component solve, as it fails perron.
     block = np.zeros((6, 6))
