@@ -89,11 +89,8 @@ def _root_pendant(t: float, c: float, d: int) -> float:
     and nonnegative at ``max(sqrt(d + t^2), c + d + 2)``.  Bracketed Newton
     with bisection fallback solves it to 1e-12 on the polynomial value.
     """
-    if d == 0:
-        # Phi degenerates to the identity on (t, inf).
-        if c <= t:
-            raise ValueError(f"no root above t={t} for c={c} with d=0")
-        return float(c)
+    if d == 0:  # the cubic is (v - c)(v^2 - t^2)
+        return float(max(c, t))
 
     dt2 = d + t * t
     ct2 = c * t * t
@@ -178,11 +175,21 @@ def _weight(kind: PerturbationKind, g, delta_u, delta_v) -> tuple[KindSpec, int]
 def _initial_value(kind: PerturbationKind, lambda_i: float, g=0, delta_u=0, delta_v=0) -> tuple:
     """Validate one instance; return its spec, weight d and ``Phi(0, lambda_i)``."""
     spec, d = _weight(kind, g, delta_u, delta_v)
-    if lambda_i < 0.0 or (lambda_i == 0.0 and not spec.empty_host):
+    if lambda_i < 0.0 or (lambda_i == 0.0 and not spec.empty_host and d):
         raise ValueError(f"lambda_i must be {'nonnegative' if spec.empty_host else 'positive'}")
-    if d == 0 and lambda_i <= 1.0:
-        raise ValueError(f"degenerate zero-degree {kind.value} perturbation needs lambda_i > 1")
-    return spec, d, spec.phi(0.0, lambda_i, d)
+    if d == 0 and 0.0 < lambda_i <= 1.0:  # no graph has such an index: 0 or at least 1
+        raise ValueError(
+            f"degenerate zero-degree {kind.value} perturbation needs lambda_i = 0 or > 1"
+        )
+    # Phi(0, .) is the identity at d = 0, where Phi itself meets 0/0 at y = 0
+    return spec, d, spec.phi(0.0, lambda_i, d) if d else lambda_i
+
+
+def _bound_and_gap(kind: PerturbationKind, lambda_i: float, g=0, delta_u=0, delta_v=0) -> tuple:
+    """The bound ``u(1)`` and the first-order gap ``d / lambda_i**p`` of one
+    instance, validated once; the gap is ``None`` when ``lambda_i = 0``."""
+    spec, d, c = _initial_value(kind, lambda_i, g, delta_u, delta_v)
+    return spec.root(1.0, c, d), d / lambda_i**spec.gap_power if lambda_i > 0.0 else None
 
 
 class DegreeParams:
@@ -264,7 +271,7 @@ def perturbation_bound(
     delta_v: int | None = None,
 ) -> float:
     """The bound on the final index: the comparison solution at t = 1."""
-    return comparison_solution(kind, lambda_i, 1.0, g=g, delta_u=delta_u, delta_v=delta_v)
+    return _bound_and_gap(kind, lambda_i, g, delta_u, delta_v)[0]
 
 
 def asymptotic_gap(
@@ -279,8 +286,7 @@ def asymptotic_gap(
     ``g/lambda``, ``(du+dv)/lambda^2``, or ``du/lambda^3`` by kind."""
     if lambda_i <= 0.0:
         raise ValueError(f"lambda_i must be positive, got {lambda_i}")
-    spec, d = _weight(kind, g, delta_u, delta_v)
-    return d / lambda_i**spec.gap_power
+    return _bound_and_gap(kind, lambda_i, g, delta_u, delta_v)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +353,11 @@ def l2(xi: float, delta_u: int) -> float:
 def l2_inv(y: float, delta_u: int) -> float:
     """Unique solution in ``(1, inf)`` of ``l2(x, delta_u) = y``: the root
     above 1 of ``v^3 - y v^2 - (delta_u + 1) v + y``, which is at least
-    ``sqrt(delta_u + 1)`` when ``y >= 0``."""
-    return _root_pendant(1.0, y, _check_count("delta_u", delta_u, 0))
+    ``sqrt(delta_u + 1)`` when ``y >= 0``.  At ``delta_u = 0``, ``l2`` is the
+    identity, so ``y`` must exceed 1."""
+    if _check_count("delta_u", delta_u, 0) == 0 and y <= 1.0:
+        raise ValueError(f"l2 with delta_u = 0 takes no value {y} in (1, inf)")
+    return _root_pendant(1.0, y, delta_u)
 
 def bound_pendant_edge(lambda_i: float, delta_u: int) -> float:
     """Upper bound on the index after attaching a pendant edge at a vertex of

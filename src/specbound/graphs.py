@@ -20,12 +20,15 @@ the rest (target count, usage line, whether ``u`` must be isolated).  The
 pendant vertex is always index ``n``, so the matrices of the path
 ``A_I + t P`` align once ``A_I`` is zero-padded by one row and column.  One
 private instance holds both matrices, the bounds' degree data and the solved
-path, once ``A_I + P`` passes the one connectivity search of
-:mod:`specbound.spectral`, which :func:`is_connected` shares.  The instance
-lays out the path's points: its start ``(lambda_I, x_I)``, certified pairs on
-the grid ``k/steps``, central differences around the interior grid, and the
-final index at ``t = 1``.  ``bound_report`` and ``sample_path`` set up one
-instance, ``verify`` a block of them, with one solve per matrix size.
+path.  ``A_I``'s components come from one pass of the one graph search of
+:mod:`specbound.spectral`, which :func:`is_connected` shares, over the
+host's edges as bit sets, and ``A_I + P`` is connected iff the added edges
+reach every component.  The instance lays out the path's points: its start
+``(lambda_I, x_I)``, certified pairs on the grid ``k/steps``, central
+differences around the interior grid, and, for a report, the final index
+at ``t = 1``; it hands the solve the columns ``W = [e_u, s]`` with
+``P = W S W^T``.  ``bound_report`` and ``sample_path`` set up one instance,
+``verify`` a block of them, solved together.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .spectral import _components, _solve_paths, is_connected_matrix
+from .spectral import _components, _row_bits, _solve_paths
 
 
 class GraphParseError(ValueError):
@@ -373,36 +376,51 @@ class _Instance(NamedTuple):
     values: np.ndarray  # with ``vectors`` as rows, the Perron pairs at the grid
     vectors: np.ndarray
     lhs: np.ndarray  # central differences of the top eigenvalue at the interior grid
-    lambda_f: float  # the top eigenvalue of ``A_I + P``
+    lambda_f: Optional[float]  # the top eigenvalue of ``A_I + P``, if asked for
 
 
-def _instances(pairs, tol: float, steps: int = 0) -> list[_Instance]:
+def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_Instance]:
     """Set each ``(g, p)`` of ``pairs`` up, then solve them all together:
     ``A_I``'s components, certified Perron pairs on the grid ``k/steps``,
     top eigenvalues at the interior grid plus and minus
-    ``h = min(1e-5, 1/(4 steps))`` for central differences, and the top
-    eigenvalue of ``A_I + P``, one LAPACK call per stack of equal-size
-    matrices.  With ``steps = 0``, only ``A_I`` and ``A_I + P``.
-    :class:`DisconnectedError` unless every ``A_I + P`` is connected."""
+    ``h = min(1e-5, 1/(4 steps))`` for central differences, and, with
+    ``final``, the top eigenvalue of ``A_I + P``.  The grid and difference
+    points are roots of one secular equation per instance, from one ``eigh``
+    per stack of equal-size components; ``A_I + P`` takes one ``eigvalsh``
+    per stack.  :class:`DisconnectedError` unless every ``A_I + P`` is
+    connected."""
     grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
     h = min(1e-5, 1.0 / (4.0 * max(steps, 1)))
     inner = grid[:-1]
-    top = np.concatenate([inner + h, inner - h, [1.0]])  # the differences, then A_I + P
     setups, paths = [], []
     for g, p in pairs:
         p_mat = perturbation_matrix(g, p)  # checks that p applies to g
         a_initial = np.zeros_like(p_mat)
         a_initial[: g.n, : g.n] = g.adjacency()
-        if not is_connected_matrix(a_initial + p_mat):
+        comps = _components(_row_bits(a_initial))  # the host's, and a pendant vertex alone
+        if not _joins_components(comps, p, g.n):
             raise DisconnectedError("the perturbed graph is disconnected")
-        paths.append((a_initial, p_mat))
+        w = np.zeros((len(p_mat), 2))
+        w[p.u, 0] = 1.0
+        w[list(p.targets or (g.n,)), 1] = 1.0
+        paths.append((a_initial, p_mat, w, comps))
         setups.append((g, p, a_initial, p_mat, _degree_data(g, p)))
-    solved = _solve_paths(paths, grid, top, tol)
+    solved = _solve_paths(paths, grid, np.concatenate([inner + h, inner - h]), tol, final)
     insts = []
-    for setup, (lambda_i, vector, values, vectors, tops) in zip(setups, solved):
-        lhs = (tops[: len(inner)] - tops[len(inner) : -1]) / (2.0 * h)
-        insts.append(_Instance(*setup, lambda_i, vector, grid, values, vectors, lhs, tops[-1]))
+    for setup, (lambda_i, vector, values, vectors, tops, lambda_f) in zip(setups, solved):
+        lhs = (tops[: len(inner)] - tops[len(inner) :]) / (2.0 * h)
+        insts.append(_Instance(*setup, lambda_i, vector, grid, values, vectors, lhs, lambda_f))
     return insts
+
+
+def _joins_components(comps: list[list[int]], p: Perturbation, n: int) -> bool:
+    """Whether the edges that ``p`` adds, from ``u`` to each target (to ``n``
+    without targets), reach every component of ``comps``: whether ``A_I + P``
+    is connected.  Per kind: a vertex connection's targets meet every
+    component but ``{u}``; an added edge finds one component, or joins two;
+    a pendant edge needs a connected host."""
+    label = {v: k for k, comp in enumerate(comps) for v in comp}
+    return len({label[v] for v in (p.u, *(p.targets or (n,)))}) == len(comps)
 
 
 # ---------------------------------------------------------------------------

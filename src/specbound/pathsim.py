@@ -6,7 +6,8 @@ continuously differentiable with ``lambda'(t) = <P x(t), x(t)>``.  The one
 instance of :mod:`specbound.graphs` that the bound report reads too holds
 both matrices, the check that ``A(1)`` is connected, and every solved point
 of the path: the ``t = 0`` pair, a certified pair on each grid point and the
-central differences of the top eigenvalue.  This module turns them into
+central differences of the top eigenvalue, all from one eigendecomposition
+of ``A_I`` (secular roots, shifted-solve vectors).  This module turns them into
 samples, checks the derivative identity, evaluates the per-kind
 differential inequality ``lambda' <= f(t, lambda)``, and compares
 ``lambda(t)`` against the exact solution ``u(t)`` of the majorizing Cauchy
@@ -85,12 +86,13 @@ def sample_path(
     the quadratic-form derivative and a central difference of eigenvalues,
     with step ``min(1e-5, 1/(4 steps))``.  The final graph must be connected
     (:class:`DisconnectedError`); ``steps`` must be an integer >= 2.  The
-    points past ``t = 0`` and the finite-difference points are solved as
-    stacks of matrices, one LAPACK call per stack, skipping the input checks
-    made once on ``A_I + P``; every point still gets its certificate.
+    points past ``t = 0`` and the finite-difference points are roots of the
+    path's secular equation in the eigendecomposition of ``A_I``, and each
+    grid point's vector comes from a stacked shifted solve, skipping the
+    input checks made once; every grid pair still gets its certificate.
     """
     steps = _check_count("steps", steps, 2)
-    return _sample(_instances([(graph, pert)], tol, steps)[0])
+    return _sample(_instances([(graph, pert)], tol, steps, final=False)[0])
 
 
 def _sample(inst: _Instance) -> PerturbationPath:

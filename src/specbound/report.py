@@ -13,7 +13,7 @@ gap; the final graph is built only where the equality case lives in it.
 
 from __future__ import annotations
 
-from .bounds import KIND_SPECS, BoundReport, _initial_value
+from .bounds import KIND_SPECS, BoundReport, _bound_and_gap
 from .graphs import (
     _SHAPES,
     Graph,
@@ -68,9 +68,7 @@ def _report(inst: _Instance) -> BoundReport:
     once: the bound is ``u(1)`` of :func:`~specbound.bounds.perturbation_bound`
     and the gap that of :func:`~specbound.bounds.asymptotic_gap`."""
     lambda_i = inst.lambda_i
-    spec, d, c = _initial_value(inst.pert.kind, lambda_i, **inst.params)
-    bound = spec.root(1.0, c, d)
-    gap = None if lambda_i <= 0.0 else d / lambda_i**spec.gap_power
+    bound, gap = _bound_and_gap(inst.pert.kind, lambda_i, **inst.params)
     return BoundReport(
         lambda_i=lambda_i,
         lambda_f_exact=inst.lambda_f,

@@ -19,11 +19,15 @@ stack: the certified Perron solve checks the residual and the positivity of
 every matrix in it, with stacked ``matmul`` that runs the same BLAS kernels
 per matrix as a single solve, so a matrix gets the same bits alone or in a
 stack.  :func:`perron` calls it with a stack of one matrix.
-:func:`_solve_paths` owns the start of a path ``a + t p``: the best
-certified pair of ``a``'s components.  It solves that start with the points
-its caller names, for one instance or a block of ``verify`` trials, by size
-in stacks of at most ``_STACK_ENTRIES`` entries, skipping the input checks
-made once, never the certificate.  Oracles live with the tests.
+
+:func:`_solve_paths` solves the paths ``a + t p``, for one instance or a
+block of ``verify`` trials, by size in stacks of at most ``_STACK_ENTRIES``
+entries, skipping the input checks made once, never the certificate.  It
+owns a path's start, the best certified pair of ``a``'s components, and
+reuses their eigendecompositions for every later point: ``p`` has rank 2,
+so each point's value is a root of a 2x2 secular equation
+(:func:`_secular_roots`), and each grid point's vector two steps of shifted
+inverse iteration (:func:`_shifted_pairs`).  Oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ import numpy as np
 
 _SYM_ATOL = 1e-12
 _STACK_ENTRIES = 1 << 15  # matrix entries per stacked solve: 256 KiB of float64
+_ROOT_ENTRIES = 1 << 12  # secular terms per Newton pass: 32 KiB per float64 array
+_NEWTON_STEPS = 100  # a root takes about 7; bisection alone would take 60
+_SHIFT_ULPS = 8  # per matrix row: the shift above a root, in ulps of the root
+_AT_ZERO, _AT_ONE = np.zeros(1), np.ones(1)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -54,11 +62,16 @@ def _require_symmetric(a) -> np.ndarray:
 
 def connected_components(a) -> list[list[int]]:
     """Index sets of the components of the nonzero off-diagonal pattern."""
-    m = _as_matrix(a)
+    return _components(_row_bits(_as_matrix(a)))
+
+
+def _row_bits(m: np.ndarray) -> list[int]:
+    """Each row of ``m``'s nonzero pattern as a Python integer whose bit ``j``
+    marks entry ``j``: one ``packbits`` pass, cheaper than setting the bits
+    edge by edge once a graph has a few hundred edges."""
     rows = np.packbits(m != 0, axis=1, bitorder="little").tobytes()
     width = len(rows) // len(m)
-    neighbors = [int.from_bytes(rows[i : i + width], "little") for i in range(0, len(rows), width)]
-    return _components(neighbors)
+    return [int.from_bytes(rows[i : i + width], "little") for i in range(0, len(rows), width)]
 
 
 def _components(neighbors: list[int]) -> list[list[int]]:
@@ -128,15 +141,17 @@ def _require_nonnegative(a, tol: float) -> np.ndarray:
     return m
 
 
-def _certified_perron(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`perron` on a stack ``(k, n, n)`` of matrices known to be
-    connected, nonnegative and symmetric, in one ``eigh`` call: the values,
-    the vectors as rows, and the residuals.  The positivity fix-up runs only
-    on the rows that need it; ``RuntimeError`` names the first matrix that
-    fails its certificate."""
+def _perron_stack(stack: np.ndarray) -> tuple:
+    """``eigh`` of a stack ``(k, n, n)`` of matrices known to be connected,
+    nonnegative and symmetric, in one LAPACK call: the eigenvalues
+    (ascending) and eigenvectors, then the Perron values, vectors as rows and
+    residuals of :func:`perron`, uncertified.  The positivity fix-up runs only
+    on the rows that need it."""
     if stack.shape[-1] == 1:
-        return stack[:, 0, 0].copy(), np.ones((len(stack), 1)), np.zeros(len(stack))
-    x = np.abs(np.linalg.eigh(stack)[1][:, :, -1])
+        values, k = stack[:, 0, 0].copy(), len(stack)
+        return values[:, None], np.ones((k, 1, 1)), values, np.ones((k, 1)), np.zeros(k)
+    mu, q = np.linalg.eigh(stack)
+    x = np.abs(q[:, :, -1])
     for i in np.flatnonzero(~(x.min(axis=1) > 0.0)):
         m, v = stack[i], x[i]
         for _ in range(len(m)):
@@ -148,20 +163,29 @@ def _certified_perron(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     y = stack @ x[:, :, None]
     lam = (x[:, None, :] @ y)[:, 0, 0]
     r = y[:, :, 0] - lam[:, None] * x
-    res = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
-    certified = (res <= tol) & (x.min(axis=1) > 0.0)
+    return mu, q, lam, x, np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
+def _certify(residuals: np.ndarray, x: np.ndarray, tol: float) -> None:
+    """``RuntimeError`` naming the first pair whose residual exceeds ``tol``
+    or whose vector (a row of ``x``) has an entry that is not positive."""
+    certified = (residuals <= tol) & (x.min(axis=1) > 0.0)
     if not certified.all():
         i = int(np.argmin(certified))
         raise RuntimeError(
-            f"Perron pair not certified: residual {float(res[i]):.3e} (tolerance {tol}), "
+            f"Perron pair not certified: residual {float(residuals[i]):.3e} (tolerance {tol}), "
             f"min entry {float(x[i].min()):.3e}"
         )
+
+
+def _certified_perron(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`perron` on a stack ``(k, n, n)`` of matrices known to be
+    connected, nonnegative and symmetric, in one ``eigh`` call: the values,
+    the vectors as rows, and the residuals.  ``RuntimeError`` names the first
+    matrix that fails its certificate."""
+    lam, x, res = _perron_stack(stack)[2:]
+    _certify(res, x, tol)
     return lam, x, res
-
-
-def _top_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each matrix of a stack known to be symmetric."""
-    return np.linalg.eigvalsh(stack)[:, -1]
 
 
 def spectral_radius(a, tol: float = 1e-11) -> float:
@@ -175,39 +199,232 @@ def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
     values, and an eigenvector zero-padded to full size, from the
     lowest-indexed component within ``tol`` of that maximum."""
     m = _require_nonnegative(a, tol)
-    return _solve_paths([(m, 0.0)], (), (), tol)[0][:2]
+    return _solve_paths([(m, 0.0, None, connected_components(m))], (), (), tol)[0][:2]
 
 
-def _solve_paths(paths, certify, top, tol: float) -> list[tuple]:
-    """Solve the paths ``a + t p`` of ``paths``, all together in the stacks
-    of :func:`_solve_pencils`, with ``a`` nonnegative and ``a + t p``
-    connected at the points of ``certify``.  For each path: its start, the
-    value and zero-padded vector of :func:`perron_components` of ``a``; the
-    certified pairs at the points of ``certify``, vectors as rows; and the
-    top eigenvalues at the points of ``top``.  ``ValueError`` unless ``tol``
-    is positive."""
+def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[tuple]:
+    """Solve the paths ``a + t p`` of ``paths``, quadruples ``(a, p, w, comps)``
+    of a nonnegative ``a`` split into the components ``comps``, and
+    ``p = w S w^T`` with ``w = [e_u, s]`` the anchor and target-indicator
+    columns and ``S = [[0, 1], [1, 0]]``, such that ``a + t p`` is connected
+    for ``t > 0``.  For each path: its start, the value and zero-padded vector
+    of :func:`perron_components` of ``a``; certified pairs at the points of
+    ``certify``, vectors as rows; the top eigenvalues at the points of
+    ``tops``; and with ``final``, LAPACK's top eigenvalue of ``a + p``, else
+    ``None``.  Without points, ``w`` may be ``None``.
+
+    The components are solved in one ``eigh`` call per size and stack, and
+    their eigendecompositions give every point's value as a root of the
+    rank-2 secular equation of :func:`_secular_roots`, all points of all
+    paths together.  The vector at a point of ``certify`` is two steps of
+    shifted inverse iteration, one stacked ``solve`` per size and stack.
+    ``a + p`` takes one ``eigvalsh`` per size and stack: on one small matrix
+    LAPACK is cheaper than any Python-level root search.  ``RuntimeError``
+    names the first matrix, a component or a point of ``certify`` in the
+    order of ``paths``, whose pair fails its certificate; ``ValueError``
+    unless ``tol`` is positive."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    certify, top = np.asarray(certify, dtype=float), np.asarray(top, dtype=float)
-    certify_at, top_at, splits = [], [], []
-    for a, p in paths:
-        comps = connected_components(a)
-        # ``take`` copies a component's block in a third of the time of ``np.ix_``
-        blocks = [a] if len(comps) == 1 else [a.take(c, 0).take(c, 1) for c in comps]
-        certify_at += [(b, 0.0, np.zeros(1)) for b in blocks] + [(a, p, certify)]
-        top_at.append((a, p, top))
-        splits.append(comps)
-    pairs, tops = _solve_pencils(certify_at, top_at, tol)
-    solved, at = [], 0
-    for (a, _), comps, top_k in zip(paths, splits, tops):
-        starts, at = pairs[at : at + len(comps)], at + len(comps) + 1
-        values = [float(v[0]) for v, _ in starts]
+    certify, tops = np.asarray(certify, dtype=float), np.asarray(tops, dtype=float)
+    points = np.concatenate([certify, tops])
+    blocks = []
+    for a, _, w, comps in paths:
+        if len(comps) == 1:
+            blocks.append((a, w if len(points) else None))
+        else:  # ``take`` copies a component's block in a third of the time of ``np.ix_``
+            blocks += [(a.take(c, 0).take(c, 1), w[c] if len(points) else None) for c in comps]
+    spectra, certified = _solve_blocks(blocks, tol)
+    starts, systems, at = [], [], 0
+    for a, _, _, comps in paths:
+        parts, at = spectra[at : at + len(comps)], at + len(comps)
+        values = [float(lam) for lam, _, _, _ in parts]
         value = max(values)
         k = next(k for k, v in enumerate(values) if v >= value - tol)
         vector = np.zeros(len(a))
-        vector[comps[k]] = starts[k][1][0]
-        solved.append((value, vector, *pairs[at - 1], top_k))
-    return solved
+        vector[comps[k]] = parts[k][1]
+        starts.append((value, vector))
+        if len(points):
+            systems.append(tuple(map(np.concatenate, zip(*(eig for _, _, _, eig in parts)))))
+    roots = _secular_roots(systems, points) if len(points) else np.empty((len(paths), 0))
+    pairs = [(np.empty((0, len(a))), np.empty(0)) for a, _, _, _ in paths]
+    if len(certify):
+        pencils = [(a, p, certify) for a, p, _, _ in paths]
+        certified &= _shifted_pairs(pencils, roots[:, : len(certify)], pairs, tol)
+    if not certified:  # find the first failure in order
+        at = 0
+        for (_, _, _, comps), (x, res) in zip(paths, pairs):
+            for _, xc, rc, _ in spectra[at : at + len(comps)]:
+                _certify(np.array([rc]), xc[None], tol)
+            _certify(res, x, tol)
+            at += len(comps)
+    finals = _final_tops(paths) if final else [None] * len(paths)
+    return [
+        (value, vector, root[: len(certify)], x, root[len(certify) :], top)
+        for (value, vector), root, (x, _), top in zip(starts, roots, pairs, finals)
+    ]
+
+
+def _final_tops(paths) -> list:
+    """LAPACK's top eigenvalue of ``a + p`` for each path ``(a, p, w, comps)``,
+    one ``eigvalsh`` call per stack of equal-size matrices."""
+    tops = [None] * len(paths)
+    for _, spans, stacks in _pencil_groups([(a, p, _AT_ONE) for a, p, _, _ in paths]):
+        values = [np.linalg.eigvalsh(stack)[:, -1] for stack in stacks]
+        values = values[0] if len(values) == 1 else np.concatenate(values)
+        for k, span in spans:
+            tops[k] = values[span.start]
+    return tops
+
+
+def _solve_blocks(blocks, tol: float) -> tuple[list[tuple], bool]:
+    """:func:`_perron_stack` of the matrix of each pair ``(m, w)`` of
+    ``blocks``, one LAPACK call per stack of equal-size matrices: per matrix
+    its Perron value, vector and residual, and, given its rows ``w`` of
+    ``W``, its eigenvalues and ``Q^T w`` (else ``None``), so no
+    eigenvector stack outlives its group; and whether every pair passes its
+    certificate at ``tol``."""
+    solved, certified = [None] * len(blocks), True
+    for _, spans, stacks in _pencil_groups([(m, 0.0, _AT_ZERO) for m, _ in blocks]):
+        parts = [_perron_stack(stack) for stack in stacks]
+        mu, q, lam, x, res = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        certified &= bool(((res <= tol) & (x.min(axis=1) > 0.0)).all())
+        for k, span in spans:
+            i, w = span.start, blocks[k][1]
+            solved[k] = (lam[i], x[i], res[i], None if w is None else (mu[i], q[i].T @ w))
+    return solved, certified
+
+
+def _secular_roots(systems, ts: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of ``A(t) = A_I + t W S W^T`` at each ``t > 0`` of
+    ``ts``, for each pair ``(mu, b)`` of ``systems``: the eigenvalues ``mu``
+    of ``A_I`` and ``b = Q^T W`` for its eigenvectors ``Q``.  One row of
+    roots per system.
+
+    Above ``mu_top = max(mu)``, ``lambda`` is an eigenvalue of ``A(t)`` iff
+    ``det(I - t S M(lambda)) = 0`` with ``M(lambda) = sum_i b_i b_i^T /
+    (lambda - mu_i)`` (Golub 1973; Bunch, Nielsen and Sorensen 1978), and the
+    top one is the root of ``t theta(lambda) = 1``, ``theta = M_us +
+    sqrt(M_uu M_ss)`` decreasing.  Each point runs bracketed Newton on
+    ``1/theta = t`` in ``delta = lambda - mu_top > 0``, so no evaluation
+    meets a pole, from the Ritz value of ``A(t)`` on ``span{x, P x}``, ``x``
+    the top eigenvector of ``A_I``, and stops once its raw step is within 2
+    ulps of ``lambda``.  The points of all systems iterate as arrays, in
+    passes of about ``_ROOT_ENTRIES`` terms; a point's sums run over its own
+    terms only, so its bits do not depend on the other points."""
+    k = len(ts)
+    sizes = np.array([len(mu) for mu, _ in systems])
+    mu = np.concatenate([mu for mu, _ in systems])
+    b = np.concatenate([b for _, b in systems])
+    first = np.cumsum(sizes) - sizes
+    top = np.maximum.reduceat(mu, first)
+    d = np.repeat(top, sizes) - mu  # >= 0: lambda - mu_i = delta + d_i
+    coef = np.stack([b[:, 0] * b[:, 0], b[:, 1] * b[:, 1], b[:, 0] * b[:, 1]])
+    gram = np.add.reduceat(coef, first, axis=1)  # W^T W: 1, |s|^2 and 0 up to rounding
+    inner = np.add.reduceat(coef * mu, first, axis=1)  # W^T A_I W
+    # The 2x2 Ritz matrix of A(t) - mu_top on span{x, y}, y = P x - <P x, x> x
+    # normalized: [[t a, t beta], [t beta, gamma + t c]].
+    i_top = np.maximum.reduceat(np.where(d == 0.0, np.arange(len(mu)), -1), first)
+    bu, bs = b[i_top, 0], b[i_top, 1]
+    a = 2.0 * bu * bs  # <P x, x>
+    px2 = bs * bs * gram[0] + 2.0 * bu * bs * gram[2] + bu * bu * gram[1]  # |P x|^2
+    pap = bs * bs * inner[0] + 2.0 * bu * bs * inner[2] + bu * bu * inner[1]  # <A_I P x, P x>
+    p1, p2 = bs * gram[0] + bu * gram[2], bs * gram[2] + bu * gram[1]  # W^T P x
+    beta2 = np.maximum(px2 - a * a, 0.0)
+    scale = np.divide(1.0, beta2, out=np.zeros_like(beta2), where=beta2 > 0.0)
+    gamma = (pap - a * a * top) * scale - top
+    c = (2.0 * p1 * p2 - 2.0 * a * px2 + a**3) * scale  # <P y, y>
+    weyl = np.sqrt(gram[1])  # ||P|| = |s|: delta <= t |s|
+
+    npts = np.repeat(sizes, k)
+    ends = np.cumsum(npts)
+    delta, j = np.empty(len(npts)), 0
+    while j < len(npts):
+        end = max(j + 1, int(np.searchsorted(ends, ends[j] - npts[j] + _ROOT_ENTRIES, "right")))
+        system, t = np.arange(j, end) // k, ts[np.arange(j, end) % k]
+        delta[j:end] = _secular_newton(
+            t, *(v[system] for v in (top, a, beta2, gamma, c, weyl, first)), npts[j:end], coef, d
+        )
+        j = end
+    return np.repeat(top, k).reshape(len(systems), k) + delta.reshape(len(systems), k)
+
+
+def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> np.ndarray:
+    """``lambda - mu_top`` at each point of :func:`_secular_roots`, given per
+    point its ``t``, its system's Ritz matrix, Weyl bound and first term, and
+    its count of terms; ``coef`` and ``d`` hold every system's terms."""
+    half = 0.5 * (t * (a - c) - gamma)  # half the diagonal difference of the Ritz matrix
+    hyp = np.hypot(half, t * np.sqrt(beta2))
+    lift = np.where(half > 0.0, t * t * beta2 / np.where(half > 0.0, half + hyp, 1.0), hyp - half)
+    lo, hi = np.zeros_like(t), 2.0 * t * weyl
+    delta = np.clip(t * a + lift, np.spacing(top + t * weyl), hi)
+    seg = np.cumsum(npts) - npts
+    src = np.repeat(first - seg, npts)
+    src += np.arange(len(src))
+    coef, d = coef[:, src], d[src]
+    del src
+    r, term, sums = np.empty(len(d)), np.empty(len(d)), np.empty((6, len(t)))  # reused
+    active = np.ones(len(t), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        np.add(np.repeat(delta, npts), d, out=r)
+        np.reciprocal(r, out=r)
+        for row in range(6):  # M(lambda), then -M'(lambda)
+            if row == 3:
+                np.multiply(r, r, out=r)
+            sums[row] = np.add.reduceat(np.multiply(coef[row % 3], r, out=term), seg)
+        m, dm = sums[:3], sums[3:]
+        root = np.sqrt(m[0] * m[1])
+        theta = m[2] + root
+        slope = dm[2] + (dm[0] * m[1] + m[0] * dm[1]) / (2.0 * root)  # -theta'
+        below = t * theta > 1.0
+        lo = np.where(below, delta, lo)
+        hi = np.where(below, hi, delta)
+        new = delta + theta * (t * theta - 1.0) / slope
+        ulps = 2.0 * np.spacing(top + delta)
+        # A bracket within 2 ulps ends a point whose root lies at mu_top to rounding.
+        done = (np.abs(new - delta) <= ulps) | (hi - lo <= ulps)
+        inside = (lo < new) & (new < hi)
+        new = np.where(inside, new, np.where(done, delta, 0.5 * (lo + hi)))
+        delta = np.where(active, new, delta)
+        active &= ~done
+        if not active.any():
+            return delta
+    raise RuntimeError("secular root search did not converge")  # pragma: no cover
+
+
+def _shifted_pairs(pencils, values: np.ndarray, pairs: list, tol: float) -> bool:
+    """For each pencil ``(a, p, ts)`` of :func:`_pencil_groups`, with
+    ``values`` the top eigenvalue of each of its matrices as a row, put into
+    ``pairs`` the unit vectors (rows) and residuals of two steps
+    ``(s I - A) x <- x`` from ``x = 1``, ``s`` a few ulps above the value:
+    one stacked ``solve`` per step, size and stack.  Return whether every
+    pair passes its certificate at ``tol``.
+
+    For ``s`` above the spectral radius of a connected nonnegative ``A``,
+    ``(s I - A)^{-1} = sum_k A^k / s^(k+1)`` is entrywise positive, so the
+    vectors are positive without a fix-up.  LU's rounding is about ``n``
+    ulps of ``||A||``, so ``s`` lies ``_SHIFT_ULPS n`` ulps above."""
+    certified = True
+    for n, spans, stacks in _pencil_groups(pencils):
+        lam = np.concatenate([values[k] for k, _ in spans])
+        xs, res, at = [], [], 0
+        for stack in stacks:
+            part, at = lam[at : at + len(stack)], at + len(stack)
+            shift = part + _SHIFT_ULPS * n * np.spacing(part)
+            shifted = np.negative(stack, out=stack)  # s I - A in place of A
+            shifted[:, range(n), range(n)] += shift[:, None]
+            x = np.ones((len(stack), n, 1))
+            for _ in range(2):
+                x = np.linalg.solve(shifted, x)
+                x /= np.sqrt(x.transpose(0, 2, 1) @ x)
+            xs.append(x[:, :, 0])
+            r = (shift - part)[:, None, None] * x - shifted @ x  # A x - value x; s - value is exact
+            res.append(np.sqrt(r.transpose(0, 2, 1) @ r)[:, 0, 0])
+        xs = xs[0] if len(xs) == 1 else np.concatenate(xs)
+        res = res[0] if len(res) == 1 else np.concatenate(res)
+        certified &= bool(((res <= tol) & (xs.min(axis=1) > 0.0)).all())
+        for k, span in spans:
+            pairs[k] = xs[span], res[span]
+    return certified
 
 
 def _pencil_groups(pencils):
@@ -242,33 +459,6 @@ def _stacks(n: int, pencils, total: int):
                 yield stack
                 total -= filled
                 stack, filled = np.empty((min(per_stack, total), n, n)), 0
-
-
-def _solve_pencils(certify, top, tol: float) -> tuple[list, list]:
-    """Solve the pencils of :func:`_pencil_groups`, one LAPACK call per stack:
-    for each pencil of ``certify`` the certified Perron values of its
-    matrices and their vectors as rows, for each pencil of ``top`` their top
-    eigenvalues.  ``RuntimeError`` names the first matrix of ``certify``
-    that fails its certificate, as lone solves in that order would."""
-    pairs, tops = [None] * len(certify), [None] * len(top)
-    try:
-        for n, spans, stacks in _pencil_groups(certify):
-            solved = [_certified_perron(stack, tol)[:2] for stack in stacks]
-            solved = solved or [(np.empty(0), np.empty((0, n)))]
-            values, vectors = solved[0] if len(solved) == 1 else map(np.concatenate, zip(*solved))
-            for k, span in spans:
-                pairs[k] = values[span], vectors[span]
-    except RuntimeError:
-        for a, p, ts in certify:
-            for t in ts:
-                _certified_perron((t * p + a)[None], tol)
-        raise
-    for _, spans, stacks in _pencil_groups(top):
-        solved = [_top_eigenvalues(stack) for stack in stacks] or [np.empty(0)]
-        values = solved[0] if len(solved) == 1 else np.concatenate(solved)
-        for k, span in spans:
-            tops[k] = values[span]
-    return pairs, tops
 
 
 def full_spectrum(a) -> np.ndarray:

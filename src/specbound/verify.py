@@ -13,11 +13,12 @@ it up once and checks every certificate of its one report and path:
 Trials are seeded per-index from a master splitmix64 seed, so summaries are
 bit-for-bit reproducible and order-independent.  They run in blocks of about
 ``_BLOCK_ENTRIES`` matrix entries: a block's instances are drawn and set up,
-all their matrices (``A_I``'s components, the path's grid and
-finite-difference points, ``A_I + P``) are solved together, one LAPACK call
-per matrix size and stack, and then each trial is checked in order.  A
-stacked matrix gets the same bits as a lone one, so the summary does not
-depend on the blocks.
+solved together (``A_I``'s components and ``A_I + P`` one LAPACK call per
+matrix size and stack, the secular roots of every path point as one array
+iteration, the grid vectors one stacked solve per size and stack), and then
+each trial is checked in order.  A stacked matrix gets the same bits as a
+lone one, and each root the same bits as in a lone path, so the summary does
+not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ def run_verification(
     steps = _check_count("steps", steps, 2)
     summary = VerifySummary(seed=seed, trials=trials, n_max=n_max, tolerance=tolerance)
     for block in _blocks(seed, trials, n_max, steps):
-        insts = _instances([(host, pert) for _, host, pert in block], _SOLVE_TOL, steps)
-        for (trial, _, _), inst in zip(block, insts):
+        # no name holds a block's instances, so they go before the next block is solved
+        pairs = [(host, pert) for _, host, pert in block]
+        for (trial, _, _), inst in zip(block, _instances(pairs, _SOLVE_TOL, steps)):
             _check_trial(summary, trial, inst, _sample(inst), inject_failure and trial == 0)
     return summary
 

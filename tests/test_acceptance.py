@@ -22,7 +22,7 @@ import pytest
 
 import specbound as sb
 from oracles import MAJORANTS, jacobi_spectrum, power_perron, rk4
-from specbound import Perturbation, PerturbationKind
+from specbound import Perturbation, PerturbationKind, graphs
 from specbound.rng import SplitMix64, random_instance
 
 SEED = 42
@@ -196,6 +196,18 @@ def test_criterion_2_equality_dichotomy(bound_corpus):
                     f"{kind.value} n={n} delta={delta}: |bound-lambda_F| = "
                     f"{abs(row['bound'] - row['lambda_f']):.3e}"
                 )
+    # zero-degree perturbations of edgeless hosts (d = 0, lambda_I = 0): K2 is
+    # a cone over K1 and a double cone over 2K1, and its index 1 the bound
+    for host, pert in (
+        (sb.empty_graph(1), Perturbation.pendant_edge(0)),
+        (sb.empty_graph(2), Perturbation.edge_addition(0, 1)),
+    ):
+        row, rep = _evaluate(host, pert, 0.0), sb.bound_report(host, pert)
+        eq_count += 1
+        if not (row["equality"] and rep.equality_case):
+            failures.append(f"recognizer missed {_repro(host, pert)}")
+        if (row["bound"], row["lambda_f"], rep.bound, rep.lambda_f_exact, rep.slack) != (1.0, 1.0, 1.0, 1.0, 0.0):
+            failures.append(f"degenerate {_repro(host, pert)}: {rep}")
     # dichotomy across the criterion-1 corpus
     min_strict = math.inf
     max_equality_gap = 0.0
@@ -216,6 +228,42 @@ def test_criterion_2_equality_dichotomy(bound_corpus):
     if failures:
         detail += f"; {failures[0]}"
     _verdict(2, "equality dichotomy", not failures, detail)
+
+
+def _perturbations(host):
+    """Every perturbation that applies to ``host``: each vertex connection of
+    an isolated vertex, each missing edge and each pendant edge."""
+    n = host.n
+    degrees = host.degrees()
+    for u in (v for v in range(n) if degrees[v] == 0):
+        others = [v for v in range(n) if v != u]
+        for mask in range(1, 1 << len(others)):
+            yield Perturbation.vertex_connection(u, [v for i, v in enumerate(others) if mask >> i & 1])
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not host.has_edge(u, v):
+                yield Perturbation.edge_addition(u, v)
+        yield Perturbation.pendant_edge(u)
+
+
+def test_connectivity_rule_matches_the_final_graph(bound_corpus):
+    # A_I + P is connected iff the added edges reach every component of A_I;
+    # check that rule against a search of the final graph: on the criterion-1
+    # corpus, and on every perturbation of every disconnected graph on at
+    # most 6 vertices.
+    cases = [(r["host"], r["pert"]) for r in bound_corpus["rows"]]
+    for g in nx.graph_atlas_g():
+        if 1 <= g.number_of_nodes() <= 6 and not nx.is_connected(g):
+            host = sb.from_edge_list(g.number_of_nodes(), [(int(a), int(b)) for a, b in g.edges()])
+            cases += [(host, pert) for pert in _perturbations(host)]
+    verdicts = {True: 0, False: 0}
+    for host, pert in cases:
+        padding = graphs.perturbed_dimension(host, pert) - host.n  # the pendant vertex
+        comps = sb.connected_components(np.pad(host.adjacency(), (0, padding)))
+        connected = sb.is_connected(sb.apply_perturbation(host, pert))
+        assert graphs._joins_components(comps, pert, host.n) == connected, _repro(host, pert)
+        verdicts[connected] += 1
+    assert min(verdicts.values()) > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specbound as sb
-from specbound import PerturbationKind
+from specbound import PerturbationKind, bounds, report
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -313,3 +313,44 @@ def test_perturbation_bound_dispatch_and_input_container():
     assert star_inp.gap_estimate() is None
     with pytest.raises(ValueError):
         sb.BoundInput(PerturbationKind.PENDANT_EDGE, 0.0, delta_u=1)
+
+
+def test_bound_and_gap_come_from_one_validated_weight(monkeypatch):
+    # perturbation_bound, asymptotic_gap and the report each take the bound
+    # u(1) and the gap d / lambda**p from one bounds helper, with the bits of
+    # the formulas written out here.
+    for kind, spec in bounds.KIND_SPECS.items():
+        for lam in (0.5, 1.0, SQRT2, 2.0, 7.25, 40.0):
+            for d in (1, 2, 5):
+                degrees = dict(zip(spec.params, (d, d + 1)))
+                weight = sum(degrees.values())
+                c = spec.phi(0.0, lam, weight)
+                assert sb.perturbation_bound(kind, lam, **degrees) == spec.root(1.0, c, weight)
+                assert sb.asymptotic_gap(kind, lam, **degrees) == weight / lam**spec.gap_power
+    calls = []
+    original = bounds._bound_and_gap
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_bound_and_gap", counted)
+    monkeypatch.setattr(report, "_bound_and_gap", counted)
+    sb.perturbation_bound(PerturbationKind.EDGE_ADDITION, 2.0, delta_u=1, delta_v=2)
+    sb.asymptotic_gap(PerturbationKind.PENDANT_EDGE, 2.0, delta_u=1)
+    sb.bound_report(sb.path_graph(4), sb.Perturbation.edge_addition(0, 3))
+    assert len(calls) == 3
+
+
+def test_zero_degree_perturbations_of_edgeless_hosts():
+    # d = 0 with lambda_I = 0 (K1 + pendant, 2K1 + edge): Phi is the identity
+    # and the bound max(c, t) at t = 1 is 1, the index of K2.  A host of
+    # index in (0, 1] has an edge, so its degrees are not all 0: refused.
+    assert sb.bound_pendant_edge(0.0, 0) == 1.0
+    assert sb.bound_edge_addition(0.0, 0, 0) == 1.0
+    assert sb.comparison_solution(PerturbationKind.PENDANT_EDGE, 0.0, 0.25, delta_u=0) == 0.25
+    assert sb.comparison_solution(PerturbationKind.EDGE_ADDITION, 0.0, 0.0, delta_u=0, delta_v=0) == 0.0
+    for lam in (0.5, 1.0):
+        with pytest.raises(ValueError, match="needs lambda_i = 0 or > 1"):
+            sb.bound_pendant_edge(lam, 0)
+    assert sb.bound_pendant_edge(3.0, 0) == 3.0

@@ -149,9 +149,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_bound_checks_each_instance_once(tmp_path, capsys, monkeypatch):
-    # One matrix search for the final pattern and one for the host's
-    # components; the final graph is built only for the vertex kind, whose
-    # cone lives in it.
+    # No matrix search: the host's components come from its edge set, and
+    # the final pattern's connectivity from them; the final graph is built
+    # only for the vertex kind, whose cone lives in it.
     p6 = write_graph(tmp_path, sb.path_graph(6), "p6.txt")
     p6_k1 = write_graph(tmp_path, sb.disjoint_union(sb.path_graph(6), sb.empty_graph(1)), "p6_k1.txt")
     searches = _count_calls(monkeypatch, spectral, "connected_components")
@@ -162,7 +162,7 @@ def test_bound_checks_each_instance_once(tmp_path, capsys, monkeypatch):
         applied.clear()
         code, _, _ = run(capsys, ["bound", gfile, *spec.split()])
         assert code == 0
-        assert (len(searches), len(applied)) == (2, builds), spec
+        assert (len(searches), len(applied)) == (0, builds), spec
 
 
 def test_bound_checks_each_perturbation_once(tmp_path, capsys, monkeypatch):
@@ -238,25 +238,30 @@ def test_path_disconnected_final_exit_4(tmp_path, capsys):
         assert (code, out, err) == (4, "", "error: the perturbed graph is disconnected\n")
 
 
-def _assert_refused_like_bound(capsys, gfile, spec):
-    # `bound` refuses these hosts (lambda_I = 0); `path` must refuse them the
-    # same way, with one error line and no traceback
-    code, _, bound_err = run(capsys, ["bound", gfile, *spec])
-    assert code == 3
-    for fmt in ("tsv", "json"):
-        code, out, err = run(capsys, ["path", gfile, "--format", fmt, *spec])
-        assert (code, out, err) == (3, "", bound_err)
-        assert err.startswith("error: ") and err.count("\n") == 1
+def _assert_degenerate_equality(capsys, gfile, spec):
+    # Both endpoints of the added edge have degree 0, so d = 0 and
+    # lambda_I = 0: the final graph is K2, and the bound is its index 1,
+    # attained, on the path too, where lambda(t) = u(t) = t.
+    code, out, err = run(capsys, ["bound", gfile, *spec])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert (rep["lambda_I"], rep["lambda_F_exact"], rep["bound"], rep["slack"]) == (0.0, 1.0, 1.0, 0.0)
+    assert rep["equality_case"] is True and rep["asymptotic_estimate"] is None
+    code, out, err = run(capsys, ["path", gfile, "--steps", "4", *spec])
+    assert (code, err) == (0, "")
+    rows = [[float(x) for x in ln.split("\t")] for ln in out.splitlines()[1:]]
+    assert [(r[0], r[1], r[4], r[5]) for r in rows] == [(t, t, t, 0.0) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    assert all(abs(r[2] - 1.0) <= 1e-9 and abs(r[3] - 1.0) <= 1e-12 for r in rows[1:-1])
 
 
-def test_path_edge_between_isolated_pair_exit_3(tmp_path, capsys):
+def test_path_edge_between_isolated_pair_is_an_equality_case(tmp_path, capsys):
     gfile = write_graph(tmp_path, sb.empty_graph(2))
-    _assert_refused_like_bound(capsys, gfile, ["edge", "0", "1"])
+    _assert_degenerate_equality(capsys, gfile, ["edge", "0", "1"])
 
 
-def test_path_pendant_on_single_vertex_exit_3(tmp_path, capsys):
+def test_path_pendant_on_single_vertex_is_an_equality_case(tmp_path, capsys):
     gfile = write_graph(tmp_path, sb.empty_graph(1))
-    _assert_refused_like_bound(capsys, gfile, ["pendant", "0"])
+    _assert_degenerate_equality(capsys, gfile, ["pendant", "0"])
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +322,9 @@ def test_verify_formats_reproducers_only_for_failures(monkeypatch):
     assert len(formats) == len(failed.failures) > 0
 
 def _lone_matrices(seed, trials, steps=8):
-    """Each verify trial's A_I component blocks and grid points A_I + t P,
-    rebuilt with the public functions, as (size, bytes) keys."""
-    keys = []
+    """Each verify trial's A_I component blocks, its grid points A_I + t P
+    and its A_I + P, rebuilt with the public functions, as (size, bytes) keys."""
+    components, grid, final = [], [], []
     for trial in range(trials):
         kind = list(sb.PerturbationKind)[trial % 3]
         p_edge = EDGE_PROBABILITIES[(trial // 3) % 3]
@@ -328,39 +333,57 @@ def _lone_matrices(seed, trials, steps=8):
         a_initial = np.zeros_like(p_mat)
         a_initial[: host.n, : host.n] = host.adjacency()
         mats = [a_initial[np.ix_(c, c)] for c in spectral.connected_components(a_initial)]
-        mats += [(k / steps) * p_mat + a_initial for k in range(1, steps + 1)]
-        keys += [(len(m), m.tobytes()) for m in mats]
-    return keys
+        components += [(len(m), m.tobytes()) for m in mats]
+        mats = [(k / steps) * p_mat + a_initial for k in range(1, steps + 1)]
+        grid += [(len(m), m.tobytes()) for m in mats]
+        final.append((len(p_mat), (1.0 * p_mat + a_initial).tobytes()))
+    return components, grid, final
 
 
 def test_verify_sets_each_trial_up_once(monkeypatch):
-    # Trials are solved in blocks: the certified solves cover each trial's
-    # A_I components (and its grid points) exactly once, and each solve runs
-    # once per matrix size and block, split only into full stacks.
+    # Trials are solved in blocks: the eigendecompositions cover each trial's
+    # A_I components exactly once, the shifted solves its grid points once,
+    # and eigvalsh its A_I + P once.  Each LAPACK routine runs once per
+    # matrix size, block and solve step, split only into full stacks.
     blocks = _count_calls(monkeypatch, graphs, "_instances")
-    solves, certified = [], []
-    for name in ("_certified_perron", "_top_eigenvalues"):
+    calls, components, grid, final = [], [], [], []
+    original_stack = spectral._perron_stack
 
-        def recorded(stack, *args, _name=name, _original=getattr(spectral, name)):
-            solves.append((_name, len(blocks), stack.shape[-1], len(stack)))
-            if _name == "_certified_perron":
-                certified.extend((len(m), m.tobytes()) for m in stack)
+    def recorded_stack(stack):
+        components.extend((len(m), m.tobytes()) for m in stack)
+        return original_stack(stack)
+
+    monkeypatch.setattr(spectral, "_perron_stack", recorded_stack)
+    for name in ("eigh", "eigvalsh", "solve"):
+
+        def recorded(stack, *args, _name=name, _original=getattr(np.linalg, name)):
+            n, first_step = stack.shape[-1], _name == "solve" and bool(np.all(args[0] == 1.0))
+            calls.append((_name, len(blocks), n, len(stack), first_step))
+            if first_step:  # rebuild A(t) from s I - A(t); its diagonal is zero
+                a = -stack
+                a[:, range(n), range(n)] = 0.0
+                grid.extend((n, m.tobytes()) for m in a)
+            elif _name == "eigvalsh":
+                final.extend((n, m.tobytes()) for m in stack)
             return _original(stack, *args)
 
-        monkeypatch.setattr(spectral, name, recorded)
+        monkeypatch.setattr(np.linalg, name, recorded)
     summary = sb.run_verification(42, 300).to_dict()
     assert summary["instances"] == {"vertex": 100, "edge": 100, "pendant": 100}
     assert (summary["equality_cases"], summary["strict_cases"], summary["ok"]) == (63, 237, True)
-    assert Counter(certified) == Counter(_lone_matrices(42, 300))
+    lone_components, lone_grid, lone_final = _lone_matrices(42, 300)
+    assert Counter(components) == Counter(lone_components)
+    assert Counter(grid) == Counter(lone_grid)
+    assert Counter(final) == Counter(lone_final)
     groups = {}
-    for name, block, n, count in solves:
-        groups.setdefault((name, block, n), []).append(count)
-    for (_, _, n), counts in groups.items():
+    for name, block, n, count, first_step in calls:
+        groups.setdefault((name, first_step, block, n), []).append(count)
+    for (_, _, _, n), counts in groups.items():
         assert set(counts[:-1]) <= {spectral._STACK_ENTRIES // n**2}
-    splits = len(solves) - len(groups)
-    dims = {n for _, _, n, _ in solves}
-    assert len(solves) <= 2 * len(dims) * (len(blocks) + splits)
-    assert len(solves) < 300  # one trial alone makes at least four
+    splits = len(calls) - len(groups)
+    dims = {n for _, _, n, _, _ in calls}
+    assert len(calls) <= 4 * len(dims) * (len(blocks) + splits)  # eigh, two solves, eigvalsh
+    assert len(calls) < 300  # alone, each trial would make at least three
 
 
 def test_verify_extremes_equal_the_lone_public_solves():

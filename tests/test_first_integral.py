@@ -113,11 +113,7 @@ def test_inequality_rhs_is_the_first_integral_slope(kind, d, t, gap):
 def test_pendant_root_bracket_holds_on_the_whole_path(t, d, data):
     c = data.draw(st.floats(-float(d), 50.0))
     root = KIND_SPECS[PerturbationKind.PENDANT_EDGE].root
-    if d == 0 and c <= t:
-        with pytest.raises(ValueError):
-            root(t, c, d)
-        return
     y = root(t, c, d)  # never the RuntimeError of a failed bracket
     assert math.isfinite(y) and y >= t
-    if d == 0:
-        assert y == c
+    if d == 0:  # the cubic is (v - c)(v^2 - t^2), largest root max(c, t)
+        assert y == max(c, t)

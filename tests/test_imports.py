@@ -160,6 +160,23 @@ def test_only_graphs_and_spectral_see_the_path_solve(name):
     assert mentioning == PATH_OWNERS
 
 
+# The path's numerics live in ``spectral``, the one module that reaches
+# ``numpy.linalg``: its secular root finder, its shifted solves and its matrix
+# search.  ``graphs`` takes the host's components from the edge set.
+SPECTRAL_ONLY = ["_secular_roots", "_shifted_pairs", "_final_tops", "is_connected_matrix"]
+
+
+@pytest.mark.parametrize("name", SPECTRAL_ONLY)
+def test_only_spectral_sees_the_path_numerics(name):
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert {file for file, source in sources.items() if name in mentioned_names(source)} == {"spectral.py"}
+
+
+def test_graphs_runs_no_matrix_search():
+    found = mentioned_names((SRC / "graphs.py").read_text(encoding="utf-8"))
+    assert found & {"is_connected_matrix", "connected_components"} == set()
+
+
 def test_report_imports_only_bounds_and_graphs():
     assert package_imports((SRC / "report.py").read_text(encoding="utf-8")) == {"bounds", "graphs"}
 

@@ -125,24 +125,48 @@ def _reference_samples(host, pert, steps):
     return rows
 
 
-def _assert_path_equals_the_public_solves(host, pert, steps):
+def _residual(a, value, vector) -> float:
+    return float(np.linalg.norm(a @ vector - value * vector))
+
+
+def _assert_path_agrees_with_the_public_solves(host, pert, steps):
+    # The t = 0 pair is the public solve itself.  Past it, the path's pairs
+    # are secular roots with shifted-solve vectors: a unit vector with
+    # residual r has an eigenvalue within r of its value, and lies within
+    # r / gap of that eigenvector (Davis-Kahan), so the path and the lone
+    # certified solve agree within the sum of their residuals, plus the
+    # rounding of the residuals themselves.  The finite differences agree
+    # within the top values' accuracy, 8 eps ||A||_1, over 2h.
     path = sb.sample_path(host, pert, steps=steps)
     reference = _reference_samples(host, pert, steps)
-    for s, (value, vector, lhs, rhs) in zip(path.samples, reference, strict=True):
-        assert s.value == value
-        assert np.array_equal(s.vector, vector)
-        assert s.derivative_lhs == lhs
-        assert s.derivative_rhs == rhs
+    p_mat = sb.perturbation_matrix(host, pert)
+    a_initial = np.zeros_like(p_mat)
+    a_initial[: host.n, : host.n] = host.adjacency()
+    eps = np.finfo(float).eps
+    h = min(1e-5, 1.0 / (4.0 * steps))
+    assert (path.samples[0].value, path.samples[0].vector.tolist()) == (
+        reference[0][0],
+        reference[0][1].tolist(),
+    )
+    for s, (value, vector, lhs, rhs) in zip(path.samples[1:], reference[1:], strict=True):
+        a = a_initial + s.t * p_mat
+        norm = float(np.abs(a).sum(axis=0).max())  # ||A||_1
+        both = _residual(a, s.value, s.vector) + _residual(a, value, vector) + 4 * eps * norm
+        assert abs(s.value - value) <= both
+        top = np.linalg.eigvalsh(a)
+        distance = float(np.linalg.norm(s.vector - vector))
+        assert distance <= 2.0 * both / (top[-1] - top[-2] - both)
+        if lhs is not None:
+            assert abs(s.derivative_lhs - lhs) <= 8 * eps * float(np.abs(p_mat + a).sum(axis=0).max()) / h
+            assert abs(s.derivative_rhs - rhs) <= 2.0 * np.linalg.norm(p_mat, 2) * distance + 4 * eps
 
 
-def test_path_samples_equal_the_public_solves_exactly():
-    # Checking the contract once per path and solving in stacks must not
-    # change a single bit.
+def test_path_samples_agree_with_the_public_solves():
     for kind in PerturbationKind:
         for i in range(20):
             rng = SplitMix64.spawn(4041 + 100 * list(PerturbationKind).index(kind), i)
             host, pert = random_instance(rng, kind, 12, (0.25, 0.5, 0.8)[i % 3])
-            _assert_path_equals_the_public_solves(host, pert, 8)
+            _assert_path_agrees_with_the_public_solves(host, pert, 8)
 
 
 @pytest.mark.parametrize(
@@ -150,8 +174,8 @@ def test_path_samples_equal_the_public_solves_exactly():
     [
         (sb.path_graph(64), Perturbation.edge_addition(0, 32)),
         (sb.cycle_graph(60), Perturbation.pendant_edge(0)),
-        # LAPACK's top vector underflows along the tail at every t > 0, so
-        # the positivity fix-up runs inside stacks of 19 matrices.
+        # The Perron entries along the tail fall far below roundoff, so the
+        # shifted solve's positivity is tested inside stacks of 19 matrices.
         (lollipop_graph(20, 20), Perturbation.pendant_edge(39)),
     ],
     ids=["P64-edge", "C60-pendant", "K20+P20-pendant"],
@@ -159,26 +183,28 @@ def test_path_samples_equal_the_public_solves_exactly():
 def test_path_spanning_several_stacks_equals_the_public_solves(host, pert):
     dim = sb.perturbation_matrix(host, pert).shape[0]
     assert 32 > spectral._STACK_ENTRIES // dim**2  # at least two grid stacks
-    _assert_path_equals_the_public_solves(host, pert, 32)
+    _assert_path_agrees_with_the_public_solves(host, pert, 32)
 
 
 def _count_lapack_calls(monkeypatch):
-    """Count the ``numpy.linalg`` eigensolver calls made from now on."""
+    """Record the ``numpy.linalg`` eigensolver calls made from now on, as
+    (routine, matrix size) pairs."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)[-1]))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
 def test_path_solves_in_a_few_lapack_calls(monkeypatch):
-    # n <= 12: one stack holds every grid point and one every
-    # finite-difference point, whatever the step count.
+    # The eigensolver runs once per component size of A_I (1x1 components
+    # need none), whatever the step count: every later point is a secular
+    # root, with a shifted solve for its vector, and no eigvalsh is left.
     calls = _count_lapack_calls(monkeypatch)
     for kind in PerturbationKind:
         for i in range(10):
@@ -186,12 +212,11 @@ def test_path_solves_in_a_few_lapack_calls(monkeypatch):
             host, pert = random_instance(rng, kind, 12, (0.25, 0.5, 0.8)[i % 3])
             a_initial = np.zeros_like(sb.perturbation_matrix(host, pert))
             a_initial[: host.n, : host.n] = host.adjacency()
-            per_path = []
+            sizes = {len(c) for c in spectral.connected_components(a_initial)} - {1}
             for steps in (8, 32):
                 calls.clear()
                 sb.sample_path(host, pert, steps=steps)
-                per_path.append(len(calls))
-            assert per_path[0] == per_path[1] <= 2 + len(spectral.connected_components(a_initial))
+                assert sorted(calls) == sorted(("eigh", n) for n in sizes)
 
 
 def test_path_memory_stays_bounded():
