@@ -19,16 +19,19 @@ applicability checks are all built from those edges; a per-kind table holds
 the rest (target count, usage line, whether ``u`` must be isolated).  The
 pendant vertex is always index ``n``, so the matrices of the path
 ``A_I + t P`` align once ``A_I`` is zero-padded by one row and column.  One
-private instance holds both matrices, the bounds' degree data and the solved
-path.  ``A_I``'s components come from one pass of the one graph search of
+private instance holds the bounds' degree data and the solved path.
+``A_I``'s components come from one pass of the one graph search of
 :mod:`specbound.spectral`, which :func:`is_connected` shares, over the
 host's edges as bit sets, and ``A_I + P`` is connected iff the added edges
 reach every component.  The instance lays out the path's points: its start
 ``(lambda_I, x_I)``, certified pairs on the grid ``k/steps``, central
 differences around the interior grid, and, for a report, the final index
 at ``t = 1``; it hands the solve the columns ``W = [e_u, s]`` with
-``P = W S W^T``.  ``bound_report`` and ``sample_path`` set up one instance,
-``verify`` a block of them, solved together.
+``P = W S W^T``, and reads each grid vector's ``<P x, x> = 2 x_u (s . x)``
+off ``W^T x``.  Each grid vector comes from ``A_I``'s eigendecomposition,
+or from a shifted solve where that vector fails its certificate.
+``bound_report`` and ``sample_path`` set up one instance, ``verify`` a
+block of them, solved together.
 """
 
 from __future__ import annotations
@@ -367,23 +370,23 @@ class _Instance(NamedTuple):
 
     graph: Graph
     pert: Perturbation
-    a_initial: np.ndarray  # the host adjacency, zero-padded to the size of ``p_mat``
-    p_mat: np.ndarray  # :func:`perturbation_matrix`
     params: dict[str, int]  # :func:`bound_parameters`
-    lambda_i: float  # with ``vector``, ``perron_components`` of ``a_initial``
+    lambda_i: float  # with ``vector``, ``perron_components`` of ``A_I``
     vector: np.ndarray
     grid: np.ndarray  # the points ``k/steps`` past ``t = 0``
     values: np.ndarray  # with ``vectors`` as rows, the Perron pairs at the grid
     vectors: np.ndarray
+    forms: np.ndarray  # the quadratic forms ``<P x, x>`` of the grid vectors
     lhs: np.ndarray  # central differences of the top eigenvalue at the interior grid
     lambda_f: Optional[float]  # the top eigenvalue of ``A_I + P``, if asked for
 
 
 def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_Instance]:
     """Set each ``(g, p)`` of ``pairs`` up, then solve them all together:
-    ``A_I``'s components, certified Perron pairs on the grid ``k/steps``,
-    top eigenvalues at the interior grid plus and minus
-    ``h = min(1e-5, 1/(4 steps))`` for central differences, and, with
+    ``A_I``'s components, certified Perron pairs on the grid ``k/steps``
+    with their quadratic forms ``<P x, x>``, top eigenvalues at the interior
+    grid plus and minus ``h = min(1e-5, 1/(4 steps))`` for central
+    differences, and, with
     ``final``, the top eigenvalue of ``A_I + P``.  The grid and difference
     points are roots of one secular equation per instance, from one ``eigh``
     per stack of equal-size components; ``A_I + P`` takes one ``eigvalsh``
@@ -404,12 +407,16 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
         w[p.u, 0] = 1.0
         w[list(p.targets or (g.n,)), 1] = 1.0
         paths.append((a_initial, p_mat, w, comps))
-        setups.append((g, p, a_initial, p_mat, _degree_data(g, p)))
+        setups.append((g, p, _degree_data(g, p)))
     solved = _solve_paths(paths, grid, np.concatenate([inner + h, inner - h]), tol, final)
     insts = []
-    for setup, (lambda_i, vector, values, vectors, tops, lambda_f) in zip(setups, solved):
+    for setup, (_, _, w, _), solution in zip(setups, paths, solved):
+        lambda_i, vector, values, vectors, tops, lambda_f = solution
+        z = vectors @ w  # W^T x per grid point: <P x, x> = 2 x_u (s . x)
+        forms = 2.0 * z[:, 0] * z[:, 1]
         lhs = (tops[: len(inner)] - tops[len(inner) :]) / (2.0 * h)
-        insts.append(_Instance(*setup, lambda_i, vector, grid, values, vectors, lhs, lambda_f))
+        path = (lambda_i, vector, grid, values, vectors, forms, lhs, lambda_f)
+        insts.append(_Instance(*setup, *path))
     return insts
 
 

@@ -4,15 +4,16 @@ The perturbation is run as a linear matrix path ``A(t) = A_initial + t * P``
 for ``t`` in [0, 1].  Along it the spectral radius ``lambda(t)`` is
 continuously differentiable with ``lambda'(t) = <P x(t), x(t)>``.  The one
 instance of :mod:`specbound.graphs` that the bound report reads too holds
-both matrices, the check that ``A(1)`` is connected, and every solved point
-of the path: the ``t = 0`` pair, a certified pair on each grid point and the
-central differences of the top eigenvalue, all from one eigendecomposition
-of ``A_I`` (secular roots, shifted-solve vectors).  This module turns them into
-samples, checks the derivative identity, evaluates the per-kind
-differential inequality ``lambda' <= f(t, lambda)``, and compares
-``lambda(t)`` against the exact solution ``u(t)`` of the majorizing Cauchy
-problem ``y' = f(t, y), y(0) = lambda_I`` (which dominates the path and is
-attained exactly in the equality cases).  ``f`` and ``u`` both come from the
+the check that ``A(1)`` is connected and every solved point of the path: the
+``t = 0`` pair, a certified pair and its ``<P x, x>`` on each grid point and
+the central differences of the top eigenvalue, all from one
+eigendecomposition of ``A_I`` (secular roots, and vectors in its eigenbasis,
+with a shifted solve only for a pair that fails its certificate there).
+This module turns them into samples, checks the derivative identity,
+evaluates the per-kind differential inequality ``lambda' <= f(t, lambda)``,
+and compares ``lambda(t)`` against the exact solution ``u(t)`` of the
+majorizing Cauchy problem ``y' = f(t, y), y(0) = lambda_I`` (which dominates
+the path and is attained exactly in the equality cases).  ``f`` and ``u`` both come from the
 kind's first integral in :mod:`specbound.bounds`, set up once per path.
 
 The equality cases are cones and double cones over regular graphs, where the
@@ -88,8 +89,9 @@ def sample_path(
     (:class:`DisconnectedError`); ``steps`` must be an integer >= 2.  The
     points past ``t = 0`` and the finite-difference points are roots of the
     path's secular equation in the eigendecomposition of ``A_I``, and each
-    grid point's vector comes from a stacked shifted solve, skipping the
-    input checks made once; every grid pair still gets its certificate.
+    grid point's vector comes from the same eigendecomposition (a shifted
+    solve only where that vector fails its certificate), skipping the input
+    checks made once; every grid pair still gets its certificate.
     """
     steps = _check_count("steps", steps, 2)
     return _sample(_instances([(graph, pert)], tol, steps, final=False)[0])
@@ -97,10 +99,7 @@ def sample_path(
 
 def _sample(inst: _Instance) -> PerturbationPath:
     """:func:`sample_path` of an instance solved on its grid."""
-    x = inst.vectors[:-1]
-    rhs = (x[:, None, :] @ (inst.p_mat @ x[:, :, None]))[:, 0, 0]
-
-    lhs, rhs = inst.lhs.tolist() + [None], rhs.tolist() + [None]  # none at t = 1
+    lhs, rhs = inst.lhs.tolist() + [None], inst.forms[:-1].tolist() + [None]  # none at t = 1
     samples = [PathSample(0.0, inst.lambda_i, inst.vector, None, None)]
     samples += map(PathSample, inst.grid.tolist(), inst.values.tolist(), inst.vectors, lhs, rhs)
     return PerturbationPath(kind=inst.pert.kind, samples=tuple(samples), **inst.params)

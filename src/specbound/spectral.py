@@ -26,8 +26,11 @@ entries, skipping the input checks made once, never the certificate.  It
 owns a path's start, the best certified pair of ``a``'s components, and
 reuses their eigendecompositions for every later point: ``p`` has rank 2,
 so each point's value is a root of a 2x2 secular equation
-(:func:`_secular_roots`), and each grid point's vector two steps of shifted
-inverse iteration (:func:`_shifted_pairs`).  Oracles live with the tests.
+(:func:`_secular_roots`), and each grid point's vector the closed form of
+that rank-2 update in the same eigenbasis (:func:`_eigenbasis_pairs`).  A
+grid pair that fails its certificate there, with entries below rounding,
+takes two steps of shifted inverse iteration instead
+(:func:`_shifted_pairs`).  Oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -216,8 +219,10 @@ def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[
     The components are solved in one ``eigh`` call per size and stack, and
     their eigendecompositions give every point's value as a root of the
     rank-2 secular equation of :func:`_secular_roots`, all points of all
-    paths together.  The vector at a point of ``certify`` is two steps of
-    shifted inverse iteration, one stacked ``solve`` per size and stack.
+    paths together, and the vector at each point of ``certify`` by
+    :func:`_eigenbasis_pairs`, one ``matmul`` per size and stack.  Only the
+    points whose pair fails its certificate there go to the shifted solve
+    of :func:`_shifted_pairs`, which certifies its own pairs.
     ``a + p`` takes one ``eigvalsh`` per size and stack: on one small matrix
     LAPACK is cheaper than any Python-level root search.  ``RuntimeError``
     names the first matrix, a component or a point of ``certify`` in the
@@ -233,7 +238,7 @@ def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[
             blocks.append((a, w if len(points) else None))
         else:  # ``take`` copies a component's block in a third of the time of ``np.ix_``
             blocks += [(a.take(c, 0).take(c, 1), w[c] if len(points) else None) for c in comps]
-    spectra, certified = _solve_blocks(blocks, tol)
+    spectra, certified, bases = _solve_blocks(blocks, tol, keep=len(certify) > 0)
     starts, systems, at = [], [], 0
     for a, _, _, comps in paths:
         parts, at = spectra[at : at + len(comps)], at + len(comps)
@@ -248,8 +253,15 @@ def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[
     roots = _secular_roots(systems, points) if len(points) else np.empty((len(paths), 0))
     pairs = [(np.empty((0, len(a))), np.empty(0)) for a, _, _, _ in paths]
     if len(certify):
-        pencils = [(a, p, certify) for a, p, _, _ in paths]
-        certified &= _shifted_pairs(pencils, roots[:, : len(certify)], pairs, tol)
+        grid = roots[:, : len(certify)]
+        pairs, passed = _eigenbasis_pairs(paths, systems, bases, certify, grid, tol)
+        retry = [(k, np.flatnonzero(~row)) for k, row in enumerate(passed) if not row.all()]
+        if retry:  # only the points whose eigenbasis pair fails its certificate
+            fixes = [None] * len(retry)
+            pencils = [(paths[k][0], paths[k][1], certify[i]) for k, i in retry]
+            certified &= _shifted_pairs(pencils, [grid[k, i] for k, i in retry], fixes, tol)
+            for (k, i), (x, res) in zip(retry, fixes):
+                pairs[k][0][i], pairs[k][1][i] = x, res
     if not certified:  # find the first failure in order
         at = 0
         for (_, _, _, comps), (x, res) in zip(paths, pairs):
@@ -276,22 +288,94 @@ def _final_tops(paths) -> list:
     return tops
 
 
-def _solve_blocks(blocks, tol: float) -> tuple[list[tuple], bool]:
+def _solve_blocks(blocks, tol: float, keep: bool = False) -> tuple[list[tuple], bool, list]:
     """:func:`_perron_stack` of the matrix of each pair ``(m, w)`` of
     ``blocks``, one LAPACK call per stack of equal-size matrices: per matrix
     its Perron value, vector and residual, and, given its rows ``w`` of
-    ``W``, its eigenvalues and ``Q^T w`` (else ``None``), so no
-    eigenvector stack outlives its group; and whether every pair passes its
-    certificate at ``tol``."""
-    solved, certified = [None] * len(blocks), True
+    ``W``, its eigenvalues and ``Q^T w`` (else ``None``); whether every pair
+    passes its certificate at ``tol``; and with ``keep``, per size, the
+    indices of its matrices in ``blocks`` with their eigenvectors ``Q`` and
+    the matrices as stacks (else no eigenvector stack outlives its group)."""
+    solved, certified, bases = [None] * len(blocks), True, []
     for _, spans, stacks in _pencil_groups([(m, 0.0, _AT_ZERO) for m, _ in blocks]):
+        stacks = list(stacks)
         parts = [_perron_stack(stack) for stack in stacks]
         mu, q, lam, x, res = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         certified &= bool(((res <= tol) & (x.min(axis=1) > 0.0)).all())
         for k, span in spans:
             i, w = span.start, blocks[k][1]
             solved[k] = (lam[i], x[i], res[i], None if w is None else (mu[i], q[i].T @ w))
-    return solved, certified
+        if keep:
+            stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+            bases.append((np.array([k for k, _ in spans]), q, stack))
+    return solved, certified, bases
+
+
+def _eigenbasis_pairs(paths, systems, bases, ts: np.ndarray, lam: np.ndarray, tol: float):
+    """The pair at each point of ``ts`` of each path ``(a, p, w, comps)`` of
+    :func:`_solve_paths`, given its secular roots as a row of ``lam``, its
+    terms ``(mu, b)`` in ``systems`` and its components' eigenvectors in
+    ``bases`` of :func:`_solve_blocks`: per path the unit vectors (rows)
+    with their residuals, and per path whether each pair passes its
+    certificate at ``tol``.
+
+    At a root, ``(lambda I - A_I) x = t W S W^T x``, so ``x = Q D B c`` with
+    ``D = diag(1/(lambda - mu))``, ``B = Q^T W`` and ``c`` in the null space
+    of ``I - t S M(lambda)`` (Bunch, Nielsen and Sorensen 1978): ``c`` is
+    orthogonal to the larger row of that 2x2 matrix.  At the root both of
+    its entries are nonnegative and ``(lambda I - A_I)^{-1}`` is entrywise
+    nonnegative, so ``x`` needs no sign.  One ``q @ Y`` per stack of
+    equal-size components builds every point's vector, and one ``matmul``
+    per stack gives the residual ``A_I x + t W S W^T x - lambda x`` from
+    the components' matrices, never from ``A(t)``.  A zero or non-finite
+    ``lambda - mu`` gives a pair that fails its certificate, not an error.
+    A point's sums run over its own path's terms only."""
+    sizes, first, mu, b = _terms(systems)
+    owner = np.repeat(np.arange(len(systems)), sizes)
+    order = [np.concatenate(comps) for _, _, _, comps in paths]
+    w = np.concatenate([w[o] for (_, _, w, _), o in zip(paths, order)])  # rows in term order
+    counts = [len(c) for _, _, _, comps in paths for c in comps]  # the matrices of ``bases``
+    offsets = np.cumsum(counts) - counts
+    rows = [(offsets[members][:, None] + np.arange(q.shape[-1])).ravel() for members, q, _ in bases]
+
+    def per_stack(mats, v, idx):  # the rows ``idx`` of ``v``, one matrix of ``mats`` per component
+        return (mats @ v[idx].reshape(mats.shape[0], mats.shape[1], -1)).reshape(len(idx), -1)
+
+    with np.errstate(all="ignore"):
+        r = 1.0 / (lam[owner] - mu[:, None])
+        m_uu, m_ss, m_us = (
+            np.add.reduceat(coef[:, None] * r, first)
+            for coef in (b[:, 0] * b[:, 0], b[:, 1] * b[:, 1], b[:, 0] * b[:, 1])
+        )
+        diagonal = 1.0 - ts * m_us
+        upper = m_ss >= m_uu  # the larger row: (1 - t M_us, -t M_ss) or (-t M_uu, 1 - t M_us)
+        c_u, c_s = np.where(upper, ts * m_ss, diagonal), np.where(upper, diagonal, ts * m_uu)
+        y = (b[:, :1] * c_u[owner] + b[:, 1:] * c_s[owner]) * r
+        x, ax = np.empty_like(y), np.empty_like(y)
+        for (_, q, _), idx in zip(bases, rows):
+            x[idx] = per_stack(q, y, idx)
+        x /= np.sqrt(np.add.reduceat(x * x, first))[owner]
+        for (_, _, stack), idx in zip(bases, rows):
+            ax[idx] = per_stack(stack, x, idx)
+        z_u, z_s = (np.add.reduceat(w[:, j : j + 1] * x, first) for j in (0, 1))
+        r = ax + ts * (w[:, :1] * z_s[owner] + w[:, 1:] * z_u[owner]) - lam[owner] * x
+        res = np.sqrt(np.add.reduceat(r * r, first))
+        passed = (res <= tol) & (np.minimum.reduceat(x, first) > 0.0)
+    pairs = []
+    for (a, _, _, _), o, start, size, row in zip(paths, order, first, sizes, res):
+        vectors = np.empty((len(ts), len(a)))
+        vectors[:, o] = x[start : start + size].T
+        pairs.append((vectors, row))
+    return pairs, passed
+
+
+def _terms(systems) -> tuple[np.ndarray, ...]:
+    """The pairs ``(mu, b)`` of ``systems`` as one array of terms: each
+    system's count of terms and first term, then all ``mu`` and ``b``."""
+    sizes = np.array([len(mu) for mu, _ in systems])
+    mu = np.concatenate([mu for mu, _ in systems])
+    b = np.concatenate([b for _, b in systems])
+    return sizes, np.cumsum(sizes) - sizes, mu, b
 
 
 def _secular_roots(systems, ts: np.ndarray) -> np.ndarray:
@@ -312,10 +396,7 @@ def _secular_roots(systems, ts: np.ndarray) -> np.ndarray:
     passes of about ``_ROOT_ENTRIES`` terms; a point's sums run over its own
     terms only, so its bits do not depend on the other points."""
     k = len(ts)
-    sizes = np.array([len(mu) for mu, _ in systems])
-    mu = np.concatenate([mu for mu, _ in systems])
-    b = np.concatenate([b for _, b in systems])
-    first = np.cumsum(sizes) - sizes
+    sizes, first, mu, b = _terms(systems)
     top = np.maximum.reduceat(mu, first)
     d = np.repeat(top, sizes) - mu  # >= 0: lambda - mu_i = delta + d_i
     coef = np.stack([b[:, 0] * b[:, 0], b[:, 1] * b[:, 1], b[:, 0] * b[:, 1]])
@@ -391,13 +472,16 @@ def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> n
     raise RuntimeError("secular root search did not converge")  # pragma: no cover
 
 
-def _shifted_pairs(pencils, values: np.ndarray, pairs: list, tol: float) -> bool:
+def _shifted_pairs(pencils, values: list, pairs: list, tol: float) -> bool:
     """For each pencil ``(a, p, ts)`` of :func:`_pencil_groups`, with
     ``values`` the top eigenvalue of each of its matrices as a row, put into
     ``pairs`` the unit vectors (rows) and residuals of two steps
     ``(s I - A) x <- x`` from ``x = 1``, ``s`` a few ulps above the value:
     one stacked ``solve`` per step, size and stack.  Return whether every
-    pair passes its certificate at ``tol``.
+    pair passes its certificate at ``tol``.  :func:`_solve_paths` sends it
+    only the grid points whose eigenbasis pair fails: those whose vector
+    has entries below rounding, such as a long pendant tail, which the
+    eigenbasis loses and the shifted solve keeps.
 
     For ``s`` above the spectral radius of a connected nonnegative ``A``,
     ``(s I - A)^{-1} = sum_k A^k / s^(k+1)`` is entrywise positive, so the

@@ -321,10 +321,10 @@ def test_verify_formats_reproducers_only_for_failures(monkeypatch):
     failed = sb.run_verification(7, 3, n_max=6, inject_failure=True)
     assert len(formats) == len(failed.failures) > 0
 
-def _lone_matrices(seed, trials, steps=8):
-    """Each verify trial's A_I component blocks, its grid points A_I + t P
-    and its A_I + P, rebuilt with the public functions, as (size, bytes) keys."""
-    components, grid, final = [], [], []
+def _lone_matrices(seed, trials):
+    """Each verify trial's A_I component blocks and its A_I + P, rebuilt with
+    the public functions, as (size, bytes) keys."""
+    components, final = [], []
     for trial in range(trials):
         kind = list(sb.PerturbationKind)[trial % 3]
         p_edge = EDGE_PROBABILITIES[(trial // 3) % 3]
@@ -334,19 +334,18 @@ def _lone_matrices(seed, trials, steps=8):
         a_initial[: host.n, : host.n] = host.adjacency()
         mats = [a_initial[np.ix_(c, c)] for c in spectral.connected_components(a_initial)]
         components += [(len(m), m.tobytes()) for m in mats]
-        mats = [(k / steps) * p_mat + a_initial for k in range(1, steps + 1)]
-        grid += [(len(m), m.tobytes()) for m in mats]
         final.append((len(p_mat), (1.0 * p_mat + a_initial).tobytes()))
-    return components, grid, final
+    return components, final
 
 
 def test_verify_sets_each_trial_up_once(monkeypatch):
     # Trials are solved in blocks: the eigendecompositions cover each trial's
-    # A_I components exactly once, the shifted solves its grid points once,
-    # and eigvalsh its A_I + P once.  Each LAPACK routine runs once per
-    # matrix size, block and solve step, split only into full stacks.
+    # A_I components exactly once, and eigvalsh its A_I + P once.  Each
+    # LAPACK routine runs once per matrix size and block, split only into
+    # full stacks.  The grid vectors come from the components'
+    # eigendecompositions, so no grid point reaches a linear solve.
     blocks = _count_calls(monkeypatch, graphs, "_instances")
-    calls, components, grid, final = [], [], [], []
+    calls, components, final = [], [], []
     original_stack = spectral._perron_stack
 
     def recorded_stack(stack):
@@ -357,33 +356,28 @@ def test_verify_sets_each_trial_up_once(monkeypatch):
     for name in ("eigh", "eigvalsh", "solve"):
 
         def recorded(stack, *args, _name=name, _original=getattr(np.linalg, name)):
-            n, first_step = stack.shape[-1], _name == "solve" and bool(np.all(args[0] == 1.0))
-            calls.append((_name, len(blocks), n, len(stack), first_step))
-            if first_step:  # rebuild A(t) from s I - A(t); its diagonal is zero
-                a = -stack
-                a[:, range(n), range(n)] = 0.0
-                grid.extend((n, m.tobytes()) for m in a)
-            elif _name == "eigvalsh":
-                final.extend((n, m.tobytes()) for m in stack)
+            calls.append((_name, len(blocks), stack.shape[-1], len(stack)))
+            if _name == "eigvalsh":
+                final.extend((stack.shape[-1], m.tobytes()) for m in stack)
             return _original(stack, *args)
 
         monkeypatch.setattr(np.linalg, name, recorded)
     summary = sb.run_verification(42, 300).to_dict()
     assert summary["instances"] == {"vertex": 100, "edge": 100, "pendant": 100}
     assert (summary["equality_cases"], summary["strict_cases"], summary["ok"]) == (63, 237, True)
-    lone_components, lone_grid, lone_final = _lone_matrices(42, 300)
+    lone_components, lone_final = _lone_matrices(42, 300)
     assert Counter(components) == Counter(lone_components)
-    assert Counter(grid) == Counter(lone_grid)
     assert Counter(final) == Counter(lone_final)
+    assert [name for name, _, _, _ in calls if name == "solve"] == []
     groups = {}
-    for name, block, n, count, first_step in calls:
-        groups.setdefault((name, first_step, block, n), []).append(count)
-    for (_, _, _, n), counts in groups.items():
+    for name, block, n, count in calls:
+        groups.setdefault((name, block, n), []).append(count)
+    for (_, _, n), counts in groups.items():
         assert set(counts[:-1]) <= {spectral._STACK_ENTRIES // n**2}
     splits = len(calls) - len(groups)
-    dims = {n for _, _, n, _, _ in calls}
-    assert len(calls) <= 4 * len(dims) * (len(blocks) + splits)  # eigh, two solves, eigvalsh
-    assert len(calls) < 300  # alone, each trial would make at least three
+    dims = {n for _, _, n, _ in calls}
+    assert len(calls) <= 2 * len(dims) * (len(blocks) + splits)  # eigh, eigvalsh
+    assert len(calls) < 300  # alone, each trial would make at least two
 
 
 def test_verify_extremes_equal_the_lone_public_solves():

@@ -161,9 +161,12 @@ def test_only_graphs_and_spectral_see_the_path_solve(name):
 
 
 # The path's numerics live in ``spectral``, the one module that reaches
-# ``numpy.linalg``: its secular root finder, its shifted solves and its matrix
-# search.  ``graphs`` takes the host's components from the edge set.
-SPECTRAL_ONLY = ["_secular_roots", "_shifted_pairs", "_final_tops", "is_connected_matrix"]
+# ``numpy.linalg``: its secular root finder, its eigenbasis vectors, its
+# shifted solves and its matrix search.  ``graphs`` takes the host's
+# components from the edge set.
+SPECTRAL_ONLY = [
+    "_secular_roots", "_eigenbasis_pairs", "_shifted_pairs", "_final_tops", "is_connected_matrix"
+]
 
 
 @pytest.mark.parametrize("name", SPECTRAL_ONLY)

@@ -187,10 +187,10 @@ def test_path_spanning_several_stacks_equals_the_public_solves(host, pert):
 
 
 def _count_lapack_calls(monkeypatch):
-    """Record the ``numpy.linalg`` eigensolver calls made from now on, as
-    (routine, matrix size) pairs."""
+    """Record the ``numpy.linalg`` eigensolver and linear-solve calls made
+    from now on, as (routine, matrix size) pairs."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "solve"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _original=original, **kwargs):
@@ -204,7 +204,8 @@ def _count_lapack_calls(monkeypatch):
 def test_path_solves_in_a_few_lapack_calls(monkeypatch):
     # The eigensolver runs once per component size of A_I (1x1 components
     # need none), whatever the step count: every later point is a secular
-    # root, with a shifted solve for its vector, and no eigvalsh is left.
+    # root, each grid vector comes from the same eigendecompositions, and
+    # no eigvalsh or linear solve is left.
     calls = _count_lapack_calls(monkeypatch)
     for kind in PerturbationKind:
         for i in range(10):
@@ -220,8 +221,8 @@ def test_path_solves_in_a_few_lapack_calls(monkeypatch):
 
 
 def test_path_memory_stays_bounded():
-    # Stacks of at most 256 KiB peak near 700 KiB here; one matrix at a time
-    # peaks near 184 KiB, and one unchunked stack of all 94 matrices near 2.1 MiB.
+    # The eigenbasis vectors and the secular roots peak near 390 KiB here;
+    # one unchunked stack of all 94 matrices A(t) would peak near 2.1 MiB.
     host, pert = sb.path_graph(64), Perturbation.edge_addition(0, 32)
     sb.sample_path(host, pert, steps=32)
     tracemalloc.start()
@@ -234,7 +235,7 @@ def test_path_memory_stays_bounded():
 
 
 def test_verify_memory_stays_bounded():
-    # Blocks of about 2^16 matrix entries peak near 780 KiB here, whatever
+    # Blocks of about 2^16 matrix entries peak near 880 KiB here, whatever
     # the trial count; solving all 300 trials as one block peaks near 1.8 MiB.
     sb.run_verification(42, 30)
     tracemalloc.start()

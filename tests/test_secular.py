@@ -2,9 +2,10 @@
 
 Every point of a path is the root above ``lambda_max(A_I)`` of the rank-2
 secular equation in the eigendecomposition of ``A_I``, and every grid point
-gets its vector from a shifted solve.  The roots are checked here against
-``numpy.linalg.eigvalsh`` of each matrix, and the grid pairs against their
-residual and positivity certificate, recomputed from the matrices.
+gets its vector from the same eigendecomposition, or from a shifted solve
+where that vector fails its certificate.  The roots are checked here
+against ``numpy.linalg.eigvalsh`` of each matrix, and the grid pairs against
+their residual and positivity certificate, recomputed from the matrices.
 """
 
 import numpy as np
@@ -56,6 +57,12 @@ def assert_path_solved(host, pert, steps=8):
     for t, root in zip(ts, roots, strict=True):
         a = a_initial + t * p_mat
         assert abs(root - np.linalg.eigvalsh(a)[-1]) <= 8 * EPS * np.abs(a).sum(axis=0).max()
+    assert_grid_certified(inst, host, pert)
+
+
+def assert_grid_certified(inst, host, pert):
+    # Each grid pair within the solve tolerance of A(t), all entries positive.
+    a_initial, p_mat = path_matrices(host, pert)
     for t, value, x in zip(inst.grid, inst.values, inst.vectors, strict=True):
         a = a_initial + t * p_mat
         assert np.linalg.norm(a @ x - value * x) <= TOL
@@ -162,5 +169,67 @@ def test_secular_bits_do_not_depend_on_the_other_paths():
         (alone,) = graphs._instances([pair], TOL, 8)
         assert alone.values.tobytes() == inst.values.tobytes()
         assert alone.vectors.tobytes() == inst.vectors.tobytes()
+        assert alone.forms.tobytes() == inst.forms.tobytes()
         assert alone.lhs.tobytes() == inst.lhs.tobytes()
         assert alone.lambda_f == inst.lambda_f
+
+
+def test_shifted_solve_takes_exactly_the_points_the_eigenbasis_fails(monkeypatch):
+    # On the lollipop's tail pendant the root lies at mu_top to rounding, so
+    # lambda - mu is 0 and the eigenbasis vectors fail their certificate:
+    # those points, and only those, go to the shifted solve, and every pair
+    # that comes back is certified.
+    instances = [
+        (sb.path_graph(12), Perturbation.edge_addition(0, 11)),
+        (lollipop_graph(20, 20), Perturbation.pendant_edge(39)),
+        (lollipop_graph(20, 20), Perturbation.edge_addition(0, 39)),
+    ]
+    passed, retried = [], []
+    eigenbasis, shifted = spectral._eigenbasis_pairs, spectral._shifted_pairs
+
+    def record_eigenbasis(*args):
+        pairs, ok = eigenbasis(*args)
+        passed.append(ok.copy())
+        return pairs, ok
+
+    def record_shifted(pencils, *args):
+        retried.append([(len(a), ts.tolist()) for a, _, ts in pencils])
+        return shifted(pencils, *args)
+
+    monkeypatch.setattr(spectral, "_eigenbasis_pairs", record_eigenbasis)
+    monkeypatch.setattr(spectral, "_shifted_pairs", record_shifted)
+    insts = graphs._instances(instances, TOL, 16, final=False)
+    (ok,), (retry,) = passed, retried
+    assert not ok[1].any() and ok[0].all()
+    failing = [(len(inst.vector), inst.grid[~row].tolist()) for inst, row in zip(insts, ok) if not row.all()]
+    assert retry == failing
+    for (host, pert), inst in zip(instances, insts, strict=True):
+        assert_grid_certified(inst, host, pert)
+
+
+def test_a_point_failing_both_routes_raises_in_caller_order(monkeypatch):
+    # Points 1 and 2 of the second and third paths fail both certificates.
+    # The second path is solved after the third (size 5 comes after size 12
+    # in the stacks), but its failure is the one named.
+    instances = [
+        (sb.path_graph(12), Perturbation.edge_addition(0, 11)),
+        (sb.cycle_graph(5), Perturbation.edge_addition(0, 2)),
+        (sb.path_graph(12), Perturbation.edge_addition(0, 6)),
+    ]
+    eigenbasis, shifted = spectral._eigenbasis_pairs, spectral._shifted_pairs
+
+    def failing_eigenbasis(*args):
+        pairs, ok = eigenbasis(*args)
+        ok[1, 1] = ok[2, 2] = False
+        return pairs, ok
+
+    def failing_shifted(pencils, values, fixes, tol):
+        shifted(pencils, values, fixes, tol)
+        for k, (x, res) in enumerate(fixes):  # the retried paths, in caller order
+            fixes[k] = x, res + (k + 1) * 1e-3
+        return False
+
+    monkeypatch.setattr(spectral, "_eigenbasis_pairs", failing_eigenbasis)
+    monkeypatch.setattr(spectral, "_shifted_pairs", failing_shifted)
+    with pytest.raises(RuntimeError, match=r"residual 1\.000e-03"):
+        graphs._instances(instances, TOL, 8, final=False)
