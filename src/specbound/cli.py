@@ -13,7 +13,8 @@ Graphs are read in the edge-list format (header ``n m``, then ``i j`` lines;
 ``#`` comments and blank lines ignored).  Perturbations use the mini-grammar
 ``vertex u v1 ... vg`` | ``edge u v`` | ``pendant u``.
 
-Exit codes: 0 success, 1 invariant failure, 2 parse failure, 3 usage, invalid
+Exit codes: 0 success, 1 invariant failure, 2 parse failure (a graph file
+that cannot be read or is not UTF-8 included), 3 usage, invalid
 perturbation or unwritable ``construct --out``, 4 structural precondition
 (disconnected result).
 ``bound`` and ``path`` leave the instance checks to the library and map the
@@ -105,7 +106,7 @@ def _run_instance(args, command) -> int:
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _error(GraphParseError(f"cannot read {args.graph}: {exc}"))
     try:
         command(parse_edge_list(text), parse_perturbation_spec(" ".join(args.perturbation)))

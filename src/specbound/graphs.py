@@ -26,8 +26,9 @@ host's edges as bit sets, and ``A_I + P`` is connected iff the added edges
 reach every component.  The instance lays out the path's points: its start
 ``(lambda_I, x_I)``, certified pairs on the grid ``k/steps``, central
 differences around the interior grid, and, for a report, the final index
-at ``t = 1``; it hands the solve the columns ``W = [e_u, s]`` with
-``P = W S W^T``, and reads each grid vector's ``<P x, x> = 2 x_u (s . x)``
+at ``t = 1``.  It hands the solve ``P = W S W^T`` only as the columns
+``W = [e_u, s]``, never as a matrix (:func:`perturbation_matrix` is the
+public reference), and reads each grid vector's ``<P x, x> = 2 x_u (s . x)``
 off ``W^T x``.  Each grid vector comes from ``A_I``'s eigendecomposition,
 or from a shifted solve where that vector fails its certificate.
 ``bound_report`` and ``sample_path`` set up one instance, ``verify`` a
@@ -386,31 +387,33 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
     ``A_I``'s components, certified Perron pairs on the grid ``k/steps``
     with their quadratic forms ``<P x, x>``, top eigenvalues at the interior
     grid plus and minus ``h = min(1e-5, 1/(4 steps))`` for central
-    differences, and, with
-    ``final``, the top eigenvalue of ``A_I + P``.  The grid and difference
-    points are roots of one secular equation per instance, from one ``eigh``
-    per stack of equal-size components; ``A_I + P`` takes one ``eigvalsh``
-    per stack.  :class:`DisconnectedError` unless every ``A_I + P`` is
-    connected."""
+    differences, and, with ``final``, the top eigenvalue of ``A_I + P``.
+    Each ``(g, p)`` is checked once with :func:`_added_edges`; ``P`` is
+    handed over only as its columns ``W = [e_u, s]``, never as a matrix.
+    The grid and difference points are roots of one secular equation per
+    instance, from one ``eigh`` per size of the instances' components;
+    ``A_I + P`` takes one ``eigvalsh`` per size.  :class:`DisconnectedError`
+    unless every ``A_I + P`` is connected."""
     grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
     h = min(1e-5, 1.0 / (4.0 * max(steps, 1)))
     inner = grid[:-1]
     setups, paths = [], []
     for g, p in pairs:
-        p_mat = perturbation_matrix(g, p)  # checks that p applies to g
-        a_initial = np.zeros_like(p_mat)
+        _added_edges(g, p)  # PerturbationError unless p applies to g
+        n = perturbed_dimension(g, p)
+        a_initial = np.zeros((n, n))
         a_initial[: g.n, : g.n] = g.adjacency()
         comps = _components(_row_bits(a_initial))  # the host's, and a pendant vertex alone
         if not _joins_components(comps, p, g.n):
             raise DisconnectedError("the perturbed graph is disconnected")
-        w = np.zeros((len(p_mat), 2))
+        w = np.zeros((n, 2))
         w[p.u, 0] = 1.0
         w[list(p.targets or (g.n,)), 1] = 1.0
-        paths.append((a_initial, p_mat, w, comps))
+        paths.append((a_initial, w, comps))
         setups.append((g, p, _degree_data(g, p)))
     solved = _solve_paths(paths, grid, np.concatenate([inner + h, inner - h]), tol, final)
     insts = []
-    for setup, (_, _, w, _), solution in zip(setups, paths, solved):
+    for setup, (_, w, _), solution in zip(setups, paths, solved):
         lambda_i, vector, values, vectors, tops, lambda_f = solution
         z = vectors @ w  # W^T x per grid point: <P x, x> = 2 x_u (s . x)
         forms = 2.0 * z[:, 0] * z[:, 1]

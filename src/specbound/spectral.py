@@ -20,17 +20,19 @@ every matrix in it, with stacked ``matmul`` that runs the same BLAS kernels
 per matrix as a single solve, so a matrix gets the same bits alone or in a
 stack.  :func:`perron` calls it with a stack of one matrix.
 
-:func:`_solve_paths` solves the paths ``a + t p``, for one instance or a
-block of ``verify`` trials, by size in stacks of at most ``_STACK_ENTRIES``
-entries, skipping the input checks made once, never the certificate.  It
-owns a path's start, the best certified pair of ``a``'s components, and
-reuses their eigendecompositions for every later point: ``p`` has rank 2,
-so each point's value is a root of a 2x2 secular equation
+:func:`_solve_paths` solves the paths ``A(t) = a + t P``, for one instance
+or a block of ``verify`` trials, with one stack per matrix size
+(:func:`_by_size`), skipping the input checks made once, never the
+certificate.  ``P = W S W^T`` has rank 2 and is carried only as
+``W = [e_u, s]``.  The solve owns a path's start, the best certified pair of
+``a``'s components, and reuses their eigendecompositions for every later
+point: each point's value is a root of a 2x2 secular equation
 (:func:`_secular_roots`), and each grid point's vector the closed form of
 that rank-2 update in the same eigenbasis (:func:`_eigenbasis_pairs`).  A
 grid pair that fails its certificate there, with entries below rounding,
-takes two steps of shifted inverse iteration instead
-(:func:`_shifted_pairs`).  Oracles live with the tests.
+takes two steps of shifted inverse iteration instead, one point at a time
+(:func:`_shifted_pairs`).  Only those points and ``A(1)`` are built as
+matrices (:func:`_point`).  Oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -40,11 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _SYM_ATOL = 1e-12
-_STACK_ENTRIES = 1 << 15  # matrix entries per stacked solve: 256 KiB of float64
 _ROOT_ENTRIES = 1 << 12  # secular terms per Newton pass: 32 KiB per float64 array
 _NEWTON_STEPS = 100  # a root takes about 7; bisection alone would take 60
 _SHIFT_ULPS = 8  # per matrix row: the shift above a root, in ulps of the root
-_AT_ZERO, _AT_ONE = np.zeros(1), np.ones(1)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -202,45 +202,44 @@ def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
     values, and an eigenvector zero-padded to full size, from the
     lowest-indexed component within ``tol`` of that maximum."""
     m = _require_nonnegative(a, tol)
-    return _solve_paths([(m, 0.0, None, connected_components(m))], (), (), tol)[0][:2]
+    return _solve_paths([(m, None, connected_components(m))], (), (), tol)[0][:2]
 
 
 def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[tuple]:
-    """Solve the paths ``a + t p`` of ``paths``, quadruples ``(a, p, w, comps)``
-    of a nonnegative ``a`` split into the components ``comps``, and
-    ``p = w S w^T`` with ``w = [e_u, s]`` the anchor and target-indicator
-    columns and ``S = [[0, 1], [1, 0]]``, such that ``a + t p`` is connected
-    for ``t > 0``.  For each path: its start, the value and zero-padded vector
+    """Solve the paths ``a + t P`` of ``paths``, triples ``(a, w, comps)`` of
+    a nonnegative ``a`` split into the components ``comps``, and the columns
+    ``w = [e_u, s]`` of ``P = w S w^T``, anchor and target indicator, with
+    ``S = [[0, 1], [1, 0]]``, such that ``a + t P`` is connected for
+    ``t > 0``.  For each path: its start, the value and zero-padded vector
     of :func:`perron_components` of ``a``; certified pairs at the points of
     ``certify``, vectors as rows; the top eigenvalues at the points of
-    ``tops``; and with ``final``, LAPACK's top eigenvalue of ``a + p``, else
-    ``None``.  Without points, ``w`` may be ``None``.
+    ``tops``; and with ``final``, LAPACK's top eigenvalue of ``a + P``, else
+    ``None``.  Without points or ``final``, ``w`` may be ``None``.
 
-    The components are solved in one ``eigh`` call per size and stack, and
-    their eigendecompositions give every point's value as a root of the
-    rank-2 secular equation of :func:`_secular_roots`, all points of all
-    paths together, and the vector at each point of ``certify`` by
-    :func:`_eigenbasis_pairs`, one ``matmul`` per size and stack.  Only the
-    points whose pair fails its certificate there go to the shifted solve
-    of :func:`_shifted_pairs`, which certifies its own pairs.
-    ``a + p`` takes one ``eigvalsh`` per size and stack: on one small matrix
-    LAPACK is cheaper than any Python-level root search.  ``RuntimeError``
-    names the first matrix, a component or a point of ``certify`` in the
-    order of ``paths``, whose pair fails its certificate; ``ValueError``
-    unless ``tol`` is positive."""
+    The components are solved in one ``eigh`` call per size, and their
+    eigendecompositions give every point's value as a root of the rank-2
+    secular equation of :func:`_secular_roots`, all points of all paths
+    together, and the vector at each point of ``certify`` by
+    :func:`_eigenbasis_pairs`, one ``matmul`` per size.  Only the points
+    whose pair fails its certificate there go to the shifted solve of
+    :func:`_shifted_pairs`, which certifies its own pairs.  ``a + P`` takes
+    one ``eigvalsh`` per size: on one small matrix LAPACK is cheaper than
+    any Python-level root search.  ``RuntimeError`` names the first matrix,
+    a component or a point of ``certify`` in the order of ``paths``, whose
+    pair fails its certificate; ``ValueError`` unless ``tol`` is positive."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     certify, tops = np.asarray(certify, dtype=float), np.asarray(tops, dtype=float)
     points = np.concatenate([certify, tops])
     blocks = []
-    for a, _, w, comps in paths:
+    for a, w, comps in paths:
         if len(comps) == 1:
             blocks.append((a, w if len(points) else None))
         else:  # ``take`` copies a component's block in a third of the time of ``np.ix_``
             blocks += [(a.take(c, 0).take(c, 1), w[c] if len(points) else None) for c in comps]
     spectra, certified, bases = _solve_blocks(blocks, tol, keep=len(certify) > 0)
     starts, systems, at = [], [], 0
-    for a, _, _, comps in paths:
+    for a, _, comps in paths:
         parts, at = spectra[at : at + len(comps)], at + len(comps)
         values = [float(lam) for lam, _, _, _ in parts]
         value = max(values)
@@ -251,20 +250,20 @@ def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[
         if len(points):
             systems.append(tuple(map(np.concatenate, zip(*(eig for _, _, _, eig in parts)))))
     roots = _secular_roots(systems, points) if len(points) else np.empty((len(paths), 0))
-    pairs = [(np.empty((0, len(a))), np.empty(0)) for a, _, _, _ in paths]
+    pairs = [(np.empty((0, len(a))), np.empty(0)) for a, _, _ in paths]
     if len(certify):
         grid = roots[:, : len(certify)]
         pairs, passed = _eigenbasis_pairs(paths, systems, bases, certify, grid, tol)
-        retry = [(k, np.flatnonzero(~row)) for k, row in enumerate(passed) if not row.all()]
+        retry = [(k, i) for k, row in enumerate(passed) for i in np.flatnonzero(~row)]
         if retry:  # only the points whose eigenbasis pair fails its certificate
-            fixes = [None] * len(retry)
-            pencils = [(paths[k][0], paths[k][1], certify[i]) for k, i in retry]
-            certified &= _shifted_pairs(pencils, [grid[k, i] for k, i in retry], fixes, tol)
+            at_points = ((_point(*paths[k][:2], certify[i]), grid[k, i]) for k, i in retry)
+            fixes, ok = _shifted_pairs(at_points, tol)
+            certified &= ok
             for (k, i), (x, res) in zip(retry, fixes):
                 pairs[k][0][i], pairs[k][1][i] = x, res
     if not certified:  # find the first failure in order
         at = 0
-        for (_, _, _, comps), (x, res) in zip(paths, pairs):
+        for (_, _, comps), (x, res) in zip(paths, pairs):
             for _, xc, rc, _ in spectra[at : at + len(comps)]:
                 _certify(np.array([rc]), xc[None], tol)
             _certify(res, x, tol)
@@ -276,43 +275,56 @@ def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[
     ]
 
 
+def _point(a: np.ndarray, w: np.ndarray, t) -> np.ndarray:
+    """The matrix ``a + t P`` of a path, ``P = w S w^T`` with ``w = [e_u, s]``:
+    ``e_u s^T`` plus its transpose, a new array."""
+    p = w[:, :1] * w[:, 1]
+    return a + t * (p + p.T)
+
+
+def _by_size(mats):
+    """Each size of the square matrices ``mats``, in order of first
+    appearance, as the indices of its members in ``mats`` and one stack of
+    those matrices."""
+    members: dict[int, list[int]] = {}
+    for k, m in enumerate(mats):
+        members.setdefault(len(m), []).append(k)
+    for group in members.values():
+        yield group, np.stack([mats[k] for k in group])
+
+
 def _final_tops(paths) -> list:
-    """LAPACK's top eigenvalue of ``a + p`` for each path ``(a, p, w, comps)``,
-    one ``eigvalsh`` call per stack of equal-size matrices."""
+    """LAPACK's top eigenvalue of ``a + P`` for each path ``(a, w, comps)``,
+    one ``eigvalsh`` call per size."""
     tops = [None] * len(paths)
-    for _, spans, stacks in _pencil_groups([(a, p, _AT_ONE) for a, p, _, _ in paths]):
-        values = [np.linalg.eigvalsh(stack)[:, -1] for stack in stacks]
-        values = values[0] if len(values) == 1 else np.concatenate(values)
-        for k, span in spans:
-            tops[k] = values[span.start]
+    for group, stack in _by_size([_point(a, w, 1.0) for a, w, _ in paths]):
+        for k, top in zip(group, np.linalg.eigvalsh(stack)[:, -1]):
+            tops[k] = top
     return tops
 
 
 def _solve_blocks(blocks, tol: float, keep: bool = False) -> tuple[list[tuple], bool, list]:
     """:func:`_perron_stack` of the matrix of each pair ``(m, w)`` of
-    ``blocks``, one LAPACK call per stack of equal-size matrices: per matrix
-    its Perron value, vector and residual, and, given its rows ``w`` of
-    ``W``, its eigenvalues and ``Q^T w`` (else ``None``); whether every pair
-    passes its certificate at ``tol``; and with ``keep``, per size, the
-    indices of its matrices in ``blocks`` with their eigenvectors ``Q`` and
-    the matrices as stacks (else no eigenvector stack outlives its group)."""
+    ``blocks``, one LAPACK call per size: per matrix its Perron value,
+    vector and residual, and, given its rows ``w`` of ``W``, its eigenvalues
+    and ``Q^T w`` (else ``None``); whether every pair passes its certificate
+    at ``tol``; and with ``keep``, per size, the indices of its matrices in
+    ``blocks`` with their eigenvectors ``Q`` and their stack (else no
+    eigenvector stack outlives its size)."""
     solved, certified, bases = [None] * len(blocks), True, []
-    for _, spans, stacks in _pencil_groups([(m, 0.0, _AT_ZERO) for m, _ in blocks]):
-        stacks = list(stacks)
-        parts = [_perron_stack(stack) for stack in stacks]
-        mu, q, lam, x, res = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    for group, stack in _by_size([m for m, _ in blocks]):
+        mu, q, lam, x, res = _perron_stack(stack)
         certified &= bool(((res <= tol) & (x.min(axis=1) > 0.0)).all())
-        for k, span in spans:
-            i, w = span.start, blocks[k][1]
+        for i, k in enumerate(group):
+            w = blocks[k][1]
             solved[k] = (lam[i], x[i], res[i], None if w is None else (mu[i], q[i].T @ w))
         if keep:
-            stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-            bases.append((np.array([k for k, _ in spans]), q, stack))
+            bases.append((np.array(group), q, stack))
     return solved, certified, bases
 
 
 def _eigenbasis_pairs(paths, systems, bases, ts: np.ndarray, lam: np.ndarray, tol: float):
-    """The pair at each point of ``ts`` of each path ``(a, p, w, comps)`` of
+    """The pair at each point of ``ts`` of each path ``(a, w, comps)`` of
     :func:`_solve_paths`, given its secular roots as a row of ``lam``, its
     terms ``(mu, b)`` in ``systems`` and its components' eigenvectors in
     ``bases`` of :func:`_solve_blocks`: per path the unit vectors (rows)
@@ -324,17 +336,17 @@ def _eigenbasis_pairs(paths, systems, bases, ts: np.ndarray, lam: np.ndarray, to
     of ``I - t S M(lambda)`` (Bunch, Nielsen and Sorensen 1978): ``c`` is
     orthogonal to the larger row of that 2x2 matrix.  At the root both of
     its entries are nonnegative and ``(lambda I - A_I)^{-1}`` is entrywise
-    nonnegative, so ``x`` needs no sign.  One ``q @ Y`` per stack of
-    equal-size components builds every point's vector, and one ``matmul``
-    per stack gives the residual ``A_I x + t W S W^T x - lambda x`` from
-    the components' matrices, never from ``A(t)``.  A zero or non-finite
+    nonnegative, so ``x`` needs no sign.  One ``q @ Y`` per component size
+    builds every point's vector, and one ``matmul`` per size gives the
+    residual ``A_I x + t W S W^T x - lambda x`` from the components'
+    matrices, never from ``A(t)``.  A zero or non-finite
     ``lambda - mu`` gives a pair that fails its certificate, not an error.
     A point's sums run over its own path's terms only."""
     sizes, first, mu, b = _terms(systems)
     owner = np.repeat(np.arange(len(systems)), sizes)
-    order = [np.concatenate(comps) for _, _, _, comps in paths]
-    w = np.concatenate([w[o] for (_, _, w, _), o in zip(paths, order)])  # rows in term order
-    counts = [len(c) for _, _, _, comps in paths for c in comps]  # the matrices of ``bases``
+    order = [np.concatenate(comps) for _, _, comps in paths]
+    w = np.concatenate([w[o] for (_, w, _), o in zip(paths, order)])  # rows in term order
+    counts = [len(c) for _, _, comps in paths for c in comps]  # the matrices of ``bases``
     offsets = np.cumsum(counts) - counts
     rows = [(offsets[members][:, None] + np.arange(q.shape[-1])).ravel() for members, q, _ in bases]
 
@@ -362,7 +374,7 @@ def _eigenbasis_pairs(paths, systems, bases, ts: np.ndarray, lam: np.ndarray, to
         res = np.sqrt(np.add.reduceat(r * r, first))
         passed = (res <= tol) & (np.minimum.reduceat(x, first) > 0.0)
     pairs = []
-    for (a, _, _, _), o, start, size, row in zip(paths, order, first, sizes, res):
+    for (a, _, _), o, start, size, row in zip(paths, order, first, sizes, res):
         vectors = np.empty((len(ts), len(a)))
         vectors[:, o] = x[start : start + size].T
         pairs.append((vectors, row))
@@ -472,77 +484,35 @@ def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> n
     raise RuntimeError("secular root search did not converge")  # pragma: no cover
 
 
-def _shifted_pairs(pencils, values: list, pairs: list, tol: float) -> bool:
-    """For each pencil ``(a, p, ts)`` of :func:`_pencil_groups`, with
-    ``values`` the top eigenvalue of each of its matrices as a row, put into
-    ``pairs`` the unit vectors (rows) and residuals of two steps
-    ``(s I - A) x <- x`` from ``x = 1``, ``s`` a few ulps above the value:
-    one stacked ``solve`` per step, size and stack.  Return whether every
-    pair passes its certificate at ``tol``.  :func:`_solve_paths` sends it
-    only the grid points whose eigenbasis pair fails: those whose vector
-    has entries below rounding, such as a long pendant tail, which the
+def _shifted_pairs(points, tol: float) -> tuple[list[tuple], bool]:
+    """For each point ``(a, value)`` of ``points``, a matrix with its top
+    eigenvalue, the unit vector and residual of two steps
+    ``(s I - a) x <- x`` from ``x = 1``, ``s`` a few ulps above the value,
+    one point at a time (``a`` is overwritten); and whether every pair
+    passes its certificate at ``tol``.  :func:`_solve_paths` sends it only
+    the grid points whose eigenbasis pair fails: those whose vector has
+    entries below rounding, such as a long pendant tail, which the
     eigenbasis loses and the shifted solve keeps.
 
-    For ``s`` above the spectral radius of a connected nonnegative ``A``,
-    ``(s I - A)^{-1} = sum_k A^k / s^(k+1)`` is entrywise positive, so the
+    For ``s`` above the spectral radius of a connected nonnegative ``a``,
+    ``(s I - a)^{-1} = sum_k a^k / s^(k+1)`` is entrywise positive, so the
     vectors are positive without a fix-up.  LU's rounding is about ``n``
-    ulps of ``||A||``, so ``s`` lies ``_SHIFT_ULPS n`` ulps above."""
-    certified = True
-    for n, spans, stacks in _pencil_groups(pencils):
-        lam = np.concatenate([values[k] for k, _ in spans])
-        xs, res, at = [], [], 0
-        for stack in stacks:
-            part, at = lam[at : at + len(stack)], at + len(stack)
-            shift = part + _SHIFT_ULPS * n * np.spacing(part)
-            shifted = np.negative(stack, out=stack)  # s I - A in place of A
-            shifted[:, range(n), range(n)] += shift[:, None]
-            x = np.ones((len(stack), n, 1))
-            for _ in range(2):
-                x = np.linalg.solve(shifted, x)
-                x /= np.sqrt(x.transpose(0, 2, 1) @ x)
-            xs.append(x[:, :, 0])
-            r = (shift - part)[:, None, None] * x - shifted @ x  # A x - value x; s - value is exact
-            res.append(np.sqrt(r.transpose(0, 2, 1) @ r)[:, 0, 0])
-        xs = xs[0] if len(xs) == 1 else np.concatenate(xs)
-        res = res[0] if len(res) == 1 else np.concatenate(res)
-        certified &= bool(((res <= tol) & (xs.min(axis=1) > 0.0)).all())
-        for k, span in spans:
-            pairs[k] = xs[span], res[span]
-    return certified
-
-
-def _pencil_groups(pencils):
-    """The matrices ``a + t p`` of ``pencils``, triples ``(a, p, ts)`` of a
-    symmetric matrix, a symmetric matrix of its size or 0, and an array of
-    values ``t``, grouped by size.  Per size ``n``: each member pencil's
-    index with the slice of its matrices in the group's order, and the
-    group's stacks of at most ``_STACK_ENTRIES`` entries, built as they are
-    used."""
-    by_size: dict[int, list[int]] = {}
-    for k, (a, _, _) in enumerate(pencils):
-        by_size.setdefault(len(a), []).append(k)
-    for n, members in by_size.items():
-        spans, end = [], 0
-        for k in members:
-            start, end = end, end + len(pencils[k][2])
-            spans.append((k, slice(start, end)))
-        yield n, spans, _stacks(n, [pencils[k] for k in members], end)
-
-
-def _stacks(n: int, pencils, total: int):
-    """The ``total`` matrices of ``pencils`` of size ``n``, in order, in full stacks."""
-    per_stack = max(1, _STACK_ENTRIES // (n * n))
-    stack, filled = np.empty((min(per_stack, total), n, n)), 0
-    for a, p, ts in pencils:
-        while len(ts):
-            part = stack[filled : filled + len(ts)]
-            np.multiply(ts[: len(part), None, None], p, out=part)
-            part += a
-            ts, filled = ts[len(part) :], filled + len(part)
-            if filled == len(stack):
-                yield stack
-                total -= filled
-                stack, filled = np.empty((min(per_stack, total), n, n)), 0
+    ulps of ``||a||``, so ``s`` lies ``_SHIFT_ULPS n`` ulps above."""
+    pairs, certified = [], True
+    for a, value in points:
+        n = len(a)
+        shift = value + _SHIFT_ULPS * n * np.spacing(value)
+        shifted = np.negative(a, out=a)  # s I - a in place of a
+        shifted[range(n), range(n)] += shift
+        x = np.ones((n, 1))
+        for _ in range(2):
+            x = np.linalg.solve(shifted, x)
+            x /= np.sqrt(x.T @ x)
+        r = (shift - value) * x - shifted @ x  # a x - value x; s - value is exact
+        x, res = x[:, 0], float(np.sqrt(r.T @ r)[0, 0])
+        certified &= bool(res <= tol and x.min() > 0.0)
+        pairs.append((x, res))
+    return pairs, certified
 
 
 def full_spectrum(a) -> np.ndarray:

@@ -14,11 +14,12 @@ Trials are seeded per-index from a master splitmix64 seed, so summaries are
 bit-for-bit reproducible and order-independent.  They run in blocks of about
 ``_BLOCK_ENTRIES`` matrix entries: a block's instances are drawn and set up,
 solved together (``A_I``'s components and ``A_I + P`` one LAPACK call per
-matrix size and stack, the secular roots of every path point as one array
-iteration, the grid vectors one ``matmul`` in the components' eigenbases
-per size and stack), and then each trial is checked in order.  A stacked
-matrix gets the same bits as a lone one, and each root and vector the same
-bits as in a lone path, so the summary does not depend on the blocks.
+matrix size, the secular roots of every path point as one array iteration,
+the grid vectors one ``matmul`` in the components' eigenbases per size),
+and then each trial is checked in order.  The block is the only bound on
+how many matrices one call stacks.  A stacked matrix gets the same bits as
+a lone one, and each root and vector the same bits as in a lone path, so
+the summary does not depend on the blocks.
 """
 
 from __future__ import annotations

@@ -110,6 +110,15 @@ def test_bound_missing_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["bound"], ["path", "--steps", "4"]])
+def test_graph_file_that_is_not_utf8_exit_2(tmp_path, capsys, command):
+    gfile = tmp_path / "g.txt"
+    gfile.write_bytes(b"\xff\xfe3 2\n0 1\n1 2\n")
+    code, out, err = run(capsys, [*command, str(gfile), "edge", "0", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {gfile}: ") and err.count("\n") == 1
+
+
 def test_bound_invalid_perturbation_exit_3(tmp_path, capsys):
     gfile = write_graph(tmp_path, sb.path_graph(3))
     code, _, _ = run(capsys, ["bound", gfile, "edge", "0", "1"])  # already present
@@ -341,9 +350,10 @@ def _lone_matrices(seed, trials):
 def test_verify_sets_each_trial_up_once(monkeypatch):
     # Trials are solved in blocks: the eigendecompositions cover each trial's
     # A_I components exactly once, and eigvalsh its A_I + P once.  Each
-    # LAPACK routine runs once per matrix size and block, split only into
-    # full stacks.  The grid vectors come from the components'
-    # eigendecompositions, so no grid point reaches a linear solve.
+    # LAPACK routine runs exactly once per matrix size and block, on one
+    # stack of all the block's matrices of that size.  The grid vectors come
+    # from the components' eigendecompositions, so no grid point reaches a
+    # linear solve.
     blocks = _count_calls(monkeypatch, graphs, "_instances")
     calls, components, final = [], [], []
     original_stack = spectral._perron_stack
@@ -369,14 +379,10 @@ def test_verify_sets_each_trial_up_once(monkeypatch):
     assert Counter(components) == Counter(lone_components)
     assert Counter(final) == Counter(lone_final)
     assert [name for name, _, _, _ in calls if name == "solve"] == []
-    groups = {}
-    for name, block, n, count in calls:
-        groups.setdefault((name, block, n), []).append(count)
-    for (_, _, n), counts in groups.items():
-        assert set(counts[:-1]) <= {spectral._STACK_ENTRIES // n**2}
-    splits = len(calls) - len(groups)
+    groups = Counter((name, block, n) for name, block, n, _ in calls)
+    assert set(groups.values()) == {1}  # one call per routine, block and size
     dims = {n for _, _, n, _ in calls}
-    assert len(calls) <= 2 * len(dims) * (len(blocks) + splits)  # eigh, eigvalsh
+    assert len(calls) <= 2 * len(dims) * len(blocks)  # eigh, eigvalsh
     assert len(calls) < 300  # alone, each trial would make at least two
 
 

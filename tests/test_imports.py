@@ -162,10 +162,12 @@ def test_only_graphs_and_spectral_see_the_path_solve(name):
 
 # The path's numerics live in ``spectral``, the one module that reaches
 # ``numpy.linalg``: its secular root finder, its eigenbasis vectors, its
-# shifted solves and its matrix search.  ``graphs`` takes the host's
-# components from the edge set.
+# shifted solves, its stacks by matrix size, the only matrices ``A(t)`` it
+# builds, and its matrix search.  ``graphs`` takes the host's components
+# from the edge set.
 SPECTRAL_ONLY = [
-    "_secular_roots", "_eigenbasis_pairs", "_shifted_pairs", "_final_tops", "is_connected_matrix"
+    "_secular_roots", "_eigenbasis_pairs", "_shifted_pairs", "_final_tops", "_by_size", "_point",
+    "is_connected_matrix",
 ]
 
 
@@ -173,6 +175,14 @@ SPECTRAL_ONLY = [
 def test_only_spectral_sees_the_path_numerics(name):
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert {file for file, source in sources.items() if name in mentioned_names(source)} == {"spectral.py"}
+
+
+def test_no_module_builds_the_dense_perturbation():
+    # The solve carries P = W S W^T only as W: the dense matrix is public API
+    # and the tests' reference, and no library module calls for it.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    mentioning = {file for file, source in sources.items() if "perturbation_matrix" in mentioned_names(source)}
+    assert mentioning == {"__init__.py"}
 
 
 def test_graphs_runs_no_matrix_search():

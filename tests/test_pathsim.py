@@ -174,15 +174,13 @@ def test_path_samples_agree_with_the_public_solves():
     [
         (sb.path_graph(64), Perturbation.edge_addition(0, 32)),
         (sb.cycle_graph(60), Perturbation.pendant_edge(0)),
-        # The Perron entries along the tail fall far below roundoff, so the
-        # shifted solve's positivity is tested inside stacks of 19 matrices.
+        # The Perron entries along the tail fall far below roundoff, so every
+        # grid point takes the shifted solve, and its positivity is tested.
         (lollipop_graph(20, 20), Perturbation.pendant_edge(39)),
     ],
     ids=["P64-edge", "C60-pendant", "K20+P20-pendant"],
 )
 def test_path_spanning_several_stacks_equals_the_public_solves(host, pert):
-    dim = sb.perturbation_matrix(host, pert).shape[0]
-    assert 32 > spectral._STACK_ENTRIES // dim**2  # at least two grid stacks
     _assert_path_agrees_with_the_public_solves(host, pert, 32)
 
 
@@ -220,30 +218,36 @@ def test_path_solves_in_a_few_lapack_calls(monkeypatch):
                 assert sorted(calls) == sorted(("eigh", n) for n in sizes)
 
 
-def test_path_memory_stays_bounded():
-    # The eigenbasis vectors and the secular roots peak near 390 KiB here;
-    # one unchunked stack of all 94 matrices A(t) would peak near 2.1 MiB.
-    host, pert = sb.path_graph(64), Perturbation.edge_addition(0, 32)
-    sb.sample_path(host, pert, steps=32)
+def _warm_peak(solve, warm=None):
+    """The tracemalloc peak, in bytes, of ``solve()`` after ``(warm or solve)()``."""
+    (warm or solve)()
     tracemalloc.start()
     try:
-        sb.sample_path(host, pert, steps=32)
-        peak = tracemalloc.get_traced_memory()[1]
+        solve()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+
+
+def test_path_memory_stays_bounded():
+    # The eigenbasis vectors and the secular roots peak near 360 KiB here;
+    # one stack of all 94 matrices A(t) would peak near 2.1 MiB.
+    host, pert = sb.path_graph(64), Perturbation.edge_addition(0, 32)
+    assert _warm_peak(lambda: sb.sample_path(host, pert, steps=32)) < 1 << 20
+
+
+def test_shifted_solve_memory_does_not_grow_with_its_points():
+    # Every grid point of the lollipop's tail pendant takes the shifted
+    # solve, one matrix at a time: the path peaks near 320 KiB here, and a
+    # stack of its 64 matrices A(t) would add about 860 KiB.
+    host, pert = lollipop_graph(20, 20), Perturbation.pendant_edge(39)
+    assert _warm_peak(lambda: sb.sample_path(host, pert, steps=64)) < 512 << 10
 
 
 def test_verify_memory_stays_bounded():
-    # Blocks of about 2^16 matrix entries peak near 880 KiB here, whatever
+    # Blocks of about 2^16 matrix entries peak near 850 KiB here, whatever
     # the trial count; solving all 300 trials as one block peaks near 1.8 MiB.
-    sb.run_verification(42, 30)
-    tracemalloc.start()
-    try:
-        sb.run_verification(42, 300)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _warm_peak(lambda: sb.run_verification(42, 300), lambda: sb.run_verification(42, 30))
     assert peak < 1 << 20
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import specbound as sb
 from oracles import lollipop_graph
 from specbound import Perturbation, PerturbationKind, graphs, spectral
+from specbound.verify import EQUALITY_GAP_TOL
 
 EPS = np.finfo(float).eps
 TOL = 1e-11
@@ -101,6 +102,16 @@ def test_secular_roots_match_lapack_on_drawn_paths(instance):
     assert_path_solved(*instance)
 
 
+@PROPERTY
+@given(path_instances())
+def test_bound_report_holds_on_drawn_paths(instance):
+    # The bound is never below lambda_F, and meets it in the equality cases.
+    rep = sb.bound_report(*instance)
+    assert rep.slack >= -1e-9
+    if rep.equality_case:
+        assert abs(rep.slack) <= EQUALITY_GAP_TOL
+
+
 def tied_components():
     # K_{1,4} and C4 both have index 2, so A_I has a double top eigenvalue.
     return sb.disjoint_union(sb.star_graph(4), sb.cycle_graph(4))
@@ -177,8 +188,8 @@ def test_secular_bits_do_not_depend_on_the_other_paths():
 def test_shifted_solve_takes_exactly_the_points_the_eigenbasis_fails(monkeypatch):
     # On the lollipop's tail pendant the root lies at mu_top to rounding, so
     # lambda - mu is 0 and the eigenbasis vectors fail their certificate:
-    # those points, and only those, go to the shifted solve, and every pair
-    # that comes back is certified.
+    # those points, and only those, go to the shifted solve, each as the
+    # matrix A(t) with its root, and every pair that comes back is certified.
     instances = [
         (sb.path_graph(12), Perturbation.edge_addition(0, 11)),
         (lollipop_graph(20, 20), Perturbation.pendant_edge(39)),
@@ -192,25 +203,31 @@ def test_shifted_solve_takes_exactly_the_points_the_eigenbasis_fails(monkeypatch
         passed.append(ok.copy())
         return pairs, ok
 
-    def record_shifted(pencils, *args):
-        retried.append([(len(a), ts.tolist()) for a, _, ts in pencils])
-        return shifted(pencils, *args)
+    def record_shifted(points, tol):
+        points = list(points)
+        retried.append([(a.copy(), value) for a, value in points])
+        return shifted(iter(points), tol)
 
     monkeypatch.setattr(spectral, "_eigenbasis_pairs", record_eigenbasis)
     monkeypatch.setattr(spectral, "_shifted_pairs", record_shifted)
     insts = graphs._instances(instances, TOL, 16, final=False)
     (ok,), (retry,) = passed, retried
     assert not ok[1].any() and ok[0].all()
-    failing = [(len(inst.vector), inst.grid[~row].tolist()) for inst, row in zip(insts, ok) if not row.all()]
-    assert retry == failing
+    failing = []
+    for (host, pert), inst, row in zip(instances, insts, ok, strict=True):
+        a_initial, p_mat = path_matrices(host, pert)
+        failing += [(a_initial + t * p_mat, value) for t, value in zip(inst.grid[~row], inst.values[~row])]
+    assert len(retry) == len(failing) > 0
+    for (a, value), (expected, root) in zip(retry, failing):
+        assert a.tobytes() == expected.tobytes() and value == root
     for (host, pert), inst in zip(instances, insts, strict=True):
         assert_grid_certified(inst, host, pert)
 
 
 def test_a_point_failing_both_routes_raises_in_caller_order(monkeypatch):
     # Points 1 and 2 of the second and third paths fail both certificates.
-    # The second path is solved after the third (size 5 comes after size 12
-    # in the stacks), but its failure is the one named.
+    # The second path's components are solved after the third's (size 5
+    # comes after size 12), but its failure is the one named.
     instances = [
         (sb.path_graph(12), Perturbation.edge_addition(0, 11)),
         (sb.cycle_graph(5), Perturbation.edge_addition(0, 2)),
@@ -223,11 +240,9 @@ def test_a_point_failing_both_routes_raises_in_caller_order(monkeypatch):
         ok[1, 1] = ok[2, 2] = False
         return pairs, ok
 
-    def failing_shifted(pencils, values, fixes, tol):
-        shifted(pencils, values, fixes, tol)
-        for k, (x, res) in enumerate(fixes):  # the retried paths, in caller order
-            fixes[k] = x, res + (k + 1) * 1e-3
-        return False
+    def failing_shifted(points, tol):
+        pairs, _ = shifted(points, tol)  # the retried points, in caller order
+        return [(x, res + (k + 1) * 1e-3) for k, (x, res) in enumerate(pairs)], False
 
     monkeypatch.setattr(spectral, "_eigenbasis_pairs", failing_eigenbasis)
     monkeypatch.setattr(spectral, "_shifted_pairs", failing_shifted)

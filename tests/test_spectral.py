@@ -242,7 +242,7 @@ def test_solves_by_size_report_the_first_uncertified_matrix_in_order():
             spectral._certified_perron(m[None], 1e-11)
         alone.append(str(excinfo.value))
     assert alone[0] != alone[1]
-    paths = [(m, 0.0, None, [list(range(len(m)))]) for m in (good4, bad5, bad4)]
+    paths = [(m, None, [list(range(len(m)))]) for m in (good4, bad5, bad4)]
     with pytest.raises(RuntimeError) as excinfo:
         spectral._solve_paths(paths, (), (), 1e-11)
     assert str(excinfo.value) == alone[0]
