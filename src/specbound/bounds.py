@@ -33,6 +33,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .graphs import PerturbationKind
 
 _CUBIC_TOL = 1e-12
@@ -45,8 +47,13 @@ def _check_count(name: str, value: int, minimum: int) -> int:
     return int(value)
 
 
-def _larger_quadratic_root(y: float, c: float) -> float:
-    """Positive root of ``x^2 - y x - c = 0`` for c >= 0, cancellation-free."""
+def _larger_quadratic_root(y, c):
+    """Positive root of ``x^2 - y x - c = 0`` for c >= 0, cancellation-free;
+    on floats, or on numpy arrays with the same bits per entry."""
+    if isinstance(y, np.ndarray) or isinstance(c, np.ndarray):
+        disc = np.sqrt(y * y + 4.0 * c)
+        with np.errstate(divide="ignore", invalid="ignore"):  # in the branch not taken
+            return np.where(y >= 0.0, 0.5 * (y + disc), (2.0 * c) / (disc - y))
     disc = math.sqrt(y * y + 4.0 * c)
     if y >= 0.0:
         return 0.5 * (y + disc)
@@ -57,11 +64,11 @@ def _larger_quadratic_root(y: float, c: float) -> float:
 # First integrals and their roots
 # ---------------------------------------------------------------------------
 
-# Each Phi must also accept complex t and y: inequality_rhs differentiates
-# it by complex step.
+# Each Phi and root takes floats or numpy arrays, and each Phi also a
+# complex step (_Step) in t or y: the majorant differentiates Phi on it.
 
 def _phi_vertex(t, y, d):
-    return y - d * t * t / y if t else y  # Phi(0, .) is the identity, also at y = 0
+    return y - d * t * t / y
 
 
 def _phi_edge(t, y, d):
@@ -73,22 +80,37 @@ def _phi_pendant(t, y, d):
     return y - d / (y - t * t / y)
 
 
-def _root_vertex(t: float, c: float, d: int) -> float:
+def _root_vertex(t, c, d):
     return _larger_quadratic_root(c, d * t * t)
 
 
-def _root_edge(t: float, c: float, d: int) -> float:
+def _root_edge(t, c, d):
     return t + _larger_quadratic_root(c - t, d)
 
 
-def _root_pendant(t: float, c: float, d: int) -> float:
+def _root_pendant(t, c, d):
     """Unique root above t of ``v^3 - c v^2 - (d + t^2) v + c t^2``.
 
     That cubic is ``(v - c)(v^2 - t^2) - d v``: negative at ``v = t``, at most
     0 at ``sqrt(d + t^2)`` when ``c >= 0`` (every input coming from a graph),
     and nonnegative at ``max(sqrt(d + t^2), c + d + 2)``.  Bracketed Newton
     with bisection fallback solves it to 1e-12 on the polynomial value.
+    Arrays are broadcast and solved one point at a time: a masked array
+    Newton gives the same bits but costs more at a path's few dozen points.
     """
+    if isinstance(t, np.ndarray) or isinstance(c, np.ndarray):
+        shape = np.broadcast(t, c, d).shape
+        points = []
+        for x in (t, c, d):  # a third of the time of np.broadcast_arrays on a path's points
+            full = np.empty(shape, dtype=np.asarray(x).dtype)
+            np.copyto(full, x)
+            points.append(full.ravel().tolist())
+        return np.fromiter(map(_pendant_root, *points), float, len(points[0])).reshape(shape)
+    return _pendant_root(t, c, d)
+
+
+def _pendant_root(t: float, c: float, d: int) -> float:
+    """:func:`_root_pendant` at one point."""
     if d == 0:  # the cubic is (v - c)(v^2 - t^2)
         return float(max(c, t))
 
@@ -165,7 +187,7 @@ KIND_SPECS = {  # cells: new vertex, core | both apexes, core | pendant vertex, 
 }
 
 
-def _weight(kind: PerturbationKind, g, delta_u, delta_v) -> tuple[KindSpec, int]:
+def _weight(kind: PerturbationKind, g=0, delta_u=0, delta_v=0) -> tuple[KindSpec, int]:
     """The kind's spec and its weight d, after checking the degrees it uses."""
     spec = KIND_SPECS[kind]
     degrees = {"g": g, "delta_u": delta_u, "delta_v": delta_v}
@@ -181,8 +203,8 @@ def _initial_value(kind: PerturbationKind, lambda_i: float, g=0, delta_u=0, delt
         raise ValueError(
             f"degenerate zero-degree {kind.value} perturbation needs lambda_i = 0 or > 1"
         )
-    # Phi(0, .) is the identity at d = 0, where Phi itself meets 0/0 at y = 0
-    return spec, d, spec.phi(0.0, lambda_i, d) if d else lambda_i
+    # Phi(0, .) is the identity; at d = 0 or lambda_i = 0 Phi itself meets 0/0
+    return spec, d, spec.phi(0.0, lambda_i, d) if d and lambda_i else lambda_i
 
 
 def _bound_and_gap(kind: PerturbationKind, lambda_i: float, g=0, delta_u=0, delta_v=0) -> tuple:
@@ -221,14 +243,8 @@ def comparison_solution(
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    return _comparison(kind, lambda_i, g=g, delta_u=delta_u, delta_v=delta_v)(t)
-
-
-def _comparison(kind: PerturbationKind, lambda_i: float, *, g=0, delta_u=0, delta_v=0) -> Callable:
-    """:func:`comparison_solution` of one instance as a function of t in
-    [0, 1], the instance validated once."""
     spec, d, c = _initial_value(kind, lambda_i, g, delta_u, delta_v)
-    return lambda t: lambda_i if t == 0.0 else spec.root(t, c, d)
+    return lambda_i if t == 0.0 else spec.root(t, c, d)
 
 
 def inequality_rhs(
@@ -241,25 +257,75 @@ def inequality_rhs(
     delta_v: int = 0,
 ) -> float:
     """The majorant ``f(t, lambda) = -Phi_t / Phi_y`` with ``lambda' <= f``
-    along the path.
-
-    Both partial derivatives are complex steps ``Im Phi(x + ih) / h``, exact
-    to rounding for the rational Phi; the step h cancels in the quotient.
-    """
-    return _majorant(kind, g=g, delta_u=delta_u, delta_v=delta_v)(t, lam)
-
-
-def _majorant(kind: PerturbationKind, *, g=0, delta_u=0, delta_v=0) -> Callable:
-    """:func:`inequality_rhs` of one instance as a function of ``(t, lam)``,
-    the degrees checked once."""
+    along the path: :func:`_majorant` at one point."""
     spec, d = _weight(kind, g, delta_u, delta_v)
+    return float(_majorant(spec, np.array([t], dtype=float), np.array([lam], dtype=float), d)[0])
 
-    def f(t, lam):
-        phi_t = spec.phi(complex(t, _COMPLEX_STEP), lam, d).imag
-        phi_y = spec.phi(t, complex(lam, _COMPLEX_STEP), d).imag
-        return -phi_t / phi_y
 
-    return f
+def _majorant(spec: KindSpec, t, lam, d) -> np.ndarray:
+    """``-Phi_t / Phi_y`` of ``spec`` at the broadcast arrays ``t``, ``lam``
+    and ``d``.  Both partial derivatives are complex steps
+    ``Im Phi(x + ih) / h``, exact to rounding for the rational Phi; the step
+    h cancels in the quotient.  Phi runs on :class:`_Step`, so each entry
+    gets the bits of the same step taken with Python's ``complex``."""
+    with np.errstate(all="ignore"):  # silent, as Python's complex; _quot raises on a zero divisor
+        phi_t = spec.phi(_Step(t, _COMPLEX_STEP), lam, d).im
+        phi_y = spec.phi(t, _Step(lam, _COMPLEX_STEP), d).im
+    if not np.all(phi_y):
+        raise ZeroDivisionError("float division by zero")
+    return -phi_t / phi_y
+
+
+def _parts(z) -> tuple:
+    """Real and imaginary parts of a :class:`_Step` or a real ``z``."""
+    return (z.re, z.im) if isinstance(z, _Step) else (z, 0.0)
+
+
+def _quot(ar, ai, br, bi) -> tuple:
+    """CPython's ``_Py_c_quot``: Smith's division, scaled by the larger of
+    ``|br|`` and ``|bi|``, per entry."""
+    abs_r, abs_i = np.abs(br), np.abs(bi)
+    by_real = abs_r >= abs_i
+    if np.any(by_real & (abs_r == 0.0)):
+        raise ZeroDivisionError("complex division by zero")
+    ratio = bi / br
+    denom = br + bi * ratio
+    re, im = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+    if not np.all(by_real):  # nan parts take this branch too, and give nan in both
+        ratio = br / bi
+        denom = br * ratio + bi
+        re = np.where(by_real, re, (ar * ratio + ai) / denom)
+        im = np.where(by_real, im, (ai * ratio - ar) / denom)
+    return re, im
+
+
+def _operators(op: Callable) -> tuple:
+    """A binary operator of :class:`_Step` from ``op`` on parts, and its
+    reflected form."""
+    return (
+        lambda a, b: _Step(*op(*_parts(a), *_parts(b))),
+        lambda a, b: _Step(*op(*_parts(b), *_parts(a))),
+    )
+
+
+class _Step:
+    """A complex number ``re + i im`` whose parts are numpy arrays, for the
+    complex step of :func:`_majorant`.  Its ``+ - * /`` and their reflected
+    forms are CPython's complex arithmetic written out per entry
+    (``_Py_c_sum``, ``_Py_c_diff``, ``_Py_c_prod``, ``_Py_c_quot``), a real
+    operand ``x`` taken as ``x + 0i``; numpy's own complex type moves the
+    last bits of the majorant."""
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None  # an array operand defers to the reflected operator
+
+    def __init__(self, re, im) -> None:
+        self.re, self.im = re, im
+
+    __add__, __radd__ = _operators(lambda ar, ai, br, bi: (ar + br, ai + bi))
+    __sub__, __rsub__ = _operators(lambda ar, ai, br, bi: (ar - br, ai - bi))
+    __mul__, __rmul__ = _operators(lambda ar, ai, br, bi: (ar * br - ai * bi, ar * bi + ai * br))
+    __truediv__, __rtruediv__ = _operators(_quot)
 
 
 def perturbation_bound(

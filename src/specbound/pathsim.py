@@ -14,7 +14,9 @@ evaluates the per-kind differential inequality ``lambda' <= f(t, lambda)``,
 and compares ``lambda(t)`` against the exact solution ``u(t)`` of the
 majorizing Cauchy problem ``y' = f(t, y), y(0) = lambda_I`` (which dominates
 the path and is attained exactly in the equality cases).  ``f`` and ``u`` both come from the
-kind's first integral in :mod:`specbound.bounds`, set up once per path.
+kind's first integral in :mod:`specbound.bounds`, set up once per path, and
+are evaluated on arrays (:func:`_curves`, :func:`~specbound.bounds._majorant`)
+that ``verify`` runs on a whole block of paths and the public checks on one.
 
 The equality cases are cones and double cones over regular graphs, where the
 path is ``u(t)`` itself; :func:`closed_form_join` gives its eigenpairs from
@@ -30,10 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import KIND_SPECS, DegreeParams, _check_count, _comparison, _majorant
-from .graphs import Graph, Perturbation, PerturbationKind, _Instance, _instances
+from .bounds import KIND_SPECS, DegreeParams, KindSpec, _check_count, _initial_value, _majorant, _weight
+from .graphs import Graph, Perturbation, PerturbationKind, _instances
 
 _RESIDUAL_TOL = 1e-10
+_MAX_STEPS = 1 << 20  # grid points per path: each holds a vector of the path's size
 
 
 @dataclass(frozen=True)
@@ -91,18 +94,22 @@ def sample_path(
     path's secular equation in the eigendecomposition of ``A_I``, and each
     grid point's vector comes from the same eigendecomposition (a shifted
     solve only where that vector fails its certificate), skipping the input
-    checks made once; every grid pair still gets its certificate.
+    checks made once; every grid pair still gets its certificate.  A step
+    count above ``_MAX_STEPS`` is refused before anything is allocated.
     """
-    steps = _check_count("steps", steps, 2)
-    return _sample(_instances([(graph, pert)], tol, steps, final=False)[0])
-
-
-def _sample(inst: _Instance) -> PerturbationPath:
-    """:func:`sample_path` of an instance solved on its grid."""
+    inst = _instances([(graph, pert)], tol, _check_steps(steps), final=False)[0]
     lhs, rhs = inst.lhs.tolist() + [None], inst.forms[:-1].tolist() + [None]  # none at t = 1
     samples = [PathSample(0.0, inst.lambda_i, inst.vector, None, None)]
     samples += map(PathSample, inst.grid.tolist(), inst.values.tolist(), inst.vectors, lhs, rhs)
     return PerturbationPath(kind=inst.pert.kind, samples=tuple(samples), **inst.params)
+
+
+def _check_steps(steps: int) -> int:
+    """``steps`` as an int, unless it is not an integer in [2, ``_MAX_STEPS``]."""
+    steps = _check_count("steps", steps, 2)
+    if steps > _MAX_STEPS:
+        raise ValueError(f"steps must be at most {_MAX_STEPS}, got {steps}")
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -114,21 +121,31 @@ def check_differential_inequality(path: PerturbationPath) -> float:
 
     Nonpositive up to solver noise; values above ~1e-6 indicate a failure.
     """
-    f = _majorant(path.kind, **path.params())
-    worst = -math.inf
-    for s in path.samples:
-        if s.derivative_rhs is None:
-            continue
-        worst = max(worst, s.derivative_rhs - f(s.t, s.value))
-    if worst == -math.inf:
+    spec, d = _weight(path.kind, **path.params())
+    inner = [(s.t, s.value, s.derivative_rhs) for s in path.samples if s.derivative_rhs is not None]
+    if not inner:
         raise ValueError("path has no interior samples")
-    return worst
+    t, lam, rhs = np.array(inner).T
+    return float((rhs - _majorant(spec, t, lam, d)).max())
 
 
 def comparison_curve(path: PerturbationPath) -> list[float]:
     """``u(t_k)`` on the path's grid."""
-    u = _comparison(path.kind, path.lambda_i, **path.params())
-    return [u(s.t) for s in path.samples]
+    spec, d, c = _initial_value(path.kind, path.lambda_i, **path.params())
+    ts = np.array([s.t for s in path.samples])
+    return _curves(spec, np.array([path.lambda_i]), np.array([c]), np.array([d]), ts)[0].tolist()
+
+
+def _curves(spec: KindSpec, lambda_i, c, d, ts: np.ndarray) -> np.ndarray:
+    """``u(t)`` at the points ``ts`` of each instance of ``spec``, one row per
+    entry of the arrays ``lambda_i``, ``c = Phi(0, lambda_i)`` and weights
+    ``d``: ``lambda_i`` at ``t = 0``, else ``spec.root``, with the bits of
+    :func:`~specbound.bounds.comparison_solution`."""
+    u = np.empty((len(lambda_i), len(ts)))
+    at_zero = ts == 0.0
+    u[:, at_zero] = lambda_i[:, None]
+    u[:, ~at_zero] = spec.root(ts[~at_zero], c[:, None], d[:, None])
+    return u
 
 
 @dataclass(frozen=True)
@@ -142,10 +159,9 @@ class ComparisonCheck:
 
 def check_comparison(path: PerturbationPath, tolerance: float = 1e-9) -> ComparisonCheck:
     """Verify ``lambda(t_k) <= u(t_k) + tolerance`` at every grid point."""
-    curve = comparison_curve(path)
-    margins = tuple(u - s.value for u, s in zip(curve, path.samples))
-    worst = max(-m for m in margins)
-    return ComparisonCheck(ok=worst <= tolerance, margins=margins, max_violation=worst)
+    margins = np.array(comparison_curve(path)) - [s.value for s in path.samples]
+    worst = float((-margins).max())
+    return ComparisonCheck(ok=worst <= tolerance, margins=tuple(margins.tolist()), max_violation=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _SYM_ATOL = 1e-12
-_ROOT_ENTRIES = 1 << 12  # secular terms per Newton pass: 32 KiB per float64 array
+_ROOT_ENTRIES = 1 << 12  # terms per pass of the secular roots and grid vectors: 32 KiB per float64 array
 _NEWTON_STEPS = 100  # a root takes about 7; bisection alone would take 60
 _SHIFT_ULPS = 8  # per matrix row: the shift above a root, in ulps of the root
 
@@ -341,7 +341,9 @@ def _eigenbasis_pairs(paths, systems, bases, ts: np.ndarray, lam: np.ndarray, to
     residual ``A_I x + t W S W^T x - lambda x`` from the components'
     matrices, never from ``A(t)``.  A zero or non-finite
     ``lambda - mu`` gives a pair that fails its certificate, not an error.
-    A point's sums run over its own path's terms only."""
+    A point's sums run over its own path's terms only.  The points go in
+    passes of about ``_ROOT_ENTRIES`` terms (:func:`_passes`), so the
+    memory beyond the vectors returned does not grow with ``ts``."""
     sizes, first, mu, b = _terms(systems)
     owner = np.repeat(np.arange(len(systems)), sizes)
     order = [np.concatenate(comps) for _, _, comps in paths]
@@ -353,32 +355,51 @@ def _eigenbasis_pairs(paths, systems, bases, ts: np.ndarray, lam: np.ndarray, to
     def per_stack(mats, v, idx):  # the rows ``idx`` of ``v``, one matrix of ``mats`` per component
         return (mats @ v[idx].reshape(mats.shape[0], mats.shape[1], -1)).reshape(len(idx), -1)
 
-    with np.errstate(all="ignore"):
-        r = 1.0 / (lam[owner] - mu[:, None])
-        m_uu, m_ss, m_us = (
-            np.add.reduceat(coef[:, None] * r, first)
-            for coef in (b[:, 0] * b[:, 0], b[:, 1] * b[:, 1], b[:, 0] * b[:, 1])
-        )
-        diagonal = 1.0 - ts * m_us
-        upper = m_ss >= m_uu  # the larger row: (1 - t M_us, -t M_ss) or (-t M_uu, 1 - t M_us)
-        c_u, c_s = np.where(upper, ts * m_ss, diagonal), np.where(upper, diagonal, ts * m_uu)
-        y = (b[:, :1] * c_u[owner] + b[:, 1:] * c_s[owner]) * r
-        x, ax = np.empty_like(y), np.empty_like(y)
-        for (_, q, _), idx in zip(bases, rows):
-            x[idx] = per_stack(q, y, idx)
-        x /= np.sqrt(np.add.reduceat(x * x, first))[owner]
-        for (_, _, stack), idx in zip(bases, rows):
-            ax[idx] = per_stack(stack, x, idx)
-        z_u, z_s = (np.add.reduceat(w[:, j : j + 1] * x, first) for j in (0, 1))
-        r = ax + ts * (w[:, :1] * z_s[owner] + w[:, 1:] * z_u[owner]) - lam[owner] * x
-        res = np.sqrt(np.add.reduceat(r * r, first))
-        passed = (res <= tol) & (np.minimum.reduceat(x, first) > 0.0)
-    pairs = []
-    for (a, _, _), o, start, size, row in zip(paths, order, first, sizes, res):
-        vectors = np.empty((len(ts), len(a)))
-        vectors[:, o] = x[start : start + size].T
-        pairs.append((vectors, row))
-    return pairs, passed
+    vectors = [np.empty((len(ts), len(a))) for a, _, _ in paths]
+    res, passed = np.empty(lam.shape), np.empty(lam.shape, dtype=bool)
+    for j, k in _passes(len(ts), len(mu)):
+        t, root = ts[j:k], lam[:, j:k]
+        with np.errstate(all="ignore"):
+            r = 1.0 / (root[owner] - mu[:, None])
+            m_uu, m_ss, m_us = (
+                np.add.reduceat(coef[:, None] * r, first)
+                for coef in (b[:, 0] * b[:, 0], b[:, 1] * b[:, 1], b[:, 0] * b[:, 1])
+            )
+            diagonal = 1.0 - t * m_us
+            upper = m_ss >= m_uu  # the larger row: (1 - t M_us, -t M_ss) or (-t M_uu, 1 - t M_us)
+            c_u, c_s = np.where(upper, t * m_ss, diagonal), np.where(upper, diagonal, t * m_uu)
+            y = (b[:, :1] * c_u[owner] + b[:, 1:] * c_s[owner]) * r
+            x, ax = np.empty_like(y), np.empty_like(y)
+            for (_, q, _), idx in zip(bases, rows):
+                x[idx] = per_stack(q, y, idx)
+            x /= np.sqrt(np.add.reduceat(x * x, first))[owner]
+            for (_, _, stack), idx in zip(bases, rows):
+                ax[idx] = per_stack(stack, x, idx)
+            z_u, z_s = (np.add.reduceat(w[:, i : i + 1] * x, first) for i in (0, 1))
+            r = ax + t * (w[:, :1] * z_s[owner] + w[:, 1:] * z_u[owner]) - root[owner] * x
+            res[:, j:k] = np.sqrt(np.add.reduceat(r * r, first))
+            passed[:, j:k] = (res[:, j:k] <= tol) & (np.minimum.reduceat(x, first) > 0.0)
+        for v, o, start, size in zip(vectors, order, first, sizes):
+            v[j:k, o] = x[start : start + size].T
+    return list(zip(vectors, res)), passed
+
+
+def _passes(points: int, terms: int):
+    """Column ranges ``(j, k)`` that split ``points`` points of ``terms``
+    terms each into passes of about ``_ROOT_ENTRIES`` entries, one pass if
+    they fit.  Passes start at multiples of 8 points and the last takes the
+    remainder, so none is narrower than 8 points unless all are: a
+    narrower BLAS product rounded some of its columns differently.  Measured
+    with OpenBLAS, the vectors then have the bits of a single pass when
+    ``points`` is a multiple of 8 or the single pass is a small product;
+    otherwise the last ``points mod 8`` may move by an ulp, because the
+    kernel OpenBLAS takes for a product's last partial panel depends on the
+    product's size."""
+    width = max(8, _ROOT_ENTRIES // terms // 8 * 8)
+    starts = list(range(0, points, width))
+    if len(starts) > 1 and points - starts[-1] < width:
+        starts.pop()
+    return zip(starts, starts[1:] + [points])
 
 
 def _terms(systems) -> tuple[np.ndarray, ...]:

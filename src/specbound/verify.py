@@ -1,7 +1,7 @@
 """Randomized invariant harness behind the ``verify`` CLI command.
 
 Each trial draws a random connected instance of one perturbation kind, sets
-it up once and checks every certificate of its one report and path:
+it up once and checks every certificate of its bound and its path:
 
 * bound validity (exact final index <= bound, up to the tolerance),
 * the equality dichotomy (recognizer fires iff the bound is attained),
@@ -16,10 +16,17 @@ bit-for-bit reproducible and order-independent.  They run in blocks of about
 solved together (``A_I``'s components and ``A_I + P`` one LAPACK call per
 matrix size, the secular roots of every path point as one array iteration,
 the grid vectors one ``matmul`` in the components' eigenbases per size),
-and then each trial is checked in order.  The block is the only bound on
-how many matrices one call stacks.  A stacked matrix gets the same bits as
-a lone one, and each root and vector the same bits as in a lone path, so
-the summary does not depend on the blocks.
+and then checked together (:func:`_check_block`): each check is one array
+over the block, with ``u(t)`` and ``f(t, lambda)`` evaluated once per kind
+on the instances' arrays.  The vertex and edge roots are array roots, the
+pendant root the scalar bracketed Newton per point, and the majorant a
+complex step on arrays with the bits of Python's ``complex``; so every
+number gets the bits of the scalar check of a lone trial.  A failure record
+is built only for a failed check, in trial order and then in the order of
+the list above.  The block is the only bound on how many matrices one call
+stacks.  A stacked matrix gets the same bits as a lone one, and each root
+and vector the same bits as in a lone path, so the summary does not depend
+on the blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +35,9 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field
 
-from .bounds import _check_count
+import numpy as np
+
+from .bounds import KIND_SPECS, _initial_value, _majorant
 from .graphs import (
     PerturbationKind,
     _Instance,
@@ -37,8 +46,8 @@ from .graphs import (
     format_perturbation_spec,
     perturbed_dimension,
 )
-from .pathsim import PerturbationPath, _sample, check_comparison, check_differential_inequality
-from .report import _report
+from .pathsim import _check_steps, _curves
+from .report import _equality
 from .rng import EDGE_PROBABILITIES, SplitMix64, random_instance
 
 _KINDS = tuple(PerturbationKind)
@@ -126,13 +135,12 @@ def run_verification(
         raise ValueError(f"n_max must be at least 3, got {n_max}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    steps = _check_count("steps", steps, 2)
+    steps = _check_steps(steps)
     summary = VerifySummary(seed=seed, trials=trials, n_max=n_max, tolerance=tolerance)
     for block in _blocks(seed, trials, n_max, steps):
         # no name holds a block's instances, so they go before the next block is solved
-        pairs = [(host, pert) for _, host, pert in block]
-        for (trial, _, _), inst in zip(block, _instances(pairs, _SOLVE_TOL, steps)):
-            _check_trial(summary, trial, inst, _sample(inst), inject_failure and trial == 0)
+        ids, pairs = [trial for trial, _, _ in block], [(host, pert) for _, host, pert in block]
+        _check_block(summary, ids, _instances(pairs, _SOLVE_TOL, steps), inject_failure)
     return summary
 
 
@@ -153,55 +161,64 @@ def _blocks(seed: int, trials: int, n_max: int, steps: int):
         yield block
 
 
-def _check_trial(
-    summary: VerifySummary, trial: int, inst: _Instance, path: PerturbationPath, corrupt: bool
-) -> None:
-    """Every check of one trial's solved instance and its path, into
-    ``summary``; ``corrupt`` forces its bound below the exact value."""
-    kind, tolerance = inst.pert.kind, summary.tolerance
-    summary.counts[kind.value] = summary.counts.get(kind.value, 0) + 1
+def _check_block(summary: VerifySummary, trials: list[int], insts: list[_Instance], corrupt: bool) -> None:
+    """Every check of a block's solved instances, into ``summary``: each
+    check one array over the block, ``u(t)`` and ``f(t, lambda)`` from one
+    array evaluation per kind; ``corrupt`` forces the bound of trial 0 below
+    the exact value.  Failures come in trial order, then in check order."""
+    tolerance, grid = summary.tolerance, insts[0].grid
+    ts = np.concatenate([[0.0], grid])
+    for inst in insts:
+        summary.counts[inst.pert.kind.value] = summary.counts.get(inst.pert.kind.value, 0) + 1
+    lambda_f = np.array([inst.lambda_f for inst in insts])
+    values = np.column_stack([[inst.lambda_i for inst in insts], [inst.values for inst in insts]])
+    forms = np.array([inst.forms[:-1] for inst in insts])  # <P x, x> at the interior grid
+    mismatch = np.abs(np.array([inst.lhs for inst in insts]) - forms).max(axis=1)
+    u, f = np.empty_like(values), np.empty_like(forms)
+    for kind, spec in KIND_SPECS.items():
+        idx = [i for i, inst in enumerate(insts) if inst.pert.kind is kind]
+        if not idx:
+            continue
+        _, d, c = zip(*(_initial_value(kind, insts[i].lambda_i, **insts[i].params) for i in idx))
+        d, c = np.array(d), np.array(c)
+        u[idx] = _curves(spec, values[idx, 0], c, d, ts)
+        f[idx] = _majorant(spec, grid[:-1], values[idx, 1:-1], d[:, None])
+    bound = u[:, -1].copy()
+    if corrupt and trials[0] == 0:
+        bound[0] = lambda_f[0] - 1.0
+    violation, gap = lambda_f - bound, bound - lambda_f
+    ineq, comp = (forms - f).max(axis=1), (-(u - values)).max(axis=1)
+    equal = np.array([_equality(inst.graph, inst.pert) for inst in insts], dtype=bool)
 
-    def fail(check: str, detail: str) -> None:
-        """Record one failed check with its reproducer, built only here."""
-        graph, pert = format_edge_list(inst.graph), format_perturbation_spec(inst.pert)
-        summary.failures.append(TrialFailure(trial, kind.value, check, detail, graph, pert))
+    summary.equality_cases += int(equal.sum())
+    summary.strict_cases += len(insts) - int(equal.sum())
+    for name, pick, rows in (
+        ("max_bound_violation", max, violation),
+        ("max_equality_gap", max, np.abs(gap[equal])),
+        ("min_strict_slack", min, gap[~equal]),
+        ("max_derivative_mismatch", max, mismatch),
+        ("max_inequality_violation", max, ineq),
+        ("max_comparison_violation", max, comp),
+    ):
+        setattr(summary, name, pick([getattr(summary, name), *rows.tolist()]))
 
-    rep = _report(inst)
-    bound = rep.lambda_f_exact - 1.0 if corrupt else rep.bound
-    violation = rep.lambda_f_exact - bound
-    summary.max_bound_violation = max(summary.max_bound_violation, violation)
-    if violation > tolerance:
-        fail("bound_validity", f"lambda_F - bound = {violation:.3e}")
-    gap = bound - rep.lambda_f_exact
-    if rep.equality_case:
-        summary.equality_cases += 1
-        summary.max_equality_gap = max(summary.max_equality_gap, abs(gap))
-        if abs(gap) > EQUALITY_GAP_TOL:
-            fail("equality_gap", f"|bound - lambda_F| = {abs(gap):.3e}")
-    else:
-        summary.strict_cases += 1
-        summary.min_strict_slack = min(summary.min_strict_slack, gap)
-        if gap < STRICT_SLACK_MIN:
-            fail("strict_slack", f"bound - lambda_F = {gap:.3e}")
-
-    values = [s.value for s in path.samples]
-    if any(b <= a for a, b in zip(values, values[1:])):
-        fail("monotonicity", f"lambda(t) not strictly increasing: {values}")
-    mismatch = max(
-        abs(s.derivative_lhs - s.derivative_rhs)
-        for s in path.samples
-        if s.derivative_lhs is not None
+    checks = (  # each check, its failed rows, and the detail of a failed row
+        ("bound_validity", violation > tolerance, "lambda_F - bound = {:.3e}", violation),
+        ("equality_gap", equal & (abs(gap) > EQUALITY_GAP_TOL), "|bound - lambda_F| = {:.3e}", abs(gap)),
+        ("strict_slack", ~equal & (gap < STRICT_SLACK_MIN), "bound - lambda_F = {:.3e}", gap),
+        ("monotonicity", (values[:, 1:] <= values[:, :-1]).any(axis=1),
+         "lambda(t) not strictly increasing: {}", values.tolist()),
+        ("derivative_identity", mismatch > DERIVATIVE_TOL, "|fd - quadratic form| = {:.3e}", mismatch),
+        ("differential_inequality", ineq > INEQUALITY_TOL, "rhs - f(t, lambda) = {:.3e}", ineq),
+        ("comparison_dominance", ~(comp <= tolerance), "lambda - u = {:.3e}", comp),
     )
-    summary.max_derivative_mismatch = max(summary.max_derivative_mismatch, mismatch)
-    if mismatch > DERIVATIVE_TOL:
-        fail("derivative_identity", f"|fd - quadratic form| = {mismatch:.3e}")
-    ineq = check_differential_inequality(path)
-    summary.max_inequality_violation = max(summary.max_inequality_violation, ineq)
-    if ineq > INEQUALITY_TOL:
-        fail("differential_inequality", f"rhs - f(t, lambda) = {ineq:.3e}")
-    comp = check_comparison(path, tolerance=tolerance)
-    summary.max_comparison_violation = max(
-        summary.max_comparison_violation, comp.max_violation
-    )
-    if not comp.ok:
-        fail("comparison_dominance", f"lambda - u = {comp.max_violation:.3e}")
+    for i in np.flatnonzero(np.any([failed for _, failed, _, _ in checks], axis=0)):
+        graph, pert = insts[i].graph, insts[i].pert  # a reproducer is formatted only for a failure
+        summary.failures += [
+            TrialFailure(
+                trials[i], pert.kind.value, check, detail.format(rows[i]),
+                format_edge_list(graph), format_perturbation_spec(pert),
+            )
+            for check, failed, detail, rows in checks
+            if failed[i]
+        ]

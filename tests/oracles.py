@@ -15,6 +15,11 @@ The library solves the majorizing Cauchy problem through a first integral
 (a quadratic or cubic root).  :func:`rk4` integrates the same problem
 numerically from the right-hand sides in :data:`MAJORANTS`, written out here
 from the paper rather than taken from the library.
+
+:func:`complex_step_majorant` and :func:`larger_quadratic_root` are the
+scalar forms of the library's majorant and quadratic root, on Python's
+``complex`` and ``math``: the bit references of the array forms that
+``verify`` evaluates.
 """
 
 from __future__ import annotations
@@ -150,6 +155,25 @@ MAJORANTS = {
     "edge": lambda t, y, d: d / ((y - t) ** 2 + d),
     "pendant": lambda t, y, d: 2.0 * d * t * y / ((y * y - t * t) ** 2 + d * (y * y + t * t)),
 }
+
+
+_COMPLEX_STEP = 1e-100
+
+
+def complex_step_majorant(phi, t: float, lam: float, d: int) -> float:
+    """``-Phi_t / Phi_y`` at one point by complex steps ``Im Phi(x + ih) / h``
+    on Python's ``complex`` (Squire and Trapp, SIAM Review 40, 1998)."""
+    phi_t = phi(complex(t, _COMPLEX_STEP), lam, d).imag
+    phi_y = phi(t, complex(lam, _COMPLEX_STEP), d).imag
+    return -phi_t / phi_y
+
+
+def larger_quadratic_root(y: float, c: float) -> float:
+    """Positive root of ``x^2 - y x - c = 0`` for c >= 0, cancellation-free."""
+    disc = math.sqrt(y * y + 4.0 * c)
+    if y >= 0.0:
+        return 0.5 * (y + disc)
+    return (2.0 * c) / (disc - y)
 
 
 def pendant_normalization_constant(n: int, delta: int, t: float, lam: float) -> float:

@@ -1,0 +1,148 @@
+"""The array forms behind ``verify`` against their scalar references, bit for bit.
+
+``verify`` checks a block of trials on arrays: the majorant
+``f = -Phi_t / Phi_y`` as complex steps whose parts are numpy arrays, and the
+comparison roots ``u(t)`` as array roots.  ``bound_report`` and the public
+scalar functions take the scalar forms.  The properties below hold the array
+forms to the bits of the Python-``complex`` majorant and the ``math`` root
+kept in ``oracles``, and to the library's own scalar roots.  A test that only
+compares ``verify`` with the public wrappers cannot see a drift both share,
+so the summary extremes of a few seeds are pinned to the bits the per-trial
+scalar checks gave.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import specbound as sb
+from oracles import complex_step_majorant, larger_quadratic_root
+from specbound import PerturbationKind
+from specbound.bounds import KIND_SPECS, _initial_value, _larger_quadratic_root, _majorant, _Step
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+def degree_params(kind: PerturbationKind, d: int) -> dict[str, int]:
+    return dict(zip(KIND_SPECS[kind].params, (d - d // 2, d // 2) if kind is PerturbationKind.EDGE_ADDITION else (d,)))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return math.isnan(a) and math.isnan(b) or float(a).hex() == float(b).hex()
+
+
+def reference(kind: PerturbationKind, t: float, lam: float, d: int):
+    """The Python-``complex`` majorant, or the class of the error it raises."""
+    try:
+        return complex_step_majorant(KIND_SPECS[kind].phi, t, lam, d)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+# A gap lambda - t of 0 or below 1e-100 makes CPython divide by the larger
+# imaginary part (the second branch of its complex division).
+gaps = st.one_of(st.just(0.0), st.floats(1e-300, 1e-90), st.floats(1e-12, 60.0))
+points = st.tuples(st.floats(0.0, 1.0), gaps, st.integers(0, 80))
+
+
+@PROPERTY
+@given(st.sampled_from(list(PerturbationKind)), st.lists(points, min_size=1, max_size=24))
+def test_array_majorant_has_the_bits_of_the_complex_step(kind, drawn):
+    spec = KIND_SPECS[kind]
+    t, lam, d = (np.array(column) for column in zip(*((t, t + gap, d) for t, gap, d in drawn)))
+    expected = [reference(kind, *point) for point in zip(t.tolist(), lam.tolist(), d.tolist())]
+    if ZeroDivisionError in expected:  # Python's complex divides by zero there: so must the array
+        with pytest.raises(ZeroDivisionError):
+            _majorant(spec, t, lam, d)
+        return
+    got = _majorant(spec, t, lam, d).tolist()
+    assert all(same_bits(a, b) for a, b in zip(got, expected, strict=True))
+
+
+@PROPERTY
+@given(st.sampled_from(list(PerturbationKind)), points)
+def test_inequality_rhs_has_the_bits_of_the_complex_step(kind, point):
+    t, gap, d = point
+    d = max(d, KIND_SPECS[kind].min_degree * len(KIND_SPECS[kind].params))
+    expected = reference(kind, t, t + gap, d)
+    if expected is ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            sb.inequality_rhs(kind, t, t + gap, **degree_params(kind, d))
+        return
+    assert same_bits(sb.inequality_rhs(kind, t, t + gap, **degree_params(kind, d)), expected)
+
+
+def test_step_division_takes_both_branches_of_cpython():
+    # (1 + 2i) / (3 + 4i) by the real part, (1 + 2i) / (1e-120 + 1i) by the
+    # imaginary part, and a zero divisor raises as Python's complex does.
+    a = _Step(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+    q = a / _Step(np.array([3.0, 1e-120]), np.array([4.0, 1.0]))
+    expected = [complex(1, 2) / complex(3, 4), complex(1, 2) / complex(1e-120, 1)]
+    assert [complex(re, im) for re, im in zip(q.re.tolist(), q.im.tolist())] == expected
+    r = 2.0 / _Step(np.array([3.0]), np.array([-4.0]))  # reflected, with a real numerator
+    assert complex(r.re[0], r.im[0]) == 2.0 / complex(3, -4)
+    with pytest.raises(ZeroDivisionError, match="complex division by zero"):
+        a / _Step(np.zeros(2), np.zeros(2))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(0.0, 60.0)), min_size=1, max_size=24))
+def test_array_quadratic_root_has_the_bits_of_the_scalar_root(drawn):
+    y, c = (np.array(column) for column in zip(*drawn))
+    got = _larger_quadratic_root(y, c).tolist()
+    assert all(same_bits(a, larger_quadratic_root(*yc)) for a, yc in zip(got, drawn, strict=True))
+
+
+@st.composite
+def instances(draw):
+    """(kind, d, lambda_I) in the graph regime, lambda_I^2 >= every degree."""
+    kind = draw(st.sampled_from(list(PerturbationKind)))
+    spec = KIND_SPECS[kind]
+    d = draw(st.integers(spec.min_degree * len(spec.params), 50))
+    lam = draw(st.floats(max(1.0, math.sqrt(max(degree_params(kind, d).values()))), 50.0))
+    assume(d > 0 or lam > 1.0)  # the zero-degree perturbations need lambda_I > 1
+    return kind, d, lam
+
+
+@PROPERTY
+@given(instances(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24))
+def test_array_comparison_roots_have_the_bits_of_the_scalar_roots(inst, ts):
+    kind, d, lam = inst
+    spec, weight, c = _initial_value(kind, lam, **degree_params(kind, d))
+    got = spec.root(np.array(ts), np.array([c]), np.array([weight])).tolist()
+    assert all(same_bits(a, spec.root(t, c, weight)) for a, t in zip(got, ts, strict=True))
+
+
+# float.hex of the six summary extremes of run_verification(seed, 30), as the
+# per-trial scalar checks gave them: bound violation, strict slack, equality
+# gap, derivative mismatch, inequality violation, comparison violation.
+EXTREMES = (
+    "max_bound_violation",
+    "min_strict_slack",
+    "max_equality_gap",
+    "max_derivative_mismatch",
+    "max_inequality_violation",
+    "max_comparison_violation",
+)
+PINNED = {
+    0: ("0x1.0000000000000p-51", "0x1.c37a865c20000p-13", "0x1.8000000000000p-50",
+        "0x1.87b2c00000000p-34", "0x1.0000000000000p-52", "0x1.8000000000000p-50"),
+    1: ("0x1.0000000000000p-49", "0x1.19b4a6b7eb800p-10", "0x1.0000000000000p-49",
+        "0x1.02e1c00000000p-33", "0x1.0000000000000p-52", "0x1.8000000000000p-50"),
+    2: ("0x1.0000000000000p-49", "0x1.1a860ce352c00p-9", "0x1.0000000000000p-49",
+        "0x1.0e90800000000p-34", "0x1.0000000000000p-52", "0x1.8000000000000p-51"),
+    3: ("0x1.0000000000000p-51", "0x1.2d358c6230000p-12", "0x1.0000000000000p-51",
+        "0x1.49b7380000000p-33", "0x1.0000000000000p-52", "0x1.8000000000000p-51"),
+    4: ("0x1.0000000000000p-50", "0x1.aae151c334000p-12", "0x1.0000000000000p-50",
+        "0x1.49b7380000000p-33", "0x1.0000000000000p-52", "0x1.0000000000000p-50"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED))
+def test_verify_extremes_keep_their_bits(seed):
+    summary = sb.run_verification(seed, 30)
+    assert summary.ok
+    assert tuple(float(getattr(summary, name)).hex() for name in EXTREMES) == PINNED[seed]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import specbound as sb
-from specbound import bounds, cli, graphs, spectral, verify
+from specbound import bounds, cli, graphs, pathsim, spectral, verify
 from specbound.cli import main
 from specbound.rng import EDGE_PROBABILITIES
 from specbound.verify import COMPARISON_TOL
@@ -240,6 +240,22 @@ def test_path_steps_usage_error_exit_3(tmp_path, capsys):
     assert run(capsys, ["verify", "--trials", "3", "--steps", "1"]) == refusal
 
 
+@pytest.mark.parametrize("command", ["path", "verify"])
+def test_steps_past_the_grid_limit_exit_3(tmp_path, capsys, monkeypatch, command):
+    # A grid of 10^11 points used to end in numpy's MemoryError and exit 1,
+    # the code of an invariant failure.  It is refused before any solve, so
+    # nothing is allocated for it here.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the step count reached a solve")
+
+    monkeypatch.setattr(pathsim, "_instances", no_solve)
+    monkeypatch.setattr(verify, "_instances", no_solve)
+    gfile = write_graph(tmp_path, sb.path_graph(3))
+    argv = {"path": ["path", gfile, "pendant", "0"], "verify": ["verify", "--trials", "1"]}[command]
+    refusal = (3, "", "error: steps must be at most 1048576, got 100000000000\n")
+    assert run(capsys, [*argv, "--steps", "100000000000"]) == refusal
+
+
 def test_path_disconnected_final_exit_4(tmp_path, capsys):
     gfile = _disconnected_result(tmp_path)
     for fmt in ("tsv", "json"):
@@ -329,6 +345,73 @@ def test_verify_formats_reproducers_only_for_failures(monkeypatch):
     assert formats == []
     failed = sb.run_verification(7, 3, n_max=6, inject_failure=True)
     assert len(formats) == len(failed.failures) > 0
+
+def _lone_failures(trial, inst, tol, corrupt):
+    """The failure records of one solved trial, check by check, from its
+    sampled path and the public checks."""
+    kind, failures = inst.pert.kind, []
+
+    def fail(check, detail):
+        graph, pert = sb.format_edge_list(inst.graph), sb.format_perturbation_spec(inst.pert)
+        failures.append(verify.TrialFailure(trial, kind.value, check, detail, graph, pert))
+
+    bound = inst.lambda_f - 1.0 if corrupt else sb.perturbation_bound(kind, inst.lambda_i, **inst.params)
+    if inst.lambda_f - bound > tol:
+        fail("bound_validity", f"lambda_F - bound = {inst.lambda_f - bound:.3e}")
+    gap = bound - inst.lambda_f
+    if sb.equality_case(inst.graph, inst.pert):
+        if abs(gap) > verify.EQUALITY_GAP_TOL:
+            fail("equality_gap", f"|bound - lambda_F| = {abs(gap):.3e}")
+    elif gap < verify.STRICT_SLACK_MIN:
+        fail("strict_slack", f"bound - lambda_F = {gap:.3e}")
+    lhs, rhs = inst.lhs.tolist() + [None], inst.forms[:-1].tolist() + [None]
+    samples = [sb.PathSample(0.0, inst.lambda_i, inst.vector, None, None)]
+    samples += map(sb.PathSample, inst.grid.tolist(), inst.values.tolist(), inst.vectors, lhs, rhs)
+    path = sb.PerturbationPath(kind=kind, samples=tuple(samples), **inst.params)
+    values = [s.value for s in path.samples]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        fail("monotonicity", f"lambda(t) not strictly increasing: {values}")
+    mismatch = max(abs(s.derivative_lhs - s.derivative_rhs) for s in path.samples[1:-1])
+    if mismatch > verify.DERIVATIVE_TOL:
+        fail("derivative_identity", f"|fd - quadratic form| = {mismatch:.3e}")
+    ineq = sb.check_differential_inequality(path)
+    if ineq > verify.INEQUALITY_TOL:
+        fail("differential_inequality", f"rhs - f(t, lambda) = {ineq:.3e}")
+    comp = sb.check_comparison(path, tolerance=tol)
+    if not comp.ok:
+        fail("comparison_dominance", f"lambda - u = {comp.max_violation:.3e}")
+    return failures
+
+
+def test_verify_records_every_failed_check_like_the_lone_checks(monkeypatch):
+    # Every check is made to fail on some trials: thresholds past every
+    # value, a zero tolerance, trial 0's bound corrupted, and trial 4's path
+    # flattened.  The block's records are the lone trials' records, in
+    # trial order and then in check order.
+    monkeypatch.setattr(verify, "DERIVATIVE_TOL", -1.0)
+    monkeypatch.setattr(verify, "INEQUALITY_TOL", -1e9)
+    monkeypatch.setattr(verify, "EQUALITY_GAP_TOL", -1.0)
+    monkeypatch.setattr(verify, "STRICT_SLACK_MIN", math.inf)
+    solved, instances = [], verify._instances
+
+    def flattened(pairs, tol, steps):
+        insts = instances(pairs, tol, steps)
+        if not solved:
+            values = insts[4].values.copy()
+            values[2] = values[1]
+            insts[4] = insts[4]._replace(values=values)
+        solved.extend(insts)
+        return insts
+
+    monkeypatch.setattr(verify, "_instances", flattened)
+    summary = sb.run_verification(11, 12, tolerance=0.0, inject_failure=True)
+    expected = [f for trial, inst in enumerate(solved) for f in _lone_failures(trial, inst, 0.0, trial == 0)]
+    assert {f.check for f in expected} == {
+        "bound_validity", "equality_gap", "strict_slack", "monotonicity",
+        "derivative_identity", "differential_inequality", "comparison_dominance",
+    }
+    assert summary.failures == expected
+
 
 def _lone_matrices(seed, trials):
     """Each verify trial's A_I component blocks and its A_I + P, rebuilt with

@@ -117,3 +117,21 @@ def test_pendant_root_bracket_holds_on_the_whole_path(t, d, data):
     assert math.isfinite(y) and y >= t
     if d == 0:  # the cubic is (v - c)(v^2 - t^2), largest root max(c, t)
         assert y == max(c, t)
+
+
+@PROPERTY
+@given(instances(graph_regime=True), st.floats(0.0, 10.0), st.integers(1, 10), st.data())
+def test_bound_is_monotone_in_lambda_and_in_each_degree(inst, more_lam, more_degree, data):
+    # A larger initial index or a larger degree gives a larger bound (not
+    # smaller by more than rounding for a tiny step in lambda_I), in the
+    # graph regime: a host whose index is lambda_I has no degree above
+    # lambda_I^2 (it contains that star).
+    kind, d, lam = inst
+    params = degree_params(kind, d)
+    bound = sb.perturbation_bound(kind, lam, **params)
+    higher = sb.perturbation_bound(kind, lam + more_lam, **params)
+    assert higher > bound if more_lam >= 1e-6 else higher >= bound - 1e-14 * max(1.0, bound)
+    name = data.draw(st.sampled_from(sorted(params)))
+    raised = {**params, name: params[name] + more_degree}
+    assume(lam * lam >= raised[name])
+    assert sb.perturbation_bound(kind, lam, **raised) > bound

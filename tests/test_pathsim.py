@@ -180,7 +180,7 @@ def test_path_samples_agree_with_the_public_solves():
     ],
     ids=["P64-edge", "C60-pendant", "K20+P20-pendant"],
 )
-def test_path_spanning_several_stacks_equals_the_public_solves(host, pert):
+def test_long_paths_equal_the_public_solves(host, pert):
     _assert_path_agrees_with_the_public_solves(host, pert, 32)
 
 
@@ -234,6 +234,39 @@ def test_path_memory_stays_bounded():
     # one stack of all 94 matrices A(t) would peak near 2.1 MiB.
     host, pert = sb.path_graph(64), Perturbation.edge_addition(0, 32)
     assert _warm_peak(lambda: sb.sample_path(host, pert, steps=32)) < 1 << 20
+
+
+def test_path_memory_beyond_its_vectors_does_not_grow_with_steps():
+    # The eigenbasis vectors go in passes of about 2^12 terms: at steps 1024
+    # the path peaks near 970 KiB, 512 KiB of it the vectors returned.  All
+    # points in one pass peaked near 3.9 MiB.
+    host, pert = sb.path_graph(64), Perturbation.edge_addition(0, 32)
+    assert _warm_peak(lambda: sb.sample_path(host, pert, steps=1024)) < 1536 << 10
+
+
+@pytest.mark.parametrize("steps, passes", [(32, 1), (1024, 16)])
+def test_eigenbasis_passes_give_the_bits_of_one_pass(monkeypatch, steps, passes):
+    # P_64 has 64 terms, so a pass holds 64 points: steps 32 stays one pass.
+    host, pert = sb.path_graph(64), Perturbation.edge_addition(0, 32)
+    split, solved = [], []
+    original, eigenbasis = spectral._passes, spectral._eigenbasis_pairs
+
+    def counted(points, terms):
+        split.append(list(original(points, terms)))
+        return iter(split[-1])
+
+    def recorded(*args):
+        pairs, passed = eigenbasis(*args)
+        solved.append([(x.tobytes(), res.tobytes(), passed.tobytes()) for x, res in pairs])
+        return pairs, passed
+
+    monkeypatch.setattr(spectral, "_eigenbasis_pairs", recorded)
+    monkeypatch.setattr(spectral, "_passes", counted)
+    sb.sample_path(host, pert, steps=steps)
+    assert len(split) == 1 and len(split[0]) == passes
+    monkeypatch.setattr(spectral, "_passes", lambda points, terms: iter([(0, points)]))
+    sb.sample_path(host, pert, steps=steps)
+    assert solved[0] == solved[1]
 
 
 def test_shifted_solve_memory_does_not_grow_with_its_points():
