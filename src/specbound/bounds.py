@@ -28,6 +28,7 @@ and the iterated bound for joining a coclique complete the module.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -65,7 +66,7 @@ def _larger_quadratic_root(y, c):
 # ---------------------------------------------------------------------------
 
 # Each Phi and root takes floats or numpy arrays, and each Phi also a
-# complex step (_Step) in t or y: the majorant differentiates Phi on it.
+# Python complex in t or y: the majorant differentiates Phi by complex steps.
 
 def _phi_vertex(t, y, d):
     return y - d * t * t / y
@@ -95,18 +96,24 @@ def _root_pendant(t, c, d):
     0 at ``sqrt(d + t^2)`` when ``c >= 0`` (every input coming from a graph),
     and nonnegative at ``max(sqrt(d + t^2), c + d + 2)``.  Bracketed Newton
     with bisection fallback solves it to 1e-12 on the polynomial value.
-    Arrays are broadcast and solved one point at a time: a masked array
+    Arrays are solved one point at a time (:func:`_pointwise`): a masked array
     Newton gives the same bits but costs more at a path's few dozen points.
     """
     if isinstance(t, np.ndarray) or isinstance(c, np.ndarray):
-        shape = np.broadcast(t, c, d).shape
-        points = []
-        for x in (t, c, d):  # a third of the time of np.broadcast_arrays on a path's points
-            full = np.empty(shape, dtype=np.asarray(x).dtype)
-            np.copyto(full, x)
-            points.append(full.ravel().tolist())
-        return np.fromiter(map(_pendant_root, *points), float, len(points[0])).reshape(shape)
+        return _pointwise(_pendant_root, t, c, d)
     return _pendant_root(t, c, d)
+
+
+def _pointwise(fn: Callable, *arrays) -> np.ndarray:
+    """``fn`` at each point of the broadcast ``arrays``, called on Python
+    numbers, as a float array of their broadcast shape."""
+    shape = np.broadcast(*arrays).shape
+    points = []
+    for x in arrays:  # a third of the time of np.broadcast_arrays on a path's points
+        full = np.empty(shape, dtype=np.asarray(x).dtype)
+        np.copyto(full, x)
+        points.append(full.ravel().tolist())
+    return np.fromiter(map(fn, *points), float, len(points[0])).reshape(shape)
 
 
 def _pendant_root(t: float, c: float, d: int) -> float:
@@ -257,75 +264,22 @@ def inequality_rhs(
     delta_v: int = 0,
 ) -> float:
     """The majorant ``f(t, lambda) = -Phi_t / Phi_y`` with ``lambda' <= f``
-    along the path: :func:`_majorant` at one point."""
+    along the path: :func:`_slope` of the kind's Phi."""
     spec, d = _weight(kind, g, delta_u, delta_v)
-    return float(_majorant(spec, np.array([t], dtype=float), np.array([lam], dtype=float), d)[0])
+    return _slope(spec.phi, float(t), float(lam), d)
+
+
+def _slope(phi: Callable, t: float, y: float, d: int) -> float:
+    """``-Phi_t / Phi_y`` of ``phi`` at one point.  Both partial derivatives
+    are complex steps ``Im Phi(x + ih) / h`` in Python's ``complex``, exact to
+    rounding for the rational Phi; the step h cancels in the quotient."""
+    return -phi(complex(t, _COMPLEX_STEP), y, d).imag / phi(t, complex(y, _COMPLEX_STEP), d).imag
 
 
 def _majorant(spec: KindSpec, t, lam, d) -> np.ndarray:
-    """``-Phi_t / Phi_y`` of ``spec`` at the broadcast arrays ``t``, ``lam``
-    and ``d``.  Both partial derivatives are complex steps
-    ``Im Phi(x + ih) / h``, exact to rounding for the rational Phi; the step
-    h cancels in the quotient.  Phi runs on :class:`_Step`, so each entry
-    gets the bits of the same step taken with Python's ``complex``."""
-    with np.errstate(all="ignore"):  # silent, as Python's complex; _quot raises on a zero divisor
-        phi_t = spec.phi(_Step(t, _COMPLEX_STEP), lam, d).im
-        phi_y = spec.phi(t, _Step(lam, _COMPLEX_STEP), d).im
-    if not np.all(phi_y):
-        raise ZeroDivisionError("float division by zero")
-    return -phi_t / phi_y
-
-
-def _parts(z) -> tuple:
-    """Real and imaginary parts of a :class:`_Step` or a real ``z``."""
-    return (z.re, z.im) if isinstance(z, _Step) else (z, 0.0)
-
-
-def _quot(ar, ai, br, bi) -> tuple:
-    """CPython's ``_Py_c_quot``: Smith's division, scaled by the larger of
-    ``|br|`` and ``|bi|``, per entry."""
-    abs_r, abs_i = np.abs(br), np.abs(bi)
-    by_real = abs_r >= abs_i
-    if np.any(by_real & (abs_r == 0.0)):
-        raise ZeroDivisionError("complex division by zero")
-    ratio = bi / br
-    denom = br + bi * ratio
-    re, im = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-    if not np.all(by_real):  # nan parts take this branch too, and give nan in both
-        ratio = br / bi
-        denom = br * ratio + bi
-        re = np.where(by_real, re, (ar * ratio + ai) / denom)
-        im = np.where(by_real, im, (ai * ratio - ar) / denom)
-    return re, im
-
-
-def _operators(op: Callable) -> tuple:
-    """A binary operator of :class:`_Step` from ``op`` on parts, and its
-    reflected form."""
-    return (
-        lambda a, b: _Step(*op(*_parts(a), *_parts(b))),
-        lambda a, b: _Step(*op(*_parts(b), *_parts(a))),
-    )
-
-
-class _Step:
-    """A complex number ``re + i im`` whose parts are numpy arrays, for the
-    complex step of :func:`_majorant`.  Its ``+ - * /`` and their reflected
-    forms are CPython's complex arithmetic written out per entry
-    (``_Py_c_sum``, ``_Py_c_diff``, ``_Py_c_prod``, ``_Py_c_quot``), a real
-    operand ``x`` taken as ``x + 0i``; numpy's own complex type moves the
-    last bits of the majorant."""
-
-    __slots__ = ("re", "im")
-    __array_ufunc__ = None  # an array operand defers to the reflected operator
-
-    def __init__(self, re, im) -> None:
-        self.re, self.im = re, im
-
-    __add__, __radd__ = _operators(lambda ar, ai, br, bi: (ar + br, ai + bi))
-    __sub__, __rsub__ = _operators(lambda ar, ai, br, bi: (ar - br, ai - bi))
-    __mul__, __rmul__ = _operators(lambda ar, ai, br, bi: (ar * br - ai * bi, ar * bi + ai * br))
-    __truediv__, __rtruediv__ = _operators(_quot)
+    """:func:`_slope` of ``spec`` at each point of the broadcast arrays
+    ``t``, ``lam`` and ``d``."""
+    return _pointwise(functools.partial(_slope, spec.phi), t, lam, d)
 
 
 def perturbation_bound(

@@ -14,9 +14,10 @@ Graphs are read in the edge-list format (header ``n m``, then ``i j`` lines;
 ``vertex u v1 ... vg`` | ``edge u v`` | ``pendant u``.
 
 Exit codes: 0 success, 1 invariant failure, 2 parse failure (a graph file
-that cannot be read or is not UTF-8 included), 3 usage, invalid
-perturbation or unwritable ``construct --out``, 4 structural precondition
-(disconnected result).
+that cannot be read or is not UTF-8 included; a byte-order mark is
+skipped), 3 usage, invalid perturbation, a final graph above the vertex
+limit of :func:`~specbound.graphs._instances` or unwritable
+``construct --out``, 4 structural precondition (disconnected result).
 ``bound`` and ``path`` leave the instance checks to the library and map the
 error class to the code, with one ``error:`` line on stderr.  ``main`` may be
 called any number of times in one process; it builds its parser once.
@@ -104,7 +105,7 @@ def _error(exc: ValueError) -> int:
 def _run_instance(args, command) -> int:
     """Read the instance ``args`` names and run ``command(graph, pert)`` on it."""
     try:
-        with open(args.graph, "r", encoding="utf-8") as fh:
+        with open(args.graph, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not text
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         return _error(GraphParseError(f"cannot read {args.graph}: {exc}"))
@@ -179,7 +180,10 @@ def _cmd_construct(args) -> int:
     pert = Perturbation(kind, u, tuple(targets))
     lam_i_closed = spec.root(0.0, delta, k * n)
     lam_f_closed = closed_form_join(kind, n, delta, 1.0).value
-    rep = bound_report(host, pert)
+    try:
+        rep = bound_report(host, pert)
+    except ValueError as exc:
+        return _error(exc)
     checks = {
         "lambda_I": abs(rep.lambda_i - lam_i_closed),
         "lambda_F": abs(rep.lambda_f_exact - lam_f_closed),

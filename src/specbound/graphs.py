@@ -47,6 +47,8 @@ import numpy as np
 
 from .spectral import _components, _row_bits, _solve_paths
 
+_MAX_VERTICES = 1 << 13  # of a final graph: one dense float64 matrix is 512 MiB, and a path holds several
+
 
 class GraphParseError(ValueError):
     """Malformed edge-list text (bad header, token, vertex, or self-loop)."""
@@ -393,7 +395,8 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
     The grid and difference points are roots of one secular equation per
     instance, from one ``eigh`` per size of the instances' components;
     ``A_I + P`` takes one ``eigvalsh`` per size.  :class:`DisconnectedError`
-    unless every ``A_I + P`` is connected."""
+    unless every ``A_I + P`` is connected; ``ValueError`` for a final graph
+    above ``_MAX_VERTICES`` vertices, before any matrix is sized."""
     grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
     h = min(1e-5, 1.0 / (4.0 * max(steps, 1)))
     inner = grid[:-1]
@@ -401,6 +404,8 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
     for g, p in pairs:
         _added_edges(g, p)  # PerturbationError unless p applies to g
         n = perturbed_dimension(g, p)
+        if n > _MAX_VERTICES:
+            raise ValueError(f"the final graph has {n} vertices; at most {_MAX_VERTICES} are supported")
         a_initial = np.zeros((n, n))
         a_initial[: g.n, : g.n] = g.adjacency()
         comps = _components(_row_bits(a_initial))  # the host's, and a pendant vertex alone
@@ -414,7 +419,7 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
     solved = _solve_paths(paths, grid, np.concatenate([inner + h, inner - h]), tol, final)
     insts = []
     for setup, (_, w, _), solution in zip(setups, paths, solved):
-        lambda_i, vector, values, vectors, tops, lambda_f = solution
+        lambda_i, vector, _, values, vectors, tops, lambda_f = solution
         z = vectors @ w  # W^T x per grid point: <P x, x> = 2 x_u (s . x)
         forms = 2.0 * z[:, 0] * z[:, 1]
         lhs = (tops[: len(inner)] - tops[len(inner) :]) / (2.0 * h)

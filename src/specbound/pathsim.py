@@ -13,10 +13,12 @@ This module turns them into samples, checks the derivative identity,
 evaluates the per-kind differential inequality ``lambda' <= f(t, lambda)``,
 and compares ``lambda(t)`` against the exact solution ``u(t)`` of the
 majorizing Cauchy problem ``y' = f(t, y), y(0) = lambda_I`` (which dominates
-the path and is attained exactly in the equality cases).  ``f`` and ``u`` both come from the
-kind's first integral in :mod:`specbound.bounds`, set up once per path, and
-are evaluated on arrays (:func:`_curves`, :func:`~specbound.bounds._majorant`)
-that ``verify`` runs on a whole block of paths and the public checks on one.
+the path and is attained exactly in the equality cases).  ``f`` and ``u``
+both come from the kind's first integral in :mod:`specbound.bounds`, set up
+once per path, and are evaluated on arrays (:func:`_curves`,
+:func:`~specbound.bounds._majorant`, the majorant one point at a time in
+Python's ``complex``) that ``verify`` runs on a whole block of paths and the
+public checks on one.
 
 The equality cases are cones and double cones over regular graphs, where the
 path is ``u(t)`` itself; :func:`closed_form_join` gives its eigenpairs from

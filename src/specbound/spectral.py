@@ -18,7 +18,8 @@ solves take a stack ``(k, n, n)`` of matrices and make one LAPACK call per
 stack: the certified Perron solve checks the residual and the positivity of
 every matrix in it, with stacked ``matmul`` that runs the same BLAS kernels
 per matrix as a single solve, so a matrix gets the same bits alone or in a
-stack.  :func:`perron` calls it with a stack of one matrix.
+stack.  :func:`perron` and :func:`perron_components` solve one matrix as
+the start of a path without points.
 
 :func:`_solve_paths` solves the paths ``A(t) = a + t P``, for one instance
 or a block of ``verify`` trials, with one stack per matrix size
@@ -53,6 +54,8 @@ def _as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
         raise ValueError("matrix must have at least one row")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     return m
 
 
@@ -130,8 +133,7 @@ def perron(a, tol: float = 1e-11) -> PerronPair:
     m = _require_nonnegative(a, tol)
     if not is_connected_matrix(m):
         raise ValueError("matrix is not connected; positivity of the eigenvector fails")
-    values, vectors, residuals = _certified_perron(m[None], tol)
-    return PerronPair(float(values[0]), vectors[0], float(residuals[0]))
+    return PerronPair(*_solve_paths([(m, None, [list(range(len(m)))])], (), (), tol)[0][:3])
 
 
 def _require_nonnegative(a, tol: float) -> np.ndarray:
@@ -169,26 +171,22 @@ def _perron_stack(stack: np.ndarray) -> tuple:
     return mu, q, lam, x, np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
 
 
+def _certified(residuals, least, tol: float):
+    """Whether each pair passes its certificate: its residual is within
+    ``tol`` and the least entry of its vector is positive."""
+    return (residuals <= tol) & (least > 0.0)
+
+
 def _certify(residuals: np.ndarray, x: np.ndarray, tol: float) -> None:
     """``RuntimeError`` naming the first pair whose residual exceeds ``tol``
     or whose vector (a row of ``x``) has an entry that is not positive."""
-    certified = (residuals <= tol) & (x.min(axis=1) > 0.0)
+    certified = _certified(residuals, x.min(axis=1), tol)
     if not certified.all():
         i = int(np.argmin(certified))
         raise RuntimeError(
             f"Perron pair not certified: residual {float(residuals[i]):.3e} (tolerance {tol}), "
             f"min entry {float(x[i].min()):.3e}"
         )
-
-
-def _certified_perron(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`perron` on a stack ``(k, n, n)`` of matrices known to be
-    connected, nonnegative and symmetric, in one ``eigh`` call: the values,
-    the vectors as rows, and the residuals.  ``RuntimeError`` names the first
-    matrix that fails its certificate."""
-    lam, x, res = _perron_stack(stack)[2:]
-    _certify(res, x, tol)
-    return lam, x, res
 
 
 def spectral_radius(a, tol: float = 1e-11) -> float:
@@ -211,7 +209,8 @@ def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[
     ``w = [e_u, s]`` of ``P = w S w^T``, anchor and target indicator, with
     ``S = [[0, 1], [1, 0]]``, such that ``a + t P`` is connected for
     ``t > 0``.  For each path: its start, the value and zero-padded vector
-    of :func:`perron_components` of ``a``; certified pairs at the points of
+    of :func:`perron_components` of ``a`` with the residual of that
+    component's pair; certified pairs at the points of
     ``certify``, vectors as rows; the top eigenvalues at the points of
     ``tops``; and with ``final``, LAPACK's top eigenvalue of ``a + P``, else
     ``None``.  Without points or ``final``, ``w`` may be ``None``.
@@ -246,7 +245,7 @@ def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[
         k = next(k for k, v in enumerate(values) if v >= value - tol)
         vector = np.zeros(len(a))
         vector[comps[k]] = parts[k][1]
-        starts.append((value, vector))
+        starts.append((value, vector, float(parts[k][2])))
         if len(points):
             systems.append(tuple(map(np.concatenate, zip(*(eig for _, _, _, eig in parts)))))
     roots = _secular_roots(systems, points) if len(points) else np.empty((len(paths), 0))
@@ -270,8 +269,8 @@ def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[
             at += len(comps)
     finals = _final_tops(paths) if final else [None] * len(paths)
     return [
-        (value, vector, root[: len(certify)], x, root[len(certify) :], top)
-        for (value, vector), root, (x, _), top in zip(starts, roots, pairs, finals)
+        (*start, root[: len(certify)], x, root[len(certify) :], top)
+        for start, root, (x, _), top in zip(starts, roots, pairs, finals)
     ]
 
 
@@ -295,10 +294,10 @@ def _by_size(mats):
 
 def _final_tops(paths) -> list:
     """LAPACK's top eigenvalue of ``a + P`` for each path ``(a, w, comps)``,
-    one ``eigvalsh`` call per size."""
+    one ``eigvalsh`` call per size, as a Python float."""
     tops = [None] * len(paths)
     for group, stack in _by_size([_point(a, w, 1.0) for a, w, _ in paths]):
-        for k, top in zip(group, np.linalg.eigvalsh(stack)[:, -1]):
+        for k, top in zip(group, np.linalg.eigvalsh(stack)[:, -1].tolist()):
             tops[k] = top
     return tops
 
@@ -314,7 +313,7 @@ def _solve_blocks(blocks, tol: float, keep: bool = False) -> tuple[list[tuple], 
     solved, certified, bases = [None] * len(blocks), True, []
     for group, stack in _by_size([m for m, _ in blocks]):
         mu, q, lam, x, res = _perron_stack(stack)
-        certified &= bool(((res <= tol) & (x.min(axis=1) > 0.0)).all())
+        certified &= bool(_certified(res, x.min(axis=1), tol).all())
         for i, k in enumerate(group):
             w = blocks[k][1]
             solved[k] = (lam[i], x[i], res[i], None if w is None else (mu[i], q[i].T @ w))
@@ -378,7 +377,7 @@ def _eigenbasis_pairs(paths, systems, bases, ts: np.ndarray, lam: np.ndarray, to
             z_u, z_s = (np.add.reduceat(w[:, i : i + 1] * x, first) for i in (0, 1))
             r = ax + t * (w[:, :1] * z_s[owner] + w[:, 1:] * z_u[owner]) - root[owner] * x
             res[:, j:k] = np.sqrt(np.add.reduceat(r * r, first))
-            passed[:, j:k] = (res[:, j:k] <= tol) & (np.minimum.reduceat(x, first) > 0.0)
+            passed[:, j:k] = _certified(res[:, j:k], np.minimum.reduceat(x, first), tol)
         for v, o, start, size in zip(vectors, order, first, sizes):
             v[j:k, o] = x[start : start + size].T
     return list(zip(vectors, res)), passed
@@ -531,7 +530,7 @@ def _shifted_pairs(points, tol: float) -> tuple[list[tuple], bool]:
             x /= np.sqrt(x.T @ x)
         r = (shift - value) * x - shifted @ x  # a x - value x; s - value is exact
         x, res = x[:, 0], float(np.sqrt(r.T @ r)[0, 0])
-        certified &= bool(res <= tol and x.min() > 0.0)
+        certified &= bool(_certified(res, x.min(), tol))
         pairs.append((x, res))
     return pairs, certified
 

@@ -19,9 +19,9 @@ the grid vectors one ``matmul`` in the components' eigenbases per size),
 and then checked together (:func:`_check_block`): each check is one array
 over the block, with ``u(t)`` and ``f(t, lambda)`` evaluated once per kind
 on the instances' arrays.  The vertex and edge roots are array roots, the
-pendant root the scalar bracketed Newton per point, and the majorant a
-complex step on arrays with the bits of Python's ``complex``; so every
-number gets the bits of the scalar check of a lone trial.  A failure record
+pendant root the scalar bracketed Newton per point, and the majorant the
+complex step in Python's ``complex`` per point; so every number gets the
+bits of the scalar check of a lone trial.  A failure record
 is built only for a failed check, in trial order and then in the order of
 the list above.  The block is the only bound on how many matrices one call
 stacks.  A stacked matrix gets the same bits as a lone one, and each root
@@ -39,6 +39,7 @@ import numpy as np
 
 from .bounds import KIND_SPECS, _initial_value, _majorant
 from .graphs import (
+    _MAX_VERTICES,
     PerturbationKind,
     _Instance,
     _instances,
@@ -133,6 +134,8 @@ def run_verification(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
+    if n_max > _MAX_VERTICES:  # the final graphs are drawn with up to n_max vertices
+        raise ValueError(f"n_max must be at most {_MAX_VERTICES}, got {n_max}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     steps = _check_steps(steps)

@@ -1,11 +1,11 @@
 """The array forms behind ``verify`` against their scalar references, bit for bit.
 
 ``verify`` checks a block of trials on arrays: the majorant
-``f = -Phi_t / Phi_y`` as complex steps whose parts are numpy arrays, and the
-comparison roots ``u(t)`` as array roots.  ``bound_report`` and the public
-scalar functions take the scalar forms.  The properties below hold the array
-forms to the bits of the Python-``complex`` majorant and the ``math`` root
-kept in ``oracles``, and to the library's own scalar roots.  A test that only
+``f = -Phi_t / Phi_y`` as complex steps in Python's ``complex``, one point at
+a time, and the comparison roots ``u(t)`` as array roots.  ``bound_report``
+and the public scalar functions take the scalar forms.  The properties below
+hold the array forms to the bits of the Python-``complex`` majorant and the
+``math`` root kept in ``oracles``, and to the library's own scalar roots.  A test that only
 compares ``verify`` with the public wrappers cannot see a drift both share,
 so the summary extremes of a few seeds are pinned to the bits the per-trial
 scalar checks gave.
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import specbound as sb
 from oracles import complex_step_majorant, larger_quadratic_root
 from specbound import PerturbationKind
-from specbound.bounds import KIND_SPECS, _initial_value, _larger_quadratic_root, _majorant, _Step
+from specbound.bounds import KIND_SPECS, _initial_value, _larger_quadratic_root, _majorant
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -73,19 +73,6 @@ def test_inequality_rhs_has_the_bits_of_the_complex_step(kind, point):
             sb.inequality_rhs(kind, t, t + gap, **degree_params(kind, d))
         return
     assert same_bits(sb.inequality_rhs(kind, t, t + gap, **degree_params(kind, d)), expected)
-
-
-def test_step_division_takes_both_branches_of_cpython():
-    # (1 + 2i) / (3 + 4i) by the real part, (1 + 2i) / (1e-120 + 1i) by the
-    # imaginary part, and a zero divisor raises as Python's complex does.
-    a = _Step(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-    q = a / _Step(np.array([3.0, 1e-120]), np.array([4.0, 1.0]))
-    expected = [complex(1, 2) / complex(3, 4), complex(1, 2) / complex(1e-120, 1)]
-    assert [complex(re, im) for re, im in zip(q.re.tolist(), q.im.tolist())] == expected
-    r = 2.0 / _Step(np.array([3.0]), np.array([-4.0]))  # reflected, with a real numerator
-    assert complex(r.re[0], r.im[0]) == 2.0 / complex(3, -4)
-    with pytest.raises(ZeroDivisionError, match="complex division by zero"):
-        a / _Step(np.zeros(2), np.zeros(2))
 
 
 @PROPERTY

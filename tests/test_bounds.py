@@ -342,6 +342,24 @@ def test_bound_and_gap_come_from_one_validated_weight(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize(
+    "graph, pert",
+    [
+        (sb.path_graph(4), sb.Perturbation.edge_addition(0, 3)),
+        (sb.disjoint_union(sb.cycle_graph(4), sb.empty_graph(1)), sb.Perturbation.vertex_connection(4, [0, 1])),
+        (sb.complete_graph(4), sb.Perturbation.pendant_edge(0)),
+        (sb.empty_graph(1), sb.Perturbation.pendant_edge(0)),
+    ],
+)
+def test_bound_report_floats_are_python_floats(graph, pert):
+    # A numpy scalar would show as np.float64(...) in the report's repr.
+    rep = sb.bound_report(graph, pert)
+    for name in ("lambda_i", "lambda_f_exact", "bound", "asymptotic_estimate", "slack"):
+        value = getattr(rep, name)
+        assert value is None or type(value) is float, name
+    assert "np." not in repr(rep)
+
+
 def test_zero_degree_perturbations_of_edgeless_hosts():
     # d = 0 with lambda_I = 0 (K1 + pendant, 2K1 + edge): Phi is the identity
     # and the bound max(c, t) at t = 1 is 1, the index of K2.  A host of

@@ -119,6 +119,17 @@ def test_graph_file_that_is_not_utf8_exit_2(tmp_path, capsys, command):
     assert err.startswith(f"error: cannot read {gfile}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["bound"], ["path", "--steps", "4"]])
+def test_graph_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, command):
+    # An editor's UTF-8 BOM used to make the header "\ufeff3 2" and exit 2.
+    plain = write_graph(tmp_path, sb.path_graph(3))
+    marked = tmp_path / "bom.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    expected = run(capsys, [*command, plain, "edge", "0", "2"])
+    assert expected[0] == 0
+    assert run(capsys, [*command, str(marked), "edge", "0", "2"]) == expected
+
+
 def test_bound_invalid_perturbation_exit_3(tmp_path, capsys):
     gfile = write_graph(tmp_path, sb.path_graph(3))
     code, _, _ = run(capsys, ["bound", gfile, "edge", "0", "1"])  # already present
@@ -254,6 +265,36 @@ def test_steps_past_the_grid_limit_exit_3(tmp_path, capsys, monkeypatch, command
     argv = {"path": ["path", gfile, "pendant", "0"], "verify": ["verify", "--trials", "1"]}[command]
     refusal = (3, "", "error: steps must be at most 1048576, got 100000000000\n")
     assert run(capsys, [*argv, "--steps", "100000000000"]) == refusal
+
+
+@pytest.mark.parametrize("command", ["bound", "path", "construct", "verify"])
+def test_final_graphs_past_the_vertex_limit_exit_3(tmp_path, capsys, monkeypatch, command):
+    # A final graph of 10^6 vertices used to end in numpy's MemoryError and
+    # exit 1, and `verify --n-max 3e21` drew its first graph for ever.  The
+    # limit is lowered to 5 here, so nothing large is allocated even without
+    # the check.
+    monkeypatch.setattr(graphs, "_MAX_VERTICES", 5)
+    monkeypatch.setattr(verify, "_MAX_VERTICES", 5)
+    at_limit, past = write_graph(tmp_path, sb.path_graph(4), "p4.txt"), write_graph(tmp_path, sb.path_graph(5))
+    argv = {
+        "bound": ["bound", past, "pendant", "0"],
+        "path": ["path", past, "pendant", "0"],
+        "construct": ["construct", "vertex", "5", "2"],
+        "verify": ["verify", "--trials", "3", "--n-max", "6"],
+    }[command]
+    message = "n_max must be at most 5, got 6" if command == "verify" else "the final graph has 6 vertices; at most 5 are supported"
+    assert run(capsys, argv) == (3, "", f"error: {message}\n")
+    assert run(capsys, ["bound", at_limit, "pendant", "0"])[0] == 0
+
+
+@pytest.mark.parametrize("command", ["bound", "path"])
+def test_header_past_the_vertex_limit_exit_3(tmp_path, capsys, command):
+    # numpy refuses a matrix this size before allocating it, with "array is
+    # too big"; the library refuses it first, with the limit in the message.
+    gfile = tmp_path / "huge.txt"
+    gfile.write_text("99999999999 0\n")
+    refusal = (3, "", "error: the final graph has 100000000000 vertices; at most 8192 are supported\n")
+    assert run(capsys, [command, str(gfile), "pendant", "0"]) == refusal
 
 
 def test_path_disconnected_final_exit_4(tmp_path, capsys):

@@ -109,6 +109,26 @@ def test_full_spectrum_examples():
     assert np.allclose(sb.full_spectrum(np.zeros((3, 3))), [0, 0, 0], atol=0)
 
 
+_ENTRY_POINTS = {
+    "perron": sb.perron,
+    "perron_components": perron_components,
+    "spectral_radius": sb.spectral_radius,
+    "full_spectrum": sb.full_spectrum,
+    "connected_components": sb.connected_components,
+}
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_entry_points_refuse_non_finite_entries(name, entry):
+    # Symmetric in its bits, so only the entry itself can refuse it; inf
+    # used to reach numpy's inf - inf, and nan to count as an edge.
+    m = sb.path_graph(3).adjacency()
+    m[0, 2] = m[2, 0] = entry
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        _ENTRY_POINTS[name](m)
+
+
 def test_full_spectrum_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         sb.full_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -201,11 +221,17 @@ def test_perron_components_ties_pick_first_component():
         assert vector[:n].min() > 0.0
 
 
+def whole(m: np.ndarray) -> tuple:
+    """A path of ``spectral._solve_paths`` without points: ``m`` taken as
+    one component, connected or not."""
+    return m, None, [list(range(len(m)))]
+
+
 def test_stacked_perron_solves_each_matrix_as_alone():
     # Only the lollipop in the middle needs the positivity fix-up.
     mats = [g.adjacency() for g in (sb.path_graph(40), lollipop_graph(20, 20), sb.complete_graph(40))]
-    values, vectors, residuals = spectral._certified_perron(np.stack(mats), 1e-11)
-    for m, value, vector, residual in zip(mats, values, vectors, residuals, strict=True):
+    solved = spectral._solve_paths([whole(m) for m in mats], (), (), 1e-11)
+    for m, (value, vector, residual, *_) in zip(mats, solved, strict=True):
         pair = sb.perron(m)
         assert (value, residual) == (pair.value, pair.residual)
         assert np.array_equal(vector, pair.vector)
@@ -219,14 +245,14 @@ def test_stacked_perron_reports_the_first_uncertified_matrix():
         with pytest.raises(RuntimeError) as alone:
             sb.perron(first, tol=1e-300)
         with pytest.raises(RuntimeError) as stacked:
-            spectral._certified_perron(np.stack([first, second]), 1e-300)
+            spectral._solve_paths([whole(first), whole(second)], (), (), 1e-300)
         assert str(stacked.value) == str(alone.value)
         messages.append(str(alone.value))
     assert messages[0] != messages[1]
     # K3 + K2: the top vector is zero on K2, which no fix-up step can change.
     split = sb.disjoint_union(sb.complete_graph(3), sb.complete_graph(2)).adjacency()
     with pytest.raises(RuntimeError, match=r"min entry 0\.000e\+00"):
-        spectral._certified_perron(np.stack([c5, split, p5]), 1e-11)
+        spectral._solve_paths([whole(c5), whole(split), whole(p5)], (), (), 1e-11)
 
 
 def test_solves_by_size_report_the_first_uncertified_matrix_in_order():
@@ -239,12 +265,11 @@ def test_solves_by_size_report_the_first_uncertified_matrix_in_order():
     alone = []
     for m in (bad5, bad4):
         with pytest.raises(RuntimeError) as excinfo:
-            spectral._certified_perron(m[None], 1e-11)
+            spectral._solve_paths([whole(m)], (), (), 1e-11)
         alone.append(str(excinfo.value))
     assert alone[0] != alone[1]
-    paths = [(m, None, [list(range(len(m)))]) for m in (good4, bad5, bad4)]
     with pytest.raises(RuntimeError) as excinfo:
-        spectral._solve_paths(paths, (), (), 1e-11)
+        spectral._solve_paths([whole(m) for m in (good4, bad5, bad4)], (), (), 1e-11)
     assert str(excinfo.value) == alone[0]
 
 
