@@ -264,9 +264,18 @@ def inequality_rhs(
     delta_v: int = 0,
 ) -> float:
     """The majorant ``f(t, lambda) = -Phi_t / Phi_y`` with ``lambda' <= f``
-    along the path: :func:`_slope` of the kind's Phi."""
+    along the path: :func:`_slope` of the kind's Phi.  At ``lambda = 0``, a
+    pole of the vertex and pendant Phi, it is the limit, 0, where one exists:
+    off ``t = 0``, and everywhere at ``d = 0``, where Phi is the identity.
+    At ``(0, 0)`` with ``d > 0`` ``f`` has no limit, and ``ValueError``."""
     spec, d = _weight(kind, g, delta_u, delta_v)
-    return _slope(spec.phi, float(t), float(lam), d)
+    t, lam = float(t), float(lam)
+    try:
+        return _slope(spec.phi, t, lam, d)
+    except ZeroDivisionError:  # lambda = 0; f = 2 d t y / (y^2 + d t^2) for the vertex kind
+        if t == 0.0 and d:
+            raise ValueError(f"the {kind.value} majorant has no limit at t = {t}, lambda = {lam}") from None
+        return 0.0
 
 
 def _slope(phi: Callable, t: float, y: float, d: int) -> float:

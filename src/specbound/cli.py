@@ -40,6 +40,7 @@ from .graphs import (
     GraphParseError,
     Perturbation,
     PerturbationKind,
+    _check_vertex_count,
     circulant_graph,
     disjoint_union,
     empty_graph,
@@ -167,16 +168,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_construct(args) -> int:
     kind, n, delta = PerturbationKind(args.kind), args.n, args.delta
+    spec = KIND_SPECS[kind]
+    k = len(spec.params)  # one apex per degree keyword
+    isolated = _SHAPES[kind].isolated
+    u, targets = (n, range(n)) if isolated else (0, range(1, k))  # a new vertex, or the first apex
     try:
+        _check_vertex_count(n + k + (not targets))  # the final graph's, before any graph is built
         core = circulant_graph(n, delta)
     except ValueError as exc:
         return _error(exc)
-    spec = KIND_SPECS[kind]
-    k = len(spec.params)  # one apex per degree keyword
-    if _SHAPES[kind].isolated:  # u is a new vertex, joined to the core
-        host, u, targets = disjoint_union(core, empty_graph(1)), n, range(n)
-    else:  # u is the first of k apexes joined to the core in the host
-        host, u, targets = join(empty_graph(k), core), 0, range(1, k)
+    # the new vertex apart from the core, or k apexes joined to it
+    host = disjoint_union(core, empty_graph(1)) if isolated else join(empty_graph(k), core)
     pert = Perturbation(kind, u, tuple(targets))
     lam_i_closed = spec.root(0.0, delta, k * n)
     lam_f_closed = closed_form_join(kind, n, delta, 1.0).value

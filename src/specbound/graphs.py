@@ -24,9 +24,9 @@ private instance holds the bounds' degree data and the solved path.
 :mod:`specbound.spectral`, which :func:`is_connected` shares, over the
 host's edges as bit sets, and ``A_I + P`` is connected iff the added edges
 reach every component.  The instance lays out the path's points: its start
-``(lambda_I, x_I)``, certified pairs on the grid ``k/steps``, central
-differences around the interior grid, and, for a report, the final index
-at ``t = 1``.  It hands the solve ``P = W S W^T`` only as the columns
+``(lambda_I, x_I)``, certified pairs on the grid ``k/steps`` with the
+slopes ``lambda'(t)`` there, and, for a report, the final index at
+``t = 1``.  It hands the solve ``P = W S W^T`` only as the columns
 ``W = [e_u, s]``, never as a matrix (:func:`perturbation_matrix` is the
 public reference), and reads each grid vector's ``<P x, x> = 2 x_u (s . x)``
 off ``W^T x``.  Each grid vector comes from ``A_I``'s eigendecomposition,
@@ -48,6 +48,13 @@ import numpy as np
 from .spectral import _components, _row_bits, _solve_paths
 
 _MAX_VERTICES = 1 << 13  # of a final graph: one dense float64 matrix is 512 MiB, and a path holds several
+
+
+def _check_vertex_count(n: int) -> int:
+    """``n``, unless a graph of ``n`` vertices is above ``_MAX_VERTICES``."""
+    if n > _MAX_VERTICES:
+        raise ValueError(f"the final graph has {n} vertices; at most {_MAX_VERTICES} are supported")
+    return n
 
 
 class GraphParseError(ValueError):
@@ -123,8 +130,9 @@ class Graph:
         return degs
 
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix."""
-        a = np.zeros((self.n, self.n))
+        """Dense symmetric 0/1 adjacency matrix; ``ValueError`` above
+        ``_MAX_VERTICES`` vertices, before it is allocated."""
+        a = np.zeros((_check_vertex_count(self.n), self.n))
         ij = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
         a[ij[0::2], ij[1::2]] = 1.0  # each edge (i, j), i < j, above the diagonal
         a += a.T
@@ -380,32 +388,26 @@ class _Instance(NamedTuple):
     values: np.ndarray  # with ``vectors`` as rows, the Perron pairs at the grid
     vectors: np.ndarray
     forms: np.ndarray  # the quadratic forms ``<P x, x>`` of the grid vectors
-    lhs: np.ndarray  # central differences of the top eigenvalue at the interior grid
+    lhs: np.ndarray  # the slopes ``lambda'(t)`` of the secular equation at the interior grid
     lambda_f: Optional[float]  # the top eigenvalue of ``A_I + P``, if asked for
 
 
 def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_Instance]:
     """Set each ``(g, p)`` of ``pairs`` up, then solve them all together:
     ``A_I``'s components, certified Perron pairs on the grid ``k/steps``
-    with their quadratic forms ``<P x, x>``, top eigenvalues at the interior
-    grid plus and minus ``h = min(1e-5, 1/(4 steps))`` for central
-    differences, and, with ``final``, the top eigenvalue of ``A_I + P``.
-    Each ``(g, p)`` is checked once with :func:`_added_edges`; ``P`` is
-    handed over only as its columns ``W = [e_u, s]``, never as a matrix.
-    The grid and difference points are roots of one secular equation per
-    instance, from one ``eigh`` per size of the instances' components;
-    ``A_I + P`` takes one ``eigvalsh`` per size.  :class:`DisconnectedError`
-    unless every ``A_I + P`` is connected; ``ValueError`` for a final graph
-    above ``_MAX_VERTICES`` vertices, before any matrix is sized."""
+    with their quadratic forms ``<P x, x>`` and secular slopes ``lambda'(t)``,
+    and, with ``final``, the top eigenvalue of ``A_I + P``.  Each ``(g, p)``
+    is checked once with :func:`_added_edges`; ``P`` is handed over only as
+    its columns ``W = [e_u, s]``, never as a matrix.  The grid points are
+    roots of one secular equation per instance, from one ``eigh`` per size
+    of the instances' components; ``A_I + P`` takes one ``eigvalsh`` per
+    size.  :class:`DisconnectedError` unless every ``A_I + P`` is connected;
+    ``ValueError`` above ``_MAX_VERTICES`` vertices, before any matrix is sized."""
     grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
-    h = min(1e-5, 1.0 / (4.0 * max(steps, 1)))
-    inner = grid[:-1]
     setups, paths = [], []
     for g, p in pairs:
         _added_edges(g, p)  # PerturbationError unless p applies to g
-        n = perturbed_dimension(g, p)
-        if n > _MAX_VERTICES:
-            raise ValueError(f"the final graph has {n} vertices; at most {_MAX_VERTICES} are supported")
+        n = _check_vertex_count(perturbed_dimension(g, p))
         a_initial = np.zeros((n, n))
         a_initial[: g.n, : g.n] = g.adjacency()
         comps = _components(_row_bits(a_initial))  # the host's, and a pendant vertex alone
@@ -416,14 +418,13 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
         w[list(p.targets or (g.n,)), 1] = 1.0
         paths.append((a_initial, w, comps))
         setups.append((g, p, _degree_data(g, p)))
-    solved = _solve_paths(paths, grid, np.concatenate([inner + h, inner - h]), tol, final)
+    solved = _solve_paths(paths, grid, tol, final)
     insts = []
     for setup, (_, w, _), solution in zip(setups, paths, solved):
-        lambda_i, vector, _, values, vectors, tops, lambda_f = solution
+        lambda_i, vector, _, values, vectors, slopes, lambda_f = solution
         z = vectors @ w  # W^T x per grid point: <P x, x> = 2 x_u (s . x)
         forms = 2.0 * z[:, 0] * z[:, 1]
-        lhs = (tops[: len(inner)] - tops[len(inner) :]) / (2.0 * h)
-        path = (lambda_i, vector, grid, values, vectors, forms, lhs, lambda_f)
+        path = (lambda_i, vector, grid, values, vectors, forms, slopes[:-1], lambda_f)
         insts.append(_Instance(*setup, *path))
     return insts
 

@@ -5,10 +5,10 @@ for ``t`` in [0, 1].  Along it the spectral radius ``lambda(t)`` is
 continuously differentiable with ``lambda'(t) = <P x(t), x(t)>``.  The one
 instance of :mod:`specbound.graphs` that the bound report reads too holds
 the check that ``A(1)`` is connected and every solved point of the path: the
-``t = 0`` pair, a certified pair and its ``<P x, x>`` on each grid point and
-the central differences of the top eigenvalue, all from one
-eigendecomposition of ``A_I`` (secular roots, and vectors in its eigenbasis,
-with a shifted solve only for a pair that fails its certificate there).
+``t = 0`` pair, and on each grid point a certified pair, its ``<P x, x>``
+and the secular slope ``lambda'(t)``, which never reads the vector, all from
+one eigendecomposition of ``A_I`` (secular roots and slopes, and vectors in
+its eigenbasis, or a shifted solve for a pair that fails its certificate).
 This module turns them into samples, checks the derivative identity,
 evaluates the per-kind differential inequality ``lambda' <= f(t, lambda)``,
 and compares ``lambda(t)`` against the exact solution ``u(t)`` of the
@@ -45,7 +45,8 @@ _MAX_STEPS = 1 << 20  # grid points per path: each holds a vector of the path's 
 class PathSample:
     """One grid point: parameter, spectral radius, eigenvector, derivatives.
 
-    ``derivative_lhs`` is the central finite difference of ``lambda(t)``,
+    ``derivative_lhs`` is ``lambda'(t) = 1 / (t^2 (-theta'(lambda)))`` by
+    implicit differentiation of the secular equation ``t theta(lambda) = 1``,
     ``derivative_rhs`` the quadratic form ``<P x, x>``; both are ``None`` at
     the path endpoints.
     """
@@ -89,15 +90,14 @@ def sample_path(
 
     Each grid point gets its own certified Perron pair; a disconnected
     ``t = 0`` endpoint takes the best component's pair.  Interior points get
-    the quadratic-form derivative and a central difference of eigenvalues,
-    with step ``min(1e-5, 1/(4 steps))``.  The final graph must be connected
-    (:class:`DisconnectedError`); ``steps`` must be an integer >= 2.  The
-    points past ``t = 0`` and the finite-difference points are roots of the
-    path's secular equation in the eigendecomposition of ``A_I``, and each
-    grid point's vector comes from the same eigendecomposition (a shifted
-    solve only where that vector fails its certificate), skipping the input
-    checks made once; every grid pair still gets its certificate.  A step
-    count above ``_MAX_STEPS`` is refused before anything is allocated.
+    the quadratic-form derivative and the slope of the secular equation.
+    The final graph must be connected (:class:`DisconnectedError`);
+    ``steps`` must be an integer >= 2.  The ``steps`` points past ``t = 0``
+    are the path's only secular roots in the eigendecomposition of ``A_I``,
+    and each grid point's vector comes from the same eigendecomposition (a
+    shifted solve only where that vector fails its certificate), skipping
+    the input checks made once; every grid pair still gets its certificate.
+    A step count above ``_MAX_STEPS`` is refused before anything is allocated.
     """
     inst = _instances([(graph, pert)], tol, _check_steps(steps), final=False)[0]
     lhs, rhs = inst.lhs.tolist() + [None], inst.forms[:-1].tolist() + [None]  # none at t = 1

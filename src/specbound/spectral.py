@@ -27,11 +27,11 @@ or a block of ``verify`` trials, with one stack per matrix size
 certificate.  ``P = W S W^T`` has rank 2 and is carried only as
 ``W = [e_u, s]``.  The solve owns a path's start, the best certified pair of
 ``a``'s components, and reuses their eigendecompositions for every later
-point: each point's value is a root of a 2x2 secular equation
-(:func:`_secular_roots`), and each grid point's vector the closed form of
-that rank-2 update in the same eigenbasis (:func:`_eigenbasis_pairs`).  A
-grid pair that fails its certificate there, with entries below rounding,
-takes two steps of shifted inverse iteration instead, one point at a time
+point: each point's value and slope ``lambda'(t)`` come from a 2x2 secular
+equation (:func:`_secular_roots`), and its vector is the closed form of that
+rank-2 update in the same eigenbasis (:func:`_eigenbasis_pairs`).  A pair
+that fails its certificate there, with entries below rounding, takes two
+steps of shifted inverse iteration instead, one point at a time
 (:func:`_shifted_pairs`).  Only those points and ``A(1)`` are built as
 matrices (:func:`_point`).  Oracles live with the tests.
 """
@@ -133,7 +133,7 @@ def perron(a, tol: float = 1e-11) -> PerronPair:
     m = _require_nonnegative(a, tol)
     if not is_connected_matrix(m):
         raise ValueError("matrix is not connected; positivity of the eigenvector fails")
-    return PerronPair(*_solve_paths([(m, None, [list(range(len(m)))])], (), (), tol)[0][:3])
+    return PerronPair(*_solve_paths([(m, None, [list(range(len(m)))])], (), tol)[0][:3])
 
 
 def _require_nonnegative(a, tol: float) -> np.ndarray:
@@ -200,43 +200,42 @@ def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
     values, and an eigenvector zero-padded to full size, from the
     lowest-indexed component within ``tol`` of that maximum."""
     m = _require_nonnegative(a, tol)
-    return _solve_paths([(m, None, connected_components(m))], (), (), tol)[0][:2]
+    return _solve_paths([(m, None, connected_components(m))], (), tol)[0][:2]
 
 
-def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[tuple]:
+def _solve_paths(paths, ts, tol: float, final: bool = False) -> list[tuple]:
     """Solve the paths ``a + t P`` of ``paths``, triples ``(a, w, comps)`` of
     a nonnegative ``a`` split into the components ``comps``, and the columns
     ``w = [e_u, s]`` of ``P = w S w^T``, anchor and target indicator, with
     ``S = [[0, 1], [1, 0]]``, such that ``a + t P`` is connected for
     ``t > 0``.  For each path: its start, the value and zero-padded vector
     of :func:`perron_components` of ``a`` with the residual of that
-    component's pair; certified pairs at the points of
-    ``certify``, vectors as rows; the top eigenvalues at the points of
-    ``tops``; and with ``final``, LAPACK's top eigenvalue of ``a + P``, else
-    ``None``.  Without points or ``final``, ``w`` may be ``None``.
+    component's pair; the top eigenvalues at the points of ``ts``, their
+    certified vectors as rows, and their slopes ``lambda'(t)``; and with
+    ``final``, LAPACK's top eigenvalue of ``a + P``, else ``None``.  Without
+    points or ``final``, ``w`` may be ``None``.
 
     The components are solved in one ``eigh`` call per size, and their
-    eigendecompositions give every point's value as a root of the rank-2
+    eigendecompositions give every point's value and slope from the rank-2
     secular equation of :func:`_secular_roots`, all points of all paths
-    together, and the vector at each point of ``certify`` by
-    :func:`_eigenbasis_pairs`, one ``matmul`` per size.  Only the points
-    whose pair fails its certificate there go to the shifted solve of
-    :func:`_shifted_pairs`, which certifies its own pairs.  ``a + P`` takes
-    one ``eigvalsh`` per size: on one small matrix LAPACK is cheaper than
-    any Python-level root search.  ``RuntimeError`` names the first matrix,
-    a component or a point of ``certify`` in the order of ``paths``, whose
-    pair fails its certificate; ``ValueError`` unless ``tol`` is positive."""
+    together, and its vector by :func:`_eigenbasis_pairs`, one ``matmul``
+    per size.  Only the points whose pair fails its certificate there go to
+    the shifted solve of :func:`_shifted_pairs`, which certifies its own
+    pairs.  ``a + P`` takes one ``eigvalsh`` per size: on one small matrix
+    LAPACK is cheaper than any Python-level root search.  ``RuntimeError``
+    names the first matrix, a component or a point of ``ts`` in the order of
+    ``paths``, whose pair fails its certificate; ``ValueError`` unless
+    ``tol`` is positive."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    certify, tops = np.asarray(certify, dtype=float), np.asarray(tops, dtype=float)
-    points = np.concatenate([certify, tops])
+    ts = np.asarray(ts, dtype=float)
     blocks = []
     for a, w, comps in paths:
         if len(comps) == 1:
-            blocks.append((a, w if len(points) else None))
+            blocks.append((a, w if len(ts) else None))
         else:  # ``take`` copies a component's block in a third of the time of ``np.ix_``
-            blocks += [(a.take(c, 0).take(c, 1), w[c] if len(points) else None) for c in comps]
-    spectra, certified, bases = _solve_blocks(blocks, tol, keep=len(certify) > 0)
+            blocks += [(a.take(c, 0).take(c, 1), w[c] if len(ts) else None) for c in comps]
+    spectra, certified, bases = _solve_blocks(blocks, tol, keep=len(ts) > 0)
     starts, systems, at = [], [], 0
     for a, _, comps in paths:
         parts, at = spectra[at : at + len(comps)], at + len(comps)
@@ -246,16 +245,16 @@ def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[
         vector = np.zeros(len(a))
         vector[comps[k]] = parts[k][1]
         starts.append((value, vector, float(parts[k][2])))
-        if len(points):
+        if len(ts):
             systems.append(tuple(map(np.concatenate, zip(*(eig for _, _, _, eig in parts)))))
-    roots = _secular_roots(systems, points) if len(points) else np.empty((len(paths), 0))
+    roots = slopes = np.empty((len(paths), 0))
     pairs = [(np.empty((0, len(a))), np.empty(0)) for a, _, _ in paths]
-    if len(certify):
-        grid = roots[:, : len(certify)]
-        pairs, passed = _eigenbasis_pairs(paths, systems, bases, certify, grid, tol)
+    if len(ts):
+        roots, slopes = _secular_roots(systems, ts)
+        pairs, passed = _eigenbasis_pairs(paths, systems, bases, ts, roots, tol)
         retry = [(k, i) for k, row in enumerate(passed) for i in np.flatnonzero(~row)]
         if retry:  # only the points whose eigenbasis pair fails its certificate
-            at_points = ((_point(*paths[k][:2], certify[i]), grid[k, i]) for k, i in retry)
+            at_points = ((_point(*paths[k][:2], ts[i]), roots[k, i]) for k, i in retry)
             fixes, ok = _shifted_pairs(at_points, tol)
             certified &= ok
             for (k, i), (x, res) in zip(retry, fixes):
@@ -269,8 +268,8 @@ def _solve_paths(paths, certify, tops, tol: float, final: bool = False) -> list[
             at += len(comps)
     finals = _final_tops(paths) if final else [None] * len(paths)
     return [
-        (*start, root[: len(certify)], x, root[len(certify) :], top)
-        for start, root, (x, _), top in zip(starts, roots, pairs, finals)
+        (*start, root, x, slope, top)
+        for start, root, (x, _), slope, top in zip(starts, roots, pairs, slopes, finals)
     ]
 
 
@@ -410,11 +409,11 @@ def _terms(systems) -> tuple[np.ndarray, ...]:
     return sizes, np.cumsum(sizes) - sizes, mu, b
 
 
-def _secular_roots(systems, ts: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of ``A(t) = A_I + t W S W^T`` at each ``t > 0`` of
-    ``ts``, for each pair ``(mu, b)`` of ``systems``: the eigenvalues ``mu``
-    of ``A_I`` and ``b = Q^T W`` for its eigenvectors ``Q``.  One row of
-    roots per system.
+def _secular_roots(systems, ts: np.ndarray) -> tuple:
+    """Top eigenvalue of ``A(t) = A_I + t W S W^T`` and its slope
+    ``lambda'(t)`` at each ``t > 0`` of ``ts``, for each pair ``(mu, b)`` of
+    ``systems``: the eigenvalues ``mu`` of ``A_I`` and ``b = Q^T W`` for its
+    eigenvectors ``Q``.  One row of roots and one of slopes per system.
 
     Above ``mu_top = max(mu)``, ``lambda`` is an eigenvalue of ``A(t)`` iff
     ``det(I - t S M(lambda)) = 0`` with ``M(lambda) = sum_i b_i b_i^T /
@@ -424,9 +423,12 @@ def _secular_roots(systems, ts: np.ndarray) -> np.ndarray:
     ``1/theta = t`` in ``delta = lambda - mu_top > 0``, so no evaluation
     meets a pole, from the Ritz value of ``A(t)`` on ``span{x, P x}``, ``x``
     the top eigenvector of ``A_I``, and stops once its raw step is within 2
-    ulps of ``lambda``.  The points of all systems iterate as arrays, in
-    passes of about ``_ROOT_ENTRIES`` terms; a point's sums run over its own
-    terms only, so its bits do not depend on the other points."""
+    ulps of ``lambda``.  By ``t theta(lambda(t)) = 1``, ``lambda' = 1 / (t^2
+    (-theta'))`` at the final ``delta`` (the rounded root loses its low
+    bits), or the limit 0 within 2 ulps of ``mu_top``, as on a pendant tail.
+    The points of all systems iterate as arrays, in passes of about
+    ``_ROOT_ENTRIES`` terms; a point's sums run over its own terms only, so
+    its bits do not depend on the other points."""
     k = len(ts)
     sizes, first, mu, b = _terms(systems)
     top = np.maximum.reduceat(mu, first)
@@ -450,21 +452,21 @@ def _secular_roots(systems, ts: np.ndarray) -> np.ndarray:
 
     npts = np.repeat(sizes, k)
     ends = np.cumsum(npts)
-    delta, j = np.empty(len(npts)), 0
+    delta, slope, j = np.empty(len(npts)), np.empty(len(npts)), 0
     while j < len(npts):
         end = max(j + 1, int(np.searchsorted(ends, ends[j] - npts[j] + _ROOT_ENTRIES, "right")))
         system, t = np.arange(j, end) // k, ts[np.arange(j, end) % k]
-        delta[j:end] = _secular_newton(
+        delta[j:end], slope[j:end] = _secular_newton(
             t, *(v[system] for v in (top, a, beta2, gamma, c, weyl, first)), npts[j:end], coef, d
         )
         j = end
-    return np.repeat(top, k).reshape(len(systems), k) + delta.reshape(len(systems), k)
+    return (np.repeat(top, k) + delta).reshape(len(systems), k), slope.reshape(len(systems), k)
 
 
-def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> np.ndarray:
-    """``lambda - mu_top`` at each point of :func:`_secular_roots`, given per
-    point its ``t``, its system's Ritz matrix, Weyl bound and first term, and
-    its count of terms; ``coef`` and ``d`` hold every system's terms."""
+def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> tuple:
+    """``lambda - mu_top`` and ``lambda'`` at each point of :func:`_secular_roots`,
+    given per point its ``t``, its system's Ritz matrix, Weyl bound and first
+    term, and its count of terms; ``coef`` and ``d`` hold every system's terms."""
     half = 0.5 * (t * (a - c) - gamma)  # half the diagonal difference of the Ritz matrix
     hyp = np.hypot(half, t * np.sqrt(beta2))
     lift = np.where(half > 0.0, t * t * beta2 / np.where(half > 0.0, half + hyp, 1.0), hyp - half)
@@ -477,7 +479,7 @@ def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> n
     del src
     r, term, sums = np.empty(len(d)), np.empty(len(d)), np.empty((6, len(t)))  # reused
     active = np.ones(len(t), dtype=bool)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_NEWTON_STEPS + 1):  # the last pass only evaluates at the final delta
         np.add(np.repeat(delta, npts), d, out=r)
         np.reciprocal(r, out=r)
         for row in range(6):  # M(lambda), then -M'(lambda)
@@ -488,6 +490,8 @@ def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> n
         root = np.sqrt(m[0] * m[1])
         theta = m[2] + root
         slope = dm[2] + (dm[0] * m[1] + m[0] * dm[1]) / (2.0 * root)  # -theta'
+        if not active.any():
+            return delta, np.where(delta <= 2.0 * np.spacing(top), 0.0, 1.0 / (t * t * slope))
         below = t * theta > 1.0
         lo = np.where(below, delta, lo)
         hi = np.where(below, hi, delta)
@@ -499,8 +503,6 @@ def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> n
         new = np.where(inside, new, np.where(done, delta, 0.5 * (lo + hi)))
         delta = np.where(active, new, delta)
         active &= ~done
-        if not active.any():
-            return delta
     raise RuntimeError("secular root search did not converge")  # pragma: no cover
 
 

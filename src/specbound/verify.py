@@ -6,7 +6,7 @@ it up once and checks every certificate of its bound and its path:
 * bound validity (exact final index <= bound, up to the tolerance),
 * the equality dichotomy (recognizer fires iff the bound is attained),
 * strict growth of the sampled spectral radius,
-* the derivative identity (quadratic form vs. finite differences),
+* the derivative identity (quadratic form vs. the secular equation's slope),
 * the differential inequality along the path,
 * dominance of the comparison solution.
 
@@ -149,7 +149,10 @@ def run_verification(
 
 def _blocks(seed: int, trials: int, n_max: int, steps: int):
     """The trials ``(trial, host, pert)``, drawn in order, in blocks that end
-    once their matrices reach ``_BLOCK_ENTRIES`` entries."""
+    once their matrices reach ``_BLOCK_ENTRIES`` entries.  A trial of final
+    size ``n`` counts ``3 steps n^2``: with room, its three ``n x n`` matrices
+    (``A_I``, their stack, ``Q``) and its ``steps`` vectors; the room keeps
+    the blocks, and so ``verify``'s peak memory, at their measured size."""
     block, entries = [], 0
     for trial in range(trials):
         kind = _KINDS[trial % 3]
@@ -211,7 +214,7 @@ def _check_block(summary: VerifySummary, trials: list[int], insts: list[_Instanc
         ("strict_slack", ~equal & (gap < STRICT_SLACK_MIN), "bound - lambda_F = {:.3e}", gap),
         ("monotonicity", (values[:, 1:] <= values[:, :-1]).any(axis=1),
          "lambda(t) not strictly increasing: {}", values.tolist()),
-        ("derivative_identity", mismatch > DERIVATIVE_TOL, "|fd - quadratic form| = {:.3e}", mismatch),
+        ("derivative_identity", mismatch > DERIVATIVE_TOL, "|lambda' - quadratic form| = {:.3e}", mismatch),
         ("differential_inequality", ineq > INEQUALITY_TOL, "rhs - f(t, lambda) = {:.3e}", ineq),
         ("comparison_dominance", ~(comp <= tolerance), "lambda - u = {:.3e}", comp),
     )

@@ -315,9 +315,9 @@ def test_criterion_4_derivative_identity(path_corpus):
         worst = max(worst, max(abs(s.derivative_lhs - s.derivative_rhs) for s in interior))
     _verdict(
         4,
-        "derivative identity <Px,x> vs central differences",
+        "derivative identity <Px,x> vs the secular equation's slope",
         worst <= 1e-6,
-        f"150 paths x 20 interior points, max |fd - form| = {worst:.3e}",
+        f"150 paths x 20 interior points, max |slope - form| = {worst:.3e}",
     )
 
 

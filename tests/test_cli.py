@@ -414,7 +414,7 @@ def _lone_failures(trial, inst, tol, corrupt):
         fail("monotonicity", f"lambda(t) not strictly increasing: {values}")
     mismatch = max(abs(s.derivative_lhs - s.derivative_rhs) for s in path.samples[1:-1])
     if mismatch > verify.DERIVATIVE_TOL:
-        fail("derivative_identity", f"|fd - quadratic form| = {mismatch:.3e}")
+        fail("derivative_identity", f"|lambda' - quadratic form| = {mismatch:.3e}")
     ineq = sb.check_differential_inequality(path)
     if ineq > verify.INEQUALITY_TOL:
         fail("differential_inequality", f"rhs - f(t, lambda) = {ineq:.3e}")
@@ -607,6 +607,17 @@ def test_construct_pendant_p3(capsys):
 def test_construct_infeasible_exit_3(capsys):
     code, _, err = run(capsys, ["construct", "vertex", "3", "1"])  # odd degree sum
     assert code == 3 and "error" in err
+
+
+def test_construct_refuses_the_size_before_building_a_graph(capsys, monkeypatch):
+    # `construct vertex 200000 0` used to build the core, the host and the
+    # targets before the bound refused the final graph.
+    def no_core(*args):
+        raise AssertionError("the core was built")
+
+    monkeypatch.setattr(cli, "circulant_graph", no_core)
+    refusal = (3, "", "error: the final graph has 200001 vertices; at most 8192 are supported\n")
+    assert run(capsys, ["construct", "vertex", "200000", "0"]) == refusal
 
 
 def test_construct_unwritable_out_exit_3(tmp_path, capsys):

@@ -108,6 +108,42 @@ def test_inequality_rhs_is_the_first_integral_slope(kind, d, t, gap):
     assert rhs == pytest.approx(-phi_t / phi_y, abs=1e-7)
 
 
+VERTEX, EDGE, PENDANT = PerturbationKind
+
+
+@pytest.mark.parametrize(
+    "kind, params, expected",
+    [
+        (VERTEX, {"g": 0}, "g must be an integer >= 1, got 0"),
+        (VERTEX, {"g": 2}, "the vertex majorant has no limit at t = 0.0, lambda = 0.0"),
+        (EDGE, {}, -0.0),
+        (EDGE, {"delta_u": 1}, 1.0),
+        (PENDANT, {}, 0.0),
+        (PENDANT, {"delta_u": 1}, "the pendant majorant has no limit at t = 0.0, lambda = 0.0"),
+    ],
+    ids=["vertex-0", "vertex-2", "edge-0", "edge-1", "pendant-0", "pendant-1"],
+)
+def test_inequality_rhs_at_the_origin(kind, params, expected):
+    # The t = 0 sample of a path on an edgeless host reaches (0, 0), a pole
+    # of the vertex and pendant Phi, which used to raise ZeroDivisionError.
+    # With d > 0 their f has no limit there (2 d t y / (y^2 + d t^2) for the
+    # vertex kind); at d = 0 the pendant Phi is the identity, so f = 0.  The
+    # edge kind's f = d / ((y - t)^2 + d) is 1 there; its d = 0 value keeps
+    # its bits.
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            sb.inequality_rhs(kind, 0.0, 0.0, **params)
+    else:
+        assert sb.inequality_rhs(kind, 0.0, 0.0, **params).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("kind, d", [(VERTEX, 2), (PENDANT, 0), (PENDANT, 3)])
+def test_inequality_rhs_takes_its_limit_at_lambda_zero_off_the_origin(kind, d):
+    # Off t = 0, Phi_t vanishes at y = 0 while Phi_y does not, so f -> 0.
+    assert sb.inequality_rhs(kind, 0.5, 0.0, **degree_params(kind, d)) == 0.0
+    assert abs(sb.inequality_rhs(kind, 0.5, 1e-9, **degree_params(kind, d))) < 1e-8
+
+
 @PROPERTY
 @given(times, st.integers(0, 50), st.data())
 def test_pendant_root_bracket_holds_on_the_whole_path(t, d, data):

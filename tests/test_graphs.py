@@ -273,6 +273,16 @@ def test_adjacency_equals_the_edge_by_edge_matrix():
         assert np.array_equal(a, _reference_adjacency(g))
 
 
+def test_public_matrices_refuse_graphs_past_the_vertex_limit():
+    # 10^6 vertices used to end in numpy's MemoryError ("Unable to allocate
+    # 7.28 TiB"); both public matrices refuse before allocating.
+    host = sb.parse_edge_list("1000000 0\n")
+    with pytest.raises(ValueError, match="the final graph has 1000000 vertices; at most 8192 are supported"):
+        host.adjacency()
+    with pytest.raises(ValueError, match="the final graph has 1000001 vertices; at most 8192 are supported"):
+        sb.perturbation_matrix(host, Perturbation.pendant_edge(0))
+
+
 def test_graph_rejects_fractional_vertex():
     with pytest.raises(ValueError, match="non-integer vertex"):
         sb.Graph(2, frozenset({(0, 1.5)}))

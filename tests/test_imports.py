@@ -153,7 +153,7 @@ def test_module_imports_only_earlier_layers(path):
 PATH_OWNERS = {"spectral.py", "graphs.py"}
 
 
-@pytest.mark.parametrize("name", ["_solve_paths", "tops"])
+@pytest.mark.parametrize("name", ["_solve_paths", "slopes"])
 def test_only_graphs_and_spectral_see_the_path_solve(name):
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     mentioning = {file for file, source in sources.items() if name in mentioned_names(source)}

@@ -106,7 +106,6 @@ def _reference_samples(host, pert, steps):
     p_mat = sb.perturbation_matrix(host, pert)
     a_initial = np.zeros_like(p_mat)
     a_initial[: host.n, : host.n] = host.adjacency()
-    h = min(1e-5, 1.0 / (4.0 * steps))
     rows = []
     for k in range(steps + 1):
         t = k / steps
@@ -115,13 +114,8 @@ def _reference_samples(host, pert, steps):
         else:
             pair = sb.perron(a_initial + t * p_mat)
             value, vector = pair.value, pair.vector
-        lhs = rhs = None
-        if 0 < k < steps:
-            lam_plus = float(sb.full_spectrum(a_initial + (t + h) * p_mat)[0])
-            lam_minus = float(sb.full_spectrum(a_initial + (t - h) * p_mat)[0])
-            lhs = (lam_plus - lam_minus) / (2.0 * h)
-            rhs = float(vector @ (p_mat @ vector))
-        rows.append((value, vector, lhs, rhs))
+        form = float(vector @ (p_mat @ vector)) if 0 < k < steps else None
+        rows.append((value, vector, form))
     return rows
 
 
@@ -135,30 +129,32 @@ def _assert_path_agrees_with_the_public_solves(host, pert, steps):
     # residual r has an eigenvalue within r of its value, and lies within
     # r / gap of that eigenvector (Davis-Kahan), so the path and the lone
     # certified solve agree within the sum of their residuals, plus the
-    # rounding of the residuals themselves.  The finite differences agree
-    # within the top values' accuracy, 8 eps ||A||_1, over 2h.
+    # rounding of the residuals themselves.  Both derivatives are <P x, x>
+    # of a vector within that distance of the reference's, which moves it by
+    # at most 2 ||P|| per unit of distance: the quadratic form of the path's
+    # vector, and the slope of the secular equation at its root.
     path = sb.sample_path(host, pert, steps=steps)
     reference = _reference_samples(host, pert, steps)
     p_mat = sb.perturbation_matrix(host, pert)
     a_initial = np.zeros_like(p_mat)
     a_initial[: host.n, : host.n] = host.adjacency()
     eps = np.finfo(float).eps
-    h = min(1e-5, 1.0 / (4.0 * steps))
     assert (path.samples[0].value, path.samples[0].vector.tolist()) == (
         reference[0][0],
         reference[0][1].tolist(),
     )
-    for s, (value, vector, lhs, rhs) in zip(path.samples[1:], reference[1:], strict=True):
+    for s, (value, vector, form) in zip(path.samples[1:], reference[1:], strict=True):
         a = a_initial + s.t * p_mat
         norm = float(np.abs(a).sum(axis=0).max())  # ||A||_1
         both = _residual(a, s.value, s.vector) + _residual(a, value, vector) + 4 * eps * norm
         assert abs(s.value - value) <= both
         top = np.linalg.eigvalsh(a)
+        reach = 2.0 * both / (top[-1] - top[-2] - both)
         distance = float(np.linalg.norm(s.vector - vector))
-        assert distance <= 2.0 * both / (top[-1] - top[-2] - both)
-        if lhs is not None:
-            assert abs(s.derivative_lhs - lhs) <= 8 * eps * float(np.abs(p_mat + a).sum(axis=0).max()) / h
-            assert abs(s.derivative_rhs - rhs) <= 2.0 * np.linalg.norm(p_mat, 2) * distance + 4 * eps
+        assert distance <= reach
+        if form is not None:
+            assert abs(s.derivative_lhs - form) <= 2.0 * np.linalg.norm(p_mat, 2) * reach + 4 * eps
+            assert abs(s.derivative_rhs - form) <= 2.0 * np.linalg.norm(p_mat, 2) * distance + 4 * eps
 
 
 def test_path_samples_agree_with_the_public_solves():

@@ -36,9 +36,9 @@ def solved_points(host, pert, steps):
     original = spectral._secular_roots
 
     def capture(systems, ts):
-        roots = original(systems, ts)
+        roots, slopes = original(systems, ts)
         seen.append((ts, roots))
-        return roots
+        return roots, slopes
 
     spectral._secular_roots = capture
     try:
@@ -50,23 +50,37 @@ def solved_points(host, pert, steps):
 
 
 def assert_path_solved(host, pert, steps=8):
-    # Each root within 8 eps ||A(t)||_1 of LAPACK's top eigenvalue, and each
-    # grid pair certified at the solve tolerance.
+    # Each root within 8 eps ||A(t)||_1 of LAPACK's top eigenvalue, each
+    # grid pair certified at the solve tolerance, and each interior slope
+    # within reach of <P x, x> of the public certified solve.  A unit vector
+    # with residual r lies within 2 r / (gap - r) of the eigenvector
+    # (Davis-Kahan), and <P x, x> moves by at most 2 ||P|| per unit of that
+    # distance: the slope is <P x, x> of the vector of its own root.
     inst, ts, roots = solved_points(host, pert, steps)
     a_initial, p_mat = path_matrices(host, pert)
-    assert len(ts) == 3 * steps - 2  # the grid, then both sides of each interior point
+    assert len(ts) == steps  # one root per grid point, none off the grid
     for t, root in zip(ts, roots, strict=True):
         a = a_initial + t * p_mat
         assert abs(root - np.linalg.eigvalsh(a)[-1]) <= 8 * EPS * np.abs(a).sum(axis=0).max()
     assert_grid_certified(inst, host, pert)
+    for t, value, x, slope in zip(inst.grid, inst.values, inst.vectors, inst.lhs):  # the interior grid
+        a = a_initial + t * p_mat
+        pair, top = sb.perron(a), np.linalg.eigvalsh(a)
+        both = residual(a, value, x) + pair.residual + 4 * EPS * np.abs(a).sum(axis=0).max()
+        distance = 2.0 * both / (top[-1] - top[-2] - both)
+        form = pair.vector @ p_mat @ pair.vector
+        assert abs(slope - form) <= 2.0 * np.linalg.norm(p_mat, 2) * distance + 4 * EPS
+
+
+def residual(a, value, x) -> float:
+    return float(np.linalg.norm(a @ x - value * x))
 
 
 def assert_grid_certified(inst, host, pert):
     # Each grid pair within the solve tolerance of A(t), all entries positive.
     a_initial, p_mat = path_matrices(host, pert)
     for t, value, x in zip(inst.grid, inst.values, inst.vectors, strict=True):
-        a = a_initial + t * p_mat
-        assert np.linalg.norm(a @ x - value * x) <= TOL
+        assert residual(a_initial + t * p_mat, value, x) <= TOL
         assert x.min() > 0.0
 
 
@@ -164,6 +178,16 @@ def test_edgeless_host_path_is_exactly_linear():
     # A_I = 0: the secular equation is linear in lambda, lambda(t) = t sqrt(g).
     path = sb.sample_path(sb.empty_graph(5), Perturbation.vertex_connection(0, [1, 2, 3, 4]), steps=4)
     assert [s.value for s in path.samples] == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+def test_a_root_at_mu_top_takes_the_zero_slope():
+    # On the lollipop's tail pendant every root lies within 2 ulps of mu_top,
+    # where <P x, x> is near 1e-53: the slope takes the limit delta -> 0, 0,
+    # where 1 / (t^2 (-theta')) read 151.6.
+    inst, ts, _ = solved_points(lollipop_graph(20, 20), Perturbation.pendant_edge(39), 16)
+    assert len(ts) == 16
+    assert inst.lhs.tolist() == [0.0] * 15
+    assert np.abs(inst.forms).max() < 1e-50
 
 
 def test_secular_bits_do_not_depend_on_the_other_paths():

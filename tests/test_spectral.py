@@ -230,7 +230,7 @@ def whole(m: np.ndarray) -> tuple:
 def test_stacked_perron_solves_each_matrix_as_alone():
     # Only the lollipop in the middle needs the positivity fix-up.
     mats = [g.adjacency() for g in (sb.path_graph(40), lollipop_graph(20, 20), sb.complete_graph(40))]
-    solved = spectral._solve_paths([whole(m) for m in mats], (), (), 1e-11)
+    solved = spectral._solve_paths([whole(m) for m in mats], (), 1e-11)
     for m, (value, vector, residual, *_) in zip(mats, solved, strict=True):
         pair = sb.perron(m)
         assert (value, residual) == (pair.value, pair.residual)
@@ -245,14 +245,14 @@ def test_stacked_perron_reports_the_first_uncertified_matrix():
         with pytest.raises(RuntimeError) as alone:
             sb.perron(first, tol=1e-300)
         with pytest.raises(RuntimeError) as stacked:
-            spectral._solve_paths([whole(first), whole(second)], (), (), 1e-300)
+            spectral._solve_paths([whole(first), whole(second)], (), 1e-300)
         assert str(stacked.value) == str(alone.value)
         messages.append(str(alone.value))
     assert messages[0] != messages[1]
     # K3 + K2: the top vector is zero on K2, which no fix-up step can change.
     split = sb.disjoint_union(sb.complete_graph(3), sb.complete_graph(2)).adjacency()
     with pytest.raises(RuntimeError, match=r"min entry 0\.000e\+00"):
-        spectral._solve_paths([whole(c5), whole(split), whole(p5)], (), (), 1e-11)
+        spectral._solve_paths([whole(c5), whole(split), whole(p5)], (), 1e-11)
 
 
 def test_solves_by_size_report_the_first_uncertified_matrix_in_order():
@@ -265,11 +265,11 @@ def test_solves_by_size_report_the_first_uncertified_matrix_in_order():
     alone = []
     for m in (bad5, bad4):
         with pytest.raises(RuntimeError) as excinfo:
-            spectral._solve_paths([whole(m)], (), (), 1e-11)
+            spectral._solve_paths([whole(m)], (), 1e-11)
         alone.append(str(excinfo.value))
     assert alone[0] != alone[1]
     with pytest.raises(RuntimeError) as excinfo:
-        spectral._solve_paths([whole(m) for m in (good4, bad5, bad4)], (), (), 1e-11)
+        spectral._solve_paths([whole(m) for m in (good4, bad5, bad4)], (), 1e-11)
     assert str(excinfo.value) == alone[0]
 
 
