@@ -21,9 +21,9 @@ pendant vertex is always index ``n``, so the matrices of the path
 ``A_I + t P`` align once ``A_I`` is zero-padded by one row and column.  One
 private instance holds the bounds' degree data and the solved path.
 ``A_I``'s components come from one pass of the one graph search of
-:mod:`specbound.spectral`, which :func:`is_connected` shares, over the
-host's edges as bit sets, and ``A_I + P`` is connected iff the added edges
-reach every component.  The instance lays out the path's points: its start
+:mod:`specbound.spectral`, which :func:`is_connected` and the random draw
+share, over ``A_I``'s rows as bit sets, and ``A_I + P`` is connected iff
+the added edges reach every component.  The instance lays out the path's points: its start
 ``(lambda_I, x_I)``, certified pairs on the grid ``k/steps`` with the
 slopes ``lambda'(t)`` there, and, for a report, the final index at
 ``t = 1``.  It hands the solve ``P = W S W^T`` only as the columns
@@ -32,7 +32,8 @@ public reference), and reads each grid vector's ``<P x, x> = 2 x_u (s . x)``
 off ``W^T x``.  Each grid vector comes from ``A_I``'s eigendecomposition,
 or from a shifted solve where that vector fails its certificate.
 ``bound_report`` and ``sample_path`` set up one instance, ``verify`` a
-block of them, solved together.
+block of them, with one stack of ``A_I`` and one of ``W`` per final size,
+solved together.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from .spectral import _components, _row_bits, _solve_paths
 _MAX_VERTICES = 1 << 13  # of a final graph: one dense float64 matrix is 512 MiB, and a path holds several
 
 
-def _check_vertex_count(n: int) -> int:
-    """``n``, unless a graph of ``n`` vertices is above ``_MAX_VERTICES``."""
+def _check_vertex_count(n: int, graph: str = "the final graph") -> int:
+    """``n``, unless ``graph``, of ``n`` vertices, is above ``_MAX_VERTICES``."""
     if n > _MAX_VERTICES:
-        raise ValueError(f"the final graph has {n} vertices; at most {_MAX_VERTICES} are supported")
+        raise ValueError(f"{graph} has {n} vertices; at most {_MAX_VERTICES} are supported")
     return n
 
 
@@ -132,7 +133,7 @@ class Graph:
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix; ``ValueError`` above
         ``_MAX_VERTICES`` vertices, before it is allocated."""
-        a = np.zeros((_check_vertex_count(self.n), self.n))
+        a = np.zeros((_check_vertex_count(self.n, "the graph"), self.n))
         ij = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
         a[ij[0::2], ij[1::2]] = 1.0  # each edge (i, j), i < j, above the diagonal
         a += a.T
@@ -360,7 +361,8 @@ def perturbation_matrix(g: Graph, p: Perturbation) -> np.ndarray:
     Its dimension matches the final graph, so for a pendant edge it is
     (n+1) x (n+1) with ones only at the new off-diagonal pair.
     """
-    return Graph(perturbed_dimension(g, p), frozenset(_added_edges(g, p))).adjacency()
+    added = frozenset(_added_edges(g, p))
+    return Graph(_check_vertex_count(perturbed_dimension(g, p)), added).adjacency()
 
 
 def bound_parameters(g: Graph, p: Perturbation) -> dict[str, int]:
@@ -397,35 +399,46 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
     ``A_I``'s components, certified Perron pairs on the grid ``k/steps``
     with their quadratic forms ``<P x, x>`` and secular slopes ``lambda'(t)``,
     and, with ``final``, the top eigenvalue of ``A_I + P``.  Each ``(g, p)``
-    is checked once with :func:`_added_edges`; ``P`` is handed over only as
-    its columns ``W = [e_u, s]``, never as a matrix.  The grid points are
-    roots of one secular equation per instance, from one ``eigh`` per size
-    of the instances' components; ``A_I + P`` takes one ``eigvalsh`` per
-    size.  :class:`DisconnectedError` unless every ``A_I + P`` is connected;
-    ``ValueError`` above ``_MAX_VERTICES`` vertices, before any matrix is sized."""
+    is checked once with :func:`_added_edges`.  The instances of one final
+    size share one zero stack of their matrices ``A_I`` and one of their
+    columns ``W = [e_u, s]``, each filled by indexed assignment over all of
+    them, and one :func:`_row_bits` pass over the ``A_I`` stack, from which
+    each instance takes its components and its join test.  ``P`` is handed
+    over only as ``W``, never as a matrix.  The grid points are roots of
+    one secular equation per instance, from one ``eigh`` per size of the
+    instances' components; ``A_I + P`` takes one ``eigvalsh`` per size.
+    ``ValueError`` above ``_MAX_VERTICES`` vertices, before any matrix is
+    sized; :class:`DisconnectedError` unless every ``A_I + P`` is
+    connected."""
     grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
-    setups, paths = [], []
-    for g, p in pairs:
+    pairs, by_size = list(pairs), {}
+    for k, (g, p) in enumerate(pairs):
         _added_edges(g, p)  # PerturbationError unless p applies to g
-        n = _check_vertex_count(perturbed_dimension(g, p))
-        a_initial = np.zeros((n, n))
-        a_initial[: g.n, : g.n] = g.adjacency()
-        comps = _components(_row_bits(a_initial))  # the host's, and a pendant vertex alone
-        if not _joins_components(comps, p, g.n):
-            raise DisconnectedError("the perturbed graph is disconnected")
-        w = np.zeros((n, 2))
-        w[p.u, 0] = 1.0
-        w[list(p.targets or (g.n,)), 1] = 1.0
-        paths.append((a_initial, w, comps))
-        setups.append((g, p, _degree_data(g, p)))
+        by_size.setdefault(_check_vertex_count(perturbed_dimension(g, p)), []).append(k)
+    paths = [None] * len(pairs)
+    for n, group in by_size.items():
+        hosts, perts = [pairs[k][0] for k in group], [pairs[k][1] for k in group]
+        a_stack, w_stack = np.zeros((len(group), n, n)), np.zeros((len(group), n, 2))
+        edges = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in hosts)), np.intp)
+        at, (i, j) = np.repeat(np.arange(len(group)), [g.m for g in hosts]), edges.reshape(-1, 2).T
+        a_stack[at, i, j] = a_stack[at, j, i] = 1.0  # each edge and its mirror
+        ends = [(p.u, *(p.targets or (g.n,))) for g, p in zip(hosts, perts)]  # u, then the rows of s
+        flat = [2 * (row * n + v) + (v != e[0]) for row, e in enumerate(ends) for v in e]
+        w_stack.reshape(-1)[flat] = 1.0  # column 0 at u, column 1 at s
+        bits = _row_bits(a_stack.reshape(-1, n))
+        for row, (k, g, p) in enumerate(zip(group, hosts, perts)):
+            comps = _components(bits[row * n : (row + 1) * n])  # the host's, and a pendant vertex alone
+            if not _joins_components(comps, p, g.n):
+                raise DisconnectedError("the perturbed graph is disconnected")
+            paths[k] = (a_stack[row], w_stack[row], comps)
     solved = _solve_paths(paths, grid, tol, final)
     insts = []
-    for setup, (_, w, _), solution in zip(setups, paths, solved):
+    for (g, p), (_, w, _), solution in zip(pairs, paths, solved):
         lambda_i, vector, _, values, vectors, slopes, lambda_f = solution
         z = vectors @ w  # W^T x per grid point: <P x, x> = 2 x_u (s . x)
         forms = 2.0 * z[:, 0] * z[:, 1]
         path = (lambda_i, vector, grid, values, vectors, forms, slopes[:-1], lambda_f)
-        insts.append(_Instance(*setup, *path))
+        insts.append(_Instance(g, p, _degree_data(g, p), *path))
     return insts
 
 

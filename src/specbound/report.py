@@ -8,7 +8,8 @@ of :mod:`specbound.graphs` that :func:`~specbound.pathsim.sample_path`
 samples: ``lambda_I`` is its start and the final index the top of the
 spectrum of ``A_I + P``, both solved with it.  The perturbation is checked
 once, with the instance, and its degree data once, for the bound and the
-gap; the final graph is built only where the equality case lives in it.
+gap; the final graph is built only where the equality case lives in it,
+and there only once ``u`` has as many targets as an apex needs.
 """
 
 from __future__ import annotations
@@ -44,8 +45,12 @@ def equality_case(graph: Graph, pert: Perturbation) -> bool:
 
 
 def _equality(graph: Graph, pert: Perturbation) -> bool:
-    """:func:`equality_case` of a perturbation known to apply."""
+    """:func:`equality_case` of a perturbation known to apply.  A vertex
+    connection gives ``u`` degree ``g`` in the final graph: unless ``g = n - 1``,
+    ``u`` is no cone's apex, and the final graph is not built."""
     if _SHAPES[pert.kind].isolated:
+        if pert.g != graph.n - 1:
+            return False
         graph = apply_perturbation(graph, pert)
     apexes = (pert.u, *pert.targets)[: len(KIND_SPECS[pert.kind].params)]  # one per degree keyword
     recognize = is_cone_over_regular if len(apexes) == 1 else is_double_cone_over_regular

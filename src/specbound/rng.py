@@ -4,12 +4,15 @@ A self-contained splitmix64 generator keeps every randomized run bit-for-bit
 reproducible across platforms and Python versions (the stdlib ``random``
 module gives no such guarantee for floats drawn through its higher-level
 API).  Graph generation is Erdos-Renyi with rejection sampling for
-connectivity.
+connectivity: each attempt sets its edges as bit rows while its pairs are
+drawn, and the one graph search of :mod:`specbound.spectral` tests them, so
+a rejected attempt builds no :class:`~specbound.graphs.Graph`.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, Perturbation, PerturbationKind, from_edge_list, is_connected
+from .graphs import Graph, Perturbation, PerturbationKind
+from .spectral import _components
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -63,15 +66,26 @@ class SplitMix64:
 
 def random_connected_graph(rng: SplitMix64, n: int, p: float, max_attempts: int = 10_000) -> Graph:
     """Erdos-Renyi G(n, p), rejection-sampled until connected."""
+    return Graph(n, _connected_edges(rng, n, p, max_attempts))
+
+
+def _connected_edges(rng: SplitMix64, n: int, p: float, max_attempts: int = 10_000) -> frozenset:
+    """The edges of :func:`random_connected_graph`: each attempt draws its
+    pairs ``(i, j)``, ``i < j``, in order, sets them in its bit rows, and
+    is kept once :func:`~specbound.spectral._components` finds one
+    component."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     for _ in range(max_attempts):
-        pairs = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < p
-        ]
-        g = from_edge_list(n, pairs)
-        if is_connected(g):
-            return g
+        rows, pairs = [0] * n, []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.uniform() < p:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+                    pairs.append((i, j))
+        if len(_components(rows)) == 1:
+            return frozenset(pairs)
     raise RuntimeError(f"no connected G({n}, {p}) found in {max_attempts} attempts")
 
 
@@ -86,8 +100,7 @@ def random_instance(
     """
     if kind is PerturbationKind.VERTEX_CONNECTION:
         base_n = rng.randint(1, n_max - 1)
-        base = random_connected_graph(rng, base_n, p)
-        host = Graph(base_n + 1, base.edges)  # vertex base_n is isolated
+        host = Graph(base_n + 1, _connected_edges(rng, base_n, p))  # vertex base_n is isolated
         targets = rng.nonempty_subset(base_n)
         return host, Perturbation.vertex_connection(base_n, targets)
     if kind is PerturbationKind.EDGE_ADDITION:

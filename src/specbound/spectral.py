@@ -32,8 +32,9 @@ equation (:func:`_secular_roots`), and its vector is the closed form of that
 rank-2 update in the same eigenbasis (:func:`_eigenbasis_pairs`).  A pair
 that fails its certificate there, with entries below rounding, takes two
 steps of shifted inverse iteration instead, one point at a time
-(:func:`_shifted_pairs`).  Only those points and ``A(1)`` are built as
-matrices (:func:`_point`).  Oracles live with the tests.
+(:func:`_shifted_pairs`).  Only those points are built as matrices
+(:func:`_point`), and ``A(1)``, as a copy of ``a`` with ``P``'s entries
+set (:func:`_final_tops`).  Oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -288,14 +289,21 @@ def _by_size(mats):
     for k, m in enumerate(mats):
         members.setdefault(len(m), []).append(k)
     for group in members.values():
-        yield group, np.stack([mats[k] for k in group])
+        yield group, np.array([mats[k] for k in group])  # np.stack's copy, without its Python step per matrix
 
 
 def _final_tops(paths) -> list:
     """LAPACK's top eigenvalue of ``a + P`` for each path ``(a, w, comps)``,
-    one ``eigvalsh`` call per size, as a Python float."""
+    one ``eigvalsh`` call per size, as a Python float.  Each size's copied
+    stack of ``a`` takes ``1.0`` at the entries ``(u, s)`` and ``(s, u)`` of
+    every ``P``, with no outer product: ``P`` is 0/1 and those entries of
+    ``a`` are 0, so the stack has the bits of ``a + 1.0 * (p + p.T)``."""
     tops = [None] * len(paths)
-    for group, stack in _by_size([_point(a, w, 1.0) for a, w, _ in paths]):
+    for group, stack in _by_size([a for a, _, _ in paths]):
+        w = np.array([paths[k][1] for k in group])
+        at, s = np.nonzero(w[:, :, 1])  # each target s of each path
+        u = w[:, :, 0].argmax(axis=1)[at]
+        stack[at, u, s] = stack[at, s, u] = 1.0
         for k, top in zip(group, np.linalg.eigvalsh(stack)[:, -1].tolist()):
             tops[k] = top
     return tops

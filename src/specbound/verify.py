@@ -12,21 +12,23 @@ it up once and checks every certificate of its bound and its path:
 
 Trials are seeded per-index from a master splitmix64 seed, so summaries are
 bit-for-bit reproducible and order-independent.  They run in blocks of about
-``_BLOCK_ENTRIES`` matrix entries: a block's instances are drawn and set up,
-solved together (``A_I``'s components and ``A_I + P`` one LAPACK call per
-matrix size, the secular roots of every path point as one array iteration,
-the grid vectors one ``matmul`` in the components' eigenbases per size),
-and then checked together (:func:`_check_block`): each check is one array
-over the block, with ``u(t)`` and ``f(t, lambda)`` evaluated once per kind
-on the instances' arrays.  The vertex and edge roots are array roots, the
-pendant root the scalar bracketed Newton per point, and the majorant the
-complex step in Python's ``complex`` per point; so every number gets the
-bits of the scalar check of a lone trial.  A failure record
-is built only for a failed check, in trial order and then in the order of
-the list above.  The block is the only bound on how many matrices one call
-stacks.  A stacked matrix gets the same bits as a lone one, and each root
-and vector the same bits as in a lone path, so the summary does not depend
-on the blocks.
+``_BLOCK_ENTRIES`` matrix entries.  A block's instances are drawn (a
+rejected draw is tested on its bit rows and builds no graph) and set up as
+stacks (one zero stack of ``A_I`` and one of ``W`` per final size, each
+filled by indexed assignment).  They are solved together: ``A_I``'s
+components and ``A_I + P`` one LAPACK call per matrix size, the secular
+roots of every path point as one array iteration, the grid vectors one
+``matmul`` in the components' eigenbases per size.  Then they are checked
+together (:func:`_check_block`): each check is one array over the block,
+with ``u(t)`` and ``f(t, lambda)`` evaluated once per kind on the
+instances' arrays.  The vertex and edge roots are array roots, the pendant
+root the scalar bracketed Newton per point, and the majorant the complex
+step in Python's ``complex`` per point; so every number gets the bits of
+the scalar check of a lone trial.  A failure record is built only for a
+failed check, in trial order and then in the order of the list above.  The
+block is the only bound on how many matrices one call stacks.  A stacked
+matrix gets the same bits as a lone one, and each root and vector the same
+bits as in a lone path, so the summary does not depend on the blocks.
 """
 
 from __future__ import annotations

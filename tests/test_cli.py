@@ -171,12 +171,16 @@ def _count_calls(monkeypatch, module, name):
 def test_bound_checks_each_instance_once(tmp_path, capsys, monkeypatch):
     # No matrix search: the host's components come from its edge set, and
     # the final pattern's connectivity from them; the final graph is built
-    # only for the vertex kind, whose cone lives in it.
+    # only for the vertex kind, whose cone lives in it, and only when u is
+    # joined to every other vertex, as a cone's apex must be.
     p6 = write_graph(tmp_path, sb.path_graph(6), "p6.txt")
     p6_k1 = write_graph(tmp_path, sb.disjoint_union(sb.path_graph(6), sb.empty_graph(1)), "p6_k1.txt")
+    c4_k1 = write_graph(tmp_path, sb.disjoint_union(sb.cycle_graph(4), sb.empty_graph(1)), "c4_k1.txt")
     searches = _count_calls(monkeypatch, spectral, "connected_components")
     applied = _count_calls(monkeypatch, graphs, "apply_perturbation")
-    cases = [(p6, "edge 0 5", 0), (p6, "pendant 0", 0), (p6_k1, "vertex 6 0 5", 1)]
+    cases = [
+        (p6, "edge 0 5", 0), (p6, "pendant 0", 0), (p6_k1, "vertex 6 0 5", 0), (c4_k1, "vertex 4 0 1 2 3", 1),
+    ]
     for gfile, spec, builds in cases:
         searches.clear()
         applied.clear()

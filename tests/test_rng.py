@@ -1,10 +1,13 @@
 """Deterministic PRNG and random instance generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import specbound as sb
 from specbound.rng import SplitMix64, random_connected_graph, random_instance
+from specbound.verify import _blocks
 
 
 def test_splitmix64_reference_first_output():
@@ -73,3 +76,56 @@ def test_numpy_bounds_draw_like_python_ints():
             expected = random_instance(SplitMix64.spawn(100, i), kind, 9, 0.5)
             for n_max in (np.int64(9), np.int32(9)):
                 assert random_instance(SplitMix64.spawn(100, i), kind, n_max, 0.5) == expected
+
+
+# sha256 of the edge lists and specs that ``verify --trials 30`` draws for
+# trials 0-29 of seeds 0-4, in trial order: a change to the draw fails here
+# on its own, not only through the summary extremes it moves.
+DRAW_DIGESTS = {
+    0: "de868f3f9371571d",
+    1: "d8cb8ebaa506676b",
+    2: "1377db2829a7f381",
+    3: "7ab3bb6912ec9254",
+    4: "a93abeb9498a2acc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DRAW_DIGESTS))
+def test_verify_draws_keep_their_bits(seed):
+    digest = hashlib.sha256()
+    for block in _blocks(seed, 30, 9, 8):
+        for _, host, pert in block:
+            digest.update(f"{sb.format_edge_list(host)}{sb.format_perturbation_spec(pert)}\n".encode())
+    assert digest.hexdigest()[:16] == DRAW_DIGESTS[seed]
+
+
+class CountingRng(SplitMix64):
+    __slots__ = ("draws",)
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.draws = 0
+
+    def uniform(self) -> float:
+        self.draws += 1
+        return super().uniform()
+
+
+def test_random_connected_graph_builds_one_graph_per_call(monkeypatch):
+    # A rejected attempt is tested on its bit rows and builds no Graph.
+    built = []
+    post_init = sb.Graph.__post_init__
+
+    def counted(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(sb.Graph, "__post_init__", counted)
+    attempts = 0
+    for seed in range(10):
+        rng = CountingRng(seed)
+        built.clear()
+        g = random_connected_graph(rng, 9, 0.2)
+        assert built == [9] and sb.is_connected(g)
+        attempts += rng.draws // 36  # 9 * 8 / 2 pairs per attempt
+    assert attempts > 20  # most calls rejected several attempts

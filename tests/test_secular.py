@@ -191,13 +191,17 @@ def test_a_root_at_mu_top_takes_the_zero_slope():
 
 
 def test_secular_bits_do_not_depend_on_the_other_paths():
-    # Solved alone or among other paths of other sizes, a path's roots and
-    # vectors keep every bit: each point sums over its own terms only.
+    # Solved alone or among other paths, a path's roots and vectors keep
+    # every bit: each point sums over its own terms only.  The three paths
+    # of final size 8, a vertex kind with its isolated anchor and two
+    # pendants with their padded rows, share one set-up stack.
     instances = [
         (sb.path_graph(12), Perturbation.edge_addition(0, 11)),
         (tied_components(), Perturbation.edge_addition(1, 6)),
         (sb.cycle_graph(7), Perturbation.pendant_edge(3)),
+        (sb.disjoint_union(sb.path_graph(7), sb.empty_graph(1)), Perturbation.vertex_connection(7, [0, 3, 6])),
         (lollipop_graph(6, 9), Perturbation.pendant_edge(14)),
+        (sb.star_graph(6), Perturbation.pendant_edge(2)),
     ]
     together = graphs._instances(instances, TOL, 8)
     for pair, inst in zip(instances, together, strict=True):
