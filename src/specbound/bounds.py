@@ -40,6 +40,9 @@ from .graphs import PerturbationKind
 
 _CUBIC_TOL = 1e-12
 _COMPLEX_STEP = 1e-100
+# A positive lambda_i lies in [2^-256, 2^256]: there the gap d / lambda_i^3
+# and the squares and cubes the roots take stay within float range.
+_LAMBDA_RANGE = (2.0**-256, 2.0**256)
 
 
 def _check_count(name: str, value: int, minimum: int) -> int:
@@ -94,8 +97,10 @@ def _root_pendant(t, c, d):
 
     That cubic is ``(v - c)(v^2 - t^2) - d v``: negative at ``v = t``, at most
     0 at ``sqrt(d + t^2)`` when ``c >= 0`` (every input coming from a graph),
-    and nonnegative at ``max(sqrt(d + t^2), c + d + 2)``.  Bracketed Newton
-    with bisection fallback solves it to 1e-12 on the polynomial value.
+    and nonnegative at ``max(sqrt(d + t^2), c + d + 2)``, or, where ``c`` is
+    above about ``2^53 (d + 2)`` and that sum rounds to ``c``, at the next
+    float above it.  Bracketed Newton with bisection fallback solves it to
+    1e-12 on the polynomial value.
     Arrays are solved one point at a time (:func:`_pointwise`): a masked array
     Newton gives the same bits but costs more at a path's few dozen points.
     """
@@ -137,6 +142,9 @@ def _pendant_root(t: float, c: float, d: int) -> float:
         return lo
     if abs(fhi) <= _CUBIC_TOL:
         return hi
+    if fhi < 0.0:  # c + d + 2 rounded to c
+        hi = math.nextafter(hi, math.inf)
+        fhi = poly(hi)
     if flo > 0.0 or fhi < 0.0:  # pragma: no cover - bracket is analytic
         raise RuntimeError(f"cubic bracket failed for t={t}, c={c}, d={d}")
 
@@ -201,9 +209,20 @@ def _weight(kind: PerturbationKind, g=0, delta_u=0, delta_v=0) -> tuple[KindSpec
     return spec, sum(_check_count(name, degrees[name], spec.min_degree) for name in spec.params)
 
 
+def _check_lambda(lambda_i: float) -> None:
+    """``ValueError`` unless ``lambda_i`` is finite and, if positive, within
+    ``_LAMBDA_RANGE``."""
+    lo, hi = _LAMBDA_RANGE
+    if not (math.isfinite(lambda_i) and (lambda_i <= 0.0 or lo <= lambda_i <= hi)):
+        raise ValueError(
+            f"lambda_i must be finite and, if positive, lie in [2^-256, 2^256], got {lambda_i}"
+        )
+
+
 def _initial_value(kind: PerturbationKind, lambda_i: float, g=0, delta_u=0, delta_v=0) -> tuple:
     """Validate one instance; return its spec, weight d and ``Phi(0, lambda_i)``."""
     spec, d = _weight(kind, g, delta_u, delta_v)
+    _check_lambda(lambda_i)
     if lambda_i < 0.0 or (lambda_i == 0.0 and not spec.empty_host and d):
         raise ValueError(f"lambda_i must be {'nonnegative' if spec.empty_host else 'positive'}")
     if d == 0 and 0.0 < lambda_i <= 1.0:  # no graph has such an index: 0 or at least 1
@@ -384,6 +403,8 @@ def l2_inv(y: float, delta_u: int) -> float:
     above 1 of ``v^3 - y v^2 - (delta_u + 1) v + y``, which is at least
     ``sqrt(delta_u + 1)`` when ``y >= 0``.  At ``delta_u = 0``, ``l2`` is the
     identity, so ``y`` must exceed 1."""
+    if not (math.isfinite(y) and abs(y) <= _LAMBDA_RANGE[1]):  # the root is about y
+        raise ValueError(f"l2_inv takes a finite value within [-2^256, 2^256], got {y}")
     if _check_count("delta_u", delta_u, 0) == 0 and y <= 1.0:
         raise ValueError(f"l2 with delta_u = 0 takes no value {y} in (1, inf)")
     return _root_pendant(1.0, y, delta_u)
@@ -415,6 +436,7 @@ def coclique_bound(lambda_i: float, degrees: Sequence[int]) -> CocliqueBound:
     m = len(degrees)
     if m < 2:
         raise ValueError(f"a coclique join needs at least 2 vertices, got {m}")
+    _check_lambda(lambda_i)
     if lambda_i <= 0.0:
         raise ValueError(f"lambda_i must be positive, got {lambda_i}")
     degs = [_check_count("degree", d, 0) for d in degrees]

@@ -27,9 +27,9 @@ or a block of ``verify`` trials, with one stack per matrix size
 certificate.  ``P = W S W^T`` has rank 2 and is carried only as
 ``W = [e_u, s]``.  The solve owns a path's start, the best certified pair of
 ``a``'s components, and reuses their eigendecompositions for every later
-point: each point's value and slope ``lambda'(t)`` come from a 2x2 secular
-equation (:func:`_secular_roots`), and its vector is the closed form of that
-rank-2 update in the same eigenbasis (:func:`_eigenbasis_pairs`).  A pair
+point (:func:`_grid_points`): each point's value and slope ``lambda'(t)``
+come from a 2x2 secular equation, and its vector is the closed form of that
+rank-2 update in the same eigenbasis, one pass of points at a time.  A pair
 that fails its certificate there, with entries below rounding, takes two
 steps of shifted inverse iteration instead, one point at a time
 (:func:`_shifted_pairs`).  Only those points are built as matrices
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _SYM_ATOL = 1e-12
-_ROOT_ENTRIES = 1 << 12  # terms per pass of the secular roots and grid vectors: 32 KiB per float64 array
+_ROOT_ENTRIES = 1 << 12  # terms per pass of the grid points: 32 KiB per float64 array
 _NEWTON_STEPS = 100  # a root takes about 7; bisection alone would take 60
 _SHIFT_ULPS = 8  # per matrix row: the shift above a root, in ulps of the root
 
@@ -217,16 +217,15 @@ def _solve_paths(paths, ts, tol: float, final: bool = False) -> list[tuple]:
     points or ``final``, ``w`` may be ``None``.
 
     The components are solved in one ``eigh`` call per size, and their
-    eigendecompositions give every point's value and slope from the rank-2
-    secular equation of :func:`_secular_roots`, all points of all paths
-    together, and its vector by :func:`_eigenbasis_pairs`, one ``matmul``
-    per size.  Only the points whose pair fails its certificate there go to
-    the shifted solve of :func:`_shifted_pairs`, which certifies its own
-    pairs.  ``a + P`` takes one ``eigvalsh`` per size: on one small matrix
-    LAPACK is cheaper than any Python-level root search.  ``RuntimeError``
-    names the first matrix, a component or a point of ``ts`` in the order of
-    ``paths``, whose pair fails its certificate; ``ValueError`` unless
-    ``tol`` is positive."""
+    eigendecompositions give every point's value, slope and vector in
+    :func:`_grid_points`, from the rank-2 secular equation and one
+    ``matmul`` per size, all points of all paths together.  Only the points
+    whose pair fails its certificate there go to the shifted solve of
+    :func:`_shifted_pairs`, which certifies its own pairs.  ``a + P`` takes
+    one ``eigvalsh`` per size: on one small matrix LAPACK is cheaper than
+    any Python-level root search.  ``RuntimeError`` names the first matrix,
+    a component or a point of ``ts`` in the order of ``paths``, whose pair
+    fails its certificate; ``ValueError`` unless ``tol`` is positive."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     ts = np.asarray(ts, dtype=float)
@@ -251,8 +250,7 @@ def _solve_paths(paths, ts, tol: float, final: bool = False) -> list[tuple]:
     roots = slopes = np.empty((len(paths), 0))
     pairs = [(np.empty((0, len(a))), np.empty(0)) for a, _, _ in paths]
     if len(ts):
-        roots, slopes = _secular_roots(systems, ts)
-        pairs, passed = _eigenbasis_pairs(paths, systems, bases, ts, roots, tol)
+        roots, slopes, pairs, passed = _grid_points(paths, systems, bases, ts, tol)
         retry = [(k, i) for k, row in enumerate(passed) for i in np.flatnonzero(~row)]
         if retry:  # only the points whose eigenbasis pair fails its certificate
             at_points = ((_point(*paths[k][:2], ts[i]), roots[k, i]) for k, i in retry)
@@ -329,48 +327,87 @@ def _solve_blocks(blocks, tol: float, keep: bool = False) -> tuple[list[tuple], 
     return solved, certified, bases
 
 
-def _eigenbasis_pairs(paths, systems, bases, ts: np.ndarray, lam: np.ndarray, tol: float):
-    """The pair at each point of ``ts`` of each path ``(a, w, comps)`` of
-    :func:`_solve_paths`, given its secular roots as a row of ``lam``, its
-    terms ``(mu, b)`` in ``systems`` and its components' eigenvectors in
-    ``bases`` of :func:`_solve_blocks`: per path the unit vectors (rows)
-    with their residuals, and per path whether each pair passes its
-    certificate at ``tol``.
+def _grid_points(paths, systems, bases, ts: np.ndarray, tol: float) -> tuple:
+    """The top eigenpair of ``A(t) = A_I + t W S W^T`` at each ``t > 0`` of
+    ``ts`` for each path ``(a, w, comps)`` of :func:`_solve_paths`, given its
+    terms ``(mu, b)`` in ``systems``, the eigenvalues ``mu`` of ``A_I`` and
+    ``b = Q^T W``, and its components' eigenvectors ``Q`` in ``bases`` of
+    :func:`_solve_blocks`: one row per path of roots and of slopes
+    ``lambda'(t)``, per path the unit vectors (rows) with their residuals,
+    and per path whether each pair passes its certificate at ``tol``.
+
+    Above ``mu_top = max(mu)``, ``lambda`` is an eigenvalue of ``A(t)`` iff
+    ``det(I - t S M(lambda)) = 0`` with ``M(lambda) = sum_i b_i b_i^T /
+    (lambda - mu_i)`` (Golub 1973; Bunch, Nielsen and Sorensen 1978), and the
+    top one is the root of ``t theta(lambda) = 1``, ``theta = M_us +
+    sqrt(M_uu M_ss)`` decreasing.  Each point runs bracketed Newton on
+    ``1/theta = t`` in ``delta = lambda - mu_top > 0``, so no evaluation
+    meets a pole, from the Ritz value of ``A(t)`` on ``span{x, P x}``, ``x``
+    the top eigenvector of ``A_I``, and stops once its raw step is within 2
+    ulps of ``lambda``.  By ``t theta(lambda(t)) = 1``, ``lambda' = 1 / (t^2
+    (-theta'))`` at the final ``delta`` (the rounded root loses its low
+    bits), or the limit 0 within 2 ulps of ``mu_top``, as on a pendant tail.
 
     At a root, ``(lambda I - A_I) x = t W S W^T x``, so ``x = Q D B c`` with
     ``D = diag(1/(lambda - mu))``, ``B = Q^T W`` and ``c`` in the null space
-    of ``I - t S M(lambda)`` (Bunch, Nielsen and Sorensen 1978): ``c`` is
-    orthogonal to the larger row of that 2x2 matrix.  At the root both of
-    its entries are nonnegative and ``(lambda I - A_I)^{-1}`` is entrywise
-    nonnegative, so ``x`` needs no sign.  One ``q @ Y`` per component size
-    builds every point's vector, and one ``matmul`` per size gives the
-    residual ``A_I x + t W S W^T x - lambda x`` from the components'
-    matrices, never from ``A(t)``.  A zero or non-finite
-    ``lambda - mu`` gives a pair that fails its certificate, not an error.
-    A point's sums run over its own path's terms only.  The points go in
-    passes of about ``_ROOT_ENTRIES`` terms (:func:`_passes`), so the
-    memory beyond the vectors returned does not grow with ``ts``."""
+    of ``I - t S M(lambda)``: ``c`` is orthogonal to the larger row of that
+    2x2 matrix.  At the root both of its entries are nonnegative and
+    ``(lambda I - A_I)^{-1}`` is entrywise nonnegative, so ``x`` needs no
+    sign.  One ``q @ Y`` per component size builds every point's vector, and
+    one ``matmul`` per size gives the residual ``A_I x + t W S W^T x -
+    lambda x`` from the components' matrices, never from ``A(t)``.  A zero or
+    non-finite ``lambda - mu`` gives a pair that fails its certificate, not
+    an error.
+
+    The points of all paths go in passes of about ``_ROOT_ENTRIES`` terms
+    (:func:`_passes`): each pass solves its roots, then builds their
+    vectors, so the memory beyond the arrays returned does not grow with
+    ``ts``.  A point's sums run over its own path's terms only, so its bits
+    do not depend on the other points or on the passes."""
     sizes, first, mu, b = _terms(systems)
     owner = np.repeat(np.arange(len(systems)), sizes)
+    top = np.maximum.reduceat(mu, first)
+    d = top[owner] - mu  # >= 0: lambda - mu_i = delta + d_i
+    coef = np.stack([b[:, 0] * b[:, 0], b[:, 1] * b[:, 1], b[:, 0] * b[:, 1]])
+    gram = np.add.reduceat(coef, first, axis=1)  # W^T W: 1, |s|^2 and 0 up to rounding
+    inner = np.add.reduceat(coef * mu, first, axis=1)  # W^T A_I W
+    # The 2x2 Ritz matrix of A(t) - mu_top on span{x, y}, y = P x - <P x, x> x
+    # normalized: [[t a, t beta], [t beta, gamma + t c]].
+    i_top = np.maximum.reduceat(np.where(d == 0.0, np.arange(len(mu)), -1), first)
+    bu, bs = b[i_top, 0], b[i_top, 1]
+    a = 2.0 * bu * bs  # <P x, x>
+    px2 = bs * bs * gram[0] + 2.0 * bu * bs * gram[2] + bu * bu * gram[1]  # |P x|^2
+    pap = bs * bs * inner[0] + 2.0 * bu * bs * inner[2] + bu * bu * inner[1]  # <A_I P x, P x>
+    p1, p2 = bs * gram[0] + bu * gram[2], bs * gram[2] + bu * gram[1]  # W^T P x
+    beta2 = np.maximum(px2 - a * a, 0.0)
+    scale = np.divide(1.0, beta2, out=np.zeros_like(beta2), where=beta2 > 0.0)
+    gamma = (pap - a * a * top) * scale - top
+    c = (2.0 * p1 * p2 - 2.0 * a * px2 + a**3) * scale  # <P y, y>
+    weyl = np.sqrt(gram[1])  # ||P|| = |s|: delta <= t |s|
+    start = (top, a, beta2, gamma, c, weyl, first)
+
     order = [np.concatenate(comps) for _, _, comps in paths]
     w = np.concatenate([w[o] for (_, w, _), o in zip(paths, order)])  # rows in term order
-    counts = [len(c) for _, _, comps in paths for c in comps]  # the matrices of ``bases``
+    counts = [len(comp) for _, _, comps in paths for comp in comps]  # the matrices of ``bases``
     offsets = np.cumsum(counts) - counts
     rows = [(offsets[members][:, None] + np.arange(q.shape[-1])).ravel() for members, q, _ in bases]
 
     def per_stack(mats, v, idx):  # the rows ``idx`` of ``v``, one matrix of ``mats`` per component
         return (mats @ v[idx].reshape(mats.shape[0], mats.shape[1], -1)).reshape(len(idx), -1)
 
-    vectors = [np.empty((len(ts), len(a))) for a, _, _ in paths]
-    res, passed = np.empty(lam.shape), np.empty(lam.shape, dtype=bool)
+    vectors = [np.empty((len(ts), len(m))) for m, _, _ in paths]
+    roots, slopes, res = (np.empty((len(systems), len(ts))) for _ in range(3))
+    passed = np.empty(roots.shape, dtype=bool)
     for j, k in _passes(len(ts), len(mu)):
-        t, root = ts[j:k], lam[:, j:k]
+        t, system = ts[j:k], np.repeat(np.arange(len(systems)), k - j)
+        delta, slope = _secular_newton(
+            np.tile(t, len(systems)), *(v[system] for v in start), sizes[system], coef, d
+        )
+        root = roots[:, j:k] = top[:, None] + delta.reshape(len(systems), -1)
+        slopes[:, j:k] = slope.reshape(len(systems), -1)
         with np.errstate(all="ignore"):
             r = 1.0 / (root[owner] - mu[:, None])
-            m_uu, m_ss, m_us = (
-                np.add.reduceat(coef[:, None] * r, first)
-                for coef in (b[:, 0] * b[:, 0], b[:, 1] * b[:, 1], b[:, 0] * b[:, 1])
-            )
+            m_uu, m_ss, m_us = (np.add.reduceat(row[:, None] * r, first) for row in coef)
             diagonal = 1.0 - t * m_us
             upper = m_ss >= m_uu  # the larger row: (1 - t M_us, -t M_ss) or (-t M_uu, 1 - t M_us)
             c_u, c_s = np.where(upper, t * m_ss, diagonal), np.where(upper, diagonal, t * m_uu)
@@ -385,9 +422,9 @@ def _eigenbasis_pairs(paths, systems, bases, ts: np.ndarray, lam: np.ndarray, to
             r = ax + t * (w[:, :1] * z_s[owner] + w[:, 1:] * z_u[owner]) - root[owner] * x
             res[:, j:k] = np.sqrt(np.add.reduceat(r * r, first))
             passed[:, j:k] = _certified(res[:, j:k], np.minimum.reduceat(x, first), tol)
-        for v, o, start, size in zip(vectors, order, first, sizes):
-            v[j:k, o] = x[start : start + size].T
-    return list(zip(vectors, res)), passed
+        for v, o, at, size in zip(vectors, order, first, sizes):
+            v[j:k, o] = x[at : at + size].T
+    return roots, slopes, list(zip(vectors, res)), passed
 
 
 def _passes(points: int, terms: int):
@@ -417,62 +454,8 @@ def _terms(systems) -> tuple[np.ndarray, ...]:
     return sizes, np.cumsum(sizes) - sizes, mu, b
 
 
-def _secular_roots(systems, ts: np.ndarray) -> tuple:
-    """Top eigenvalue of ``A(t) = A_I + t W S W^T`` and its slope
-    ``lambda'(t)`` at each ``t > 0`` of ``ts``, for each pair ``(mu, b)`` of
-    ``systems``: the eigenvalues ``mu`` of ``A_I`` and ``b = Q^T W`` for its
-    eigenvectors ``Q``.  One row of roots and one of slopes per system.
-
-    Above ``mu_top = max(mu)``, ``lambda`` is an eigenvalue of ``A(t)`` iff
-    ``det(I - t S M(lambda)) = 0`` with ``M(lambda) = sum_i b_i b_i^T /
-    (lambda - mu_i)`` (Golub 1973; Bunch, Nielsen and Sorensen 1978), and the
-    top one is the root of ``t theta(lambda) = 1``, ``theta = M_us +
-    sqrt(M_uu M_ss)`` decreasing.  Each point runs bracketed Newton on
-    ``1/theta = t`` in ``delta = lambda - mu_top > 0``, so no evaluation
-    meets a pole, from the Ritz value of ``A(t)`` on ``span{x, P x}``, ``x``
-    the top eigenvector of ``A_I``, and stops once its raw step is within 2
-    ulps of ``lambda``.  By ``t theta(lambda(t)) = 1``, ``lambda' = 1 / (t^2
-    (-theta'))`` at the final ``delta`` (the rounded root loses its low
-    bits), or the limit 0 within 2 ulps of ``mu_top``, as on a pendant tail.
-    The points of all systems iterate as arrays, in passes of about
-    ``_ROOT_ENTRIES`` terms; a point's sums run over its own terms only, so
-    its bits do not depend on the other points."""
-    k = len(ts)
-    sizes, first, mu, b = _terms(systems)
-    top = np.maximum.reduceat(mu, first)
-    d = np.repeat(top, sizes) - mu  # >= 0: lambda - mu_i = delta + d_i
-    coef = np.stack([b[:, 0] * b[:, 0], b[:, 1] * b[:, 1], b[:, 0] * b[:, 1]])
-    gram = np.add.reduceat(coef, first, axis=1)  # W^T W: 1, |s|^2 and 0 up to rounding
-    inner = np.add.reduceat(coef * mu, first, axis=1)  # W^T A_I W
-    # The 2x2 Ritz matrix of A(t) - mu_top on span{x, y}, y = P x - <P x, x> x
-    # normalized: [[t a, t beta], [t beta, gamma + t c]].
-    i_top = np.maximum.reduceat(np.where(d == 0.0, np.arange(len(mu)), -1), first)
-    bu, bs = b[i_top, 0], b[i_top, 1]
-    a = 2.0 * bu * bs  # <P x, x>
-    px2 = bs * bs * gram[0] + 2.0 * bu * bs * gram[2] + bu * bu * gram[1]  # |P x|^2
-    pap = bs * bs * inner[0] + 2.0 * bu * bs * inner[2] + bu * bu * inner[1]  # <A_I P x, P x>
-    p1, p2 = bs * gram[0] + bu * gram[2], bs * gram[2] + bu * gram[1]  # W^T P x
-    beta2 = np.maximum(px2 - a * a, 0.0)
-    scale = np.divide(1.0, beta2, out=np.zeros_like(beta2), where=beta2 > 0.0)
-    gamma = (pap - a * a * top) * scale - top
-    c = (2.0 * p1 * p2 - 2.0 * a * px2 + a**3) * scale  # <P y, y>
-    weyl = np.sqrt(gram[1])  # ||P|| = |s|: delta <= t |s|
-
-    npts = np.repeat(sizes, k)
-    ends = np.cumsum(npts)
-    delta, slope, j = np.empty(len(npts)), np.empty(len(npts)), 0
-    while j < len(npts):
-        end = max(j + 1, int(np.searchsorted(ends, ends[j] - npts[j] + _ROOT_ENTRIES, "right")))
-        system, t = np.arange(j, end) // k, ts[np.arange(j, end) % k]
-        delta[j:end], slope[j:end] = _secular_newton(
-            t, *(v[system] for v in (top, a, beta2, gamma, c, weyl, first)), npts[j:end], coef, d
-        )
-        j = end
-    return (np.repeat(top, k) + delta).reshape(len(systems), k), slope.reshape(len(systems), k)
-
-
 def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> tuple:
-    """``lambda - mu_top`` and ``lambda'`` at each point of :func:`_secular_roots`,
+    """``lambda - mu_top`` and ``lambda'`` at each point of :func:`_grid_points`,
     given per point its ``t``, its system's Ritz matrix, Weyl bound and first
     term, and its count of terms; ``coef`` and ``d`` hold every system's terms."""
     half = 0.5 * (t * (a - c) - gamma)  # half the diagonal difference of the Ritz matrix

@@ -128,10 +128,10 @@ def run_verification(
 ) -> VerifySummary:
     """Run the randomized suite; ``inject_failure`` corrupts the first trial's
     bound to prove the harness actually trips (self-test)."""
-    for name, count in (("trials", trials), ("n_max", n_max)):
+    for name, count in (("seed", seed), ("trials", trials), ("n_max", n_max)):
         if not isinstance(count, numbers.Integral) or isinstance(count, bool):
             raise ValueError(f"{name} must be an integer, got {count!r}")
-    trials, n_max = int(trials), int(n_max)
+    seed, trials, n_max = int(seed), int(trials), int(n_max)  # any integer seed, negative ones too
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if n_max < 3:

@@ -195,6 +195,44 @@ def test_bound_domain_errors():
         sb.bound_edge_addition(0.5, 0, 0)
 
 
+PENDANT, EDGE = PerturbationKind.PENDANT_EDGE, PerturbationKind.EDGE_ADDITION
+NON_FINITE_CALLS = {
+    "bound": lambda x: sb.perturbation_bound(PENDANT, x, delta_u=1),
+    "comparison": lambda x: sb.comparison_solution(PENDANT, x, 0.5, delta_u=1),
+    "gap": lambda x: sb.asymptotic_gap(PerturbationKind.VERTEX_CONNECTION, x, g=2),
+    "input": lambda x: bounds.BoundInput(EDGE, x, delta_u=1, delta_v=1),
+    "coclique": lambda x: sb.coclique_bound(x, [1, 2]),
+    "l2_inv": lambda x: sb.l2_inv(x, 2),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_non_finite_values_are_refused_by_name(call, value):
+    # nan fails both lambda_i < 0 and lambda_i == 0, and the pendant root
+    # gave a finite bound from it.
+    with pytest.raises(ValueError, match=f"got {value}$"):
+        call(value)
+
+
+def test_extreme_finite_lambda_gives_a_bound_or_names_the_range():
+    # At 5e16, c + d + 2 rounds to c and the cubic's bracket is widened by
+    # one float; past [2^-256, 2^256] the gap d / lambda_i^p leaves float
+    # range, which raised OverflowError and ZeroDivisionError.
+    bound = sb.perturbation_bound(PENDANT, 5e16, delta_u=3)
+    assert bound == pytest.approx(5e16, rel=1e-15) and bound >= 5e16
+    for kind, lam, degrees in [
+        (EDGE, 1e155, {"delta_u": 3, "delta_v": 2}),
+        (PENDANT, 1e-110, {"delta_u": 3}),
+        (EDGE, 1e-200, {"delta_u": 3, "delta_v": 2}),
+    ]:
+        with pytest.raises(ValueError, match=r"lie in \[2\^-256, 2\^256\], got "):
+            sb.perturbation_bound(kind, lam, **degrees)
+    for lam in (2.0**-256, 2.0**256):  # the ends of the range solve
+        assert math.isfinite(sb.perturbation_bound(PENDANT, lam, delta_u=3))
+        assert math.isfinite(sb.asymptotic_gap(PENDANT, lam, delta_u=3))
+
+
 # ---------------------------------------------------------------------------
 # Round trips and monotonicity over grids
 # ---------------------------------------------------------------------------

@@ -562,17 +562,29 @@ def test_verify_extremes_equal_the_lone_public_solves():
         ({"trials": 3, "n_max": False}, "n_max must be an integer, got False"),
         ({"trials": 0}, "trials must be at least 1, got 0"),
         ({"trials": 3, "n_max": 2}, "n_max must be at least 3, got 2"),
+        ({"seed": 1.5, "trials": 3}, "seed must be an integer, got 1.5"),
+        ({"seed": "1", "trials": 3}, "seed must be an integer, got '1'"),
+        ({"seed": True, "trials": 3}, "seed must be an integer, got True"),
     ],
 )
 def test_verify_refuses_non_integer_counts(counts, message):
     with pytest.raises(ValueError) as excinfo:
-        sb.run_verification(42, **counts)
+        sb.run_verification(**{"seed": 42, **counts})
     assert str(excinfo.value) == message
 
 
 def test_verify_accepts_numpy_integer_counts():
     summary = sb.run_verification(42, np.int64(3), np.int32(6))
     assert summary.ok and summary.counts == {"vertex": 1, "edge": 1, "pendant": 1}
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.int64(-3), -1])
+def test_verify_takes_any_integer_seed(seed):
+    # A numpy integer seed runs as the Python int of its value; a negative
+    # seed is as valid as any other.
+    summary = sb.run_verification(seed, 6)
+    assert summary.ok and summary.to_dict() == sb.run_verification(int(seed), 6).to_dict()
+    assert type(summary.to_dict()["seed"]) is int
 
 
 # ---------------------------------------------------------------------------

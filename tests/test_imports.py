@@ -161,13 +161,12 @@ def test_only_graphs_and_spectral_see_the_path_solve(name):
 
 
 # The path's numerics live in ``spectral``, the one module that reaches
-# ``numpy.linalg``: its secular root finder, its eigenbasis vectors, its
-# shifted solves, its stacks by matrix size, the only matrices ``A(t)`` it
-# builds, and its matrix search.  ``graphs`` takes the host's components
+# ``numpy.linalg``: its grid points' secular roots and eigenbasis vectors,
+# its shifted solves, its stacks by matrix size, the only matrices ``A(t)``
+# it builds, and its matrix search.  ``graphs`` takes the host's components
 # from the edge set.
 SPECTRAL_ONLY = [
-    "_secular_roots", "_eigenbasis_pairs", "_shifted_pairs", "_final_tops", "_by_size", "_point",
-    "is_connected_matrix",
+    "_grid_points", "_shifted_pairs", "_final_tops", "_by_size", "_point", "is_connected_matrix",
 ]
 
 
@@ -175,6 +174,35 @@ SPECTRAL_ONLY = [
 def test_only_spectral_sees_the_path_numerics(name):
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert {file for file, source in sources.items() if name in mentioned_names(source)} == {"spectral.py"}
+
+
+def readers(source: str, name: str) -> list[str]:
+    """The module-level function around each read of ``name`` in a module's
+    code, as a name or an attribute, and ``""`` for a read outside any
+    function; a binding of ``name`` is not a read."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else ""
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load):
+                if (sub.id if isinstance(sub, ast.Name) else sub.attr) == name:
+                    found.append(owner)
+    return found
+
+
+def test_checker_finds_the_readers_of_a_name():
+    source = 'X = 1\nY = X\ndef f():\n    return X\ndef g(m):\n    """X"""\n    return m.X + X\n'
+    assert readers(source, "X") == ["", "f", "g", "g"]
+
+
+def test_one_function_splits_the_grid_into_passes():
+    # The memory budget of a pass is one decision: ``_passes`` alone reads
+    # ``_ROOT_ENTRIES``, and the grid-point solve alone asks it for passes,
+    # so a second chunker of the same points fails here.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    for name, owner in (("_ROOT_ENTRIES", "_passes"), ("_passes", "_grid_points")):
+        found = {file: readers(source, name) for file, source in sources.items()}
+        assert {file: owners for file, owners in found.items() if owners} == {"spectral.py": [owner]}
 
 
 def test_no_module_builds_the_dense_perturbation():

@@ -243,20 +243,23 @@ def test_path_memory_beyond_its_vectors_does_not_grow_with_steps():
 @pytest.mark.parametrize("steps, passes", [(32, 1), (1024, 16)])
 def test_eigenbasis_passes_give_the_bits_of_one_pass(monkeypatch, steps, passes):
     # P_64 has 64 terms, so a pass holds 64 points: steps 32 stays one pass.
+    # Split or forced into one pass, the roots, slopes, vectors, residuals
+    # and certificate flags keep every byte.
     host, pert = sb.path_graph(64), Perturbation.edge_addition(0, 32)
     split, solved = [], []
-    original, eigenbasis = spectral._passes, spectral._eigenbasis_pairs
+    original, grid_points = spectral._passes, spectral._grid_points
 
     def counted(points, terms):
         split.append(list(original(points, terms)))
         return iter(split[-1])
 
     def recorded(*args):
-        pairs, passed = eigenbasis(*args)
-        solved.append([(x.tobytes(), res.tobytes(), passed.tobytes()) for x, res in pairs])
-        return pairs, passed
+        roots, slopes, pairs, passed = grid_points(*args)
+        arrays = [roots, slopes, passed] + [a for pair in pairs for a in pair]
+        solved.append([a.tobytes() for a in arrays])
+        return roots, slopes, pairs, passed
 
-    monkeypatch.setattr(spectral, "_eigenbasis_pairs", recorded)
+    monkeypatch.setattr(spectral, "_grid_points", recorded)
     monkeypatch.setattr(spectral, "_passes", counted)
     sb.sample_path(host, pert, steps=steps)
     assert len(split) == 1 and len(split[0]) == passes

@@ -33,18 +33,18 @@ def path_matrices(host, pert):
 def solved_points(host, pert, steps):
     """The instance of one path and every point its secular solve took, with the roots."""
     seen = []
-    original = spectral._secular_roots
+    original = spectral._grid_points
 
-    def capture(systems, ts):
-        roots, slopes = original(systems, ts)
+    def capture(paths, systems, bases, ts, tol):
+        roots, *rest = original(paths, systems, bases, ts, tol)
         seen.append((ts, roots))
-        return roots, slopes
+        return (roots, *rest)
 
-    spectral._secular_roots = capture
+    spectral._grid_points = capture
     try:
         inst = graphs._instances([(host, pert)], TOL, steps, final=False)[0]
     finally:
-        spectral._secular_roots = original
+        spectral._grid_points = original
     ((ts, roots),) = seen
     return inst, ts, roots[0]
 
@@ -224,19 +224,19 @@ def test_shifted_solve_takes_exactly_the_points_the_eigenbasis_fails(monkeypatch
         (lollipop_graph(20, 20), Perturbation.edge_addition(0, 39)),
     ]
     passed, retried = [], []
-    eigenbasis, shifted = spectral._eigenbasis_pairs, spectral._shifted_pairs
+    grid_points, shifted = spectral._grid_points, spectral._shifted_pairs
 
-    def record_eigenbasis(*args):
-        pairs, ok = eigenbasis(*args)
+    def record_grid_points(*args):
+        roots, slopes, pairs, ok = grid_points(*args)
         passed.append(ok.copy())
-        return pairs, ok
+        return roots, slopes, pairs, ok
 
     def record_shifted(points, tol):
         points = list(points)
         retried.append([(a.copy(), value) for a, value in points])
         return shifted(iter(points), tol)
 
-    monkeypatch.setattr(spectral, "_eigenbasis_pairs", record_eigenbasis)
+    monkeypatch.setattr(spectral, "_grid_points", record_grid_points)
     monkeypatch.setattr(spectral, "_shifted_pairs", record_shifted)
     insts = graphs._instances(instances, TOL, 16, final=False)
     (ok,), (retry,) = passed, retried
@@ -261,18 +261,18 @@ def test_a_point_failing_both_routes_raises_in_caller_order(monkeypatch):
         (sb.cycle_graph(5), Perturbation.edge_addition(0, 2)),
         (sb.path_graph(12), Perturbation.edge_addition(0, 6)),
     ]
-    eigenbasis, shifted = spectral._eigenbasis_pairs, spectral._shifted_pairs
+    grid_points, shifted = spectral._grid_points, spectral._shifted_pairs
 
-    def failing_eigenbasis(*args):
-        pairs, ok = eigenbasis(*args)
+    def failing_grid_points(*args):
+        roots, slopes, pairs, ok = grid_points(*args)
         ok[1, 1] = ok[2, 2] = False
-        return pairs, ok
+        return roots, slopes, pairs, ok
 
     def failing_shifted(points, tol):
         pairs, _ = shifted(points, tol)  # the retried points, in caller order
         return [(x, res + (k + 1) * 1e-3) for k, (x, res) in enumerate(pairs)], False
 
-    monkeypatch.setattr(spectral, "_eigenbasis_pairs", failing_eigenbasis)
+    monkeypatch.setattr(spectral, "_grid_points", failing_grid_points)
     monkeypatch.setattr(spectral, "_shifted_pairs", failing_shifted)
     with pytest.raises(RuntimeError, match=r"residual 1\.000e-03"):
         graphs._instances(instances, TOL, 8, final=False)
