@@ -161,12 +161,14 @@ def test_only_graphs_and_spectral_see_the_path_solve(name):
 
 
 # The path's numerics live in ``spectral``, the one module that reaches
-# ``numpy.linalg``: its grid points' secular roots and eigenbasis vectors,
-# its shifted solves, its stacks by matrix size, the only matrices ``A(t)``
-# it builds, and its matrix search.  ``graphs`` takes the host's components
-# from the edge set.
+# ``numpy.linalg``: its grid points' secular roots (the Newton solve) and
+# eigenbasis pairs (the pass loop around it), its shifted solves, its stacks
+# by matrix size, the only matrices ``A(t)`` it builds, and its matrix
+# search.  ``graphs`` takes the host's components from the edge set.
 SPECTRAL_ONLY = [
-    "_grid_points", "_shifted_pairs", "_final_tops", "_by_size", "_point", "is_connected_matrix",
+    pytest.param("_secular_newton", id="_secular_roots"),
+    pytest.param("_grid_points", id="_eigenbasis_pairs"),
+    "_shifted_pairs", "_final_tops", "_by_size", "_point", "is_connected_matrix",
 ]
 
 
