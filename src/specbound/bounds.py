@@ -219,6 +219,15 @@ def _check_lambda(lambda_i: float) -> None:
         )
 
 
+def _check_in(name: str, value: float, lo: float = -_LAMBDA_RANGE[1], hi: float = _LAMBDA_RANGE[1]) -> float:
+    """``value``, unless it lies outside ``[lo, hi]``, by default the
+    ``[-2^256, 2^256]`` of any other value the maps take; nan lies in none."""
+    if not lo <= value <= hi:
+        span = "[-2^256, 2^256]" if hi == _LAMBDA_RANGE[1] else f"[{lo:g}, {hi:g}]"
+        raise ValueError(f"{name} must lie in {span}, got {value}")
+    return value
+
+
 def _initial_value(kind: PerturbationKind, lambda_i: float, g=0, delta_u=0, delta_v=0) -> tuple:
     """Validate one instance; return its spec, weight d and ``Phi(0, lambda_i)``."""
     spec, d = _weight(kind, g, delta_u, delta_v)
@@ -267,8 +276,7 @@ def comparison_solution(
     quadratic for vertex connection and edge addition, a cubic for the
     pendant edge.  At ``t = 0`` every kind returns ``lambda_i`` itself.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
+    _check_in("t", t, 0.0, 1.0)
     spec, d, c = _initial_value(kind, lambda_i, g, delta_u, delta_v)
     return lambda_i if t == 0.0 else spec.root(t, c, d)
 
@@ -286,9 +294,10 @@ def inequality_rhs(
     along the path: :func:`_slope` of the kind's Phi.  At ``lambda = 0``, a
     pole of the vertex and pendant Phi, it is the limit, 0, where one exists:
     off ``t = 0``, and everywhere at ``d = 0``, where Phi is the identity.
-    At ``(0, 0)`` with ``d > 0`` ``f`` has no limit, and ``ValueError``."""
+    At ``(0, 0)`` with ``d > 0`` ``f`` has no limit, and ``ValueError``, as
+    off ``t`` in ``[0, 1]`` and ``lam`` in ``[-2^256, 2^256]``."""
     spec, d = _weight(kind, g, delta_u, delta_v)
-    t, lam = float(t), float(lam)
+    t, lam = _check_in("t", float(t), 0.0, 1.0), _check_in("lambda", float(lam))
     try:
         return _slope(spec.phi, t, lam, d)
     except ZeroDivisionError:  # lambda = 0; f = 2 d t y / (y^2 + d t^2) for the vertex kind
@@ -341,16 +350,20 @@ def asymptotic_gap(
 # The paper's auxiliary maps and the per-kind bounds
 # ---------------------------------------------------------------------------
 
+def _slice(name: str, phi: Callable, t: float, xi: float, d, low: float = 0.0) -> float:
+    """``phi(t, xi, d)``, a slice of a first integral, for ``xi`` in ``(low, 2^256]``."""
+    if _check_in("xi", xi) <= low:
+        raise ValueError(f"{name} is defined on ({low:g}, inf), got {xi}")
+    return phi(t, xi, d)
+
+
 def h_fn(xi: float, g: int) -> float:
     """``H(x) = x - g/x``, the vertex first integral at t = 1."""
-    _check_count("g", g, 1)
-    if xi <= 0.0:
-        raise ValueError(f"h_fn is defined on (0, inf), got {xi}")
-    return _phi_vertex(1.0, xi, g)
+    return _slice("h_fn", _phi_vertex, 1.0, xi, _check_count("g", g, 1))
 
 def h_inv(y: float, g: int) -> float:
     """Unique positive solution of ``h_fn(x, g) = y``."""
-    return _root_vertex(1.0, y, _check_count("g", g, 1))
+    return _root_vertex(1.0, _check_in("y", y), _check_count("g", g, 1))
 
 def bound_vertex_connection(lambda_i: float, g: int) -> float:
     """Upper bound on the index after joining an isolated vertex to g vertices.
@@ -365,15 +378,13 @@ def k_fn(xi: float, d: float) -> float:
     """``K(x) = x - d/x``, the edge first integral at t = 0."""
     if d < 0:
         raise ValueError(f"degree sum must be nonnegative, got {d}")
-    if xi <= 0.0:
-        raise ValueError(f"k_fn is defined on (0, inf), got {xi}")
-    return _phi_edge(0.0, xi, d)
+    return _slice("k_fn", _phi_edge, 0.0, xi, d)
 
 def k_inv(y: float, d: float) -> float:
     """Positive root of ``x^2 - y x - d = 0`` (the inverse of k_fn for d > 0)."""
     if d < 0:
         raise ValueError(f"degree sum must be nonnegative, got {d}")
-    return _root_edge(0.0, y, float(d))
+    return _root_edge(0.0, _check_in("y", y), float(d))
 
 def bound_edge_addition(lambda_i: float, delta_u: int, delta_v: int) -> float:
     """Upper bound on the index after adding one edge between nonadjacent
@@ -386,25 +397,18 @@ def bound_edge_addition(lambda_i: float, delta_u: int, delta_v: int) -> float:
 
 def l1(xi: float, delta_u: int) -> float:
     """``L1(x) = x - du/x``, the pendant first integral at t = 0."""
-    _check_count("delta_u", delta_u, 0)
-    if xi <= 0.0:
-        raise ValueError(f"l1 is defined on (0, inf), got {xi}")
-    return _phi_pendant(0.0, xi, delta_u)
+    return _slice("l1", _phi_pendant, 0.0, xi, _check_count("delta_u", delta_u, 0))
 
 def l2(xi: float, delta_u: int) -> float:
     """``L2(x) = x - du/(x - 1/x)``, the pendant first integral at t = 1."""
-    _check_count("delta_u", delta_u, 0)
-    if xi <= 1.0:
-        raise ValueError(f"l2 is defined on (1, inf), got {xi}")
-    return _phi_pendant(1.0, xi, delta_u)
+    return _slice("l2", _phi_pendant, 1.0, xi, _check_count("delta_u", delta_u, 0), low=1.0)
 
 def l2_inv(y: float, delta_u: int) -> float:
     """Unique solution in ``(1, inf)`` of ``l2(x, delta_u) = y``: the root
     above 1 of ``v^3 - y v^2 - (delta_u + 1) v + y``, which is at least
     ``sqrt(delta_u + 1)`` when ``y >= 0``.  At ``delta_u = 0``, ``l2`` is the
     identity, so ``y`` must exceed 1."""
-    if not (math.isfinite(y) and abs(y) <= _LAMBDA_RANGE[1]):  # the root is about y
-        raise ValueError(f"l2_inv takes a finite value within [-2^256, 2^256], got {y}")
+    _check_in("y", y)  # the root is about y
     if _check_count("delta_u", delta_u, 0) == 0 and y <= 1.0:
         raise ValueError(f"l2 with delta_u = 0 takes no value {y} in (1, inf)")
     return _root_pendant(1.0, y, delta_u)

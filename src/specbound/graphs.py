@@ -23,17 +23,15 @@ private instance holds the bounds' degree data and the solved path.
 ``A_I``'s components come from one pass of the one graph search of
 :mod:`specbound.spectral`, which :func:`is_connected` and the random draw
 share, over ``A_I``'s rows as bit sets, and ``A_I + P`` is connected iff
-the added edges reach every component.  The instance lays out the path's points: its start
-``(lambda_I, x_I)``, certified pairs on the grid ``k/steps`` with the
-slopes ``lambda'(t)`` there, and, for a report, the final index at
-``t = 1``.  It hands the solve ``P = W S W^T`` only as the columns
-``W = [e_u, s]``, never as a matrix (:func:`perturbation_matrix` is the
-public reference), and reads each grid vector's ``<P x, x> = 2 x_u (s . x)``
-off ``W^T x``.  Each grid vector comes from ``A_I``'s eigendecomposition,
-or from a shifted solve where that vector fails its certificate.
-``bound_report`` and ``sample_path`` set up one instance, ``verify`` a
-block of them, with one stack of ``A_I`` and one of ``W`` per final size,
-solved together.
+the added edges reach every component.  The instance lays out the path's
+points: its start ``(lambda_I, x_I)``, certified pairs on the grid
+``k/steps`` with the slopes ``lambda'(t)`` there, and, for a report, the
+final index at ``t = 1``.  It hands the solve ``P = W S W^T`` only as the
+columns ``W = [e_u, s]``, never as a matrix (:func:`perturbation_matrix`
+is the public reference), and reads each grid vector's ``<P x, x> =
+2 x_u (s . x)`` off ``W^T x``.  ``bound_report`` and ``sample_path`` set
+up one instance, ``verify`` a block of them, with one stack of ``A_I`` and
+one of ``W`` per final size, solved together.
 """
 
 from __future__ import annotations
@@ -404,9 +402,8 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
     columns ``W = [e_u, s]``, each filled by indexed assignment over all of
     them, and one :func:`_row_bits` pass over the ``A_I`` stack, from which
     each instance takes its components and its join test.  ``P`` is handed
-    over only as ``W``, never as a matrix.  The grid points are roots of
-    one secular equation per instance, from one ``eigh`` per size of the
-    instances' components; ``A_I + P`` takes one ``eigvalsh`` per size.
+    over only as ``W``, never as a matrix, and with ``final`` the solve
+    takes each size's two stacks as they are, for ``A_I + P``.
     ``ValueError`` above ``_MAX_VERTICES`` vertices, before any matrix is
     sized; :class:`DisconnectedError` unless every ``A_I + P`` is
     connected."""
@@ -415,7 +412,7 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
     for k, (g, p) in enumerate(pairs):
         _added_edges(g, p)  # PerturbationError unless p applies to g
         by_size.setdefault(_check_vertex_count(perturbed_dimension(g, p)), []).append(k)
-    paths = [None] * len(pairs)
+    paths, stacks = [None] * len(pairs), []
     for n, group in by_size.items():
         hosts, perts = [pairs[k][0] for k in group], [pairs[k][1] for k in group]
         a_stack, w_stack = np.zeros((len(group), n, n)), np.zeros((len(group), n, 2))
@@ -431,7 +428,8 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
             if not _joins_components(comps, p, g.n):
                 raise DisconnectedError("the perturbed graph is disconnected")
             paths[k] = (a_stack[row], w_stack[row], comps)
-    solved = _solve_paths(paths, grid, tol, final)
+        stacks.append((group, a_stack, w_stack))
+    solved = _solve_paths(paths, grid, tol, stacks if final else ())
     insts = []
     for (g, p), (_, w, _), solution in zip(pairs, paths, solved):
         lambda_i, vector, _, values, vectors, slopes, lambda_f = solution

@@ -22,19 +22,19 @@ stack.  :func:`perron` and :func:`perron_components` solve one matrix as
 the start of a path without points.
 
 :func:`_solve_paths` solves the paths ``A(t) = a + t P``, for one instance
-or a block of ``verify`` trials, with one stack per matrix size
-(:func:`_by_size`), skipping the input checks made once, never the
-certificate.  ``P = W S W^T`` has rank 2 and is carried only as
+or a block of ``verify`` trials, skipping the input checks made once, never
+the certificate.  ``P = W S W^T`` has rank 2 and is carried only as
 ``W = [e_u, s]``.  The solve owns a path's start, the best certified pair of
-``a``'s components, and reuses their eigendecompositions for every later
+``a``'s components, solved in one stack per component size
+(:func:`_by_size`), and reuses their eigendecompositions for every later
 point (:func:`_grid_points`): each point's value and slope ``lambda'(t)``
 come from a 2x2 secular equation, and its vector is the closed form of that
 rank-2 update in the same eigenbasis, one pass of points at a time.  A pair
 that fails its certificate there, with entries below rounding, takes two
 steps of shifted inverse iteration instead, one point at a time
 (:func:`_shifted_pairs`).  Only those points are built as matrices
-(:func:`_point`), and ``A(1)``, as a copy of ``a`` with ``P``'s entries
-set (:func:`_final_tops`).  Oracles live with the tests.
+(:func:`_point`), and ``A(1)``, each caller's stack of ``a`` copied once
+with ``P``'s entries set (:func:`_final_tops`).  Oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
     return _solve_paths([(m, None, connected_components(m))], (), tol)[0][:2]
 
 
-def _solve_paths(paths, ts, tol: float, final: bool = False) -> list[tuple]:
+def _solve_paths(paths, ts, tol: float, finals=()) -> list[tuple]:
     """Solve the paths ``a + t P`` of ``paths``, triples ``(a, w, comps)`` of
     a nonnegative ``a`` split into the components ``comps``, and the columns
     ``w = [e_u, s]`` of ``P = w S w^T``, anchor and target indicator, with
@@ -212,27 +212,27 @@ def _solve_paths(paths, ts, tol: float, final: bool = False) -> list[tuple]:
     ``t > 0``.  For each path: its start, the value and zero-padded vector
     of :func:`perron_components` of ``a`` with the residual of that
     component's pair; the top eigenvalues at the points of ``ts``, their
-    certified vectors as rows, and their slopes ``lambda'(t)``; and with
-    ``final``, LAPACK's top eigenvalue of ``a + P``, else ``None``.  Without
-    points or ``final``, ``w`` may be ``None``.
+    certified vectors as rows, and their slopes ``lambda'(t)``; and
+    LAPACK's top eigenvalue of ``a + P`` for the paths of ``finals``, else
+    ``None``: triples ``(group, a_stack, w_stack)`` of the indices of paths
+    whose ``a`` and ``w`` are the rows of those stacks.  Without points or
+    ``finals``, ``w`` may be ``None``.
 
-    The components are solved in one ``eigh`` call per size, and their
-    eigendecompositions give every point's value, slope and vector in
-    :func:`_grid_points`, from the rank-2 secular equation and one
-    ``matmul`` per size, all points of all paths together.  Only the points
-    whose pair fails its certificate there go to the shifted solve of
-    :func:`_shifted_pairs`, which certifies its own pairs.  ``a + P`` takes
-    one ``eigvalsh`` per size: on one small matrix LAPACK is cheaper than
-    any Python-level root search.  ``RuntimeError`` names the first matrix,
-    a component or a point of ``ts`` in the order of ``paths``, whose pair
-    fails its certificate; ``ValueError`` unless ``tol`` is positive."""
+    One ``eigh`` call per component size, whose eigendecompositions, passed
+    on per component, give every point's value, slope and vector
+    (:func:`_grid_points`, then :func:`_shifted_pairs` for the points that
+    fail there), and one ``eigvalsh`` per stack of ``finals``: on one small
+    matrix LAPACK is cheaper than any Python-level root search.
+    ``RuntimeError`` names the first matrix, a component or a point of
+    ``ts`` in the order of ``paths``, whose pair fails its certificate;
+    ``ValueError`` unless ``tol`` is positive."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     ts = np.asarray(ts, dtype=float)
     blocks = []
     for a, w, comps in paths:
         if len(comps) == 1:
-            blocks.append((a, w if len(ts) else None))
+            blocks.append((a, w))  # ``w`` is read only with points
         else:  # ``take`` copies a component's block in a third of the time of ``np.ix_``
             blocks += [(a.take(c, 0).take(c, 1), w[c] if len(ts) else None) for c in comps]
     spectra, certified, bases = _solve_blocks(blocks, tol, keep=len(ts) > 0)
@@ -245,8 +245,7 @@ def _solve_paths(paths, ts, tol: float, final: bool = False) -> list[tuple]:
         vector = np.zeros(len(a))
         vector[comps[k]] = parts[k][1]
         starts.append((value, vector, float(parts[k][2])))
-        if len(ts):
-            systems.append(tuple(map(np.concatenate, zip(*(eig for _, _, _, eig in parts)))))
+        systems.append([eig for _, _, _, eig in parts])  # ``None`` without points
     roots = slopes = np.empty((len(paths), 0))
     pairs = [(np.empty((0, len(a))), np.empty(0)) for a, _, _ in paths]
     if len(ts):
@@ -265,10 +264,10 @@ def _solve_paths(paths, ts, tol: float, final: bool = False) -> list[tuple]:
                 _certify(np.array([rc]), xc[None], tol)
             _certify(res, x, tol)
             at += len(comps)
-    finals = _final_tops(paths) if final else [None] * len(paths)
+    tops = {k: top for group, *stacks in finals for k, top in zip(group, _final_tops(*stacks))}
     return [
-        (*start, root, x, slope, top)
-        for start, root, (x, _), slope, top in zip(starts, roots, pairs, slopes, finals)
+        (*start, root, x, slope, tops.get(k))
+        for k, (start, root, (x, _), slope) in enumerate(zip(starts, roots, pairs, slopes))
     ]
 
 
@@ -290,48 +289,45 @@ def _by_size(mats):
         yield group, np.array([mats[k] for k in group])  # np.stack's copy, without its Python step per matrix
 
 
-def _final_tops(paths) -> list:
-    """LAPACK's top eigenvalue of ``a + P`` for each path ``(a, w, comps)``,
-    one ``eigvalsh`` call per size, as a Python float.  Each size's copied
-    stack of ``a`` takes ``1.0`` at the entries ``(u, s)`` and ``(s, u)`` of
+def _final_tops(a_stack: np.ndarray, w_stack: np.ndarray) -> list:
+    """LAPACK's top eigenvalue of ``a + P`` for each ``a`` of ``a_stack``,
+    ``w`` of ``w_stack``, one ``eigvalsh`` call, as Python floats.  A copy of
+    ``a_stack`` takes ``1.0`` at the entries ``(u, s)`` and ``(s, u)`` of
     every ``P``, with no outer product: ``P`` is 0/1 and those entries of
-    ``a`` are 0, so the stack has the bits of ``a + 1.0 * (p + p.T)``."""
-    tops = [None] * len(paths)
-    for group, stack in _by_size([a for a, _, _ in paths]):
-        w = np.array([paths[k][1] for k in group])
-        at, s = np.nonzero(w[:, :, 1])  # each target s of each path
-        u = w[:, :, 0].argmax(axis=1)[at]
-        stack[at, u, s] = stack[at, s, u] = 1.0
-        for k, top in zip(group, np.linalg.eigvalsh(stack)[:, -1].tolist()):
-            tops[k] = top
-    return tops
+    ``a`` are 0, so the copy has the bits of ``a + 1.0 * (p + p.T)``."""
+    stack = a_stack.copy()
+    at, s = np.nonzero(w_stack[:, :, 1])  # each target s of each path
+    u = w_stack[:, :, 0].argmax(axis=1)[at]
+    stack[at, u, s] = stack[at, s, u] = 1.0
+    return np.linalg.eigvalsh(stack)[:, -1].tolist()
 
 
 def _solve_blocks(blocks, tol: float, keep: bool = False) -> tuple[list[tuple], bool, list]:
     """:func:`_perron_stack` of the matrix of each pair ``(m, w)`` of
     ``blocks``, one LAPACK call per size: per matrix its Perron value,
-    vector and residual, and, given its rows ``w`` of ``W``, its eigenvalues
-    and ``Q^T w`` (else ``None``); whether every pair passes its certificate
-    at ``tol``; and with ``keep``, per size, the indices of its matrices in
-    ``blocks`` with their eigenvectors ``Q`` and their stack (else no
-    eigenvector stack outlives its size)."""
+    vector and residual, and, with ``keep``, its eigenvalues and ``Q^T w``
+    for its rows ``w`` of ``W`` (else ``None``); whether every pair passes
+    its certificate at ``tol``; and with ``keep``, per size, the indices of
+    its matrices in ``blocks`` with their eigenvectors ``Q`` and their stack
+    (else no eigenvector stack outlives its size)."""
     solved, certified, bases = [None] * len(blocks), True, []
     for group, stack in _by_size([m for m, _ in blocks]):
         mu, q, lam, x, res = _perron_stack(stack)
         certified &= bool(_certified(res, x.min(axis=1), tol).all())
-        for i, k in enumerate(group):
-            w = blocks[k][1]
-            solved[k] = (lam[i], x[i], res[i], None if w is None else (mu[i], q[i].T @ w))
-        if keep:
+        terms = [None] * len(group)
+        if keep:  # one product Q^T W per size
+            terms = list(zip(mu, q.transpose(0, 2, 1) @ np.array([blocks[k][1] for k in group])))
             bases.append((np.array(group), q, stack))
+        for i, k in enumerate(group):
+            solved[k] = (lam[i], x[i], res[i], terms[i])
     return solved, certified, bases
 
 
 def _grid_points(paths, systems, bases, ts: np.ndarray, tol: float) -> tuple:
     """The top eigenpair of ``A(t) = A_I + t W S W^T`` at each ``t > 0`` of
     ``ts`` for each path ``(a, w, comps)`` of :func:`_solve_paths`, given its
-    terms ``(mu, b)`` in ``systems``, the eigenvalues ``mu`` of ``A_I`` and
-    ``b = Q^T W``, and its components' eigenvectors ``Q`` in ``bases`` of
+    components' terms ``(mu, b)`` in ``systems``, the eigenvalues ``mu`` of
+    ``A_I`` and ``b = Q^T W``, and their eigenvectors ``Q`` in ``bases`` of
     :func:`_solve_blocks`: one row per path of roots and of slopes
     ``lambda'(t)``, per path the unit vectors (rows) with their residuals,
     and per path whether each pair passes its certificate at ``tol``.
@@ -446,11 +442,11 @@ def _passes(points: int, terms: int):
 
 
 def _terms(systems) -> tuple[np.ndarray, ...]:
-    """The pairs ``(mu, b)`` of ``systems`` as one array of terms: each
-    system's count of terms and first term, then all ``mu`` and ``b``."""
-    sizes = np.array([len(mu) for mu, _ in systems])
-    mu = np.concatenate([mu for mu, _ in systems])
-    b = np.concatenate([b for _, b in systems])
+    """The pairs ``(mu, b)`` of each system's components in ``systems`` as
+    one array of terms: each system's count of terms and first term, then
+    all ``mu`` and ``b``, each concatenated once."""
+    sizes = np.array([sum(len(mu) for mu, _ in system) for system in systems])
+    mu, b = (np.concatenate(terms) for terms in zip(*(part for system in systems for part in system)))
     return sizes, np.cumsum(sizes) - sizes, mu, b
 
 

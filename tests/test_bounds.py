@@ -6,6 +6,7 @@ cubic roots with ``numpy.roots``.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,16 +204,33 @@ NON_FINITE_CALLS = {
     "input": lambda x: bounds.BoundInput(EDGE, x, delta_u=1, delta_v=1),
     "coclique": lambda x: sb.coclique_bound(x, [1, 2]),
     "l2_inv": lambda x: sb.l2_inv(x, 2),
+    "h_fn": lambda x: sb.h_fn(x, 2),
+    "h_inv": lambda x: sb.h_inv(x, 2),
+    "k_fn": lambda x: sb.k_fn(x, 2),
+    "k_inv": lambda x: sb.k_inv(x, 2),
+    "l1": lambda x: sb.l1(x, 2),
+    "l2": lambda x: sb.l2(x, 2),
+    "rhs_t": lambda x: sb.inequality_rhs(PENDANT, x, 3.0, delta_u=2),
+    "rhs_lambda": lambda x: sb.inequality_rhs(EDGE, 0.5, x, delta_u=1, delta_v=1),
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200], ids=str)
 @pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
 def test_non_finite_values_are_refused_by_name(call, value):
     # nan fails both lambda_i < 0 and lambda_i == 0, and the pendant root
-    # gave a finite bound from it.
-    with pytest.raises(ValueError, match=f"got {value}$"):
+    # gave a finite bound from it.  Past 2^256 a value leaves the range of
+    # every map: h_inv and k_inv returned inf at 1e200, where y * y
+    # overflows, and the maps returned nan on nan and inf on inf.
+    with pytest.raises(ValueError, match=f"got {re.escape(str(value))}$"):
         call(value)
+
+
+@pytest.mark.parametrize("kind, t, lam", [(PENDANT, 2.0, 3.0), (EDGE, -0.5, 1.0)], ids=str)
+def test_inequality_rhs_refuses_a_time_off_the_path(kind, t, lam):
+    # comparison_solution refuses these t; the majorant gave 0.3158 at the first.
+    with pytest.raises(ValueError, match=rf"t must lie in \[0, 1\], got {t}$"):
+        sb.inequality_rhs(kind, t, lam, delta_u=1, delta_v=1)
 
 
 def test_extreme_finite_lambda_gives_a_bound_or_names_the_range():

@@ -514,6 +514,32 @@ def test_verify_sets_each_trial_up_once(monkeypatch):
     assert len(calls) < 300  # alone, each trial would make at least two
 
 
+def test_verify_groups_each_block_by_size_once(monkeypatch):
+    # _instances lays a block out as one A_I stack and one W stack per final
+    # size, and A_I + P is solved from those stacks as they are: the only
+    # regrouping by size is of the components.
+    blocks = _count_calls(monkeypatch, graphs, "_instances")
+    groupings = _count_calls(monkeypatch, spectral, "_by_size")
+    rows, stacks = [], []
+    solve_paths, final_tops = graphs._solve_paths, spectral._final_tops
+
+    def recorded_paths(paths, *args):
+        rows.extend(a for a, _, _ in paths)
+        return solve_paths(paths, *args)
+
+    def recorded_tops(a_stack, w_stack):
+        stacks.append(a_stack)
+        return final_tops(a_stack, w_stack)
+
+    monkeypatch.setattr(graphs, "_solve_paths", recorded_paths)
+    monkeypatch.setattr(spectral, "_final_tops", recorded_tops)
+    assert sb.run_verification(7, 30).ok
+    assert (len(blocks), len(groupings)) == (1, 1)
+    assert len(rows) == 30 and stacks
+    assert all(sum(np.shares_memory(a, stack) for stack in stacks) == 1 for a in rows)
+    assert all(any(np.shares_memory(a, stack) for a in rows) for stack in stacks)
+
+
 def test_verify_extremes_equal_the_lone_public_solves():
     # Stacking a block of trials must not change a bit of the summary.
     tol = COMPARISON_TOL
