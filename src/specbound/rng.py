@@ -44,6 +44,8 @@ class SplitMix64:
         lo, hi = int(lo), int(hi)  # a numpy bound would overflow the 64-bit draw
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
+        if hi - lo >= 1 << 64:  # one draw would never reach the high values
+            raise ValueError(f"range [{lo}, {hi}] spans more than 2^64 integers")
         return lo + self.next_u64() % (hi - lo + 1)
 
     def choice(self, seq):
@@ -52,10 +54,19 @@ class SplitMix64:
         return seq[self.randint(0, len(seq) - 1)]
 
     def nonempty_subset(self, count: int) -> list[int]:
-        """Random nonempty subset of range(count), as a sorted list."""
+        """Random nonempty subset of range(count), as a sorted list.  Up to 64
+        elements, one :meth:`randint` draw of the mask; above, one word per
+        64 elements, low word first, masked to ``count`` bits and drawn
+        again while empty."""
         if count < 1:
             raise ValueError("need at least one element")
-        mask = self.randint(1, (1 << count) - 1)
+        if count <= 64:
+            mask = self.randint(1, (1 << count) - 1)
+        else:
+            mask = 0
+            while not mask:
+                words = (self.next_u64() << 64 * k for k in range(-(-count // 64)))
+                mask = sum(words) & ((1 << count) - 1)
         return [i for i in range(count) if mask >> i & 1]
 
     @staticmethod

@@ -26,19 +26,22 @@ or a block of ``verify`` trials, skipping the input checks made once, never
 the certificate.  ``P = W S W^T`` has rank 2 and is carried only as
 ``W = [e_u, s]``.  The solve owns a path's start, the best certified pair of
 ``a``'s components, solved in one stack per component size
-(:func:`_by_size`), and reuses their eigendecompositions for every later
-point (:func:`_grid_points`): each point's value and slope ``lambda'(t)``
-come from a 2x2 secular equation, and its vector is the closed form of that
-rank-2 update in the same eigenbasis, one pass of points at a time.  A pair
-that fails its certificate there, with entries below rounding, takes two
-steps of shifted inverse iteration instead, one point at a time
-(:func:`_shifted_pairs`).  Only those points are built as matrices
-(:func:`_point`), and ``A(1)``, each caller's stack of ``a`` copied once
-with ``P``'s entries set (:func:`_final_tops`).  Oracles live with the tests.
+(:func:`_by_size`).  That eigensolve alone lays out the secular terms, a
+row per vertex in path order (:func:`_solve_blocks`), and every later point
+reads them as they are (:func:`_grid_points`): its value and slope
+``lambda'(t)`` come from a 2x2 secular equation, and its vector is the
+closed form of that rank-2 update in the same eigenbasis, one pass of
+points at a time.  A pair that fails its certificate there, with entries
+below rounding, takes two steps of shifted inverse iteration instead, one
+point at a time (:func:`_shifted_pairs`).  Only those points are built as
+matrices (:func:`_point`), and ``A(1)``, each caller's stack of ``a``
+copied once with ``P``'s entries set (:func:`_final_tops`).  Oracles live
+with the tests.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,17 +134,15 @@ def perron(a, tol: float = 1e-11) -> PerronPair:
     ``ValueError`` outside the contract; ``RuntimeError`` unless the residual
     ``||a x - lambda x||`` is within ``tol`` and every entry is positive.
     """
-    m = _require_nonnegative(a, tol)
+    m = _require_nonnegative(a)
     if not is_connected_matrix(m):
         raise ValueError("matrix is not connected; positivity of the eigenvector fails")
     return PerronPair(*_solve_paths([(m, None, [list(range(len(m)))])], (), tol)[0][:3])
 
 
-def _require_nonnegative(a, tol: float) -> np.ndarray:
-    """``a`` as a symmetric nonnegative array, given a positive ``tol``."""
+def _require_nonnegative(a) -> np.ndarray:
+    """``a`` as a symmetric nonnegative array."""
     m = _require_symmetric(a)
-    if not tol > 0:  # also refuses nan, which no certificate can pass
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if m.min() < 0:
         raise ValueError("matrix has negative entries")
     return m
@@ -200,7 +201,7 @@ def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
     (the t = 0 end of a path), the largest of its components' certified
     values, and an eigenvector zero-padded to full size, from the
     lowest-indexed component within ``tol`` of that maximum."""
-    m = _require_nonnegative(a, tol)
+    m = _require_nonnegative(a)
     return _solve_paths([(m, None, connected_components(m))], (), tol)[0][:2]
 
 
@@ -218,16 +219,18 @@ def _solve_paths(paths, ts, tol: float, finals=()) -> list[tuple]:
     whose ``a`` and ``w`` are the rows of those stacks.  Without points or
     ``finals``, ``w`` may be ``None``.
 
-    One ``eigh`` call per component size, whose eigendecompositions, passed
-    on per component, give every point's value, slope and vector
+    One ``eigh`` call per component size, whose eigendecompositions, laid
+    out by :func:`_solve_blocks` as one row per vertex in path order, give
+    every point's value, slope and vector
     (:func:`_grid_points`, then :func:`_shifted_pairs` for the points that
     fail there), and one ``eigvalsh`` per stack of ``finals``: on one small
     matrix LAPACK is cheaper than any Python-level root search.
     ``RuntimeError`` names the first matrix, a component or a point of
     ``ts`` in the order of ``paths``, whose pair fails its certificate;
-    ``ValueError`` unless ``tol`` is positive."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    ``ValueError`` unless ``tol`` is a finite positive real number: at 0,
+    below or at nan no certificate passes, and at ``inf`` every one does."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
     ts = np.asarray(ts, dtype=float)
     blocks = []
     for a, w, comps in paths:
@@ -235,21 +238,20 @@ def _solve_paths(paths, ts, tol: float, finals=()) -> list[tuple]:
             blocks.append((a, w))  # ``w`` is read only with points
         else:  # ``take`` copies a component's block in a third of the time of ``np.ix_``
             blocks += [(a.take(c, 0).take(c, 1), w[c] if len(ts) else None) for c in comps]
-    spectra, certified, bases = _solve_blocks(blocks, tol, keep=len(ts) > 0)
-    starts, systems, at = [], [], 0
+    spectra, certified, layout = _solve_blocks(blocks, tol, keep=len(ts) > 0)
+    starts, at = [], 0
     for a, _, comps in paths:
         parts, at = spectra[at : at + len(comps)], at + len(comps)
-        values = [float(lam) for lam, _, _, _ in parts]
+        values = [float(lam) for lam, _, _ in parts]
         value = max(values)
         k = next(k for k, v in enumerate(values) if v >= value - tol)
         vector = np.zeros(len(a))
         vector[comps[k]] = parts[k][1]
         starts.append((value, vector, float(parts[k][2])))
-        systems.append([eig for _, _, _, eig in parts])  # ``None`` without points
     roots = slopes = np.empty((len(paths), 0))
     pairs = [(np.empty((0, len(a))), np.empty(0)) for a, _, _ in paths]
     if len(ts):
-        roots, slopes, pairs, passed = _grid_points(paths, systems, bases, ts, tol)
+        roots, slopes, pairs, passed = _grid_points(paths, *layout, ts, tol)
         retry = [(k, i) for k, row in enumerate(passed) for i in np.flatnonzero(~row)]
         if retry:  # only the points whose eigenbasis pair fails its certificate
             at_points = ((_point(*paths[k][:2], ts[i]), roots[k, i]) for k, i in retry)
@@ -260,7 +262,7 @@ def _solve_paths(paths, ts, tol: float, finals=()) -> list[tuple]:
     if not certified:  # find the first failure in order
         at = 0
         for (_, _, comps), (x, res) in zip(paths, pairs):
-            for _, xc, rc, _ in spectra[at : at + len(comps)]:
+            for _, xc, rc in spectra[at : at + len(comps)]:
                 _certify(np.array([rc]), xc[None], tol)
             _certify(res, x, tol)
             at += len(comps)
@@ -302,33 +304,40 @@ def _final_tops(a_stack: np.ndarray, w_stack: np.ndarray) -> list:
     return np.linalg.eigvalsh(stack)[:, -1].tolist()
 
 
-def _solve_blocks(blocks, tol: float, keep: bool = False) -> tuple[list[tuple], bool, list]:
+def _solve_blocks(blocks, tol: float, keep: bool = False) -> tuple[list[tuple], bool, tuple | None]:
     """:func:`_perron_stack` of the matrix of each pair ``(m, w)`` of
     ``blocks``, one LAPACK call per size: per matrix its Perron value,
-    vector and residual, and, with ``keep``, its eigenvalues and ``Q^T w``
-    for its rows ``w`` of ``W`` (else ``None``); whether every pair passes
-    its certificate at ``tol``; and with ``keep``, per size, the indices of
-    its matrices in ``blocks`` with their eigenvectors ``Q`` and their stack
-    (else no eigenvector stack outlives its size)."""
+    vector and residual; whether every pair passes its certificate at
+    ``tol``; and with ``keep`` (else ``None``, and no eigenvector stack
+    outlives its size) the one layout of the secular terms, a row per row of
+    every matrix in the order of ``blocks``: the eigenvalues ``mu``, the
+    rows of ``b = Q^T w``, one product per size, and of ``w``, then per
+    size its rows, its eigenvectors ``Q`` and its stack."""
     solved, certified, bases = [None] * len(blocks), True, []
+    if keep:  # a row per row of every matrix, in the order of ``blocks``
+        sizes = [len(m) for m, _ in blocks]
+        offsets, total = np.cumsum(sizes) - sizes, sum(sizes)
+        mu, b, w = np.empty(total), np.empty((total, 2)), np.empty((total, 2))
     for group, stack in _by_size([m for m, _ in blocks]):
-        mu, q, lam, x, res = _perron_stack(stack)
+        eig, q, lam, x, res = _perron_stack(stack)
         certified &= bool(_certified(res, x.min(axis=1), tol).all())
-        terms = [None] * len(group)
         if keep:  # one product Q^T W per size
-            terms = list(zip(mu, q.transpose(0, 2, 1) @ np.array([blocks[k][1] for k in group])))
-            bases.append((np.array(group), q, stack))
+            rows = (offsets[group][:, None] + np.arange(stack.shape[-1])).ravel()
+            ws = np.array([blocks[k][1] for k in group])
+            mu[rows], w[rows] = eig.ravel(), ws.reshape(-1, 2)
+            b[rows] = (q.transpose(0, 2, 1) @ ws).reshape(-1, 2)
+            bases.append((rows, q, stack))
         for i, k in enumerate(group):
-            solved[k] = (lam[i], x[i], res[i], terms[i])
-    return solved, certified, bases
+            solved[k] = (lam[i], x[i], res[i])
+    return solved, certified, (mu, b, w, bases) if keep else None
 
 
-def _grid_points(paths, systems, bases, ts: np.ndarray, tol: float) -> tuple:
+def _grid_points(paths, mu, b, w, bases, ts: np.ndarray, tol: float) -> tuple:
     """The top eigenpair of ``A(t) = A_I + t W S W^T`` at each ``t > 0`` of
-    ``ts`` for each path ``(a, w, comps)`` of :func:`_solve_paths`, given its
-    components' terms ``(mu, b)`` in ``systems``, the eigenvalues ``mu`` of
-    ``A_I`` and ``b = Q^T W``, and their eigenvectors ``Q`` in ``bases`` of
-    :func:`_solve_blocks`: one row per path of roots and of slopes
+    ``ts`` for each path ``(a, w, comps)`` of :func:`_solve_paths`, given
+    the terms of :func:`_solve_blocks`, ``len(a)`` rows per path in path
+    order, then component order: ``A_I``'s eigenvalues ``mu``, ``b = Q^T W``,
+    ``W`` and ``bases``: one row per path of roots and of slopes
     ``lambda'(t)``, per path the unit vectors (rows) with their residuals,
     and per path whether each pair passes its certificate at ``tol``.
 
@@ -360,8 +369,8 @@ def _grid_points(paths, systems, bases, ts: np.ndarray, tol: float) -> tuple:
     vectors, so the memory beyond the arrays returned does not grow with
     ``ts``.  A point's sums run over its own path's terms only, so its bits
     do not depend on the other points or on the passes."""
-    sizes, first, mu, b = _terms(systems)
-    owner = np.repeat(np.arange(len(systems)), sizes)
+    sizes = np.array([len(a) for a, _, _ in paths])  # a path's components split its vertices
+    first, owner = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(paths)), sizes)
     top = np.maximum.reduceat(mu, first)
     d = top[owner] - mu  # >= 0: lambda - mu_i = delta + d_i
     coef = np.stack([b[:, 0] * b[:, 0], b[:, 1] * b[:, 1], b[:, 0] * b[:, 1]])
@@ -383,24 +392,20 @@ def _grid_points(paths, systems, bases, ts: np.ndarray, tol: float) -> tuple:
     start = (top, a, beta2, gamma, c, weyl, first)
 
     order = [np.concatenate(comps) for _, _, comps in paths]
-    w = np.concatenate([w[o] for (_, w, _), o in zip(paths, order)])  # rows in term order
-    counts = [len(comp) for _, _, comps in paths for comp in comps]  # the matrices of ``bases``
-    offsets = np.cumsum(counts) - counts
-    rows = [(offsets[members][:, None] + np.arange(q.shape[-1])).ravel() for members, q, _ in bases]
 
     def per_stack(mats, v, idx):  # the rows ``idx`` of ``v``, one matrix of ``mats`` per component
         return (mats @ v[idx].reshape(mats.shape[0], mats.shape[1], -1)).reshape(len(idx), -1)
 
     vectors = [np.empty((len(ts), len(m))) for m, _, _ in paths]
-    roots, slopes, res = (np.empty((len(systems), len(ts))) for _ in range(3))
+    roots, slopes, res = (np.empty((len(paths), len(ts))) for _ in range(3))
     passed = np.empty(roots.shape, dtype=bool)
     for j, k in _passes(len(ts), len(mu)):
-        t, system = ts[j:k], np.repeat(np.arange(len(systems)), k - j)
+        t, path = ts[j:k], np.repeat(np.arange(len(paths)), k - j)
         delta, slope = _secular_newton(
-            np.tile(t, len(systems)), *(v[system] for v in start), sizes[system], coef, d
+            np.tile(t, len(paths)), *(v[path] for v in start), sizes[path], coef, d
         )
-        root = roots[:, j:k] = top[:, None] + delta.reshape(len(systems), -1)
-        slopes[:, j:k] = slope.reshape(len(systems), -1)
+        root = roots[:, j:k] = top[:, None] + delta.reshape(len(paths), -1)
+        slopes[:, j:k] = slope.reshape(len(paths), -1)
         with np.errstate(all="ignore"):
             r = 1.0 / (root[owner] - mu[:, None])
             m_uu, m_ss, m_us = (np.add.reduceat(row[:, None] * r, first) for row in coef)
@@ -409,10 +414,10 @@ def _grid_points(paths, systems, bases, ts: np.ndarray, tol: float) -> tuple:
             c_u, c_s = np.where(upper, t * m_ss, diagonal), np.where(upper, diagonal, t * m_uu)
             y = (b[:, :1] * c_u[owner] + b[:, 1:] * c_s[owner]) * r
             x, ax = np.empty_like(y), np.empty_like(y)
-            for (_, q, _), idx in zip(bases, rows):
+            for idx, q, _ in bases:
                 x[idx] = per_stack(q, y, idx)
             x /= np.sqrt(np.add.reduceat(x * x, first))[owner]
-            for (_, _, stack), idx in zip(bases, rows):
+            for idx, _, stack in bases:
                 ax[idx] = per_stack(stack, x, idx)
             z_u, z_s = (np.add.reduceat(w[:, i : i + 1] * x, first) for i in (0, 1))
             r = ax + t * (w[:, :1] * z_s[owner] + w[:, 1:] * z_u[owner]) - root[owner] * x
@@ -441,19 +446,10 @@ def _passes(points: int, terms: int):
     return zip(starts, starts[1:] + [points])
 
 
-def _terms(systems) -> tuple[np.ndarray, ...]:
-    """The pairs ``(mu, b)`` of each system's components in ``systems`` as
-    one array of terms: each system's count of terms and first term, then
-    all ``mu`` and ``b``, each concatenated once."""
-    sizes = np.array([sum(len(mu) for mu, _ in system) for system in systems])
-    mu, b = (np.concatenate(terms) for terms in zip(*(part for system in systems for part in system)))
-    return sizes, np.cumsum(sizes) - sizes, mu, b
-
-
 def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> tuple:
     """``lambda - mu_top`` and ``lambda'`` at each point of :func:`_grid_points`,
-    given per point its ``t``, its system's Ritz matrix, Weyl bound and first
-    term, and its count of terms; ``coef`` and ``d`` hold every system's terms."""
+    given per point its ``t``, its path's Ritz matrix, Weyl bound and first
+    term, and its count of terms; ``coef`` and ``d`` hold every path's terms."""
     half = 0.5 * (t * (a - c) - gamma)  # half the diagonal difference of the Ritz matrix
     hyp = np.hypot(half, t * np.sqrt(beta2))
     lift = np.where(half > 0.0, t * t * beta2 / np.where(half > 0.0, half + hyp, 1.0), hyp - half)

@@ -138,8 +138,11 @@ def run_verification(
         raise ValueError(f"n_max must be at least 3, got {n_max}")
     if n_max > _MAX_VERTICES:  # the final graphs are drawn with up to n_max vertices
         raise ValueError(f"n_max must be at most {_MAX_VERTICES}, got {n_max}")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+        raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    tolerance = float(tolerance)  # a numpy float runs, and is reported, as the Python float of its value
     steps = _check_steps(steps)
     summary = VerifySummary(seed=seed, trials=trials, n_max=n_max, tolerance=tolerance)
     for block in _blocks(seed, trials, n_max, steps):

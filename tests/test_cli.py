@@ -591,6 +591,8 @@ def test_verify_extremes_equal_the_lone_public_solves():
         ({"seed": 1.5, "trials": 3}, "seed must be an integer, got 1.5"),
         ({"seed": "1", "trials": 3}, "seed must be an integer, got '1'"),
         ({"seed": True, "trials": 3}, "seed must be an integer, got True"),
+        ({"trials": 3, "tolerance": True}, "tolerance must be a real number, got True"),
+        ({"trials": 3, "tolerance": "x"}, "tolerance must be a real number, got 'x'"),
     ],
 )
 def test_verify_refuses_non_integer_counts(counts, message):
@@ -602,6 +604,12 @@ def test_verify_refuses_non_integer_counts(counts, message):
 def test_verify_accepts_numpy_integer_counts():
     summary = sb.run_verification(42, np.int64(3), np.int32(6))
     assert summary.ok and summary.counts == {"vertex": 1, "edge": 1, "pendant": 1}
+
+
+def test_verify_reports_a_numpy_float_tolerance_as_a_float():
+    summary = sb.run_verification(42, 3, tolerance=np.float32(0.5))
+    assert type(summary.tolerance) is float
+    assert json.dumps(summary.to_dict()) == json.dumps(sb.run_verification(42, 3, tolerance=0.5).to_dict())
 
 
 @pytest.mark.parametrize("seed", [np.int64(3), np.int64(-3), -1])

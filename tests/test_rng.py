@@ -44,6 +44,65 @@ def test_nonempty_subset():
         assert s and all(0 <= i < 6 for i in s) and s == sorted(s)
 
 
+def test_randint_refuses_a_span_one_draw_cannot_cover():
+    # One 64-bit draw reduced modulo the span never reaches the values above
+    # 2^64: such a range is refused, and the widest one-draw range is not.
+    rng = SplitMix64(3)
+    with pytest.raises(ValueError, match="more than 2\\^64"):
+        rng.randint(0, 1 << 64)
+    assert SplitMix64(3).randint(1, 1 << 64) == 1 + SplitMix64(3).next_u64()
+
+
+@pytest.mark.parametrize("count", [1, 6, 63, 64])
+def test_nonempty_subset_up_to_64_elements_is_one_randint_draw(count):
+    # The draws of verify's n_max <= 65 keep their bits.
+    rng, ref = SplitMix64(11), SplitMix64(11)
+    for _ in range(50):
+        mask = ref.randint(1, (1 << count) - 1)
+        assert rng.nonempty_subset(count) == [i for i in range(count) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("count", [65, 100, 130])
+def test_nonempty_subset_above_64_elements_reaches_every_element(count):
+    rng = SplitMix64(4)
+    seen = set()
+    for _ in range(200):
+        s = rng.nonempty_subset(count)
+        assert s and s == sorted(s) and 0 <= s[0] and s[-1] < count
+        seen.update(s)
+    assert seen == set(range(count))
+
+
+class ScriptedRng(SplitMix64):
+    __slots__ = ("words",)
+
+    def __init__(self, words) -> None:
+        super().__init__(0)
+        self.words = list(words)
+
+    def next_u64(self) -> int:
+        return self.words.pop(0)
+
+
+def test_nonempty_subset_above_64_elements_masks_its_words_and_redraws_an_empty_one():
+    # 100 elements take two words, the low word first; bit 40 of the high
+    # word is element 104, masked off, so that draw is empty and redrawn.
+    rng = ScriptedRng([0, 1 << 40, 5, 1 << 35 | 1 << 36])
+    assert rng.nonempty_subset(100) == [0, 2, 99]
+    assert rng.words == []
+
+
+def test_vertex_connection_reaches_targets_above_63():
+    # A host of more than 64 vertices gets targets among all its vertices.
+    targets = []
+    for seed in range(5):
+        rng = SplitMix64.spawn(seed, 0)
+        host, pert = random_instance(rng, sb.PerturbationKind.VERTEX_CONNECTION, 200, 0.3)
+        assert all(t < pert.u == host.n - 1 for t in pert.targets)
+        targets += pert.targets
+    assert max(targets) >= 64
+
+
 def test_spawn_gives_independent_reproducible_streams():
     x = SplitMix64.spawn(42, 7).next_u64()
     y = SplitMix64.spawn(42, 7).next_u64()

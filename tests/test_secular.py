@@ -35,9 +35,9 @@ def solved_points(host, pert, steps):
     seen = []
     original = spectral._grid_points
 
-    def capture(paths, systems, bases, ts, tol):
-        roots, *rest = original(paths, systems, bases, ts, tol)
-        seen.append((ts, roots))
+    def capture(*args):  # ..., ts, tol
+        roots, *rest = original(*args)
+        seen.append((args[-2], roots))
         return (roots, *rest)
 
     spectral._grid_points = capture
@@ -211,6 +211,47 @@ def test_secular_bits_do_not_depend_on_the_other_paths():
         assert alone.forms.tobytes() == inst.forms.tobytes()
         assert alone.lhs.tobytes() == inst.lhs.tobytes()
         assert alone.lambda_f == inst.lambda_f
+
+
+def test_the_eigensolve_lays_out_the_terms_the_secular_solve_reads(monkeypatch):
+    # One layout, one row per vertex in path order, then component order:
+    # the eigenvalues mu of A_I, b = Q^T W and W's own rows.  The vertex
+    # paths split into components of several sizes, the pendant paths hold
+    # their new vertex alone, and every size's Q^T W is one product, so it
+    # holds the bits of that product taken from the W rows as laid out.
+    instances = [
+        (sb.disjoint_union(sb.disjoint_union(sb.path_graph(3), sb.cycle_graph(4)), sb.empty_graph(1)),
+         Perturbation.vertex_connection(7, [1, 5])),
+        (sb.path_graph(7), Perturbation.edge_addition(0, 6)),
+        (sb.cycle_graph(5), Perturbation.pendant_edge(2)),
+        (sb.disjoint_union(sb.star_graph(3), sb.empty_graph(1)), Perturbation.vertex_connection(4, [0, 2])),
+        (sb.path_graph(3), Perturbation.pendant_edge(0)),
+        # components {0, 2, 4} and {1, 3} interleave, so component order is not vertex order
+        (sb.Graph(6, frozenset({(0, 2), (2, 4), (1, 3)})), Perturbation.vertex_connection(5, [0, 1])),
+    ]
+    seen = []
+    grid_points = spectral._grid_points
+
+    def recorded(paths, mu, b, w, bases, ts, tol):
+        seen.append((paths, mu, b, w, bases))
+        return grid_points(paths, mu, b, w, bases, ts, tol)
+
+    monkeypatch.setattr(spectral, "_grid_points", recorded)
+    graphs._instances(instances, TOL, 8, final=False)
+    ((paths, mu, b, w, bases),) = seen
+    terms = sum(len(a) for a, _, _ in paths)
+    assert len(mu) == len(b) == len(w) == terms
+    assert len({len(comp) for _, _, comps in paths for comp in comps}) >= 4
+    at = 0
+    for a, path_w, comps in paths:
+        assert w[at : at + len(a)].tobytes() == path_w[np.concatenate(comps)].tobytes()
+        at += len(a)
+    assert np.sort(np.concatenate([rows for rows, _, _ in bases])).tolist() == list(range(terms))
+    for rows, q, stack in bases:
+        k, n = q.shape[:2]
+        product = q.transpose(0, 2, 1) @ w[rows].reshape(k, n, 2)
+        assert b[rows].tobytes() == product.reshape(-1, 2).tobytes()
+        np.testing.assert_allclose(stack @ q, q * mu[rows].reshape(k, 1, n), rtol=0, atol=1e-12)
 
 
 def test_shifted_solve_takes_exactly_the_points_the_eigenbasis_fails(monkeypatch):

@@ -61,14 +61,15 @@ _TOL_SOLVES = {
 }
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=repr)
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, "1"], ids=repr)
 @pytest.mark.parametrize("name", sorted(_TOL_SOLVES))
 def test_solves_refuse_a_meaningless_tolerance(name, tol):
-    # No certificate passes at tol <= 0 or nan: refused up front, not by a
-    # RuntimeError from the first certificate.
+    # No certificate passes at tol <= 0 or nan, and every one passes at inf:
+    # refused up front, not by a RuntimeError from the first certificate or
+    # a TypeError from comparing a string.
     with pytest.raises(ValueError) as excinfo:
         _TOL_SOLVES[name](tol)
-    assert str(excinfo.value) == f"tolerance must be positive, got {tol}"
+    assert str(excinfo.value) == f"tolerance must be a finite positive number, got {tol!r}"
 
 
 def test_component_solves_are_certified():
