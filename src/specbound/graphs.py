@@ -19,19 +19,24 @@ applicability checks are all built from those edges; a per-kind table holds
 the rest (target count, usage line, whether ``u`` must be isolated).  The
 pendant vertex is always index ``n``, so the matrices of the path
 ``A_I + t P`` align once ``A_I`` is zero-padded by one row and column.  One
-private instance holds the bounds' degree data and the solved path.
-``A_I``'s components come from one pass of the one graph search of
-:mod:`specbound.spectral`, which :func:`is_connected` and the random draw
-share, over ``A_I``'s rows as bit sets, and ``A_I + P`` is connected iff
-the added edges reach every component.  The instance lays out the path's
-points: its start ``(lambda_I, x_I)``, certified pairs on the grid
-``k/steps`` with the slopes ``lambda'(t)`` there, and, for a report, the
-final index at ``t = 1``.  It hands the solve ``P = W S W^T`` only as the
-columns ``W = [e_u, s]``, never as a matrix (:func:`perturbation_matrix`
-is the public reference), and reads each grid vector's ``<P x, x> =
-2 x_u (s . x)`` off ``W^T x``.  ``bound_report`` and ``sample_path`` set
-up one instance, ``verify`` a block of them, with one stack of ``A_I`` and
-one of ``W`` per final size, solved together.
+private instance holds the bounds' degree data, the equality case and the
+solved path.  Instances are set up as one stack of ``A_I`` and one of
+``W`` per final size, by two producers: :func:`_instances` from graphs,
+for ``bound_report`` and ``sample_path``, and the random draw of
+:mod:`specbound.rng` from its bit rows, for ``verify``, which builds no
+:class:`Graph`.  One consumer, :func:`_solve_stacks`, solves them
+together and reads each host's degrees off its ``A_I``'s row sums, for the
+degree data and the one cone recognizer (:func:`_is_cone`), which the
+public recognizers share.  ``A_I``'s components come from one pass of the
+one graph search of :mod:`specbound.spectral`, which :func:`is_connected`
+and the random draw share, over ``A_I``'s rows as bit sets, and ``A_I +
+P`` is connected iff the added edges reach every component.  The instance
+lays out the path's points: its start ``(lambda_I, x_I)``, certified pairs
+on the grid ``k/steps`` with the slopes ``lambda'(t)`` there, and, for a
+report, the final index at ``t = 1``.  It hands the solve ``P = W S W^T``
+only as the columns ``W = [e_u, s]``, never as a matrix
+(:func:`perturbation_matrix` is the public reference), and reads each grid
+vector's ``<P x, x> = 2 x_u (s . x)`` off ``W^T x``.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .spectral import _components, _row_bits, _solve_paths
+from .spectral import _components, _row_bits, _solve_paths, _unpack_rows
 
 _MAX_VERTICES = 1 << 13  # of a final graph: one dense float64 matrix is 512 MiB, and a path holds several
+_BLOCK_ENTRIES = 1 << 16  # matrix entries solved per block of verify trials: 512 KiB of float64
 
 
 def _check_vertex_count(n: int, graph: str = "the final graph") -> int:
@@ -177,7 +183,7 @@ def is_cone_over_regular(g: Graph, apex: int) -> bool:
     A single-vertex graph counts as a (degenerate) cone.
     """
     g._check_vertex(apex)
-    return _is_cone(g, (apex,))
+    return _is_cone(g.degrees(), (apex,))
 
 
 def is_double_cone_over_regular(g: Graph, u: int, v: int) -> bool:
@@ -187,18 +193,17 @@ def is_double_cone_over_regular(g: Graph, u: int, v: int) -> bool:
     g._check_vertex(v)
     if u == v:
         raise ValueError("double-cone vertices must be distinct")
-    return _is_cone(g, (u, v))
+    return not g.has_edge(u, v) and _is_cone(g.degrees(), (u, v))
 
 
-def _is_cone(g: Graph, apexes: tuple[int, ...]) -> bool:
-    """True iff no edge joins two apexes, each apex is adjacent to every other
-    vertex, and the rest is regular (its degrees include the apex edges)."""
-    degs = g.degrees()
-    if any(degs[a] != g.n - len(apexes) for a in apexes):
+def _is_cone(degrees: list[int], apexes: tuple[int, ...]) -> bool:
+    """Whether a graph of the given vertex degrees, in which no edge joins
+    two apexes, is a cone over a regular graph with those apexes: each apex
+    is adjacent to every other vertex, and the rest is regular (its degrees
+    include the apex edges)."""
+    if any(degrees[a] != len(degrees) - len(apexes) for a in apexes):
         return False
-    if any(g.has_edge(a, b) for a in apexes for b in apexes if a < b):
-        return False
-    rest = [d for v, d in enumerate(degs) if v not in apexes]
+    rest = [d for v, d in enumerate(degrees) if v not in apexes]
     return all(d == rest[0] for d in rest)
 
 
@@ -263,20 +268,22 @@ def circulant_graph(n: int, delta: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 class _Shape(NamedTuple):
-    """What a kind asks of a perturbation, and the usage line of its spec."""
+    """What a kind asks of a perturbation, the usage line of its spec, and
+    the size of a random host."""
 
     counts: range  # allowed number of targets
     wording: str  # that rule, in words
     usage: str
     isolated: bool  # whether ``u`` must be isolated in the host
+    sizes: tuple[int, int]  # a random host's connected part has randint(lo, n_max + offset) vertices
 
 
 _SHAPES = {
     PerturbationKind.VERTEX_CONNECTION: _Shape(
-        range(1, sys.maxsize), "at least one target", "vertex u v1 [v2 ...]", True
+        range(1, sys.maxsize), "at least one target", "vertex u v1 [v2 ...]", True, (1, -1)
     ),
-    PerturbationKind.EDGE_ADDITION: _Shape(range(1, 2), "one opposite endpoint", "edge u v", False),
-    PerturbationKind.PENDANT_EDGE: _Shape(range(1), "no targets", "pendant u", False),
+    PerturbationKind.EDGE_ADDITION: _Shape(range(1, 2), "one opposite endpoint", "edge u v", False, (3, 0)),
+    PerturbationKind.PENDANT_EDGE: _Shape(range(1), "no targets", "pendant u", False, (2, -1)),
 }
 
 
@@ -328,8 +335,15 @@ class Perturbation:
         return len(self.targets)
 
 
-def _added_edges(g: Graph, p: Perturbation) -> list[tuple[int, int]]:
-    """The edges ``p`` adds to ``g``, once ``p`` is checked to apply to ``g``."""
+def _ends(p, n: int) -> tuple[int, ...]:
+    """``u``, then the other end of each edge ``p`` adds to a host of ``n``
+    vertices: its targets, or the new vertex ``n`` without targets."""
+    return (p.u, *(p.targets or (n,)))
+
+
+def _added_edges(g, p) -> list[tuple[int, int]]:
+    """The edges ``p`` adds to ``g``, once ``p`` is checked to apply to ``g``:
+    a :class:`Graph`, or a drawn host's :class:`_BitGraph`."""
     if p.u >= g.n:
         raise PerturbationError(f"vertex {p.u} out of range for n={g.n}")
     if _SHAPES[p.kind].isolated and g.degree(p.u) != 0:
@@ -340,6 +354,29 @@ def _added_edges(g: Graph, p: Perturbation) -> list[tuple[int, int]]:
         if g.has_edge(p.u, t):
             raise PerturbationError(f"edge ({p.u}, {t}) already present")
     return [_normalize_edge(p.u, t) for t in p.targets or (g.n,)]
+
+
+class _BitGraph(NamedTuple):
+    """A drawn host as the bit rows the graph search reads: bit ``j`` of
+    ``rows[i]`` marks the edge ``(i, j)``.  It answers what
+    :func:`_added_edges` asks of a :class:`Graph`, which it builds only on
+    request."""
+
+    rows: list[int]
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def degree(self, v: int) -> int:
+        return self.rows[v].bit_count()
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return bool(self.rows[i] >> j & 1)
+
+    def graph(self) -> Graph:
+        i, j = np.nonzero(np.triu(_unpack_rows(self.rows, self.n), 1))
+        return Graph(self.n, frozenset(zip(i.tolist(), j.tolist())))
 
 
 def perturbed_dimension(g: Graph, p: Perturbation) -> int:
@@ -366,22 +403,40 @@ def perturbation_matrix(g: Graph, p: Perturbation) -> np.ndarray:
 def bound_parameters(g: Graph, p: Perturbation) -> dict[str, int]:
     """The degree/size data the closed-form bounds need, read off the host."""
     _added_edges(g, p)
-    return _degree_data(g, p)
+    return _degree_data(p, g.degrees())
 
 
-def _degree_data(g: Graph, p: Perturbation) -> dict[str, int]:
-    """:func:`bound_parameters` of a perturbation known to apply."""
+def _degree_data(p, degrees: list[int]) -> dict[str, int]:
+    """:func:`bound_parameters` of a perturbation known to apply to a host
+    of the given vertex degrees."""
     if p.kind is PerturbationKind.VERTEX_CONNECTION:
         return {"g": len(p.targets)}
-    return {key: g.degree(v) for key, v in zip(("delta_u", "delta_v"), (p.u, *p.targets))}
+    return {key: degrees[v] for key, v in zip(("delta_u", "delta_v"), (p.u, *p.targets))}
+
+
+def _equality(p, degrees: list[int]) -> bool:
+    """Whether ``p``, known to apply to a host of the given vertex degrees,
+    attains its bound: whether the final graph, for an isolated ``u``, or
+    else the host is a cone over a regular graph whose apexes are ``u`` and
+    its targets (``u`` alone for the vertex connection).  An isolated ``u``
+    is an apex only once joined to every other vertex; then each other
+    vertex gains one edge.  An added edge joins two nonadjacent apexes."""
+    if _SHAPES[p.kind].isolated:
+        if len(p.targets) != len(degrees) - 1:
+            return False
+        final = [d + 1 for d in degrees]
+        final[p.u] = len(p.targets)
+        return _is_cone(final, (p.u,))
+    return _is_cone(degrees, (p.u, *p.targets))
 
 
 class _Instance(NamedTuple):
-    """``pert`` on ``graph``, set up and solved once for the path ``A_I + t P``."""
+    """A perturbation of ``kind`` on a host, set up and solved once for the
+    path ``A_I + t P``."""
 
-    graph: Graph
-    pert: Perturbation
+    kind: PerturbationKind
     params: dict[str, int]  # :func:`bound_parameters`
+    equality: bool  # whether the bound is attained, by the cone recognizer
     lambda_i: float  # with ``vector``, ``perron_components`` of ``A_I``
     vector: np.ndarray
     grid: np.ndarray  # the points ``k/steps`` past ``t = 0``
@@ -393,61 +448,90 @@ class _Instance(NamedTuple):
 
 
 def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_Instance]:
-    """Set each ``(g, p)`` of ``pairs`` up, then solve them all together:
-    ``A_I``'s components, certified Perron pairs on the grid ``k/steps``
-    with their quadratic forms ``<P x, x>`` and secular slopes ``lambda'(t)``,
-    and, with ``final``, the top eigenvalue of ``A_I + P``.  Each ``(g, p)``
-    is checked once with :func:`_added_edges`.  The instances of one final
-    size share one zero stack of their matrices ``A_I`` and one of their
-    columns ``W = [e_u, s]``, each filled by indexed assignment over all of
-    them, and one :func:`_row_bits` pass over the ``A_I`` stack, from which
-    each instance takes its components and its join test.  ``P`` is handed
-    over only as ``W``, never as a matrix, and with ``final`` the solve
-    takes each size's two stacks as they are, for ``A_I + P``.
-    ``ValueError`` above ``_MAX_VERTICES`` vertices, before any matrix is
-    sized; :class:`DisconnectedError` unless every ``A_I + P`` is
-    connected."""
-    grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
+    """Set each ``(g, p)`` of ``pairs`` up as stacks, then solve them all
+    together (:func:`_solve_stacks`).  Each ``(g, p)`` is checked once with
+    :func:`_added_edges`.  The instances of one final size share one zero
+    stack of their matrices ``A_I``, filled by indexed assignment over all of
+    them, and one :func:`_row_bits` pass over it, from which each instance
+    takes its components.  ``ValueError`` above ``_MAX_VERTICES`` vertices,
+    before any matrix is sized."""
     pairs, by_size = list(pairs), {}
     for k, (g, p) in enumerate(pairs):
         _added_edges(g, p)  # PerturbationError unless p applies to g
         by_size.setdefault(_check_vertex_count(perturbed_dimension(g, p)), []).append(k)
-    paths, stacks = [None] * len(pairs), []
+    comps, stacks = [None] * len(pairs), []
     for n, group in by_size.items():
-        hosts, perts = [pairs[k][0] for k in group], [pairs[k][1] for k in group]
-        a_stack, w_stack = np.zeros((len(group), n, n)), np.zeros((len(group), n, 2))
+        hosts = [pairs[k][0] for k in group]
+        a_stack = np.zeros((len(group), n, n))
         edges = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in hosts)), np.intp)
         at, (i, j) = np.repeat(np.arange(len(group)), [g.m for g in hosts]), edges.reshape(-1, 2).T
         a_stack[at, i, j] = a_stack[at, j, i] = 1.0  # each edge and its mirror
-        ends = [(p.u, *(p.targets or (g.n,))) for g, p in zip(hosts, perts)]  # u, then the rows of s
-        flat = [2 * (row * n + v) + (v != e[0]) for row, e in enumerate(ends) for v in e]
-        w_stack.reshape(-1)[flat] = 1.0  # column 0 at u, column 1 at s
         bits = _row_bits(a_stack.reshape(-1, n))
-        for row, (k, g, p) in enumerate(zip(group, hosts, perts)):
-            comps = _components(bits[row * n : (row + 1) * n])  # the host's, and a pendant vertex alone
-            if not _joins_components(comps, p, g.n):
-                raise DisconnectedError("the perturbed graph is disconnected")
-            paths[k] = (a_stack[row], w_stack[row], comps)
+        for row, k in enumerate(group):  # the host's components, and a pendant vertex alone
+            comps[k] = _components(bits[row * n : (row + 1) * n])
+        w_stack = _w_stack(n, [_ends(pairs[k][1], g.n) for k, g in zip(group, hosts)])
         stacks.append((group, a_stack, w_stack))
+    return _solve_stacks([p for _, p in pairs], comps, stacks, tol, steps, final)
+
+
+def _w_stack(n: int, ends: list[tuple[int, ...]]) -> np.ndarray:
+    """The columns ``W = [e_u, s]`` of ``P = W S W^T``, one per entry
+    ``(u, *rest)`` of ``ends``, with ``s`` the indicator of ``rest``, as a
+    zero stack ``(k, n, 2)`` filled by one indexed assignment."""
+    w_stack = np.zeros((len(ends), n, 2))
+    flat = [2 * (row * n + v) + (v != e[0]) for row, e in enumerate(ends) for v in e]
+    w_stack.reshape(-1)[flat] = 1.0  # column 0 at u, column 1 at s
+    return w_stack
+
+
+def _solve_stacks(perts, comps, stacks, tol: float, steps: int = 0, final: bool = True) -> list[_Instance]:
+    """Solve the perturbations ``perts`` (each with ``kind``, ``u`` and
+    ``targets``) set up as ``stacks``, triples ``(group, A_I stack, W
+    stack)`` whose rows are the matrices of the instances ``group``, with
+    ``comps`` their ``A_I``'s components: certified Perron pairs on the grid
+    ``k/steps`` with their quadratic forms ``<P x, x>`` and secular slopes
+    ``lambda'(t)``, and, with ``final``, the top eigenvalue of ``A_I + P``,
+    which the solve takes from the two stacks as they are.  ``P`` is handed
+    over only as ``W``, never as a matrix.  Each host's degrees, for its
+    degree data and its equality case, are its ``A_I``'s row sums, one sum
+    per stack.  The two producers of stacks, :func:`_instances` from graphs
+    and the random draw of :mod:`specbound.rng` from its bit rows, share
+    this.  :class:`DisconnectedError` unless every ``A_I + P`` is connected,
+    before anything is solved."""
+    grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
+    paths, degrees = [None] * len(perts), [None] * len(perts)
+    for group, a_stack, w_stack in stacks:
+        sums = a_stack.sum(axis=2).astype(np.intp).tolist()
+        for row, k in enumerate(group):
+            paths[k], degrees[k] = (a_stack[row], w_stack[row], comps[k]), sums[row]
+    for k, p in enumerate(perts):
+        n = len(degrees[k]) - (not p.targets)  # the host's vertices
+        if not _joins_components(comps[k], p, n):
+            raise DisconnectedError("the perturbed graph is disconnected")
+        degrees[k] = degrees[k][:n]
     solved = _solve_paths(paths, grid, tol, stacks if final else ())
+    forms = [None] * len(perts)
+    for group, _, w_stack in stacks:  # W^T x per grid point, one product per stack: <P x, x> = 2 x_u (s . x)
+        z = np.array([solved[k][4] for k in group]) @ w_stack
+        for k, row in zip(group, 2.0 * z[:, :, 0] * z[:, :, 1]):
+            forms[k] = row
     insts = []
-    for (g, p), (_, w, _), solution in zip(pairs, paths, solved):
+    for p, degs, form, solution in zip(perts, degrees, forms, solved):
         lambda_i, vector, _, values, vectors, slopes, lambda_f = solution
-        z = vectors @ w  # W^T x per grid point: <P x, x> = 2 x_u (s . x)
-        forms = 2.0 * z[:, 0] * z[:, 1]
-        path = (lambda_i, vector, grid, values, vectors, forms, slopes[:-1], lambda_f)
-        insts.append(_Instance(g, p, _degree_data(g, p), *path))
+        path = (lambda_i, vector, grid, values, vectors, form, slopes[:-1], lambda_f)
+        insts.append(_Instance(p.kind, _degree_data(p, degs), _equality(p, degs), *path))
     return insts
 
 
-def _joins_components(comps: list[list[int]], p: Perturbation, n: int) -> bool:
-    """Whether the edges that ``p`` adds, from ``u`` to each target (to ``n``
-    without targets), reach every component of ``comps``: whether ``A_I + P``
-    is connected.  Per kind: a vertex connection's targets meet every
-    component but ``{u}``; an added edge finds one component, or joins two;
-    a pendant edge needs a connected host."""
+def _joins_components(comps: list[list[int]], p, n: int) -> bool:
+    """Whether the edges that ``p`` adds to a host of ``n`` vertices, from
+    ``u`` to each target (to ``n`` without targets), reach every component
+    of ``comps``: whether ``A_I + P`` is connected.  Per kind: a vertex
+    connection's targets meet every component but ``{u}``; an added edge
+    finds one component, or joins two; a pendant edge needs a connected
+    host."""
     label = {v: k for k, comp in enumerate(comps) for v in comp}
-    return len({label[v] for v in (p.u, *(p.targets or (n,)))}) == len(comps)
+    return len({label[v] for v in _ends(p, n)}) == len(comps)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def sample_path(
     lhs, rhs = inst.lhs.tolist() + [None], inst.forms[:-1].tolist() + [None]  # none at t = 1
     samples = [PathSample(0.0, inst.lambda_i, inst.vector, None, None)]
     samples += map(PathSample, inst.grid.tolist(), inst.values.tolist(), inst.vectors, lhs, rhs)
-    return PerturbationPath(kind=inst.pert.kind, samples=tuple(samples), **inst.params)
+    return PerturbationPath(kind=inst.kind, samples=tuple(samples), **inst.params)
 
 
 def _check_steps(steps: int) -> int:

@@ -2,30 +2,18 @@
 
 Ties the pieces together: exact initial and final indices from the
 eigensolver, the closed-form bound, the first-order gap estimate, and the
-structural equality recognizer, one apex per degree keyword of the kind's
-entry in :data:`~specbound.bounds.KIND_SPECS`.  A report reads the instance
-of :mod:`specbound.graphs` that :func:`~specbound.pathsim.sample_path`
+structural equality recognizer.  A report reads the instance of
+:mod:`specbound.graphs` that :func:`~specbound.pathsim.sample_path`
 samples: ``lambda_I`` is its start and the final index the top of the
 spectrum of ``A_I + P``, both solved with it.  The perturbation is checked
-once, with the instance, and its degree data once, for the bound and the
-gap; the final graph is built only where the equality case lives in it,
-and there only once ``u`` has as many targets as an apex needs.
+once, with the instance, and its degree data and equality case are read
+once, off the row sums of its ``A_I``; no final graph is built.
 """
 
 from __future__ import annotations
 
-from .bounds import KIND_SPECS, BoundReport, _bound_and_gap
-from .graphs import (
-    _SHAPES,
-    Graph,
-    Perturbation,
-    _added_edges,
-    _Instance,
-    _instances,
-    apply_perturbation,
-    is_cone_over_regular,
-    is_double_cone_over_regular,
-)
+from .bounds import BoundReport, _bound_and_gap
+from .graphs import Graph, Perturbation, _added_edges, _equality, _Instance, _instances
 
 
 def equality_case(graph: Graph, pert: Perturbation) -> bool:
@@ -37,24 +25,11 @@ def equality_case(graph: Graph, pert: Perturbation) -> bool:
       apexes ``u`` and ``v``;
     * pendant edge: the host is a cone over a regular graph with apex ``u``.
 
-    The apexes are the first k of ``u`` and its targets, in the final graph
-    if ``u`` starts isolated and in the host otherwise.
+    The apexes are ``u`` and its targets, ``u`` alone for the vertex
+    connection; the test reads only the host's degrees.
     """
     _added_edges(graph, pert)  # PerturbationError unless pert applies
-    return _equality(graph, pert)
-
-
-def _equality(graph: Graph, pert: Perturbation) -> bool:
-    """:func:`equality_case` of a perturbation known to apply.  A vertex
-    connection gives ``u`` degree ``g`` in the final graph: unless ``g = n - 1``,
-    ``u`` is no cone's apex, and the final graph is not built."""
-    if _SHAPES[pert.kind].isolated:
-        if pert.g != graph.n - 1:
-            return False
-        graph = apply_perturbation(graph, pert)
-    apexes = (pert.u, *pert.targets)[: len(KIND_SPECS[pert.kind].params)]  # one per degree keyword
-    recognize = is_cone_over_regular if len(apexes) == 1 else is_double_cone_over_regular
-    return recognize(graph, *apexes)
+    return _equality(pert, graph.degrees())
 
 
 def bound_report(graph: Graph, pert: Perturbation, tol: float = 1e-11) -> BoundReport:
@@ -73,12 +48,12 @@ def _report(inst: _Instance) -> BoundReport:
     once: the bound is ``u(1)`` of :func:`~specbound.bounds.perturbation_bound`
     and the gap that of :func:`~specbound.bounds.asymptotic_gap`."""
     lambda_i = inst.lambda_i
-    bound, gap = _bound_and_gap(inst.pert.kind, lambda_i, **inst.params)
+    bound, gap = _bound_and_gap(inst.kind, lambda_i, **inst.params)
     return BoundReport(
         lambda_i=lambda_i,
         lambda_f_exact=inst.lambda_f,
         bound=bound,
         asymptotic_estimate=None if gap is None else lambda_i + gap,
-        equality_case=_equality(inst.graph, inst.pert),
+        equality_case=inst.equality,
         slack=bound - inst.lambda_f,
     )

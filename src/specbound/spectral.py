@@ -41,6 +41,7 @@ with the tests.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -82,6 +83,15 @@ def _row_bits(m: np.ndarray) -> list[int]:
     rows = np.packbits(m != 0, axis=1, bitorder="little").tobytes()
     width = len(rows) // len(m)
     return [int.from_bytes(rows[i : i + width], "little") for i in range(0, len(rows), width)]
+
+
+def _unpack_rows(rows: list[int], n: int) -> np.ndarray:
+    """The 0/1 pattern, ``n`` columns wide, of the bit rows ``rows``: the
+    inverse of :func:`_row_bits`, as ``uint8``."""
+    width = -(-n // 8)
+    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+    return bits.reshape(len(rows), 8 * width)[:, :n]
 
 
 def _components(neighbors: list[int]) -> list[list[int]]:
@@ -138,6 +148,18 @@ def perron(a, tol: float = 1e-11) -> PerronPair:
     if not is_connected_matrix(m):
         raise ValueError("matrix is not connected; positivity of the eigenvector fails")
     return PerronPair(*_solve_paths([(m, None, [list(range(len(m)))])], (), tol)[0][:3])
+
+
+def _as_float(value) -> float:
+    """A real number, not a ``bool``, as a Python float, and an integer
+    beyond the float range as an infinity of its sign; anything else as
+    nan.  Converted first, so no comparison rounds it or warns of a cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _require_nonnegative(a) -> np.ndarray:
@@ -229,7 +251,7 @@ def _solve_paths(paths, ts, tol: float, finals=()) -> list[tuple]:
     ``ts`` in the order of ``paths``, whose pair fails its certificate;
     ``ValueError`` unless ``tol`` is a finite positive real number: at 0,
     below or at nan no certificate passes, and at ``inf`` every one does."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
+    if not 0.0 < _as_float(tol) < math.inf:
         raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
     ts = np.asarray(ts, dtype=float)
     blocks = []

@@ -12,23 +12,27 @@ it up once and checks every certificate of its bound and its path:
 
 Trials are seeded per-index from a master splitmix64 seed, so summaries are
 bit-for-bit reproducible and order-independent.  They run in blocks of about
-``_BLOCK_ENTRIES`` matrix entries.  A block's instances are drawn (a
-rejected draw is tested on its bit rows and builds no graph) and set up as
-stacks (one zero stack of ``A_I`` and one of ``W`` per final size, each
-filled by indexed assignment).  They are solved together: ``A_I``'s
-components and ``A_I + P`` one LAPACK call per matrix size, the secular
-roots of every path point as one array iteration, the grid vectors one
-``matmul`` in the components' eigenbases per size.  Then they are checked
-together (:func:`_check_block`): each check is one array over the block,
-with ``u(t)`` and ``f(t, lambda)`` evaluated once per kind on the
-instances' arrays.  The vertex and edge roots are array roots, the pendant
-root the scalar bracketed Newton per point, and the majorant the complex
-step in Python's ``complex`` per point; so every number gets the bits of
-the scalar check of a lone trial.  A failure record is built only for a
-failed check, in trial order and then in the order of the list above.  The
-block is the only bound on how many matrices one call stacks.  A stacked
-matrix gets the same bits as a lone one, and each root and vector the same
-bits as in a lone path, so the summary does not depend on the blocks.
+``_BLOCK_ENTRIES`` matrix entries.  A block's instances are drawn together
+as arrays (:func:`~specbound.rng._draw`: sizes and runs of connectivity
+attempts in one numpy pass per round, each attempt tested on its bit rows)
+and set up straight from their bit rows, as one stack of ``A_I`` and one
+of ``W`` per final size, with each host's degrees, for its degree data and
+its equality case, read off its ``A_I``'s row sums.  No ``Graph`` or
+``Perturbation`` is built for a trial that passes.  They are solved
+together: ``A_I``'s components and ``A_I + P`` one LAPACK call per matrix
+size, the secular roots of every path point as one array iteration, the
+grid vectors one ``matmul`` in the components' eigenbases per size.  Then
+they are checked together (:func:`_check_block`): each check is one array
+over the block, with ``u(t)`` and ``f(t, lambda)`` evaluated once per kind
+on the instances' arrays.  The vertex and edge roots are array roots, the
+pendant root the scalar bracketed Newton per point, and the majorant the
+complex step in Python's ``complex`` per point; so every number gets the
+bits of the scalar check of a lone trial.  A failure record is built only
+for a failed check, in trial order and then in the order of the list
+above.  The block is the only bound on how many matrices one call stacks.
+A stacked matrix gets the same bits as a lone one, and each root and
+vector the same bits as in a lone path, so the summary does not depend on
+the blocks.
 """
 
 from __future__ import annotations
@@ -41,17 +45,17 @@ import numpy as np
 
 from .bounds import KIND_SPECS, _initial_value, _majorant
 from .graphs import (
+    _BLOCK_ENTRIES,
     _MAX_VERTICES,
     PerturbationKind,
     _Instance,
-    _instances,
+    _solve_stacks,
     format_edge_list,
     format_perturbation_spec,
-    perturbed_dimension,
 )
 from .pathsim import _check_steps, _curves
-from .report import _equality
-from .rng import EDGE_PROBABILITIES, SplitMix64, random_instance
+from .rng import EDGE_PROBABILITIES, SplitMix64, _draw, _Drawn, _set_up
+from .spectral import _as_float
 
 _KINDS = tuple(PerturbationKind)
 
@@ -61,7 +65,6 @@ COMPARISON_TOL = 1e-9
 EQUALITY_GAP_TOL = 1e-8
 STRICT_SLACK_MIN = 1e-7
 _SOLVE_TOL = 1e-11  # Perron certificate tolerance: the default of bound_report and sample_path
-_BLOCK_ENTRIES = 1 << 16  # matrix entries solved per block of trials: 512 KiB of float64
 
 
 @dataclass
@@ -140,54 +143,65 @@ def run_verification(
         raise ValueError(f"n_max must be at most {_MAX_VERTICES}, got {n_max}")
     if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
         raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+    value = _as_float(tolerance)  # a numpy float runs, and is reported, as the Python float of its value
+    if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    tolerance = float(tolerance)  # a numpy float runs, and is reported, as the Python float of its value
+    tolerance = value
     steps = _check_steps(steps)
     summary = VerifySummary(seed=seed, trials=trials, n_max=n_max, tolerance=tolerance)
     for block in _blocks(seed, trials, n_max, steps):
         # no name holds a block's instances, so they go before the next block is solved
-        ids, pairs = [trial for trial, _, _ in block], [(host, pert) for _, host, pert in block]
-        _check_block(summary, ids, _instances(pairs, _SOLVE_TOL, steps), inject_failure)
+        ids, drawn = [trial for trial, _ in block], [d for _, d in block]
+        _check_block(
+            summary, ids, drawn, _solve_stacks(drawn, *_set_up(drawn), _SOLVE_TOL, steps), inject_failure
+        )
     return summary
 
 
 def _blocks(seed: int, trials: int, n_max: int, steps: int):
-    """The trials ``(trial, host, pert)``, drawn in order, in blocks that end
+    """The drawn trials ``(trial, drawn)``, in order, in blocks that end
     once their matrices reach ``_BLOCK_ENTRIES`` entries.  A trial of final
-    size ``n`` counts ``3 steps n^2``: with room, its three ``n x n`` matrices
-    (``A_I``, their stack, ``Q``) and its ``steps`` vectors; the room keeps
-    the blocks, and so ``verify``'s peak memory, at their measured size."""
+    size ``n`` counts ``3 steps n^2``: with room, its three ``n x n``
+    matrices (``A_I``, their stack, ``Q``) and its ``steps`` vectors; the
+    room keeps the blocks, and so ``verify``'s peak memory, at their
+    measured size.  Trials are drawn together, as many at a time as a block
+    of final size ``n_max`` holds."""
+    window = max(1, _BLOCK_ENTRIES // (3 * steps * n_max**2))
     block, entries = [], 0
-    for trial in range(trials):
-        kind = _KINDS[trial % 3]
-        p_edge = EDGE_PROBABILITIES[(trial // 3) % 3]
-        host, pert = random_instance(SplitMix64.spawn(seed, trial), kind, n_max, p_edge)
-        block.append((trial, host, pert))
-        entries += 3 * steps * perturbed_dimension(host, pert) ** 2
-        if entries >= _BLOCK_ENTRIES:
-            yield block
-            block, entries = [], 0
+    for first in range(0, trials, window):
+        ids = range(first, min(first + window, trials))
+        streams = [SplitMix64.spawn(seed, trial) for trial in ids]
+        kinds = [_KINDS[trial % 3] for trial in ids]
+        ps = [EDGE_PROBABILITIES[(trial // 3) % 3] for trial in ids]
+        for trial, drawn in zip(ids, _draw(streams, kinds, n_max, ps)):
+            block.append((trial, drawn))
+            entries += 3 * steps * drawn.size**2
+            if entries >= _BLOCK_ENTRIES:
+                yield block
+                block, entries = [], 0
     if block:
         yield block
 
 
-def _check_block(summary: VerifySummary, trials: list[int], insts: list[_Instance], corrupt: bool) -> None:
+def _check_block(
+    summary: VerifySummary, trials: list[int], drawn: list[_Drawn], insts: list[_Instance], corrupt: bool
+) -> None:
     """Every check of a block's solved instances, into ``summary``: each
     check one array over the block, ``u(t)`` and ``f(t, lambda)`` from one
     array evaluation per kind; ``corrupt`` forces the bound of trial 0 below
-    the exact value.  Failures come in trial order, then in check order."""
+    the exact value.  Failures come in trial order, then in check order,
+    each with its trial's graph and perturbation, built from ``drawn``."""
     tolerance, grid = summary.tolerance, insts[0].grid
     ts = np.concatenate([[0.0], grid])
     for inst in insts:
-        summary.counts[inst.pert.kind.value] = summary.counts.get(inst.pert.kind.value, 0) + 1
+        summary.counts[inst.kind.value] = summary.counts.get(inst.kind.value, 0) + 1
     lambda_f = np.array([inst.lambda_f for inst in insts])
     values = np.column_stack([[inst.lambda_i for inst in insts], [inst.values for inst in insts]])
     forms = np.array([inst.forms[:-1] for inst in insts])  # <P x, x> at the interior grid
     mismatch = np.abs(np.array([inst.lhs for inst in insts]) - forms).max(axis=1)
     u, f = np.empty_like(values), np.empty_like(forms)
     for kind, spec in KIND_SPECS.items():
-        idx = [i for i, inst in enumerate(insts) if inst.pert.kind is kind]
+        idx = [i for i, inst in enumerate(insts) if inst.kind is kind]
         if not idx:
             continue
         _, d, c = zip(*(_initial_value(kind, insts[i].lambda_i, **insts[i].params) for i in idx))
@@ -199,7 +213,7 @@ def _check_block(summary: VerifySummary, trials: list[int], insts: list[_Instanc
         bound[0] = lambda_f[0] - 1.0
     violation, gap = lambda_f - bound, bound - lambda_f
     ineq, comp = (forms - f).max(axis=1), (-(u - values)).max(axis=1)
-    equal = np.array([_equality(inst.graph, inst.pert) for inst in insts], dtype=bool)
+    equal = np.array([inst.equality for inst in insts], dtype=bool)
 
     summary.equality_cases += int(equal.sum())
     summary.strict_cases += len(insts) - int(equal.sum())
@@ -224,7 +238,7 @@ def _check_block(summary: VerifySummary, trials: list[int], insts: list[_Instanc
         ("comparison_dominance", ~(comp <= tolerance), "lambda - u = {:.3e}", comp),
     )
     for i in np.flatnonzero(np.any([failed for _, failed, _, _ in checks], axis=0)):
-        graph, pert = insts[i].graph, insts[i].pert  # a reproducer is formatted only for a failure
+        graph, pert = drawn[i].pair()  # a reproducer is built only for a failure
         summary.failures += [
             TrialFailure(
                 trials[i], pert.kind.value, check, detail.format(rows[i]),

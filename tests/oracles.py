@@ -20,6 +20,11 @@ from the paper rather than taken from the library.
 scalar forms of the library's majorant and quadratic root, on Python's
 ``complex`` and ``math``: the bit references of the array forms that
 ``verify`` evaluates.
+
+:func:`random_instance` and :func:`random_connected_graph` draw one
+instance at a time from :class:`~specbound.rng.SplitMix64`, one uniform per
+pair of each connectivity attempt: the reference for the library's draw,
+which computes its words as arrays and tests many attempts per pass.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from specbound.graphs import Graph, from_edge_list
-from specbound.spectral import _require_symmetric, is_connected_matrix
+from specbound.graphs import Graph, Perturbation, PerturbationKind, from_edge_list
+from specbound.rng import SplitMix64
+from specbound.spectral import _components, _require_symmetric, is_connected_matrix
 
 _JACOBI_OFF_TOL = 1e-12
 _MAX_JACOBI_SWEEPS = 100
@@ -209,3 +215,62 @@ def lollipop_graph(k: int, tail: int) -> Graph:
     clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
     path = [(v, v + 1) for v in range(k - 1, k + tail - 1)]
     return from_edge_list(k + tail, clique + path)
+
+
+def random_connected_graph(rng: SplitMix64, n: int, p: float, max_attempts: int = 10_000) -> Graph:
+    """Erdos-Renyi G(n, p), rejection-sampled until connected."""
+    return Graph(n, _connected_edges(rng, n, p, max_attempts))
+
+
+def _connected_edges(rng: SplitMix64, n: int, p: float, max_attempts: int = 10_000) -> frozenset:
+    """The edges of :func:`random_connected_graph`: each attempt draws its
+    pairs ``(i, j)``, ``i < j``, in order, sets them in its bit rows, and
+    is kept once :func:`~specbound.spectral._components` finds one
+    component."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    for _ in range(max_attempts):
+        rows, pairs = [0] * n, []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.uniform() < p:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+                    pairs.append((i, j))
+        if len(_components(rows)) == 1:
+            return frozenset(pairs)
+    raise RuntimeError(f"no connected G({n}, {p}) found in {max_attempts} attempts")
+
+
+def random_instance(
+    rng: SplitMix64, kind: PerturbationKind, n_max: int, p: float
+) -> tuple[Graph, Perturbation]:
+    """A random host graph plus an applicable perturbation of the given kind.
+
+    The final graph never exceeds ``n_max`` vertices and is always connected:
+    vertex connections start from a connected component plus one isolated
+    vertex, the other kinds start from a connected host.
+    """
+    if kind is PerturbationKind.VERTEX_CONNECTION:
+        base_n = rng.randint(1, n_max - 1)
+        host = Graph(base_n + 1, _connected_edges(rng, base_n, p))  # vertex base_n is isolated
+        targets = rng.nonempty_subset(base_n)
+        return host, Perturbation.vertex_connection(base_n, targets)
+    if kind is PerturbationKind.EDGE_ADDITION:
+        while True:
+            n = rng.randint(3, n_max)
+            host = random_connected_graph(rng, n, p)
+            missing = [
+                (i, j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if not host.has_edge(i, j)
+            ]
+            if missing:
+                u, v = rng.choice(missing)
+                return host, Perturbation.edge_addition(u, v)
+    if kind is PerturbationKind.PENDANT_EDGE:
+        n = rng.randint(2, n_max - 1)
+        host = random_connected_graph(rng, n, p)
+        return host, Perturbation.pendant_edge(rng.randint(0, n - 1))
+    raise ValueError(f"unknown perturbation kind {kind}")  # pragma: no cover

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import specbound as sb
-from specbound import bounds, cli, graphs, pathsim, spectral, verify
+from specbound import bounds, cli, graphs, pathsim, rng, spectral, verify
 from specbound.cli import main
 from specbound.rng import EDGE_PROBABILITIES
 from specbound.verify import COMPARISON_TOL
@@ -170,16 +170,16 @@ def _count_calls(monkeypatch, module, name):
 
 def test_bound_checks_each_instance_once(tmp_path, capsys, monkeypatch):
     # No matrix search: the host's components come from its edge set, and
-    # the final pattern's connectivity from them; the final graph is built
-    # only for the vertex kind, whose cone lives in it, and only when u is
-    # joined to every other vertex, as a cone's apex must be.
+    # the final pattern's connectivity from them; the final graph is never
+    # built, not even for the vertex kind, whose cone lives in it: the
+    # recognizer reads the host's degrees off A_I's row sums.
     p6 = write_graph(tmp_path, sb.path_graph(6), "p6.txt")
     p6_k1 = write_graph(tmp_path, sb.disjoint_union(sb.path_graph(6), sb.empty_graph(1)), "p6_k1.txt")
     c4_k1 = write_graph(tmp_path, sb.disjoint_union(sb.cycle_graph(4), sb.empty_graph(1)), "c4_k1.txt")
     searches = _count_calls(monkeypatch, spectral, "connected_components")
     applied = _count_calls(monkeypatch, graphs, "apply_perturbation")
     cases = [
-        (p6, "edge 0 5", 0), (p6, "pendant 0", 0), (p6_k1, "vertex 6 0 5", 0), (c4_k1, "vertex 4 0 1 2 3", 1),
+        (p6, "edge 0 5", 0), (p6, "pendant 0", 0), (p6_k1, "vertex 6 0 5", 0), (c4_k1, "vertex 4 0 1 2 3", 0),
     ]
     for gfile, spec, builds in cases:
         searches.clear()
@@ -190,8 +190,8 @@ def test_bound_checks_each_instance_once(tmp_path, capsys, monkeypatch):
 
 
 def test_bound_checks_each_perturbation_once(tmp_path, capsys, monkeypatch):
-    # One applicability check per op, with the instance; the vertex kind's
-    # recognizer applies the perturbation, which checks it once more.
+    # One applicability check per op, with the instance; no recognizer
+    # applies the perturbation, which would check it once more.
     p6 = write_graph(tmp_path, sb.path_graph(6), "p6.txt")
     p6_k1 = write_graph(tmp_path, sb.disjoint_union(sb.path_graph(6), sb.empty_graph(1)), "p6_k1.txt")
     checks = _count_calls(monkeypatch, graphs, "_added_edges")
@@ -264,7 +264,7 @@ def test_steps_past_the_grid_limit_exit_3(tmp_path, capsys, monkeypatch, command
         raise AssertionError("the step count reached a solve")
 
     monkeypatch.setattr(pathsim, "_instances", no_solve)
-    monkeypatch.setattr(verify, "_instances", no_solve)
+    monkeypatch.setattr(verify, "_solve_stacks", no_solve)
     gfile = write_graph(tmp_path, sb.path_graph(3))
     argv = {"path": ["path", gfile, "pendant", "0"], "verify": ["verify", "--trials", "1"]}[command]
     refusal = (3, "", "error: steps must be at most 1048576, got 100000000000\n")
@@ -391,20 +391,74 @@ def test_verify_formats_reproducers_only_for_failures(monkeypatch):
     failed = sb.run_verification(7, 3, n_max=6, inject_failure=True)
     assert len(formats) == len(failed.failures) > 0
 
-def _lone_failures(trial, inst, tol, corrupt):
-    """The failure records of one solved trial, check by check, from its
-    sampled path and the public checks."""
-    kind, failures = inst.pert.kind, []
+def test_verify_builds_no_graph_for_a_passing_trial(monkeypatch):
+    # A trial is drawn, set up, solved and checked from arrays: its Graph
+    # and its Perturbation are built only for a failing trial's record.
+    built = []
+    for cls in (sb.Graph, sb.Perturbation):
+
+        def counted(self, _name=cls.__name__, _post_init=cls.__post_init__):
+            built.append(_name)
+            _post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for seed in range(4):
+        assert sb.run_verification(seed, 30).ok
+    assert built == []
+    failed = sb.run_verification(7, 30, inject_failure=True)
+    assert {f.trial for f in failed.failures} == {0}
+    assert sorted(built) == ["Graph", "Perturbation"]
+
+
+def _cone_by_matrix(host, pert):
+    """The equality case straight from the adjacency matrix of the graph it
+    lives in: the apexes adjacent to every other vertex and not to each
+    other, and the other vertices of one degree among themselves."""
+    a = host.adjacency()
+    apexes = [pert.u, *pert.targets]
+    if pert.kind is sb.PerturbationKind.VERTEX_CONNECTION:
+        a, apexes = a + sb.perturbation_matrix(host, pert), [pert.u]
+    others = [v for v in range(len(a)) if v not in apexes]
+    if a[np.ix_(apexes, apexes)].any() or not a[np.ix_(apexes, others)].all():
+        return False
+    return len(set(a[np.ix_(others, others)].sum(axis=1).tolist())) <= 1
+
+
+def test_the_row_sum_recognizer_is_the_graph_recognizer(capsys):
+    # verify reads each host's degrees off its A_I's row sums; equality_case
+    # reads them off the graph, and _cone_by_matrix reads neither.
+    for seed in range(60):
+        for block in verify._blocks(seed, 30, 9, 2):
+            drawn = [d for _, d in block]
+            insts = graphs._solve_stacks(drawn, *rng._set_up(drawn), verify._SOLVE_TOL)
+            for d, inst in zip(drawn, insts, strict=True):
+                host, pert = d.pair()
+                assert inst.equality == sb.equality_case(host, pert) == _cone_by_matrix(host, pert)
+    for kind in sb.PerturbationKind:
+        for n, delta in ((1, 0), (4, 0), (4, 2), (6, 3), (7, 4)):
+            code, out, _ = run(capsys, ["construct", kind.value, str(n), str(delta)])
+            payload = json.loads(out)
+            host = sb.parse_edge_list(payload["graph"])
+            pert = sb.parse_perturbation_spec(payload["perturbation"])
+            assert code == 0 and payload["equality_case"] is True
+            assert sb.bound_report(host, pert).equality_case and sb.equality_case(host, pert)
+            assert _cone_by_matrix(host, pert)
+
+
+def _lone_failures(trial, host, pert, inst, tol, corrupt):
+    """The failure records of one solved trial of ``pert`` on ``host``,
+    check by check, from its sampled path and the public checks."""
+    kind, failures = inst.kind, []
 
     def fail(check, detail):
-        graph, pert = sb.format_edge_list(inst.graph), sb.format_perturbation_spec(inst.pert)
-        failures.append(verify.TrialFailure(trial, kind.value, check, detail, graph, pert))
+        graph, spec = sb.format_edge_list(host), sb.format_perturbation_spec(pert)
+        failures.append(verify.TrialFailure(trial, kind.value, check, detail, graph, spec))
 
     bound = inst.lambda_f - 1.0 if corrupt else sb.perturbation_bound(kind, inst.lambda_i, **inst.params)
     if inst.lambda_f - bound > tol:
         fail("bound_validity", f"lambda_F - bound = {inst.lambda_f - bound:.3e}")
     gap = bound - inst.lambda_f
-    if sb.equality_case(inst.graph, inst.pert):
+    if sb.equality_case(host, pert):
         if abs(gap) > verify.EQUALITY_GAP_TOL:
             fail("equality_gap", f"|bound - lambda_F| = {abs(gap):.3e}")
     elif gap < verify.STRICT_SLACK_MIN:
@@ -437,10 +491,10 @@ def test_verify_records_every_failed_check_like_the_lone_checks(monkeypatch):
     monkeypatch.setattr(verify, "INEQUALITY_TOL", -1e9)
     monkeypatch.setattr(verify, "EQUALITY_GAP_TOL", -1.0)
     monkeypatch.setattr(verify, "STRICT_SLACK_MIN", math.inf)
-    solved, instances = [], verify._instances
+    solved, solve_stacks = [], verify._solve_stacks
 
-    def flattened(pairs, tol, steps):
-        insts = instances(pairs, tol, steps)
+    def flattened(*args):
+        insts = solve_stacks(*args)
         if not solved:
             values = insts[4].values.copy()
             values[2] = values[1]
@@ -448,9 +502,13 @@ def test_verify_records_every_failed_check_like_the_lone_checks(monkeypatch):
         solved.extend(insts)
         return insts
 
-    monkeypatch.setattr(verify, "_instances", flattened)
+    monkeypatch.setattr(verify, "_solve_stacks", flattened)
     summary = sb.run_verification(11, 12, tolerance=0.0, inject_failure=True)
-    expected = [f for trial, inst in enumerate(solved) for f in _lone_failures(trial, inst, 0.0, trial == 0)]
+    expected = []
+    for trial, inst in enumerate(solved):
+        kind, p_edge = list(sb.PerturbationKind)[trial % 3], EDGE_PROBABILITIES[(trial // 3) % 3]
+        host, pert = sb.random_instance(sb.SplitMix64.spawn(11, trial), kind, 9, p_edge)
+        expected += _lone_failures(trial, host, pert, inst, 0.0, trial == 0)
     assert {f.check for f in expected} == {
         "bound_validity", "equality_gap", "strict_slack", "monotonicity",
         "derivative_identity", "differential_inequality", "comparison_dominance",
@@ -482,7 +540,7 @@ def test_verify_sets_each_trial_up_once(monkeypatch):
     # stack of all the block's matrices of that size.  The grid vectors come
     # from the components' eigendecompositions, so no grid point reaches a
     # linear solve.
-    blocks = _count_calls(monkeypatch, graphs, "_instances")
+    blocks = _count_calls(monkeypatch, graphs, "_solve_stacks")
     calls, components, final = [], [], []
     original_stack = spectral._perron_stack
 
@@ -515,10 +573,10 @@ def test_verify_sets_each_trial_up_once(monkeypatch):
 
 
 def test_verify_groups_each_block_by_size_once(monkeypatch):
-    # _instances lays a block out as one A_I stack and one W stack per final
+    # The draw lays a block out as one A_I stack and one W stack per final
     # size, and A_I + P is solved from those stacks as they are: the only
     # regrouping by size is of the components.
-    blocks = _count_calls(monkeypatch, graphs, "_instances")
+    blocks = _count_calls(monkeypatch, graphs, "_solve_stacks")
     groupings = _count_calls(monkeypatch, spectral, "_by_size")
     rows, stacks = [], []
     solve_paths, final_tops = graphs._solve_paths, spectral._final_tops
@@ -593,6 +651,7 @@ def test_verify_extremes_equal_the_lone_public_solves():
         ({"seed": True, "trials": 3}, "seed must be an integer, got True"),
         ({"trials": 3, "tolerance": True}, "tolerance must be a real number, got True"),
         ({"trials": 3, "tolerance": "x"}, "tolerance must be a real number, got 'x'"),
+        ({"trials": 3, "tolerance": 10**400}, f"tolerance must be finite and >= 0, got {10**400}"),
     ],
 )
 def test_verify_refuses_non_integer_counts(counts, message):

@@ -1,12 +1,15 @@
 """Deterministic PRNG and random instance generation."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+import oracles
 import specbound as sb
-from specbound.rng import SplitMix64, random_connected_graph, random_instance
+import specbound.rng as rng_module
+from specbound.rng import EDGE_PROBABILITIES, SplitMix64, random_connected_graph, random_instance
 from specbound.verify import _blocks
 
 
@@ -153,38 +156,143 @@ DRAW_DIGESTS = {
 def test_verify_draws_keep_their_bits(seed):
     digest = hashlib.sha256()
     for block in _blocks(seed, 30, 9, 8):
-        for _, host, pert in block:
+        for _, drawn in block:
+            host, pert = drawn.pair()
             digest.update(f"{sb.format_edge_list(host)}{sb.format_perturbation_spec(pert)}\n".encode())
     assert digest.hexdigest()[:16] == DRAW_DIGESTS[seed]
 
 
-class CountingRng(SplitMix64):
-    __slots__ = ("draws",)
-
-    def __init__(self, seed: int) -> None:
-        super().__init__(seed)
-        self.draws = 0
-
-    def uniform(self) -> float:
-        self.draws += 1
-        return super().uniform()
-
-
 def test_random_connected_graph_builds_one_graph_per_call(monkeypatch):
     # A rejected attempt is tested on its bit rows and builds no Graph.
-    built = []
-    post_init = sb.Graph.__post_init__
+    built, tested = [], []
+    post_init, components = sb.Graph.__post_init__, rng_module._components
 
     def counted(self):
         built.append(self.n)
         post_init(self)
 
+    def searched(rows):
+        tested.append(len(rows))
+        return components(rows)
+
     monkeypatch.setattr(sb.Graph, "__post_init__", counted)
-    attempts = 0
+    monkeypatch.setattr(rng_module, "_components", searched)
     for seed in range(10):
-        rng = CountingRng(seed)
         built.clear()
-        g = random_connected_graph(rng, 9, 0.2)
+        g = random_connected_graph(SplitMix64(seed), 9, 0.2)
         assert built == [9] and sb.is_connected(g)
-        attempts += rng.draws // 36  # 9 * 8 / 2 pairs per attempt
-    assert attempts > 20  # most calls rejected several attempts
+    assert set(tested) == {9} and len(tested) > 20  # most calls rejected several attempts
+
+
+# ---------------------------------------------------------------------------
+# The block draw against the scalar reference draw of ``oracles``
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_max", [3, 4, 9, 20, 70, 130])
+def test_block_draw_equals_the_scalar_reference(n_max):
+    # Seeds 0-199, every kind at each edge probability in turn, drawn as one
+    # block: each instance, and the state each stream is left in, are those
+    # of the draw one uniform at a time.  Above 64 vertices a target mask
+    # takes several words, and above 23 an attempt is drawn alone.
+    streams, kinds, ps, expected = [], [], [], []
+    for seed in range(200):
+        for k, kind in enumerate(sb.PerturbationKind):
+            p = EDGE_PROBABILITIES[(seed + k) % 3]
+            ref = SplitMix64.spawn(seed, k)
+            expected.append((oracles.random_instance(ref, kind, n_max, p), ref._state))
+            streams.append(SplitMix64.spawn(seed, k))
+            kinds.append(kind)
+            ps.append(p)
+    drawn = rng_module._draw(streams, kinds, n_max, ps)
+    assert [(d.pair(), s._state) for d, s in zip(drawn, streams)] == expected
+
+
+@pytest.mark.parametrize("kind", list(sb.PerturbationKind))
+def test_random_instance_is_the_draw_of_one_trial(kind):
+    # Two draws from one stream: the second starts where the first left it.
+    for seed in range(200):
+        ours, ref = SplitMix64(seed), SplitMix64(seed)
+        for n_max, p in ((9, 0.3), (20, 0.8)):
+            assert random_instance(ours, kind, n_max, p) == oracles.random_instance(ref, kind, n_max, p)
+            assert ours._state == ref._state
+
+
+def test_random_connected_graph_equals_the_scalar_reference():
+    for seed in range(40):
+        for n, p in ((1, 0.5), (2, 0.2), (5, 0.3), (23, 0.1), (24, 0.1), (40, 0.2)):
+            ours, ref = SplitMix64(seed), SplitMix64(seed)
+            assert random_connected_graph(ours, n, p) == oracles.random_connected_graph(ref, n, p)
+            assert ours._state == ref._state
+
+
+@pytest.mark.parametrize("n, p, attempts", [(5, 0.0, 7), (3, 0.01, 1), (40, 0.0, 2), (4, 0.5, 0)])
+def test_exhausted_attempts_keep_their_message(n, p, attempts):
+    with pytest.raises(RuntimeError) as ours:
+        random_connected_graph(SplitMix64(1), n, p, attempts)
+    with pytest.raises(RuntimeError) as ref:
+        oracles.random_connected_graph(SplitMix64(1), n, p, attempts)
+    assert str(ours.value) == str(ref.value) == f"no connected G({n}, {p}) found in {attempts} attempts"
+
+
+@pytest.mark.parametrize("seed", [-7, 2**70])
+def test_verify_draws_of_any_seed_equal_the_scalar_reference(seed):
+    drawn = [d.pair() for block in _blocks(seed, 30, 9, 8) for _, d in block]
+    expected = [
+        oracles.random_instance(
+            SplitMix64.spawn(seed, trial), list(sb.PerturbationKind)[trial % 3], 9, EDGE_PROBABILITIES[(trial // 3) % 3]
+        )
+        for trial in range(30)
+    ]
+    assert drawn == expected
+
+
+# ---------------------------------------------------------------------------
+# Input checks, made before any draw
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [math.nan, 1.5, -0.25, True, "0.5"], ids=repr)
+def test_draws_refuse_an_edge_probability_outside_the_unit_interval(p):
+    # nan ran 10,000 attempts and then raised RuntimeError; 1.5 drew K5.
+    message = f"edge probability must lie in [0, 1], got {p!r}"
+    for draw in (
+        lambda rng: random_connected_graph(rng, 5, p),
+        lambda rng: random_instance(rng, sb.PerturbationKind.PENDANT_EDGE, 9, p),
+    ):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError) as excinfo:
+            draw(rng)
+        assert str(excinfo.value) == message
+        assert rng._state == SplitMix64(1)._state
+
+
+def test_an_added_edge_refuses_an_edge_probability_of_1():
+    # Every host came out complete, so the draw never ended.
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match="an added edge needs an edge probability below 1, got 1.0"):
+        random_instance(rng, sb.PerturbationKind.EDGE_ADDITION, 9, 1.0)
+    assert rng._state == SplitMix64(1)._state
+    host, pert = random_instance(rng, sb.PerturbationKind.PENDANT_EDGE, 9, 1.0)
+    assert host == sb.complete_graph(host.n)
+
+
+@pytest.mark.parametrize("n_max", [2, np.int64(2), -5])
+def test_random_instance_refuses_an_n_max_below_3(n_max):
+    # It failed inside randint with "empty range [3, 2]".
+    for kind in sb.PerturbationKind:
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError) as excinfo:
+            random_instance(rng, kind, n_max, 0.5)
+        assert str(excinfo.value) == f"n_max must be at least 3, got {n_max}"
+        assert rng._state == SplitMix64(1)._state
+
+
+def test_random_instance_refuses_a_non_integer_n_max():
+    with pytest.raises(ValueError, match="n_max must be an integer, got 9.0"):
+        random_instance(SplitMix64(1), sb.PerturbationKind.EDGE_ADDITION, 9.0, 0.5)
+
+
+def test_numpy_counts_draw_like_python_ints():
+    # nonempty_subset(np.int64(70)) raised OverflowError.
+    for count in (6, 70, 130):
+        assert SplitMix64(3).nonempty_subset(np.int64(count)) == SplitMix64(3).nonempty_subset(count)
+    assert random_connected_graph(SplitMix64(3), np.int64(7), 0.5) == random_connected_graph(SplitMix64(3), 7, 0.5)

@@ -61,12 +61,13 @@ _TOL_SOLVES = {
 }
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, "1"], ids=repr)
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, "1", pytest.param(10**400, id="10**400")], ids=repr)
 @pytest.mark.parametrize("name", sorted(_TOL_SOLVES))
 def test_solves_refuse_a_meaningless_tolerance(name, tol):
     # No certificate passes at tol <= 0 or nan, and every one passes at inf:
-    # refused up front, not by a RuntimeError from the first certificate or
-    # a TypeError from comparing a string.
+    # refused up front, not by a RuntimeError from the first certificate, a
+    # TypeError from comparing a string or an OverflowError from an integer
+    # beyond the float range.
     with pytest.raises(ValueError) as excinfo:
         _TOL_SOLVES[name](tol)
     assert str(excinfo.value) == f"tolerance must be a finite positive number, got {tol!r}"
