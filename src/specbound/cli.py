@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 invariant failure, 2 parse failure (a graph file
 that cannot be read or is not UTF-8 included; a byte-order mark is
 skipped), 3 usage, invalid perturbation, a final graph above the vertex
 limit of :func:`~specbound.graphs._instances` or unwritable
-``construct --out``, 4 structural precondition (disconnected result).
+``construct --out``, 4 structural precondition (disconnected result),
+141 stdout closed by its reader (the console script and ``python -m``).
 ``bound`` and ``path`` leave the instance checks to the library and map the
 error class to the code, with one ``error:`` line on stderr.  ``main`` may be
 called any number of times in one process; it builds its parser once.
@@ -29,6 +30,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -65,6 +67,7 @@ EXIT_INVARIANT = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
 EXIT_STRUCTURE = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ends
 
 _ORACLE_TOL = 1e-9
 
@@ -278,9 +281,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     return args.func(args)
 
 
-def entrypoint() -> None:  # pragma: no cover - console-script shim
-    sys.exit(main())
+def entrypoint() -> None:  # pragma: no cover - run as a program
+    """:func:`main` as a program: a reader that closes stdout early (``|
+    head -1``) ends it with ``EXIT_PIPE`` and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit writes nowhere
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entrypoint()

@@ -13,7 +13,7 @@ once, off the row sums of its ``A_I``; no final graph is built.
 from __future__ import annotations
 
 from .bounds import BoundReport, _bound_and_gap
-from .graphs import Graph, Perturbation, _added_edges, _equality, _Instance, _instances
+from .graphs import Graph, Perturbation, _added_edges, _equality, _instances
 
 
 def equality_case(graph: Graph, pert: Perturbation) -> bool:
@@ -38,22 +38,17 @@ def bound_report(graph: Graph, pert: Perturbation, tol: float = 1e-11) -> BoundR
     The final graph must be connected (the bounds do not apply otherwise;
     :class:`~specbound.graphs.DisconnectedError`); the initial index is the
     spectral radius of ``A_I``, certified to ``tol``, and the exact final
-    index the top of the spectrum of ``A_I + P``.
+    index the top of the spectrum of ``A_I + P``.  The bound is ``u(1)`` of
+    :func:`~specbound.bounds.perturbation_bound` and the gap that of
+    :func:`~specbound.bounds.asymptotic_gap`, from degree data checked once.
     """
-    return _report(_instances([(graph, pert)], tol)[0])
-
-
-def _report(inst: _Instance) -> BoundReport:
-    """:func:`bound_report` of a solved instance, its degree data checked
-    once: the bound is ``u(1)`` of :func:`~specbound.bounds.perturbation_bound`
-    and the gap that of :func:`~specbound.bounds.asymptotic_gap`."""
-    lambda_i = inst.lambda_i
-    bound, gap = _bound_and_gap(inst.kind, lambda_i, **inst.params)
+    inst = _instances([(graph, pert)], tol)[0]
+    bound, gap = _bound_and_gap(inst.kind, inst.lambda_i, **inst.params)
     return BoundReport(
-        lambda_i=lambda_i,
+        lambda_i=inst.lambda_i,
         lambda_f_exact=inst.lambda_f,
         bound=bound,
-        asymptotic_estimate=None if gap is None else lambda_i + gap,
+        asymptotic_estimate=None if gap is None else inst.lambda_i + gap,
         equality_case=inst.equality,
         slack=bound - inst.lambda_f,
     )

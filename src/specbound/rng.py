@@ -10,24 +10,20 @@ Flood ("Fast splittable pseudorandom number generators", OOPSLA 2014).
 ``uint64`` arrays, with the bits :class:`SplitMix64` draws one at a time.
 
 Graph generation is Erdos-Renyi with rejection sampling for connectivity.
-:func:`_draw` draws a block of trials, each from its own stream, in rounds.
-A round draws ``_DRAW_WORDS`` words of every trial not yet connected, in
-one array pass: the trial's size if it needs one, then as many speculative
-attempts as fit.  Each trial tests its attempts in order on their bit rows,
-with the one graph search of :mod:`specbound.spectral`, and resumes its
-stream after the first connected one; an attempt of more pairs than the
-round holds is drawn alone, in chunks.  An added edge whose host came out
-complete draws its size again.  One more pass draws the targets, the
-opposite endpoint or the pendant anchor.  :func:`_set_up` fills a block's
-per-size ``A_I`` and ``W`` stacks and its components from those bit rows,
-for :func:`~specbound.graphs._solve_stacks`, so a drawn trial builds no
+One generator, :func:`_connected_part`, draws a trial's connected part word
+by word, as the scalar draw reads them: its size, then attempts pair by
+pair, each tested with the one graph search of :mod:`specbound.spectral`.
+:func:`_connect` runs many trials' generators in rounds: one :func:`_words`
+pass computes the next run of words of every trial still drawing.
+:func:`_draw` then draws each trial's targets, opposite endpoint or pendant
+anchor, and :func:`_set_up` fills a block's per-size ``A_I`` and ``W``
+stacks and its components from the bit rows, so a drawn trial builds no
 :class:`~specbound.graphs.Graph`.  :func:`random_instance` and
 :func:`random_connected_graph` are the draw of one trial.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -47,16 +43,12 @@ from .graphs import (
     _ends,
     _w_stack,
 )
-from .spectral import _components, _row_bits, _unpack_rows
+from .spectral import _components, _unpack_rows
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX = tuple(np.uint64(c) for c in (_GOLDEN, 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
-_UNIFORM_SHIFT = np.uint64(11)  # a uniform float keeps a word's top 53 bits
-# Words per trial and round, and the chunk of a larger attempt: 2 KiB.  An
-# attempt within a round has at most 23 vertices, so its bit rows, summed
-# as floats, stay exact.
-_DRAW_WORDS = _BLOCK_ENTRIES >> 8
+_RUN_WORDS = _BLOCK_ENTRIES >> 4  # the most words a trial is sent in one round: 32 KiB
 
 EDGE_PROBABILITIES = (0.3, 0.5, 0.8)
 
@@ -129,19 +121,6 @@ def _words(states: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return z ^ (z >> s3)
 
 
-@functools.cache
-def _pair_table() -> tuple[np.ndarray, np.ndarray]:
-    """The pairs ``(i, j)``, ``i < j``, of ``range(n)`` in lexicographic
-    order, the order of an attempt's draws, for every ``n`` a round draws:
-    ``i`` and ``j`` as arrays indexed by ``[n, pair]``, built on first use."""
-    size = max(n for n in range(2, _DRAW_WORDS + 2) if n * (n - 1) // 2 <= _DRAW_WORDS)
-    i, j = np.zeros((2, size + 1, size * (size - 1) // 2), dtype=np.int64)
-    for n in range(2, size + 1):
-        row, col = np.triu_indices(n, 1)
-        i[n, : len(row)], j[n, : len(col)] = row, col
-    return i, j
-
-
 def _below(p) -> int:
     """The bound ``b`` with ``uniform() < p`` iff ``word >> 11 < b``, for
     an edge probability ``p``, unless ``p`` lies outside [0, 1]."""
@@ -150,126 +129,64 @@ def _below(p) -> int:
     return math.ceil(float(p) * 2.0**53)
 
 
-class _Trial:
-    """One stream's draw in progress: the words taken, the connected part's
-    size ``n`` (``None`` while it is still to draw, from ``lo`` and
-    ``span``) and its bit rows once connected."""
-
-    __slots__ = ("stream", "kind", "p", "below", "lo", "span", "n", "used", "tries", "rows")
-
-    def __init__(
-        self, stream: SplitMix64, kind, p, below: int, n: Optional[int] = None, n_max: int = 0
-    ) -> None:
-        if kind is PerturbationKind.EDGE_ADDITION and below >> 53:  # every host complete: no edge to add
-            raise ValueError(f"an added edge needs an edge probability below 1, got {p!r}")
-        self.stream, self.kind, self.p, self.below = stream, kind, p, below
+def _connected_part(kind, p, below: int, n: Optional[int], n_max: int, max_attempts: int):
+    """The connected part of one trial, read as the scalar draw reads its
+    words: its size unless ``n`` is given, then attempts pair by pair until
+    one is connected, and the size again if an added edge's host came out
+    complete.  It yields how many words it would read next, is sent a run
+    of that many of its stream's next words, and returns its bit rows and
+    the number of words it read of its last run."""
+    if kind is PerturbationKind.EDGE_ADDITION and below >> 53:  # every host complete: no edge to add
+        raise ValueError(f"an added edge needs an edge probability below 1, got {p!r}")
+    limit, run, at, end = below << 11, (), 0, 0  # word >> 11 < below iff word < limit, which shifts no word
+    while True:
         if n is None:
+            if at == end:
+                run = yield min(_RUN_WORDS, 1 + 2 * n_max * (n_max - 1))  # 4 attempts at n_max vertices
+                at, end = 0, len(run)
             lo, offset = _SHAPES[kind].sizes
-            self.lo, self.span = lo, n_max + offset - lo + 1
-        self.n, self.used, self.tries, self.rows = n, 0, 0, None
-
-    def attempted(self, count: int, max_attempts: int) -> None:
-        """Count ``count`` rejected attempts, ``RuntimeError`` past ``max_attempts``."""
-        self.used += count * (self.n * (self.n - 1) // 2)
-        self.tries += count
-        if self.tries >= max_attempts:
-            raise RuntimeError(f"no connected G({self.n}, {self.p}) found in {max_attempts} attempts")
-
-    def connected(self, rows: list[int], tries: int) -> None:
-        """Keep ``rows``, the ``tries``-th attempt, unless an added edge's
-        host came out complete: then the size is drawn again."""
-        self.used += tries * (self.n * (self.n - 1) // 2)
-        edge = self.kind is PerturbationKind.EDGE_ADDITION
-        if edge and sum(r.bit_count() for r in rows) == self.n * (self.n - 1):  # complete
-            self.n, self.tries = None, 0
-        else:
-            self.rows = rows
-
-
-def _connect(trials: list[_Trial], max_attempts: int) -> None:
-    """Draw each trial's connected part into its ``rows``, in rounds.  A
-    round draws the size of every trial that needs one, one word each in
-    one pass; then the trials with at most ``_DRAW_WORDS`` pairs draw their
-    next run of attempts together (:func:`_round`), and a larger one its
-    attempts alone (:func:`_connect_alone`).  A part of one vertex is
-    connected without a draw."""
-    pending = trials
-    while pending:
-        sizing = [t for t in pending if t.n is None]
-        if sizing:
-            states = np.array([t.stream._state for t in sizing], dtype=np.uint64)
-            words = _words(states, np.array([t.used + 1 for t in sizing], dtype=np.uint64))
-            for t, word in zip(sizing, words.tolist()):
-                t.n, t.used = t.lo + word % t.span, t.used + 1
-        runs = []
-        for t in pending:
-            pairs = t.n * (t.n - 1) // 2
-            if not pairs:
-                t.rows = [0] * t.n
-            elif pairs > _DRAW_WORDS:
-                _connect_alone(t, max_attempts)
-            else:
-                runs.append(t)
-        if runs:
-            _round(runs, max_attempts)
-        pending = [t for t in pending if t.rows is None]
-
-
-def _round(trials: list[_Trial], max_attempts: int) -> None:
-    """The next run of attempts of each trial, drawn in one array pass: as
-    many as it has rejected so far, at least 4 and at most ``_DRAW_WORDS``
-    words' worth.  Each trial tests its run in order, on bit rows that one
-    ``bincount`` over the pass's edges builds for every attempt."""
-    n = np.array([t.n for t in trials])
-    pairs = n * (n - 1) // 2
-    count = np.array(
-        [min(max(4, t.tries), _DRAW_WORDS // p, max_attempts - t.tries) for t, p in zip(trials, pairs.tolist())]
-    )
-    length = count * pairs
-    trial = np.repeat(np.arange(len(trials)), length)
-    at = np.arange(len(trial)) - (np.cumsum(length) - length)[trial]  # the word's place in its trial's run
-    used = np.array([t.used + 1 for t in trials])[trial] + at
-    states = np.array([t.stream._state for t in trials], dtype=np.uint64)[trial]
-    words = _words(states, used.astype(np.uint64))
-    below = np.array([t.below for t in trials], dtype=np.uint64)
-    hit = np.flatnonzero((words >> _UNIFORM_SHIFT) < below[trial])
-    k = trial[hit]
-    attempt, q = np.divmod(at[hit], pairs[k])
-    i, j = (ends[n[k], q] for ends in _pair_table())
-    base = (np.cumsum(count * n) - count * n)[k] + attempt * n[k]  # the attempt's first row
-    sums = np.bincount(np.concatenate([base + i, base + j]), np.exp2(np.concatenate([j, i])), int(count @ n))
-    rows, first = sums.astype(np.int64).tolist(), 0
-    for t, tries, size in zip(trials, count.tolist(), n.tolist()):
-        for a in range(tries):
-            attempt_rows = rows[first + a * size : first + (a + 1) * size]
-            if len(_components(attempt_rows)) == 1:
-                t.connected(attempt_rows, a + 1)
+            n, at = lo + run[at] % (n_max + offset - lo + 1), at + 1
+        pairs = n * (n - 1) // 2
+        for tries in range(max_attempts):
+            rows = [0] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if at == end:
+                        run = yield min(_RUN_WORDS, max(4, tries) * pairs)
+                        at, end = 0, len(run)
+                    if run[at] < limit:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+                    at += 1
+            if len(_components(rows)) == 1:
                 break
         else:
-            t.attempted(tries, max_attempts)
-        first += tries * size
+            raise RuntimeError(f"no connected G({n}, {p}) found in {max_attempts} attempts")
+        if kind is not PerturbationKind.EDGE_ADDITION or sum(r.bit_count() for r in rows) < 2 * pairs:
+            return rows, at
+        n = None
 
 
-def _connect_alone(t: _Trial, max_attempts: int) -> None:
-    """Attempts of one trial with more pairs than a round holds, one at a
-    time, each drawn in chunks of ``_DRAW_WORDS`` words into a boolean
-    adjacency matrix, until one is connected."""
-    n, pairs = t.n, t.n * (t.n - 1) // 2
-    state, below = np.array([t.stream._state], dtype=np.uint64), np.uint64(t.below)
-    starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # each row's first pair
+def _connect(streams: list[SplitMix64], parts: list) -> list[list[int]]:
+    """The bit rows of each :func:`_connected_part` in ``parts``, run to its
+    end in rounds.  A round computes every pending part's run, as many
+    words as it asks for, from ``streams[k]``, in one :func:`_words` pass,
+    sends it, and advances each stream by the words its part read."""
+    rows, sent = [None] * len(parts), [(k, None) for k in range(len(parts))]  # None starts a generator
     while True:
-        adjacency = np.zeros((n, n), dtype=bool)
-        for start in range(0, pairs, _DRAW_WORDS):
-            q = np.arange(start, min(start + _DRAW_WORDS, pairs))
-            q = q[(_words(state, (t.used + 1 + q).astype(np.uint64)) >> _UNIFORM_SHIFT) < below]
-            i = np.searchsorted(starts, q, side="right") - 1
-            adjacency[i, q - starts[i] + i + 1] = True
-        adjacency |= adjacency.T
-        rows = _row_bits(adjacency)
-        if len(_components(rows)) == 1:
-            t.connected(rows, 1)
-            return
-        t.attempted(1, max_attempts)
+        wants = []
+        for k, run in sent:
+            try:
+                wants.append((k, parts[k].send(run)))
+                read = len(run or ())
+            except StopIteration as done:
+                rows[k], read = done.value
+            streams[k]._state = (streams[k]._state + read * _GOLDEN) & _MASK64
+        if not wants:
+            return rows
+        states = np.array([streams[k]._state for k, _ in wants], dtype=np.uint64)
+        words = _words(states[:, None], np.arange(1, max(count for _, count in wants) + 1, dtype=np.uint64))
+        sent = [(k, row[:count].tolist()) for (k, count), row in zip(wants, words)]
 
 
 def _missing_pair(rows: list[int], r: int) -> tuple[int, int]:
@@ -310,27 +227,24 @@ class _Drawn(NamedTuple):
 def _draw(streams: list[SplitMix64], kinds, n_max: int, ps) -> list[_Drawn]:
     """One random instance per stream, of the kind and edge probability at
     its place in ``kinds`` and ``ps``, with at most ``n_max`` vertices in
-    its final graph: the connected parts in rounds (:func:`_connect`), then
-    one pass of the last draw, which leaves each stream where a draw one
-    word at a time would.  A vertex connection joins an isolated vertex to
-    its connected part, the other kinds perturb a connected host."""
+    its final graph: the connected parts (:func:`_connect`), then each
+    last draw.  A vertex connection joins an isolated vertex to its
+    connected part, the other kinds perturb a connected host."""
     below = {p: _below(p) for p in set(ps)}
-    trials = [_Trial(stream, kind, p, below[p], n_max=n_max) for stream, kind, p in zip(streams, kinds, ps)]
-    _connect(trials, 10_000)
+    parts = [_connected_part(kind, p, below[p], None, n_max, 10_000) for kind, p in zip(kinds, ps)]
     drawn = []
-    for t in trials:
-        stream, n = t.stream, t.n
-        stream._state = (stream._state + t.used * _GOLDEN) & _MASK64
-        if t.kind is PerturbationKind.VERTEX_CONNECTION:
-            u, targets, rows = n, tuple(stream.nonempty_subset(n)), t.rows + [0]
-        elif t.kind is PerturbationKind.EDGE_ADDITION:
-            missing = n * (n - 1) // 2 - sum(r.bit_count() for r in t.rows) // 2
-            (u, v), rows = _missing_pair(t.rows, stream.randint(0, missing - 1)), t.rows
+    for stream, kind, rows in zip(streams, kinds, _connect(streams, parts)):
+        n = len(rows)
+        if kind is PerturbationKind.VERTEX_CONNECTION:
+            u, targets, host = n, tuple(stream.nonempty_subset(n)), rows + [0]
+        elif kind is PerturbationKind.EDGE_ADDITION:
+            missing = n * (n - 1) // 2 - sum(r.bit_count() for r in rows) // 2
+            (u, v), host = _missing_pair(rows, stream.randint(0, missing - 1)), rows
             targets = (v,)
         else:
-            u, targets, rows = stream.randint(0, n - 1), (), t.rows
-        comps = [list(range(n))] + [[n]] * (t.kind is not PerturbationKind.EDGE_ADDITION)
-        drawn.append(_Drawn(t.kind, u, targets, _BitGraph(rows), comps))
+            u, targets, host = stream.randint(0, n - 1), (), rows
+        comps = [list(range(n))] + [[n]] * (kind is not PerturbationKind.EDGE_ADDITION)
+        drawn.append(_Drawn(kind, u, targets, _BitGraph(host), comps))
     return drawn
 
 
@@ -361,12 +275,11 @@ def random_connected_graph(rng: SplitMix64, n: int, p: float, max_attempts: int 
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    trial = _Trial(rng, None, p, _below(p), n=n)
-    if max_attempts < 1:
-        raise RuntimeError(f"no connected G({n}, {p}) found in {max_attempts} attempts")
-    _connect([trial], max_attempts)
-    rng._state = (rng._state + trial.used * _GOLDEN) & _MASK64
-    return _BitGraph(trial.rows).graph()
+    below = _below(p)
+    if isinstance(max_attempts, bool) or not isinstance(max_attempts, numbers.Integral):
+        raise ValueError(f"max_attempts must be an integer, got {max_attempts!r}")
+    (rows,) = _connect([rng], [_connected_part(None, p, below, n, n, int(max_attempts))])
+    return _BitGraph(rows).graph()
 
 
 def random_instance(

@@ -13,11 +13,11 @@ it up once and checks every certificate of its bound and its path:
 Trials are seeded per-index from a master splitmix64 seed, so summaries are
 bit-for-bit reproducible and order-independent.  They run in blocks of about
 ``_BLOCK_ENTRIES`` matrix entries.  A block's instances are drawn together
-as arrays (:func:`~specbound.rng._draw`: sizes and runs of connectivity
-attempts in one numpy pass per round, each attempt tested on its bit rows)
-and set up straight from their bit rows, as one stack of ``A_I`` and one
-of ``W`` per final size, with each host's degrees, for its degree data and
-its equality case, read off its ``A_I``'s row sums.  No ``Graph`` or
+(:func:`~specbound.rng._draw`: each trial's draw one generator that tests
+its attempts on their bit rows, the words of all of them one numpy pass
+per round) and set up straight from their bit rows, as one stack of
+``A_I`` and one of ``W`` per final size, with each host's degrees, for its
+degree data and its equality case, read off its ``A_I``'s row sums.  No ``Graph`` or
 ``Perturbation`` is built for a trial that passes.  They are solved
 together: ``A_I``'s components and ``A_I + P`` one LAPACK call per matrix
 size, the secular roots of every path point as one array iteration, the

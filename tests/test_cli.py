@@ -797,13 +797,13 @@ def test_shared_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
     assert [code for code, _, _ in shared] == MIXED_CODES
 
 
-def _run_fresh_interpreter(*argv):
+def _run_fresh_interpreter(*argv, stdout=subprocess.PIPE):
     """``python -m specbound.cli ARGV`` in a new process, from this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run(
         [sys.executable, "-m", "specbound.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120, check=False,
     )
 
 
@@ -816,3 +816,15 @@ def test_fresh_interpreter_matches_in_process(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n0 0\n")  # self-loop
     assert _run_fresh_interpreter("bound", str(bad), "edge", "0", "2").returncode == 2
+
+
+def test_closed_stdout_ends_quietly_with_its_own_code():
+    # "verify | head -1" printed a BrokenPipeError traceback and exited 1,
+    # the code of a failed invariant.
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the program writes
+    try:
+        proc = _run_fresh_interpreter("verify", "--trials", "3", stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")

@@ -207,6 +207,15 @@ def test_one_function_splits_the_grid_into_passes():
         assert {file: owners for file, owners in found.items() if owners} == {"spectral.py": [owner]}
 
 
+def test_one_attempt_loop_and_one_word_source_draw_the_hosts():
+    # A trial's connected part is one generator, fed by one array pass:
+    # ``_connected_part`` alone reads ``_components`` and ``_connect`` alone
+    # reads ``_words``, so a second attempt loop or word source fails here.
+    source = (SRC / "rng.py").read_text(encoding="utf-8")
+    assert readers(source, "_components") == ["_connected_part"]
+    assert readers(source, "_words") == ["_connect"]
+
+
 def test_no_module_builds_the_dense_perturbation():
     # The solve carries P = W S W^T only as W: the dense matrix is public API
     # and the tests' reference, and no library module calls for it.

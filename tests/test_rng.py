@@ -193,7 +193,7 @@ def test_block_draw_equals_the_scalar_reference(n_max):
     # Seeds 0-199, every kind at each edge probability in turn, drawn as one
     # block: each instance, and the state each stream is left in, are those
     # of the draw one uniform at a time.  Above 64 vertices a target mask
-    # takes several words, and above 23 an attempt is drawn alone.
+    # takes several words, and above 91 an attempt spans several runs.
     streams, kinds, ps, expected = [], [], [], []
     for seed in range(200):
         for k, kind in enumerate(sb.PerturbationKind):
@@ -218,8 +218,10 @@ def test_random_instance_is_the_draw_of_one_trial(kind):
 
 
 def test_random_connected_graph_equals_the_scalar_reference():
+    # n = 1 reads no pair word; an attempt at n = 100 is longer than one run.
+    assert 100 * 99 // 2 > rng_module._RUN_WORDS
     for seed in range(40):
-        for n, p in ((1, 0.5), (2, 0.2), (5, 0.3), (23, 0.1), (24, 0.1), (40, 0.2)):
+        for n, p in ((1, 0.5), (2, 0.2), (5, 0.3), (23, 0.1), (24, 0.1), (40, 0.2), (100, 0.05)):
             ours, ref = SplitMix64(seed), SplitMix64(seed)
             assert random_connected_graph(ours, n, p) == oracles.random_connected_graph(ref, n, p)
             assert ours._state == ref._state
@@ -232,6 +234,26 @@ def test_exhausted_attempts_keep_their_message(n, p, attempts):
     with pytest.raises(RuntimeError) as ref:
         oracles.random_connected_graph(SplitMix64(1), n, p, attempts)
     assert str(ours.value) == str(ref.value) == f"no connected G({n}, {p}) found in {attempts} attempts"
+
+
+@pytest.mark.parametrize("attempts", [2.5, True, "3", None], ids=repr)
+def test_random_connected_graph_refuses_a_max_attempts_that_is_not_an_integer(attempts):
+    # 2.5 failed inside numpy, True ran as 1 and said "found in True
+    # attempts", and "3" and None raised TypeError.
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError) as excinfo:
+        random_connected_graph(rng, 5, 0.0, attempts)
+    assert str(excinfo.value) == f"max_attempts must be an integer, got {attempts!r}"
+    assert rng._state == SplitMix64(1)._state
+
+
+def test_numpy_max_attempts_count_like_python_ints():
+    for attempts in (np.int64(3), np.int32(3)):
+        expected = random_connected_graph(SplitMix64(2), 6, 0.3, 3)
+        assert random_connected_graph(SplitMix64(2), 6, 0.3, attempts) == expected
+    with pytest.raises(RuntimeError) as excinfo:
+        random_connected_graph(SplitMix64(1), 5, 0.0, np.int64(2))
+    assert str(excinfo.value) == "no connected G(5, 0.0) found in 2 attempts"
 
 
 @pytest.mark.parametrize("seed", [-7, 2**70])
