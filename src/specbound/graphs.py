@@ -20,23 +20,25 @@ the rest (target count, usage line, whether ``u`` must be isolated).  The
 pendant vertex is always index ``n``, so the matrices of the path
 ``A_I + t P`` align once ``A_I`` is zero-padded by one row and column.  One
 private instance holds the bounds' degree data, the equality case and the
-solved path.  Instances are set up as one stack of ``A_I`` and one of
-``W`` per final size, by two producers: :func:`_instances` from graphs,
-for ``bound_report`` and ``sample_path``, and the random draw of
-:mod:`specbound.rng` from its bit rows, for ``verify``, which builds no
-:class:`Graph`.  One consumer, :func:`_solve_stacks`, solves them
-together and reads each host's degrees off its ``A_I``'s row sums, for the
-degree data and the one cone recognizer (:func:`_is_cone`), which the
-public recognizers share.  ``A_I``'s components come from one pass of the
-one graph search of :mod:`specbound.spectral`, which :func:`is_connected`
-and the random draw share, over ``A_I``'s rows as bit sets, and ``A_I +
-P`` is connected iff the added edges reach every component.  The instance
-lays out the path's points: its start ``(lambda_I, x_I)``, certified pairs
-on the grid ``k/steps`` with the slopes ``lambda'(t)`` there, and, for a
-report, the final index at ``t = 1``.  It hands the solve ``P = W S W^T``
-only as the columns ``W = [e_u, s]``, never as a matrix
-(:func:`perturbation_matrix` is the public reference), and reads each grid
-vector's ``<P x, x> = 2 x_u (s . x)`` off ``W^T x``.
+solved path.  Every instance is set up in one place, :func:`_solve_stacks`,
+from a trial record (:class:`_Trial`): the perturbation, the host as bit
+rows and ``A_I``'s components.  :func:`_instances` makes the records of
+graphs, for ``bound_report`` and ``sample_path``, taking the components
+from one pass of the one graph search of :mod:`specbound.spectral`, which
+:func:`is_connected` and the random draw share, over the host's bit rows;
+the random draw of :mod:`specbound.rng` makes them from the rows it draws,
+for ``verify``, which builds no :class:`Graph`.  :func:`_solve_stacks`
+unpacks each final size's rows into one ``A_I`` stack, builds its ``W``
+stack, reads each host's degrees off its rows, for the degree data and the
+one cone recognizer (:func:`_is_cone`), which the public recognizers
+share, and solves the instances together.  ``A_I + P`` is connected iff
+the added edges reach every component.  The instance lays out the path's
+points: its start ``(lambda_I, x_I)``, certified pairs on the grid
+``k/steps`` with the slopes ``lambda'(t)`` there, and, for a report, the
+final index at ``t = 1``.  It hands the solve ``P = W S W^T`` only as the
+columns ``W = [e_u, s]``, never as a matrix (:func:`perturbation_matrix` is
+the public reference), and reads each grid vector's
+``<P x, x> = 2 x_u (s . x)`` off ``W^T x``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .spectral import _components, _row_bits, _solve_paths, _unpack_rows
+from .spectral import _components, _solve_paths, _unpack_rows
 
 _MAX_VERTICES = 1 << 13  # of a final graph: one dense float64 matrix is 512 MiB, and a path holds several
 _BLOCK_ENTRIES = 1 << 16  # matrix entries solved per block of verify trials: 512 KiB of float64
@@ -162,11 +164,17 @@ def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component (n >= 1)."""
     if g.n < 1:
         raise ValueError("connectivity is undefined for the empty graph")
-    neighbors = [0] * g.n
+    return len(_components(_bit_rows(g))) == 1
+
+
+def _bit_rows(g: Graph) -> list[int]:
+    """The graph as the bit rows the graph search reads: bit ``j`` of row
+    ``i`` marks the edge ``(i, j)``."""
+    rows = [0] * g.n
     for i, j in g.edges:
-        neighbors[i] |= 1 << j
-        neighbors[j] |= 1 << i
-    return len(_components(neighbors)) == 1
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return rows
 
 
 def is_regular(g: Graph) -> Optional[int]:
@@ -357,7 +365,7 @@ def _added_edges(g, p) -> list[tuple[int, int]]:
 
 
 class _BitGraph(NamedTuple):
-    """A drawn host as the bit rows the graph search reads: bit ``j`` of
+    """A host as the bit rows the graph search reads: bit ``j`` of
     ``rows[i]`` marks the edge ``(i, j)``.  It answers what
     :func:`_added_edges` asks of a :class:`Graph`, which it builds only on
     request."""
@@ -375,8 +383,29 @@ class _BitGraph(NamedTuple):
         return bool(self.rows[i] >> j & 1)
 
     def graph(self) -> Graph:
-        i, j = np.nonzero(np.triu(_unpack_rows(self.rows, self.n), 1))
-        return Graph(self.n, frozenset(zip(i.tolist(), j.tolist())))
+        edges = ((i, j) for i, row in enumerate(self.rows) for j in range(i + 1, self.n) if row >> j & 1)
+        return Graph(self.n, frozenset(edges))
+
+
+class _Trial(NamedTuple):
+    """One instance to set up: its perturbation (``kind``, ``u``,
+    ``targets``, as a :class:`Perturbation` reads them), checked against its
+    host, the host as bit rows, with a vertex connection's isolated ``u``,
+    and ``A_I``'s components, a pendant vertex alone among them."""
+
+    kind: PerturbationKind
+    u: int
+    targets: tuple[int, ...]
+    host: _BitGraph
+    comps: list[list[int]]
+
+    @property
+    def size(self) -> int:
+        """Vertex count of the final graph."""
+        return self.host.n + (not self.targets)
+
+    def pair(self) -> tuple[Graph, Perturbation]:
+        return self.host.graph(), Perturbation(self.kind, self.u, self.targets)
 
 
 def perturbed_dimension(g: Graph, p: Perturbation) -> int:
@@ -448,30 +477,20 @@ class _Instance(NamedTuple):
 
 
 def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_Instance]:
-    """Set each ``(g, p)`` of ``pairs`` up as stacks, then solve them all
-    together (:func:`_solve_stacks`).  Each ``(g, p)`` is checked once with
-    :func:`_added_edges`.  The instances of one final size share one zero
-    stack of their matrices ``A_I``, filled by indexed assignment over all of
-    them, and one :func:`_row_bits` pass over it, from which each instance
-    takes its components.  ``ValueError`` above ``_MAX_VERTICES`` vertices,
-    before any matrix is sized."""
-    pairs, by_size = list(pairs), {}
-    for k, (g, p) in enumerate(pairs):
+    """Solve each ``(g, p)`` of ``pairs`` (:func:`_solve_stacks`), set up
+    from the host's bit rows and their components.  Each ``(g, p)`` is
+    checked once, with :func:`_added_edges` and then against
+    ``_MAX_VERTICES``, before any rows are built."""
+    pairs = list(pairs)
+    for g, p in pairs:
         _added_edges(g, p)  # PerturbationError unless p applies to g
-        by_size.setdefault(_check_vertex_count(perturbed_dimension(g, p)), []).append(k)
-    comps, stacks = [None] * len(pairs), []
-    for n, group in by_size.items():
-        hosts = [pairs[k][0] for k in group]
-        a_stack = np.zeros((len(group), n, n))
-        edges = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in hosts)), np.intp)
-        at, (i, j) = np.repeat(np.arange(len(group)), [g.m for g in hosts]), edges.reshape(-1, 2).T
-        a_stack[at, i, j] = a_stack[at, j, i] = 1.0  # each edge and its mirror
-        bits = _row_bits(a_stack.reshape(-1, n))
-        for row, k in enumerate(group):  # the host's components, and a pendant vertex alone
-            comps[k] = _components(bits[row * n : (row + 1) * n])
-        w_stack = _w_stack(n, [_ends(pairs[k][1], g.n) for k, g in zip(group, hosts)])
-        stacks.append((group, a_stack, w_stack))
-    return _solve_stacks([p for _, p in pairs], comps, stacks, tol, steps, final)
+        _check_vertex_count(perturbed_dimension(g, p))
+    trials = []
+    for g, p in pairs:
+        rows = _bit_rows(g)
+        comps = _components(rows + [0] * (not p.targets))  # a pendant vertex alone
+        trials.append(_Trial(p.kind, p.u, p.targets, _BitGraph(rows), comps))
+    return _solve_stacks(trials, tol, steps, final)
 
 
 def _w_stack(n: int, ends: list[tuple[int, ...]]) -> np.ndarray:
@@ -484,42 +503,43 @@ def _w_stack(n: int, ends: list[tuple[int, ...]]) -> np.ndarray:
     return w_stack
 
 
-def _solve_stacks(perts, comps, stacks, tol: float, steps: int = 0, final: bool = True) -> list[_Instance]:
-    """Solve the perturbations ``perts`` (each with ``kind``, ``u`` and
-    ``targets``) set up as ``stacks``, triples ``(group, A_I stack, W
-    stack)`` whose rows are the matrices of the instances ``group``, with
-    ``comps`` their ``A_I``'s components: certified Perron pairs on the grid
-    ``k/steps`` with their quadratic forms ``<P x, x>`` and secular slopes
-    ``lambda'(t)``, and, with ``final``, the top eigenvalue of ``A_I + P``,
-    which the solve takes from the two stacks as they are.  ``P`` is handed
-    over only as ``W``, never as a matrix.  Each host's degrees, for its
-    degree data and its equality case, are its ``A_I``'s row sums, one sum
-    per stack.  The two producers of stacks, :func:`_instances` from graphs
-    and the random draw of :mod:`specbound.rng` from its bit rows, share
-    this.  :class:`DisconnectedError` unless every ``A_I + P`` is connected,
-    before anything is solved."""
+def _solve_stacks(trials: list[_Trial], tol: float, steps: int = 0, final: bool = True) -> list[_Instance]:
+    """Solve the :class:`_Trial` records ``trials``, the one set-up of every
+    instance: certified Perron pairs on the grid ``k/steps`` with their
+    quadratic forms ``<P x, x>`` and secular slopes ``lambda'(t)``, and,
+    with ``final``, the top eigenvalue of ``A_I + P``, which the solve takes
+    from the stacks as they are.  The trials of one final size share one
+    ``A_I`` stack, their bit rows unpacked in one pass, and one stack of
+    ``W``: ``P`` is handed over only as ``W``, never as a matrix.  Each
+    host's degrees, for its degree data and its equality case, are its
+    rows' bit counts.  :class:`DisconnectedError` unless every ``A_I + P``
+    is connected, before any stack is built."""
+    if not all(_joins_components(d.comps, d, d.host.n) for d in trials):
+        raise DisconnectedError("the perturbed graph is disconnected")
     grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
-    paths, degrees = [None] * len(perts), [None] * len(perts)
-    for group, a_stack, w_stack in stacks:
-        sums = a_stack.sum(axis=2).astype(np.intp).tolist()
+    by_size: dict[int, list[int]] = {}
+    for k, d in enumerate(trials):
+        by_size.setdefault(d.size, []).append(k)
+    paths, stacks = [None] * len(trials), []
+    for n, group in by_size.items():
+        rows = [r for k in group for r in trials[k].host.rows + [0] * (not trials[k].targets)]
+        a_stack = _unpack_rows(rows, n).reshape(len(group), n, n).astype(float, order="C")
+        w_stack = _w_stack(n, [_ends(trials[k], trials[k].host.n) for k in group])
         for row, k in enumerate(group):
-            paths[k], degrees[k] = (a_stack[row], w_stack[row], comps[k]), sums[row]
-    for k, p in enumerate(perts):
-        n = len(degrees[k]) - (not p.targets)  # the host's vertices
-        if not _joins_components(comps[k], p, n):
-            raise DisconnectedError("the perturbed graph is disconnected")
-        degrees[k] = degrees[k][:n]
+            paths[k] = (a_stack[row], w_stack[row], trials[k].comps)
+        stacks.append((group, a_stack, w_stack))
     solved = _solve_paths(paths, grid, tol, stacks if final else ())
-    forms = [None] * len(perts)
+    forms = [None] * len(trials)
     for group, _, w_stack in stacks:  # W^T x per grid point, one product per stack: <P x, x> = 2 x_u (s . x)
         z = np.array([solved[k][4] for k in group]) @ w_stack
         for k, row in zip(group, 2.0 * z[:, :, 0] * z[:, :, 1]):
             forms[k] = row
     insts = []
-    for p, degs, form, solution in zip(perts, degrees, forms, solved):
+    for d, form, solution in zip(trials, forms, solved):
         lambda_i, vector, _, values, vectors, slopes, lambda_f = solution
         path = (lambda_i, vector, grid, values, vectors, form, slopes[:-1], lambda_f)
-        insts.append(_Instance(p.kind, _degree_data(p, degs), _equality(p, degs), *path))
+        degs = [row.bit_count() for row in d.host.rows]
+        insts.append(_Instance(d.kind, _degree_data(d, degs), _equality(d, degs), *path))
     return insts
 
 

@@ -7,7 +7,7 @@ structural equality recognizer.  A report reads the instance of
 samples: ``lambda_I`` is its start and the final index the top of the
 spectrum of ``A_I + P``, both solved with it.  The perturbation is checked
 once, with the instance, and its degree data and equality case are read
-once, off the row sums of its ``A_I``; no final graph is built.
+once, off its host's bit rows; no final graph is built.
 """
 
 from __future__ import annotations

@@ -16,10 +16,12 @@ pair, each tested with the one graph search of :mod:`specbound.spectral`.
 :func:`_connect` runs many trials' generators in rounds: one :func:`_words`
 pass computes the next run of words of every trial still drawing.
 :func:`_draw` then draws each trial's targets, opposite endpoint or pendant
-anchor, and :func:`_set_up` fills a block's per-size ``A_I`` and ``W``
-stacks and its components from the bit rows, so a drawn trial builds no
-:class:`~specbound.graphs.Graph`.  :func:`random_instance` and
-:func:`random_connected_graph` are the draw of one trial.
+anchor, and hands the trial over, checked, as the record
+:class:`~specbound.graphs._Trial` that
+:func:`~specbound.graphs._solve_stacks` sets up from its bit rows, so a
+drawn trial builds no :class:`~specbound.graphs.Graph`.
+:func:`random_instance` and :func:`random_connected_graph` are the draw of
+one trial.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,10 +42,9 @@ from .graphs import (
     _added_edges,
     _BitGraph,
     _check_vertex_count,
-    _ends,
-    _w_stack,
+    _Trial,
 )
-from .spectral import _components, _unpack_rows
+from .spectral import _components
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -134,8 +135,9 @@ def _connected_part(kind, p, below: int, n: Optional[int], n_max: int, max_attem
     words: its size unless ``n`` is given, then attempts pair by pair until
     one is connected, and the size again if an added edge's host came out
     complete.  It yields how many words it would read next, is sent a run
-    of that many of its stream's next words, and returns its bit rows and
-    the number of words it read of its last run."""
+    of that many of its stream's next words, and returns its bit rows, or
+    the ``RuntimeError`` of exhausted attempts, and the number of words it
+    read of its last run."""
     if kind is PerturbationKind.EDGE_ADDITION and below >> 53:  # every host complete: no edge to add
         raise ValueError(f"an added edge needs an edge probability below 1, got {p!r}")
     limit, run, at, end = below << 11, (), 0, 0  # word >> 11 < below iff word < limit, which shifts no word
@@ -161,7 +163,7 @@ def _connected_part(kind, p, below: int, n: Optional[int], n_max: int, max_attem
             if len(_components(rows)) == 1:
                 break
         else:
-            raise RuntimeError(f"no connected G({n}, {p}) found in {max_attempts} attempts")
+            return RuntimeError(f"no connected G({n}, {p}) found in {max_attempts} attempts"), at
         if kind is not PerturbationKind.EDGE_ADDITION or sum(r.bit_count() for r in rows) < 2 * pairs:
             return rows, at
         n = None
@@ -171,7 +173,8 @@ def _connect(streams: list[SplitMix64], parts: list) -> list[list[int]]:
     """The bit rows of each :func:`_connected_part` in ``parts``, run to its
     end in rounds.  A round computes every pending part's run, as many
     words as it asks for, from ``streams[k]``, in one :func:`_words` pass,
-    sends it, and advances each stream by the words its part read."""
+    sends it, and advances each stream by the words its part read, then
+    raises a part's error of exhausted attempts."""
     rows, sent = [None] * len(parts), [(k, None) for k in range(len(parts))]  # None starts a generator
     while True:
         wants = []
@@ -182,6 +185,8 @@ def _connect(streams: list[SplitMix64], parts: list) -> list[list[int]]:
             except StopIteration as done:
                 rows[k], read = done.value
             streams[k]._state = (streams[k]._state + read * _GOLDEN) & _MASK64
+            if isinstance(rows[k], RuntimeError):
+                raise rows[k]
         if not wants:
             return rows
         states = np.array([streams[k]._state for k, _ in wants], dtype=np.uint64)
@@ -203,33 +208,15 @@ def _missing_pair(rows: list[int], r: int) -> tuple[int, int]:
     raise ValueError("no missing pair")  # pragma: no cover - complete hosts are drawn again
 
 
-class _Drawn(NamedTuple):
-    """A drawn trial: its perturbation (``kind``, ``u``, ``targets``, as a
-    :class:`~specbound.graphs.Perturbation` reads them), its host as bit
-    rows, with a vertex connection's isolated ``u``, and ``A_I``'s
-    components."""
-
-    kind: PerturbationKind
-    u: int
-    targets: tuple[int, ...]
-    host: _BitGraph
-    comps: list[list[int]]
-
-    @property
-    def size(self) -> int:
-        """Vertex count of the final graph."""
-        return self.host.n + (not self.targets)
-
-    def pair(self) -> tuple[Graph, Perturbation]:
-        return self.host.graph(), Perturbation(self.kind, self.u, self.targets)
-
-
-def _draw(streams: list[SplitMix64], kinds, n_max: int, ps) -> list[_Drawn]:
+def _draw(streams: list[SplitMix64], kinds, n_max: int, ps) -> list[_Trial]:
     """One random instance per stream, of the kind and edge probability at
     its place in ``kinds`` and ``ps``, with at most ``n_max`` vertices in
     its final graph: the connected parts (:func:`_connect`), then each
     last draw.  A vertex connection joins an isolated vertex to its
-    connected part, the other kinds perturb a connected host."""
+    connected part, the other kinds perturb a connected host.  Each trial
+    is checked where it is built, with
+    :func:`~specbound.graphs._added_edges` on its bit rows and against the
+    vertex limit."""
     below = {p: _below(p) for p in set(ps)}
     parts = [_connected_part(kind, p, below[p], None, n_max, 10_000) for kind, p in zip(kinds, ps)]
     drawn = []
@@ -244,28 +231,11 @@ def _draw(streams: list[SplitMix64], kinds, n_max: int, ps) -> list[_Drawn]:
         else:
             u, targets, host = stream.randint(0, n - 1), (), rows
         comps = [list(range(n))] + [[n]] * (kind is not PerturbationKind.EDGE_ADDITION)
-        drawn.append(_Drawn(kind, u, targets, _BitGraph(host), comps))
+        trial = _Trial(kind, u, targets, _BitGraph(host), comps)
+        _added_edges(trial.host, trial)  # PerturbationError unless it applies
+        _check_vertex_count(trial.size)
+        drawn.append(trial)
     return drawn
-
-
-def _set_up(drawn: list[_Drawn]) -> tuple[list, list]:
-    """The components and the per-size stacks ``(group, A_I stack, W
-    stack)`` of the drawn trials, for
-    :func:`~specbound.graphs._solve_stacks`: each trial is checked with
-    :func:`~specbound.graphs._added_edges` on its bit rows and against the
-    vertex limit, and each size's ``A_I`` stack is its members' bit rows,
-    unpacked in one pass."""
-    by_size: dict[int, list[int]] = {}
-    for k, d in enumerate(drawn):
-        _added_edges(d.host, d)
-        by_size.setdefault(_check_vertex_count(d.size), []).append(k)
-    stacks = []
-    for n, group in by_size.items():
-        rows = [r for k in group for r in drawn[k].host.rows + [0] * (not drawn[k].targets)]
-        a_stack = _unpack_rows(rows, n).reshape(len(group), n, n).astype(float, order="C")
-        w_stack = _w_stack(n, [_ends(drawn[k], drawn[k].host.n) for k in group])
-        stacks.append((group, a_stack, w_stack))
-    return [d.comps for d in drawn], stacks
 
 
 def random_connected_graph(rng: SplitMix64, n: int, p: float, max_attempts: int = 10_000) -> Graph:

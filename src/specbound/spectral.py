@@ -11,7 +11,10 @@ backs every entry point:
   :func:`spectral_radius` is its value.
 
 :func:`connected_components` splits a matrix's nonzero pattern into
-components with the library's one graph search.
+components with the library's one graph search, over the pattern's rows as
+bit sets (:func:`_row_bits`).  Instances are set up from such rows:
+``graphs._solve_stacks``, the one set-up, unpacks them into the 0/1 ``A_I``
+stacks the path solve takes (:func:`_unpack_rows`).
 
 Public functions validate their input and never mutate it.  The private
 solves take a stack ``(k, n, n)`` of matrices and make one LAPACK call per

@@ -15,9 +15,10 @@ bit-for-bit reproducible and order-independent.  They run in blocks of about
 ``_BLOCK_ENTRIES`` matrix entries.  A block's instances are drawn together
 (:func:`~specbound.rng._draw`: each trial's draw one generator that tests
 its attempts on their bit rows, the words of all of them one numpy pass
-per round) and set up straight from their bit rows, as one stack of
+per round) and set up straight from their bit rows by the one set-up of
+every instance, :func:`~specbound.graphs._solve_stacks`: one stack of
 ``A_I`` and one of ``W`` per final size, with each host's degrees, for its
-degree data and its equality case, read off its ``A_I``'s row sums.  No ``Graph`` or
+degree data and its equality case, read off its rows.  No ``Graph`` or
 ``Perturbation`` is built for a trial that passes.  They are solved
 together: ``A_I``'s components and ``A_I + P`` one LAPACK call per matrix
 size, the secular roots of every path point as one array iteration, the
@@ -50,11 +51,12 @@ from .graphs import (
     PerturbationKind,
     _Instance,
     _solve_stacks,
+    _Trial,
     format_edge_list,
     format_perturbation_spec,
 )
 from .pathsim import _check_steps, _curves
-from .rng import EDGE_PROBABILITIES, SplitMix64, _draw, _Drawn, _set_up
+from .rng import EDGE_PROBABILITIES, SplitMix64, _draw
 from .spectral import _as_float
 
 _KINDS = tuple(PerturbationKind)
@@ -152,9 +154,7 @@ def run_verification(
     for block in _blocks(seed, trials, n_max, steps):
         # no name holds a block's instances, so they go before the next block is solved
         ids, drawn = [trial for trial, _ in block], [d for _, d in block]
-        _check_block(
-            summary, ids, drawn, _solve_stacks(drawn, *_set_up(drawn), _SOLVE_TOL, steps), inject_failure
-        )
+        _check_block(summary, ids, drawn, _solve_stacks(drawn, _SOLVE_TOL, steps), inject_failure)
     return summary
 
 
@@ -184,7 +184,7 @@ def _blocks(seed: int, trials: int, n_max: int, steps: int):
 
 
 def _check_block(
-    summary: VerifySummary, trials: list[int], drawn: list[_Drawn], insts: list[_Instance], corrupt: bool
+    summary: VerifySummary, trials: list[int], drawn: list[_Trial], insts: list[_Instance], corrupt: bool
 ) -> None:
     """Every check of a block's solved instances, into ``summary``: each
     check one array over the block, ``u(t)`` and ``f(t, lambda)`` from one

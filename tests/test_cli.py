@@ -172,7 +172,7 @@ def test_bound_checks_each_instance_once(tmp_path, capsys, monkeypatch):
     # No matrix search: the host's components come from its edge set, and
     # the final pattern's connectivity from them; the final graph is never
     # built, not even for the vertex kind, whose cone lives in it: the
-    # recognizer reads the host's degrees off A_I's row sums.
+    # recognizer reads the host's degrees off its bit rows.
     p6 = write_graph(tmp_path, sb.path_graph(6), "p6.txt")
     p6_k1 = write_graph(tmp_path, sb.disjoint_union(sb.path_graph(6), sb.empty_graph(1)), "p6_k1.txt")
     c4_k1 = write_graph(tmp_path, sb.disjoint_union(sb.cycle_graph(4), sb.empty_graph(1)), "c4_k1.txt")
@@ -424,16 +424,37 @@ def _cone_by_matrix(host, pert):
     return len(set(a[np.ix_(others, others)].sum(axis=1).tolist())) <= 1
 
 
-def test_the_row_sum_recognizer_is_the_graph_recognizer(capsys):
-    # verify reads each host's degrees off its A_I's row sums; equality_case
-    # reads them off the graph, and _cone_by_matrix reads neither.
+def _bits(value):
+    """A value as its exact bits: an array's dtype, shape and bytes, a
+    float's ``float.hex``."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_the_row_sum_recognizer_is_the_graph_recognizer(capsys, monkeypatch):
+    # verify reads each host's degrees off its bit rows; equality_case
+    # reads them off the graph, and _cone_by_matrix reads neither.  The
+    # Graph entry sets each drawn trial up again, alone: it builds the same
+    # trial record, components included, and the same instance, to the bit.
+    set_up, solve_stacks = [], graphs._solve_stacks
+
+    def recorded(trials, *args):
+        set_up.extend(trials)
+        return solve_stacks(trials, *args)
+
+    monkeypatch.setattr(graphs, "_solve_stacks", recorded)
     for seed in range(60):
         for block in verify._blocks(seed, 30, 9, 2):
             drawn = [d for _, d in block]
-            insts = graphs._solve_stacks(drawn, *rng._set_up(drawn), verify._SOLVE_TOL)
+            insts = solve_stacks(drawn, verify._SOLVE_TOL, 2)
             for d, inst in zip(drawn, insts, strict=True):
                 host, pert = d.pair()
                 assert inst.equality == sb.equality_case(host, pert) == _cone_by_matrix(host, pert)
+                set_up.clear()
+                (alone,) = graphs._instances([(host, pert)], verify._SOLVE_TOL, 2)
+                assert set_up == [d]
+                assert [_bits(v) for v in alone] == [_bits(v) for v in inst]
     for kind in sb.PerturbationKind:
         for n, delta in ((1, 0), (4, 0), (4, 2), (6, 3), (7, 4)):
             code, out, _ = run(capsys, ["construct", kind.value, str(n), str(delta)])

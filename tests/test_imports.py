@@ -216,6 +216,22 @@ def test_one_attempt_loop_and_one_word_source_draw_the_hosts():
     assert readers(source, "_words") == ["_connect"]
 
 
+def test_one_function_builds_the_stacks():
+    # Every instance is set up from bit rows in one place: ``_solve_stacks``
+    # alone unpacks them into ``A_I`` stacks and builds the ``W`` stacks,
+    # ``connected_components`` alone packs a matrix into rows, and ``rng``
+    # hands its draw over as trial records.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    for name, module, owner in (
+        ("_unpack_rows", "graphs.py", "_solve_stacks"),
+        ("_w_stack", "graphs.py", "_solve_stacks"),
+        ("_row_bits", "spectral.py", "connected_components"),
+    ):
+        found = {file: readers(source, name) for file, source in sources.items()}
+        assert {file: owners for file, owners in found.items() if owners} == {module: [owner]}
+        assert name not in mentioned_names(sources["rng.py"])
+
+
 def test_no_module_builds_the_dense_perturbation():
     # The solve carries P = W S W^T only as W: the dense matrix is public API
     # and the tests' reference, and no library module calls for it.
