@@ -14,6 +14,7 @@ from .bounds import (
     BoundInput,
     BoundReport,
     CocliqueBound,
+    PerturbationKind,
     asymptotic_gap,
     bound_edge_addition,
     bound_pendant_edge,
@@ -36,7 +37,6 @@ from .graphs import (
     GraphParseError,
     Perturbation,
     PerturbationError,
-    PerturbationKind,
     apply_perturbation,
     bound_parameters,
     circulant_graph,

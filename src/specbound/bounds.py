@@ -19,8 +19,10 @@ paper's auxiliary maps are slices of Phi: ``H(x) = x - g/x`` and
 ``L2(x) = x - du/(x - 1/x)`` at t = 1, ``K(x) = x - (du+dv)/x`` and
 ``L1(x) = x - du/x`` at t = 0.  The vertex and edge roots are quadratic; the
 pendant root is the one above t of the cubic
-``y^3 - c y^2 - (d + t^2) y + c t^2``.  :data:`KIND_SPECS` holds these per
-kind, and every function below reads it.
+``y^3 - c y^2 - (d + t^2) y + c t^2``.  :data:`KIND_SPECS`, the one table
+of the :class:`PerturbationKind` members, holds these per kind, every
+function below reads it, and its entries also say what a perturbation of
+the kind takes: target count, usage line, an isolated ``u``, host sizes.
 
 First-order expansions of the bound gaps (``d / lambda^p`` with p = 1, 2, 3)
 and the iterated bound for joining a coclique complete the module.
@@ -28,15 +30,15 @@ and the iterated bound for joining a coclique complete the module.
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-
-from .graphs import PerturbationKind
 
 _CUBIC_TOL = 1e-12
 _COMPLEX_STEP = 1e-100
@@ -170,12 +172,26 @@ def _pendant_root(t: float, c: float, d: int) -> float:
     )
 
 
-class KindSpec(NamedTuple):
-    """The first integral of one perturbation kind and what hangs off it."""
+class PerturbationKind(enum.Enum):
+    VERTEX_CONNECTION = "vertex"
+    EDGE_ADDITION = "edge"
+    PENDANT_EDGE = "pendant"
 
+
+class KindSpec(NamedTuple):
+    """What sets one perturbation kind apart: the perturbation it takes, and
+    its first integral with what hangs off it.  ``isolated`` answers two
+    questions.  Only an isolated ``u`` lets the host have no edge while
+    ``d > 0``, so it says whether ``lambda_I = 0`` lies in the domain of
+    ``Phi(0, .)``; and only that kind's degree keyword, ``g``, counts targets,
+    at least 1, where every other keyword is a host degree, at least 0."""
+
+    counts: range  # allowed number of targets
+    wording: str  # that rule, in words
+    usage: str  # the usage line of the kind's spec text
+    isolated: bool  # whether ``u`` must be isolated in the host
+    sizes: tuple[int, int]  # a random host's connected part has randint(lo, n_max + offset) vertices
     params: tuple[str, ...]  # degree keywords; the weight d is their sum
-    min_degree: int  # smallest value each degree keyword may take
-    empty_host: bool  # whether lambda_I = 0 lies in the domain of Phi(0, .)
     phi: Callable  # Phi(t, y, d)
     root: Callable  # root(t, c, d): the largest y with Phi(t, y, d) = c
     gap_power: int  # bound - lambda_I ~ d / lambda_I**gap_power
@@ -188,15 +204,18 @@ class KindSpec(NamedTuple):
 
 KIND_SPECS = {  # cells: new vertex, core | both apexes, core | pendant vertex, apex, core
     PerturbationKind.VERTEX_CONNECTION: KindSpec(
-        ("g",), 1, True, _phi_vertex, _root_vertex, 1,
+        range(1, sys.maxsize), "at least one target", "vertex u v1 [v2 ...]", True, (1, -1),
+        ("g",), _phi_vertex, _root_vertex, 1,
         ("alpha", "beta"), lambda n, c, t: ((1, n), ((0, t * n), (t, c))),
     ),
     PerturbationKind.EDGE_ADDITION: KindSpec(
-        ("delta_u", "delta_v"), 0, False, _phi_edge, _root_edge, 2,
+        range(1, 2), "one opposite endpoint", "edge u v", False, (3, 0),
+        ("delta_u", "delta_v"), _phi_edge, _root_edge, 2,
         ("alpha", "gamma"), lambda n, c, t: ((2, n), ((t, n), (2, c))),
     ),
     PerturbationKind.PENDANT_EDGE: KindSpec(
-        ("delta_u",), 0, False, _phi_pendant, _root_pendant, 3,
+        range(1), "no targets", "pendant u", False, (2, -1),
+        ("delta_u",), _phi_pendant, _root_pendant, 3,
         ("alpha", "beta", "gamma"), lambda n, c, t: ((1, 1, n), ((0, t, 0), (t, 0, n), (0, 1, c))),
     ),
 }
@@ -206,7 +225,7 @@ def _weight(kind: PerturbationKind, g=0, delta_u=0, delta_v=0) -> tuple[KindSpec
     """The kind's spec and its weight d, after checking the degrees it uses."""
     spec = KIND_SPECS[kind]
     degrees = {"g": g, "delta_u": delta_u, "delta_v": delta_v}
-    return spec, sum(_check_count(name, degrees[name], spec.min_degree) for name in spec.params)
+    return spec, sum(_check_count(name, degrees[name], int(spec.isolated)) for name in spec.params)
 
 
 def _check_lambda(lambda_i: float) -> None:
@@ -232,8 +251,8 @@ def _initial_value(kind: PerturbationKind, lambda_i: float, g=0, delta_u=0, delt
     """Validate one instance; return its spec, weight d and ``Phi(0, lambda_i)``."""
     spec, d = _weight(kind, g, delta_u, delta_v)
     _check_lambda(lambda_i)
-    if lambda_i < 0.0 or (lambda_i == 0.0 and not spec.empty_host and d):
-        raise ValueError(f"lambda_i must be {'nonnegative' if spec.empty_host else 'positive'}")
+    if lambda_i < 0.0 or (lambda_i == 0.0 and not spec.isolated and d):
+        raise ValueError(f"lambda_i must be {'nonnegative' if spec.isolated else 'positive'}")
     if d == 0 and 0.0 < lambda_i <= 1.0:  # no graph has such an index: 0 or at least 1
         raise ValueError(
             f"degenerate zero-degree {kind.value} perturbation needs lambda_i = 0 or > 1"

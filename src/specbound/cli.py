@@ -34,14 +34,12 @@ import os
 import sys
 from typing import Optional
 
-from .bounds import KIND_SPECS, BoundReport
+from .bounds import KIND_SPECS, BoundReport, PerturbationKind
 from .graphs import (
-    _SHAPES,
     DisconnectedError,
     Graph,
     GraphParseError,
     Perturbation,
-    PerturbationKind,
     _check_vertex_count,
     circulant_graph,
     disjoint_union,
@@ -60,7 +58,7 @@ from .pathsim import (
     sample_path,
 )
 from .report import bound_report
-from .verify import run_verification
+from .verify import COMPARISON_TOL, run_verification
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -173,15 +171,14 @@ def _cmd_construct(args) -> int:
     kind, n, delta = PerturbationKind(args.kind), args.n, args.delta
     spec = KIND_SPECS[kind]
     k = len(spec.params)  # one apex per degree keyword
-    isolated = _SHAPES[kind].isolated
-    u, targets = (n, range(n)) if isolated else (0, range(1, k))  # a new vertex, or the first apex
+    u, targets = (n, range(n)) if spec.isolated else (0, range(1, k))  # a new vertex, or the first apex
     try:
         _check_vertex_count(n + k + (not targets))  # the final graph's, before any graph is built
         core = circulant_graph(n, delta)
     except ValueError as exc:
         return _error(exc)
     # the new vertex apart from the core, or k apexes joined to it
-    host = disjoint_union(core, empty_graph(1)) if isolated else join(empty_graph(k), core)
+    host = disjoint_union(core, empty_graph(1)) if spec.isolated else join(empty_graph(k), core)
     pert = Perturbation(kind, u, tuple(targets))
     lam_i_closed = spec.root(0.0, delta, k * n)
     lam_f_closed = closed_form_join(kind, n, delta, 1.0).value
@@ -252,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--tolerance",
         type=float,
-        default=1e-9,
+        default=COMPARISON_TOL,
         help="validity threshold override (exploratory runs only)",
     )
     p_verify.add_argument("--steps", type=int, default=8)

@@ -15,10 +15,11 @@ Three perturbation kinds are modeled:
 
 Each kind adds the edges ``(u, t)`` for its targets ``t`` (``(u, n)`` for
 the pendant edge), and the final graph, the perturbation matrix and the
-applicability checks are all built from those edges; a per-kind table holds
-the rest (target count, usage line, whether ``u`` must be isolated).  The
-pendant vertex is always index ``n``, so the matrices of the path
-``A_I + t P`` align once ``A_I`` is zero-padded by one row and column.  One
+applicability checks are all built from those edges; the kind's entry in
+:data:`~specbound.bounds.KIND_SPECS`, the one per-kind table, holds the rest
+(target count, usage line, whether ``u`` must be isolated).  The pendant
+vertex is always index ``n``, so the matrices of the path ``A_I + t P``
+align once ``A_I`` is zero-padded by one row and column.  One
 private instance holds the bounds' degree data, the equality case and the
 solved path.  Every instance is set up in one place, :func:`_solve_stacks`,
 from a trial record (:class:`_Trial`): the perturbation, the host as bit
@@ -43,14 +44,13 @@ the public reference), and reads each grid vector's
 
 from __future__ import annotations
 
-import enum
-import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .bounds import KIND_SPECS, PerturbationKind
 from .spectral import _components, _solve_paths, _unpack_rows
 
 _MAX_VERTICES = 1 << 13  # of a final graph: one dense float64 matrix is 512 MiB, and a path holds several
@@ -74,12 +74,6 @@ class PerturbationError(ValueError):
 
 class DisconnectedError(ValueError):
     """A perturbed graph that is disconnected, where the bounds do not apply."""
-
-
-class PerturbationKind(enum.Enum):
-    VERTEX_CONNECTION = "vertex"
-    EDGE_ADDITION = "edge"
-    PENDANT_EDGE = "pendant"
 
 
 def _normalize_edge(i: int, j: int) -> tuple[int, int]:
@@ -275,26 +269,6 @@ def circulant_graph(n: int, delta: int) -> Graph:
 # Perturbations
 # ---------------------------------------------------------------------------
 
-class _Shape(NamedTuple):
-    """What a kind asks of a perturbation, the usage line of its spec, and
-    the size of a random host."""
-
-    counts: range  # allowed number of targets
-    wording: str  # that rule, in words
-    usage: str
-    isolated: bool  # whether ``u`` must be isolated in the host
-    sizes: tuple[int, int]  # a random host's connected part has randint(lo, n_max + offset) vertices
-
-
-_SHAPES = {
-    PerturbationKind.VERTEX_CONNECTION: _Shape(
-        range(1, sys.maxsize), "at least one target", "vertex u v1 [v2 ...]", True, (1, -1)
-    ),
-    PerturbationKind.EDGE_ADDITION: _Shape(range(1, 2), "one opposite endpoint", "edge u v", False, (3, 0)),
-    PerturbationKind.PENDANT_EDGE: _Shape(range(1), "no targets", "pendant u", False, (2, -1)),
-}
-
-
 @dataclass(frozen=True)
 class Perturbation:
     """One local modification: kind, anchor vertex ``u``, extra targets.
@@ -317,10 +291,10 @@ class Perturbation:
         for v in (self.u, *self.targets):
             if not _is_index(v) or v < 0:
                 raise PerturbationError(f"vertex {v!r} is not a nonnegative integer")
-        ts = self.targets
-        if len(ts) not in _SHAPES[self.kind].counts:
+        ts, spec = self.targets, KIND_SPECS[self.kind]
+        if len(ts) not in spec.counts:
             name = self.kind.name.lower().replace("_", " ")
-            raise PerturbationError(f"{name} needs {_SHAPES[self.kind].wording}, got {ts}")
+            raise PerturbationError(f"{name} needs {spec.wording}, got {ts}")
         if len(set(ts)) != len(ts):
             raise PerturbationError(f"duplicate targets in {ts}")
         if self.u in ts:
@@ -354,14 +328,14 @@ def _added_edges(g, p) -> list[tuple[int, int]]:
     a :class:`Graph`, or a drawn host's :class:`_BitGraph`."""
     if p.u >= g.n:
         raise PerturbationError(f"vertex {p.u} out of range for n={g.n}")
-    if _SHAPES[p.kind].isolated and g.degree(p.u) != 0:
+    if KIND_SPECS[p.kind].isolated and g.degree(p.u) != 0:
         raise PerturbationError(f"vertex {p.u} is not isolated")
     for t in p.targets:
         if t >= g.n:
             raise PerturbationError(f"vertex {t} out of range for n={g.n}")
         if g.has_edge(p.u, t):
             raise PerturbationError(f"edge ({p.u}, {t}) already present")
-    return [_normalize_edge(p.u, t) for t in p.targets or (g.n,)]
+    return [_normalize_edge(p.u, t) for t in _ends(p, g.n)[1:]]
 
 
 class _BitGraph(NamedTuple):
@@ -402,7 +376,7 @@ class _Trial(NamedTuple):
     @property
     def size(self) -> int:
         """Vertex count of the final graph."""
-        return self.host.n + (not self.targets)
+        return perturbed_dimension(self.host, self)
 
     def pair(self) -> tuple[Graph, Perturbation]:
         return self.host.graph(), Perturbation(self.kind, self.u, self.targets)
@@ -437,10 +411,10 @@ def bound_parameters(g: Graph, p: Perturbation) -> dict[str, int]:
 
 def _degree_data(p, degrees: list[int]) -> dict[str, int]:
     """:func:`bound_parameters` of a perturbation known to apply to a host
-    of the given vertex degrees."""
-    if p.kind is PerturbationKind.VERTEX_CONNECTION:
-        return {"g": len(p.targets)}
-    return {key: degrees[v] for key, v in zip(("delta_u", "delta_v"), (p.u, *p.targets))}
+    of the given vertex degrees: ``g`` counts its targets, ``delta_u`` and
+    ``delta_v`` are the degrees of ``u`` and its target."""
+    known = dict(zip(("delta_u", "delta_v"), (degrees[v] for v in (p.u, *p.targets))), g=len(p.targets))
+    return {key: known[key] for key in KIND_SPECS[p.kind].params}
 
 
 def _equality(p, degrees: list[int]) -> bool:
@@ -450,7 +424,7 @@ def _equality(p, degrees: list[int]) -> bool:
     its targets (``u`` alone for the vertex connection).  An isolated ``u``
     is an apex only once joined to every other vertex; then each other
     vertex gains one edge.  An added edge joins two nonadjacent apexes."""
-    if _SHAPES[p.kind].isolated:
+    if KIND_SPECS[p.kind].isolated:
         if len(p.targets) != len(degrees) - 1:
             return False
         final = [d + 1 for d in degrees]
@@ -615,8 +589,8 @@ def parse_perturbation_spec(text: str) -> Perturbation:
         kind = PerturbationKind(name)
     except ValueError:
         raise PerturbationError(f"unknown perturbation kind {name!r}") from None
-    if not nums or len(nums) - 1 not in _SHAPES[kind].counts:
-        raise PerturbationError(f"usage: {_SHAPES[kind].usage}")
+    if not nums or len(nums) - 1 not in KIND_SPECS[kind].counts:
+        raise PerturbationError(f"usage: {KIND_SPECS[kind].usage}")
     return Perturbation(kind, nums[0], tuple(sorted(nums[1:])))
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from .bounds import KIND_SPECS, DegreeParams, KindSpec, _check_count, _initial_value, _majorant, _weight
 from .graphs import Graph, Perturbation, PerturbationKind, _instances
+from .spectral import PERRON_TOL
 
 _RESIDUAL_TOL = 1e-10
 _MAX_STEPS = 1 << 20  # grid points per path: each holds a vector of the path's size
@@ -84,7 +85,7 @@ def sample_path(
     graph: Graph,
     pert: Perturbation,
     steps: int = 32,
-    tol: float = 1e-11,
+    tol: float = PERRON_TOL,
 ) -> PerturbationPath:
     """Sample the path on the uniform grid ``t_k = k/steps``, k = 0..steps.
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .bounds import BoundReport, _bound_and_gap
 from .graphs import Graph, Perturbation, _added_edges, _equality, _instances
+from .spectral import PERRON_TOL
 
 
 def equality_case(graph: Graph, pert: Perturbation) -> bool:
@@ -32,7 +33,7 @@ def equality_case(graph: Graph, pert: Perturbation) -> bool:
     return _equality(pert, graph.degrees())
 
 
-def bound_report(graph: Graph, pert: Perturbation, tol: float = 1e-11) -> BoundReport:
+def bound_report(graph: Graph, pert: Perturbation, tol: float = PERRON_TOL) -> BoundReport:
     """Evaluate one instance end to end.
 
     The final graph must be connected (the bounds do not apply otherwise;

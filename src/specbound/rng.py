@@ -33,12 +33,12 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import KIND_SPECS, PerturbationKind
 from .graphs import (
     _BLOCK_ENTRIES,
-    _SHAPES,
+    _MAX_VERTICES,
     Graph,
     Perturbation,
-    PerturbationKind,
     _added_edges,
     _BitGraph,
     _check_vertex_count,
@@ -130,6 +130,18 @@ def _below(p) -> int:
     return math.ceil(float(p) * 2.0**53)
 
 
+def _check_n_max(n_max) -> int:
+    """``n_max``, the most vertices of a drawn final graph, as an int, unless
+    it is not an integer in [3, ``_MAX_VERTICES``]."""
+    if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
+    if n_max < 3:
+        raise ValueError(f"n_max must be at least 3, got {n_max}")
+    if n_max > _MAX_VERTICES:
+        raise ValueError(f"n_max must be at most {_MAX_VERTICES}, got {n_max}")
+    return int(n_max)
+
+
 def _connected_part(kind, p, below: int, n: Optional[int], n_max: int, max_attempts: int):
     """The connected part of one trial, read as the scalar draw reads its
     words: its size unless ``n`` is given, then attempts pair by pair until
@@ -146,7 +158,7 @@ def _connected_part(kind, p, below: int, n: Optional[int], n_max: int, max_attem
             if at == end:
                 run = yield min(_RUN_WORDS, 1 + 2 * n_max * (n_max - 1))  # 4 attempts at n_max vertices
                 at, end = 0, len(run)
-            lo, offset = _SHAPES[kind].sizes
+            lo, offset = KIND_SPECS[kind].sizes
             n, at = lo + run[at] % (n_max + offset - lo + 1), at + 1
         pairs = n * (n - 1) // 2
         for tries in range(max_attempts):
@@ -261,10 +273,7 @@ def random_instance(
     vertex connections start from a connected component plus one isolated
     vertex, the other kinds start from a connected host.
     """
-    if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool):
-        raise ValueError(f"n_max must be an integer, got {n_max!r}")
-    if n_max < 3:
-        raise ValueError(f"n_max must be at least 3, got {n_max}")
-    if kind not in _SHAPES:  # pragma: no cover
+    n_max = _check_n_max(n_max)
+    if kind not in KIND_SPECS:  # pragma: no cover
         raise ValueError(f"unknown perturbation kind {kind}")
-    return _draw([rng], [kind], int(n_max), [p])[0].pair()
+    return _draw([rng], [kind], n_max, [p])[0].pair()

@@ -54,6 +54,7 @@ _SYM_ATOL = 1e-12
 _ROOT_ENTRIES = 1 << 12  # terms per pass of the grid points: 32 KiB per float64 array
 _NEWTON_STEPS = 100  # a root takes about 7; bisection alone would take 60
 _SHIFT_ULPS = 8  # per matrix row: the shift above a root, in ulps of the root
+PERRON_TOL = 1e-11  # the default residual bound of a Perron certificate
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -136,7 +137,7 @@ class PerronPair:
         self.vector.setflags(write=False)
 
 
-def perron(a, tol: float = 1e-11) -> PerronPair:
+def perron(a, tol: float = PERRON_TOL) -> PerronPair:
     """Dominant eigenpair of a connected nonnegative symmetric matrix.
 
     LAPACK's top eigenvector made entrywise positive: its absolute value,
@@ -216,12 +217,12 @@ def _certify(residuals: np.ndarray, x: np.ndarray, tol: float) -> None:
         )
 
 
-def spectral_radius(a, tol: float = 1e-11) -> float:
+def spectral_radius(a, tol: float = PERRON_TOL) -> float:
     """Largest eigenvalue of a nonnegative symmetric matrix, components allowed."""
     return perron_components(a, tol)[0]
 
 
-def perron_components(a, tol: float = 1e-11) -> tuple[float, np.ndarray]:
+def perron_components(a, tol: float = PERRON_TOL) -> tuple[float, np.ndarray]:
     """Spectral radius of a possibly disconnected nonnegative symmetric matrix
     (the t = 0 end of a path), the largest of its components' certified
     values, and an eigenvector zero-padded to full size, from the

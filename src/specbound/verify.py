@@ -44,11 +44,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import KIND_SPECS, _initial_value, _majorant
+from .bounds import KIND_SPECS, PerturbationKind, _initial_value, _majorant
 from .graphs import (
     _BLOCK_ENTRIES,
-    _MAX_VERTICES,
-    PerturbationKind,
     _Instance,
     _solve_stacks,
     _Trial,
@@ -56,8 +54,8 @@ from .graphs import (
     format_perturbation_spec,
 )
 from .pathsim import _check_steps, _curves
-from .rng import EDGE_PROBABILITIES, SplitMix64, _draw
-from .spectral import _as_float
+from .rng import EDGE_PROBABILITIES, SplitMix64, _check_n_max, _draw
+from .spectral import PERRON_TOL, _as_float
 
 _KINDS = tuple(PerturbationKind)
 
@@ -66,7 +64,6 @@ INEQUALITY_TOL = 1e-6
 COMPARISON_TOL = 1e-9
 EQUALITY_GAP_TOL = 1e-8
 STRICT_SLACK_MIN = 1e-7
-_SOLVE_TOL = 1e-11  # Perron certificate tolerance: the default of bound_report and sample_path
 
 
 @dataclass
@@ -136,13 +133,10 @@ def run_verification(
     for name, count in (("seed", seed), ("trials", trials), ("n_max", n_max)):
         if not isinstance(count, numbers.Integral) or isinstance(count, bool):
             raise ValueError(f"{name} must be an integer, got {count!r}")
-    seed, trials, n_max = int(seed), int(trials), int(n_max)  # any integer seed, negative ones too
+    seed, trials = int(seed), int(trials)  # any integer seed, negative ones too
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if n_max < 3:
-        raise ValueError(f"n_max must be at least 3, got {n_max}")
-    if n_max > _MAX_VERTICES:  # the final graphs are drawn with up to n_max vertices
-        raise ValueError(f"n_max must be at most {_MAX_VERTICES}, got {n_max}")
+    n_max = _check_n_max(n_max)
     if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
         raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
     value = _as_float(tolerance)  # a numpy float runs, and is reported, as the Python float of its value
@@ -154,7 +148,7 @@ def run_verification(
     for block in _blocks(seed, trials, n_max, steps):
         # no name holds a block's instances, so they go before the next block is solved
         ids, drawn = [trial for trial, _ in block], [d for _, d in block]
-        _check_block(summary, ids, drawn, _solve_stacks(drawn, _SOLVE_TOL, steps), inject_failure)
+        _check_block(summary, ids, drawn, _solve_stacks(drawn, PERRON_TOL, steps), inject_failure)
     return summary
 
 

@@ -66,7 +66,7 @@ def test_array_majorant_has_the_bits_of_the_complex_step(kind, drawn):
 @given(st.sampled_from(list(PerturbationKind)), points)
 def test_inequality_rhs_has_the_bits_of_the_complex_step(kind, point):
     t, gap, d = point
-    d = max(d, KIND_SPECS[kind].min_degree * len(KIND_SPECS[kind].params))
+    d = max(d, int(KIND_SPECS[kind].isolated))  # the target count g of an isolated u is at least 1
     expected = reference(kind, t, t + gap, d)
     if expected is ZeroDivisionError:  # lambda = 0: the limit 0 at d = 0, none at (0, 0) with d > 0
         assert t + gap == 0.0
@@ -92,7 +92,7 @@ def instances(draw):
     """(kind, d, lambda_I) in the graph regime, lambda_I^2 >= every degree."""
     kind = draw(st.sampled_from(list(PerturbationKind)))
     spec = KIND_SPECS[kind]
-    d = draw(st.integers(spec.min_degree * len(spec.params), 50))
+    d = draw(st.integers(int(spec.isolated), 50))
     lam = draw(st.floats(max(1.0, math.sqrt(max(degree_params(kind, d).values()))), 50.0))
     assume(d > 0 or lam > 1.0)  # the zero-degree perturbations need lambda_I > 1
     return kind, d, lam

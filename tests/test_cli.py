@@ -278,7 +278,7 @@ def test_final_graphs_past_the_vertex_limit_exit_3(tmp_path, capsys, monkeypatch
     # limit is lowered to 5 here, so nothing large is allocated even without
     # the check.
     monkeypatch.setattr(graphs, "_MAX_VERTICES", 5)
-    monkeypatch.setattr(verify, "_MAX_VERTICES", 5)
+    monkeypatch.setattr(rng, "_MAX_VERTICES", 5)
     at_limit, past = write_graph(tmp_path, sb.path_graph(4), "p4.txt"), write_graph(tmp_path, sb.path_graph(5))
     argv = {
         "bound": ["bound", past, "pendant", "0"],
@@ -447,12 +447,12 @@ def test_the_row_sum_recognizer_is_the_graph_recognizer(capsys, monkeypatch):
     for seed in range(60):
         for block in verify._blocks(seed, 30, 9, 2):
             drawn = [d for _, d in block]
-            insts = solve_stacks(drawn, verify._SOLVE_TOL, 2)
+            insts = solve_stacks(drawn, spectral.PERRON_TOL, 2)
             for d, inst in zip(drawn, insts, strict=True):
                 host, pert = d.pair()
                 assert inst.equality == sb.equality_case(host, pert) == _cone_by_matrix(host, pert)
                 set_up.clear()
-                (alone,) = graphs._instances([(host, pert)], verify._SOLVE_TOL, 2)
+                (alone,) = graphs._instances([(host, pert)], spectral.PERRON_TOL, 2)
                 assert set_up == [d]
                 assert [_bits(v) for v in alone] == [_bits(v) for v in inst]
     for kind in sb.PerturbationKind:

@@ -334,6 +334,45 @@ def test_perturbation_rejects_wrong_target_count():
         Perturbation(PerturbationKind.EDGE_ADDITION, 0, ())
 
 
+# Per kind: its usage line, a wrong target tuple with the wording of the
+# count rule it breaks, a right one, whether u must be isolated, and degrees
+# with a positive weight d.
+KIND_RULES = [
+    (PerturbationKind.VERTEX_CONNECTION, "vertex u v1 [v2 ...]", (), "at least one target", (2,), True, {"g": 1}),
+    (PerturbationKind.EDGE_ADDITION, "edge u v", (1, 2), "one opposite endpoint", (2,), False,
+     {"delta_u": 1, "delta_v": 0}),
+    (PerturbationKind.PENDANT_EDGE, "pendant u", (1,), "no targets", (), False, {"delta_u": 1}),
+]
+
+
+@pytest.mark.parametrize("kind, usage, wrong, wording, right, isolated, degrees", KIND_RULES, ids=[rule[0].value for rule in KIND_RULES])
+def test_each_kind_words_its_rules(kind, usage, wrong, wording, right, isolated, degrees):
+    for text in (kind.value, " ".join(map(str, (kind.value, 0, *wrong)))):
+        with pytest.raises(PerturbationError) as excinfo:
+            sb.parse_perturbation_spec(text)
+        assert str(excinfo.value) == f"usage: {usage}"
+    with pytest.raises(PerturbationError) as excinfo:
+        Perturbation(kind, 0, wrong)
+    assert str(excinfo.value) == f"{kind.name.lower().replace('_', ' ')} needs {wording}, got {wrong}"
+    pert, host = Perturbation(kind, 0, right), sb.path_graph(3)  # u = 0 has degree 1
+    if isolated:
+        with pytest.raises(PerturbationError) as excinfo:
+            sb.apply_perturbation(host, pert)
+        assert str(excinfo.value) == "vertex 0 is not isolated"
+    else:
+        assert sb.apply_perturbation(host, pert).m == 3
+    # Only an isolated u lets the host have no edge, so lambda_I = 0 with d > 0.
+    if isolated:
+        assert sb.perturbation_bound(kind, 0.0, **degrees) == 1.0  # sqrt(g): the star K_{1,1}
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            sb.perturbation_bound(kind, 0.0, **degrees)
+        assert str(excinfo.value) == "lambda_i must be positive"
+    with pytest.raises(ValueError) as excinfo:
+        sb.perturbation_bound(kind, -1.0, **degrees)
+    assert str(excinfo.value) == f"lambda_i must be {'nonnegative' if isolated else 'positive'}"
+
+
 def test_graph_and_perturbation_accept_numpy_integers():
     g = sb.Graph(np.int64(3), frozenset({(np.int64(0), np.int32(2))}))
     assert g.adjacency()[0, 2] == 1.0 and g.m == 1

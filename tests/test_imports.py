@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, each module
 imports only package modules below it in one layer order, only
-``spectral`` reaches LAPACK, and only ``graphs`` past it solves for the
-initial index ``lambda_I``.
+``spectral`` reaches LAPACK, only ``graphs`` past it solves for the
+initial index ``lambda_I``, and one table in ``bounds`` holds the per-kind
+data.
 
 The package ``__init__`` is left out of the import check: its imports are the
 public API it re-exports.  Names are read with the standard ``ast`` module,
@@ -12,6 +13,9 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import specbound
+from specbound import bounds, graphs
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "specbound"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -113,7 +117,7 @@ def test_only_graphs_solves_for_lambda_i(path):
 
 # Each module may import only the package modules listed before it, so no
 # import cycle can form.
-LAYERS = ("spectral", "graphs", "bounds", "pathsim", "report", "rng", "verify", "cli")
+LAYERS = ("spectral", "bounds", "graphs", "pathsim", "report", "rng", "verify", "cli")
 
 
 def package_imports(source: str) -> set[str]:
@@ -149,7 +153,7 @@ def test_module_imports_only_earlier_layers(path):
 
 # One owner per decision of the instance pipeline: ``spectral`` picks the
 # starting pair and solves the path, ``graphs`` lays out its points, and the
-# per-kind data, the equality path included, lives in two tables.
+# per-kind data, the equality path included, lives in one table.
 PATH_OWNERS = {"spectral.py", "graphs.py"}
 
 
@@ -246,7 +250,11 @@ def test_graphs_runs_no_matrix_search():
 
 
 def test_report_imports_only_bounds_and_graphs():
-    assert package_imports((SRC / "report.py").read_text(encoding="utf-8")) == {"bounds", "graphs"}
+    # and, from spectral, only the default tolerance of a Perron certificate
+    source = (SRC / "report.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"bounds", "graphs", "spectral"}
+    imports = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)]
+    assert [a.name for node in imports if node.module == "spectral" for a in node.names] == ["PERRON_TOL"]
 
 
 def kind_tables(source: str) -> set[str]:
@@ -271,7 +279,12 @@ def test_checker_finds_kind_tables():
     assert kind_tables(source) == {"A", "B"}
 
 
-def test_per_kind_data_lives_in_two_tables():
+def test_per_kind_data_lives_in_one_table():
+    # ``bounds`` defines the kinds and describes each in ``KIND_SPECS``, the
+    # only table keyed by them; the package re-exports that one enum.
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     tables = {(module, name) for module, source in sources.items() for name in kind_tables(source)}
-    assert tables == {("graphs", "_SHAPES"), ("bounds", "KIND_SPECS")}
+    assert tables == {("bounds", "KIND_SPECS")}
+    defining = {module for module, source in sources.items() if "class PerturbationKind(" in source}
+    assert defining == {"bounds"}
+    assert specbound.PerturbationKind is graphs.PerturbationKind is bounds.PerturbationKind

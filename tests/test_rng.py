@@ -314,6 +314,15 @@ def test_random_instance_refuses_an_n_max_below_3(n_max):
         assert rng._state == SplitMix64(1)._state
 
 
+def test_random_instance_refuses_an_n_max_past_the_vertex_limit():
+    # It drew a host of up to a million vertices, as verify refuses to.
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError) as excinfo:
+        random_instance(rng, sb.PerturbationKind.PENDANT_EDGE, 10**6, 0.5)
+    assert str(excinfo.value) == "n_max must be at most 8192, got 1000000"
+    assert rng._state == SplitMix64(1)._state
+
+
 def test_random_instance_refuses_a_non_integer_n_max():
     with pytest.raises(ValueError, match="n_max must be an integer, got 9.0"):
         random_instance(SplitMix64(1), sb.PerturbationKind.EDGE_ADDITION, 9.0, 0.5)
