@@ -257,8 +257,18 @@ def _initial_value(kind: PerturbationKind, lambda_i: float, g=0, delta_u=0, delt
         raise ValueError(
             f"degenerate zero-degree {kind.value} perturbation needs lambda_i = 0 or > 1"
         )
-    # Phi(0, .) is the identity; at d = 0 or lambda_i = 0 Phi itself meets 0/0
-    return spec, d, spec.phi(0.0, lambda_i, d) if d and lambda_i else lambda_i
+    return spec, d, _phi_at_zero(spec, lambda_i, d)
+
+
+def _phi_at_zero(spec: KindSpec, lambda_i, d):
+    """``Phi(0, lambda_i)`` of ``spec`` with weight ``d``, on floats, or on
+    numpy arrays of instances known to be valid with the same bits per
+    entry.  At ``d = 0`` or ``lambda_i = 0``, where ``Phi`` itself meets
+    0/0, it is ``lambda_i``: ``Phi(0, .)`` is then the identity."""
+    if isinstance(lambda_i, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):  # in the branch not taken
+            return np.where((d != 0) & (lambda_i != 0.0), spec.phi(0.0, lambda_i, d), lambda_i)
+    return spec.phi(0.0, lambda_i, d) if d and lambda_i else lambda_i
 
 
 def _bound_and_gap(kind: PerturbationKind, lambda_i: float, g=0, delta_u=0, delta_v=0) -> tuple:

@@ -51,6 +51,7 @@ from .graphs import (
     parse_perturbation_spec,
 )
 from .pathsim import (
+    COMPARISON_TOL,
     _path_rows,
     closed_form_join,
     format_number,
@@ -58,7 +59,7 @@ from .pathsim import (
     sample_path,
 )
 from .report import bound_report
-from .verify import COMPARISON_TOL, run_verification
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1

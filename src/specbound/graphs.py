@@ -365,7 +365,7 @@ class _Trial(NamedTuple):
     """One instance to set up: its perturbation (``kind``, ``u``,
     ``targets``, as a :class:`Perturbation` reads them), checked against its
     host, the host as bit rows, with a vertex connection's isolated ``u``,
-    and ``A_I``'s components, a pendant vertex alone among them."""
+    and the host's components."""
 
     kind: PerturbationKind
     u: int
@@ -380,6 +380,14 @@ class _Trial(NamedTuple):
 
     def pair(self) -> tuple[Graph, Perturbation]:
         return self.host.graph(), Perturbation(self.kind, self.u, self.targets)
+
+
+def _with_lone_vertex(rows: list[int], comps: list[list[int]], alone: bool) -> tuple:
+    """The bit rows ``rows`` and their components ``comps``, and, if
+    ``alone``, the vertex ``n = len(rows)`` after them with no edge, as a
+    zero row and a component of its own: a drawn vertex connection's
+    isolated ``u``, or in ``A_I`` a pendant edge's new vertex."""
+    return (rows + [0], comps + [[len(rows)]]) if alone else (rows, comps)
 
 
 def perturbed_dimension(g: Graph, p: Perturbation) -> int:
@@ -447,10 +455,40 @@ class _Instance(NamedTuple):
     vectors: np.ndarray
     forms: np.ndarray  # the quadratic forms ``<P x, x>`` of the grid vectors
     lhs: np.ndarray  # the slopes ``lambda'(t)`` of the secular equation at the interior grid
-    lambda_f: Optional[float]  # the top eigenvalue of ``A_I + P``, if asked for
+    lambda_f: float  # the top eigenvalue of ``A_I + P``
 
 
-def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_Instance]:
+class _Block(NamedTuple):
+    """Trials set up and solved together by :func:`_solve_stacks`, an entry
+    or a row per trial in trial order, as arrays; their vectors stay in the
+    solve, ``paths``, at each trial's place ``at`` there."""
+
+    kinds: list[PerturbationKind]
+    params: list[dict[str, int]]  # :func:`bound_parameters`
+    weights: np.ndarray  # the weight ``d`` of each trial's kind: the sum of its params
+    equality: np.ndarray  # whether the bound is attained, by the cone recognizer
+    grid: np.ndarray  # the points ``k/steps`` past ``t = 0``
+    lambda_i: np.ndarray  # ``perron_components`` of ``A_I``
+    values: np.ndarray  # the Perron values at the grid
+    forms: np.ndarray  # the quadratic forms ``<P x, x>`` of the grid vectors
+    lhs: np.ndarray  # the slopes ``lambda'(t)`` of the secular equation at the interior grid
+    lambda_f: np.ndarray  # the top eigenvalue of ``A_I + P``
+    paths: tuple  # the solve, :class:`~specbound.spectral._Paths`
+    at: np.ndarray
+
+    def instances(self) -> list[_Instance]:
+        """One :class:`_Instance` per trial."""
+        return [
+            _Instance(
+                self.kinds[i], self.params[i], bool(self.equality[i]), float(self.lambda_i[i]),
+                self.paths.start(k), self.grid, self.values[i], self.paths.grid(k), self.forms[i],
+                self.lhs[i], float(self.lambda_f[i]),
+            )
+            for i, k in enumerate(self.at.tolist())
+        ]
+
+
+def _instances(pairs, tol: float, steps: int = 0) -> list[_Instance]:
     """Solve each ``(g, p)`` of ``pairs`` (:func:`_solve_stacks`), set up
     from the host's bit rows and their components.  Each ``(g, p)`` is
     checked once, with :func:`_added_edges` and then against
@@ -462,9 +500,8 @@ def _instances(pairs, tol: float, steps: int = 0, final: bool = True) -> list[_I
     trials = []
     for g, p in pairs:
         rows = _bit_rows(g)
-        comps = _components(rows + [0] * (not p.targets))  # a pendant vertex alone
-        trials.append(_Trial(p.kind, p.u, p.targets, _BitGraph(rows), comps))
-    return _solve_stacks(trials, tol, steps, final)
+        trials.append(_Trial(p.kind, p.u, p.targets, _BitGraph(rows), _components(rows)))
+    return _solve_stacks(trials, tol, steps).instances()
 
 
 def _w_stack(n: int, ends: list[tuple[int, ...]]) -> np.ndarray:
@@ -477,44 +514,50 @@ def _w_stack(n: int, ends: list[tuple[int, ...]]) -> np.ndarray:
     return w_stack
 
 
-def _solve_stacks(trials: list[_Trial], tol: float, steps: int = 0, final: bool = True) -> list[_Instance]:
+def _solve_stacks(trials: list[_Trial], tol: float, steps: int = 0) -> _Block:
     """Solve the :class:`_Trial` records ``trials``, the one set-up of every
     instance: certified Perron pairs on the grid ``k/steps`` with their
-    quadratic forms ``<P x, x>`` and secular slopes ``lambda'(t)``, and,
-    with ``final``, the top eigenvalue of ``A_I + P``, which the solve takes
-    from the stacks as they are.  The trials of one final size share one
-    ``A_I`` stack, their bit rows unpacked in one pass, and one stack of
-    ``W``: ``P`` is handed over only as ``W``, never as a matrix.  Each
-    host's degrees, for its degree data and its equality case, are its
-    rows' bit counts.  :class:`DisconnectedError` unless every ``A_I + P``
-    is connected, before any stack is built."""
-    if not all(_joins_components(d.comps, d, d.host.n) for d in trials):
+    quadratic forms ``<P x, x>`` and secular slopes ``lambda'(t)``, and the
+    top eigenvalue of ``A_I + P``: the certified root at ``t = 1``, or
+    without a grid LAPACK's, which the solve takes from the stacks as they
+    are.  The trials of one final size share one ``A_I`` stack, their bit
+    rows unpacked in one pass, and one stack of ``W``: ``P`` is handed over
+    only as ``W``, never as a matrix.  The solve takes them in that order,
+    so a size's grid vectors are one stack, and one product with its ``W``
+    stack gives their forms.  Each host's degrees, for its degree data and
+    its equality case, are its rows' bit counts.  :class:`DisconnectedError`
+    unless every ``A_I + P`` is connected, before any stack is built."""
+    initial = [_with_lone_vertex(d.host.rows, d.comps, not d.targets) for d in trials]
+    if not all(_joins_components(comps, d, d.host.n) for d, (_, comps) in zip(trials, initial)):
         raise DisconnectedError("the perturbed graph is disconnected")
     grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
     by_size: dict[int, list[int]] = {}
-    for k, d in enumerate(trials):
-        by_size.setdefault(d.size, []).append(k)
-    paths, stacks = [None] * len(trials), []
+    for k, (rows, _) in enumerate(initial):
+        by_size.setdefault(len(rows), []).append(k)
+    paths, stacks, order = [], [], []
     for n, group in by_size.items():
-        rows = [r for k in group for r in trials[k].host.rows + [0] * (not trials[k].targets)]
-        a_stack = _unpack_rows(rows, n).reshape(len(group), n, n).astype(float, order="C")
+        bits = _unpack_rows([r for k in group for r in initial[k][0]], n).reshape(len(group), n, n)
+        a_stack = bits.astype(float, order="C")
         w_stack = _w_stack(n, [_ends(trials[k], trials[k].host.n) for k in group])
-        for row, k in enumerate(group):
-            paths[k] = (a_stack[row], w_stack[row], trials[k].comps)
-        stacks.append((group, a_stack, w_stack))
-    solved = _solve_paths(paths, grid, tol, stacks if final else ())
-    forms = [None] * len(trials)
-    for group, _, w_stack in stacks:  # W^T x per grid point, one product per stack: <P x, x> = 2 x_u (s . x)
-        z = np.array([solved[k][4] for k in group]) @ w_stack
-        for k, row in zip(group, 2.0 * z[:, :, 0] * z[:, :, 1]):
-            forms[k] = row
-    insts = []
-    for d, form, solution in zip(trials, forms, solved):
-        lambda_i, vector, _, values, vectors, slopes, lambda_f = solution
-        path = (lambda_i, vector, grid, values, vectors, form, slopes[:-1], lambda_f)
-        degs = [row.bit_count() for row in d.host.rows]
-        insts.append(_Instance(d.kind, _degree_data(d, degs), _equality(d, degs), *path))
-    return insts
+        paths += [(a, w, initial[k][1]) for k, a, w in zip(group, a_stack, w_stack)]
+        stacks.append((slice(len(order), len(order) + len(group)), a_stack, w_stack))
+        order += group
+    degrees = [[row.bit_count() for row in d.host.rows] for d in trials]
+    params = [_degree_data(d, degs) for d, degs in zip(trials, degrees)]
+    solved = _solve_paths(paths, grid, tol, stacks)
+    forms = np.empty(solved.roots.shape)
+    for group, _, w_stack in stacks if steps else ():  # W^T x per grid point, one product per stack
+        lo, hi = solved.bounds[group.start] * steps, solved.bounds[group.stop] * steps
+        z = solved.vectors[lo:hi].reshape(len(w_stack), steps, -1) @ w_stack
+        forms[group] = 2.0 * z[:, :, 0] * z[:, :, 1]  # <P x, x> = 2 x_u (s . x)
+    at = np.empty(len(trials), dtype=int)
+    at[order] = np.arange(len(trials))
+    return _Block(
+        [d.kind for d in trials], params, np.array([sum(p.values()) for p in params]),
+        np.array([_equality(d, degs) for d, degs in zip(trials, degrees)]), grid,
+        solved.lambda_i[at], solved.roots[at], forms[at],
+        solved.slopes[at, :-1], solved.lambda_f[at], solved, at,
+    )
 
 
 def _joins_components(comps: list[list[int]], p, n: int) -> bool:
@@ -524,8 +567,8 @@ def _joins_components(comps: list[list[int]], p, n: int) -> bool:
     connection's targets meet every component but ``{u}``; an added edge
     finds one component, or joins two; a pendant edge needs a connected
     host."""
-    label = {v: k for k, comp in enumerate(comps) for v in comp}
-    return len({label[v] for v in _ends(p, n)}) == len(comps)
+    ends = set(_ends(p, n))
+    return all(not ends.isdisjoint(comp) for comp in comps)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .graphs import Graph, Perturbation, PerturbationKind, _instances
 from .spectral import PERRON_TOL
 
 _RESIDUAL_TOL = 1e-10
+COMPARISON_TOL = 1e-9  # how far lambda(t) may lie above u(t) and still be dominated
 _MAX_STEPS = 1 << 20  # grid points per path: each holds a vector of the path's size
 
 
@@ -100,7 +101,7 @@ def sample_path(
     the input checks made once; every grid pair still gets its certificate.
     A step count above ``_MAX_STEPS`` is refused before anything is allocated.
     """
-    inst = _instances([(graph, pert)], tol, _check_steps(steps), final=False)[0]
+    inst = _instances([(graph, pert)], tol, _check_steps(steps))[0]
     lhs, rhs = inst.lhs.tolist() + [None], inst.forms[:-1].tolist() + [None]  # none at t = 1
     samples = [PathSample(0.0, inst.lambda_i, inst.vector, None, None)]
     samples += map(PathSample, inst.grid.tolist(), inst.values.tolist(), inst.vectors, lhs, rhs)
@@ -160,7 +161,7 @@ class ComparisonCheck:
     max_violation: float
 
 
-def check_comparison(path: PerturbationPath, tolerance: float = 1e-9) -> ComparisonCheck:
+def check_comparison(path: PerturbationPath, tolerance: float = COMPARISON_TOL) -> ComparisonCheck:
     """Verify ``lambda(t_k) <= u(t_k) + tolerance`` at every grid point."""
     margins = np.array(comparison_curve(path)) - [s.value for s in path.samples]
     worst = float((-margins).max())

@@ -43,6 +43,7 @@ from .graphs import (
     _BitGraph,
     _check_vertex_count,
     _Trial,
+    _with_lone_vertex,
 )
 from .spectral import _components
 
@@ -234,15 +235,15 @@ def _draw(streams: list[SplitMix64], kinds, n_max: int, ps) -> list[_Trial]:
     drawn = []
     for stream, kind, rows in zip(streams, kinds, _connect(streams, parts)):
         n = len(rows)
+        host, comps = _with_lone_vertex(rows, [list(range(n))], kind is PerturbationKind.VERTEX_CONNECTION)
         if kind is PerturbationKind.VERTEX_CONNECTION:
-            u, targets, host = n, tuple(stream.nonempty_subset(n)), rows + [0]
+            u, targets = n, tuple(stream.nonempty_subset(n))
         elif kind is PerturbationKind.EDGE_ADDITION:
             missing = n * (n - 1) // 2 - sum(r.bit_count() for r in rows) // 2
-            (u, v), host = _missing_pair(rows, stream.randint(0, missing - 1)), rows
+            u, v = _missing_pair(rows, stream.randint(0, missing - 1))
             targets = (v,)
         else:
-            u, targets, host = stream.randint(0, n - 1), (), rows
-        comps = [list(range(n))] + [[n]] * (kind is not PerturbationKind.EDGE_ADDITION)
+            u, targets = stream.randint(0, n - 1), ()
         trial = _Trial(kind, u, targets, _BitGraph(host), comps)
         _added_edges(trial.host, trial)  # PerturbationError unless it applies
         _check_vertex_count(trial.size)

@@ -37,9 +37,11 @@ closed form of that rank-2 update in the same eigenbasis, one pass of
 points at a time.  A pair that fails its certificate there, with entries
 below rounding, takes two steps of shifted inverse iteration instead, one
 point at a time (:func:`_shifted_pairs`).  Only those points are built as
-matrices (:func:`_point`), and ``A(1)``, each caller's stack of ``a``
-copied once with ``P``'s entries set (:func:`_final_tops`).  Oracles live
-with the tests.
+matrices (:func:`_point`).  A path's final index ``lambda_F`` is its
+certified root at ``t = 1``, the last grid point.  A solve without points,
+``bound``'s, builds ``A(1)`` instead: each caller's stack of ``a`` copied
+once with ``P``'s entries set, for one ``eigvalsh`` per size
+(:func:`_final_tops`).  Oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -151,7 +155,8 @@ def perron(a, tol: float = PERRON_TOL) -> PerronPair:
     m = _require_nonnegative(a)
     if not is_connected_matrix(m):
         raise ValueError("matrix is not connected; positivity of the eigenvector fails")
-    return PerronPair(*_solve_paths([(m, None, [list(range(len(m)))])], (), tol)[0][:3])
+    solved = _solve_paths([(m, None, [list(range(len(m)))])], (), tol)
+    return PerronPair(float(solved.lambda_i[0]), solved.start(0), float(solved.residuals[0]))
 
 
 def _as_float(value) -> float:
@@ -228,75 +233,112 @@ def perron_components(a, tol: float = PERRON_TOL) -> tuple[float, np.ndarray]:
     values, and an eigenvector zero-padded to full size, from the
     lowest-indexed component within ``tol`` of that maximum."""
     m = _require_nonnegative(a)
-    return _solve_paths([(m, None, connected_components(m))], (), tol)[0][:2]
+    solved = _solve_paths([(m, None, connected_components(m))], (), tol)
+    return float(solved.lambda_i[0]), solved.start(0)
 
 
-def _solve_paths(paths, ts, tol: float, finals=()) -> list[tuple]:
+class _Paths(NamedTuple):
+    """The paths that :func:`_solve_paths` solved, one entry or row per path
+    in the order of its ``paths``.  Path ``k`` starts from its component
+    ``parts[best[k]]``, its vertices and their Perron vector, zero-padded
+    only when asked for (:meth:`start`).  Its grid vectors are the rows of a
+    ``(points, n)`` block of ``vectors``, the blocks of all paths end to end
+    (:meth:`grid`): ``bounds`` holds each path's first vertex in a layout of
+    every path's vertices, then the end."""
+
+    lambda_i: np.ndarray  # the start values
+    residuals: np.ndarray  # of the start pairs
+    best: list[int]
+    parts: list[tuple[list[int], np.ndarray]]  # every component of every path
+    roots: np.ndarray  # (paths, points)
+    slopes: np.ndarray  # (paths, points): lambda'(t)
+    vectors: np.ndarray  # the certified grid vectors
+    lambda_f: Optional[np.ndarray]  # the top eigenvalue of ``a + P``, if solved
+    bounds: list[int]
+
+    def start(self, k: int) -> np.ndarray:
+        vertices, x = self.parts[self.best[k]]
+        vector = np.zeros(self.bounds[k + 1] - self.bounds[k])
+        vector[vertices] = x
+        return vector
+
+    def grid(self, k: int) -> np.ndarray:
+        lo, hi, points = self.bounds[k], self.bounds[k + 1], self.roots.shape[1]
+        return self.vectors[lo * points : hi * points].reshape(points, hi - lo)
+
+
+def _solve_paths(paths, ts, tol: float, finals=()) -> _Paths:
     """Solve the paths ``a + t P`` of ``paths``, triples ``(a, w, comps)`` of
     a nonnegative ``a`` split into the components ``comps``, and the columns
     ``w = [e_u, s]`` of ``P = w S w^T``, anchor and target indicator, with
     ``S = [[0, 1], [1, 0]]``, such that ``a + t P`` is connected for
-    ``t > 0``.  For each path: its start, the value and zero-padded vector
-    of :func:`perron_components` of ``a`` with the residual of that
-    component's pair; the top eigenvalues at the points of ``ts``, their
-    certified vectors as rows, and their slopes ``lambda'(t)``; and
-    LAPACK's top eigenvalue of ``a + P`` for the paths of ``finals``, else
-    ``None``: triples ``(group, a_stack, w_stack)`` of the indices of paths
-    whose ``a`` and ``w`` are the rows of those stacks.  Without points or
-    ``finals``, ``w`` may be ``None``.
+    ``t > 0``.  For each path (:class:`_Paths`): its start, the value and
+    zero-padded vector of :func:`perron_components` of ``a`` with the
+    residual of that component's pair; the top eigenvalues at the points of
+    ``ts``, their certified vectors and their slopes ``lambda'(t)``; and the
+    top eigenvalue ``lambda_F`` of ``a + P``.  With points, it is the root at
+    the last, ``t = 1``; without, LAPACK's for the paths of ``finals``, else
+    ``None``: triples ``(group, a_stack, w_stack)`` of the paths, by index
+    or slice, whose ``a`` and ``w`` are the rows of those stacks.  Without
+    points or ``finals``, ``w`` may be ``None``.
 
     One ``eigh`` call per component size, whose eigendecompositions, laid
     out by :func:`_solve_blocks` as one row per vertex in path order, give
     every point's value, slope and vector
     (:func:`_grid_points`, then :func:`_shifted_pairs` for the points that
-    fail there), and one ``eigvalsh`` per stack of ``finals``: on one small
-    matrix LAPACK is cheaper than any Python-level root search.
-    ``RuntimeError`` names the first matrix, a component or a point of
-    ``ts`` in the order of ``paths``, whose pair fails its certificate;
-    ``ValueError`` unless ``tol`` is a finite positive real number: at 0,
-    below or at nan no certificate passes, and at ``inf`` every one does."""
+    fail there), and without points one ``eigvalsh`` per stack of
+    ``finals``: on one small matrix LAPACK is cheaper than any Python-level
+    root search.  A component that is a run of consecutive vertices, as
+    every drawn one is, is a slice of ``a``.  The starts are one reduce over
+    the component values, and the grid vectors reach their paths' rows in
+    one scatter per pass.  ``RuntimeError`` names the first matrix, a
+    component or a point of ``ts`` in the order of ``paths``, whose pair
+    fails its certificate; ``ValueError`` unless ``tol`` is a finite
+    positive real number: at 0, below or at nan no certificate passes, and
+    at ``inf`` every one does."""
     if not 0.0 < _as_float(tol) < math.inf:
         raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
     ts = np.asarray(ts, dtype=float)
-    blocks = []
+    blocks, comps_of, counts = [], [], []
     for a, w, comps in paths:
+        comps_of += comps
+        counts.append(len(comps))
         if len(comps) == 1:
             blocks.append((a, w))  # ``w`` is read only with points
-        else:  # ``take`` copies a component's block in a third of the time of ``np.ix_``
-            blocks += [(a.take(c, 0).take(c, 1), w[c] if len(ts) else None) for c in comps]
-    spectra, certified, layout = _solve_blocks(blocks, tol, keep=len(ts) > 0)
-    starts, at = [], 0
-    for a, _, comps in paths:
-        parts, at = spectra[at : at + len(comps)], at + len(comps)
-        values = [float(lam) for lam, _, _ in parts]
-        value = max(values)
-        k = next(k for k, v in enumerate(values) if v >= value - tol)
-        vector = np.zeros(len(a))
-        vector[comps[k]] = parts[k][1]
-        starts.append((value, vector, float(parts[k][2])))
-    roots = slopes = np.empty((len(paths), 0))
-    pairs = [(np.empty((0, len(a))), np.empty(0)) for a, _, _ in paths]
+            continue
+        for c in comps:
+            if c[-1] - c[0] == len(c) - 1:  # a run of consecutive vertices: a view
+                c = slice(c[0], c[-1] + 1)
+                m = a[c, c]
+            else:  # ``take`` copies a block in a third of the time of ``np.ix_``
+                m = a.take(c, 0).take(c, 1)
+            blocks.append((m, w[c] if len(ts) else None))
+    values, residuals, xs, certified, layout = _solve_blocks(blocks, tol, keep=len(ts) > 0)
+    # Each path's largest component value; the lowest-indexed component within tol of it starts.
+    first_comp = list(accumulate(counts, initial=0))[:-1]
+    lambda_i = np.maximum.reduceat(values, first_comp)
+    near = values >= np.repeat(lambda_i - tol, counts)
+    best = np.minimum.reduceat(np.where(near, np.arange(len(blocks)), len(blocks)), first_comp).tolist()
+    roots = slopes = res = np.empty((len(paths), 0))
+    vectors, retry = np.empty(0), []
     if len(ts):
-        roots, slopes, pairs, passed = _grid_points(paths, *layout, ts, tol)
-        retry = [(k, i) for k, row in enumerate(passed) for i in np.flatnonzero(~row)]
-        if retry:  # only the points whose eigenbasis pair fails its certificate
-            at_points = ((_point(*paths[k][:2], ts[i]), roots[k, i]) for k, i in retry)
-            fixes, ok = _shifted_pairs(at_points, tol)
-            certified &= ok
-            for (k, i), (x, res) in zip(retry, fixes):
-                pairs[k][0][i], pairs[k][1][i] = x, res
+        roots, slopes, (vectors, res), passed = _grid_points(paths, *layout, ts, tol)
+        retry = list(zip(*(index.tolist() for index in np.nonzero(~passed))))
+    lambda_f = roots[:, -1] if len(ts) else _final_tops(finals, len(paths)) if finals else None
+    bounds = list(accumulate((len(a) for a, _, _ in paths), initial=0))
+    solved = _Paths(lambda_i, residuals[best], best, list(zip(comps_of, xs)), roots, slopes, vectors, lambda_f, bounds)
+    if retry:  # only the points whose eigenbasis pair fails its certificate
+        at_points = ((_point(*paths[k][:2], ts[i]), roots[k, i]) for k, i in retry)
+        fixes, ok = _shifted_pairs(at_points, tol)
+        certified &= ok
+        for (k, i), (x, r) in zip(retry, fixes):
+            solved.grid(k)[i], res[k, i] = x, r
     if not certified:  # find the first failure in order
-        at = 0
-        for (_, _, comps), (x, res) in zip(paths, pairs):
-            for _, xc, rc in spectra[at : at + len(comps)]:
-                _certify(np.array([rc]), xc[None], tol)
-            _certify(res, x, tol)
-            at += len(comps)
-    tops = {k: top for group, *stacks in finals for k, top in zip(group, _final_tops(*stacks))}
-    return [
-        (*start, root, x, slope, tops.get(k))
-        for k, (start, root, (x, _), slope) in enumerate(zip(starts, roots, pairs, slopes))
-    ]
+        for k, first in enumerate(first_comp):
+            for c in range(first, first + counts[k]):
+                _certify(residuals[c : c + 1], xs[c][None], tol)
+            _certify(res[k], solved.grid(k), tol)
+    return solved
 
 
 def _point(a: np.ndarray, w: np.ndarray, t) -> np.ndarray:
@@ -317,29 +359,35 @@ def _by_size(mats):
         yield group, np.array([mats[k] for k in group])  # np.stack's copy, without its Python step per matrix
 
 
-def _final_tops(a_stack: np.ndarray, w_stack: np.ndarray) -> list:
-    """LAPACK's top eigenvalue of ``a + P`` for each ``a`` of ``a_stack``,
-    ``w`` of ``w_stack``, one ``eigvalsh`` call, as Python floats.  A copy of
+def _final_tops(finals, count: int) -> np.ndarray:
+    """LAPACK's top eigenvalue of ``a + P`` for each of ``count`` paths, one
+    ``eigvalsh`` call per triple ``(group, a_stack, w_stack)`` of
+    ``finals`` (:func:`_solve_paths`), nan for a path in none.  A copy of
     ``a_stack`` takes ``1.0`` at the entries ``(u, s)`` and ``(s, u)`` of
     every ``P``, with no outer product: ``P`` is 0/1 and those entries of
     ``a`` are 0, so the copy has the bits of ``a + 1.0 * (p + p.T)``."""
-    stack = a_stack.copy()
-    at, s = np.nonzero(w_stack[:, :, 1])  # each target s of each path
-    u = w_stack[:, :, 0].argmax(axis=1)[at]
-    stack[at, u, s] = stack[at, s, u] = 1.0
-    return np.linalg.eigvalsh(stack)[:, -1].tolist()
+    tops = np.empty(count)
+    tops.fill(np.nan)
+    for group, a_stack, w_stack in finals:
+        stack = a_stack.copy()
+        at, s = np.nonzero(w_stack[:, :, 1])  # each target s of each path
+        u = w_stack[:, :, 0].argmax(axis=1)[at]
+        stack[at, u, s] = stack[at, s, u] = 1.0
+        tops[group] = np.linalg.eigvalsh(stack)[:, -1]
+    return tops
 
 
-def _solve_blocks(blocks, tol: float, keep: bool = False) -> tuple[list[tuple], bool, tuple | None]:
+def _solve_blocks(blocks, tol: float, keep: bool = False) -> tuple:
     """:func:`_perron_stack` of the matrix of each pair ``(m, w)`` of
     ``blocks``, one LAPACK call per size: per matrix its Perron value,
-    vector and residual; whether every pair passes its certificate at
+    residual and vector; whether every pair passes its certificate at
     ``tol``; and with ``keep`` (else ``None``, and no eigenvector stack
     outlives its size) the one layout of the secular terms, a row per row of
     every matrix in the order of ``blocks``: the eigenvalues ``mu``, the
     rows of ``b = Q^T w``, one product per size, and of ``w``, then per
     size its rows, its eigenvectors ``Q`` and its stack."""
-    solved, certified, bases = [None] * len(blocks), True, []
+    values, residuals, vectors = ([None] * len(blocks) for _ in range(3))
+    certified, bases = True, []
     if keep:  # a row per row of every matrix, in the order of ``blocks``
         sizes = [len(m) for m, _ in blocks]
         offsets, total = np.cumsum(sizes) - sizes, sum(sizes)
@@ -347,15 +395,16 @@ def _solve_blocks(blocks, tol: float, keep: bool = False) -> tuple[list[tuple], 
     for group, stack in _by_size([m for m, _ in blocks]):
         eig, q, lam, x, res = _perron_stack(stack)
         certified &= bool(_certified(res, x.min(axis=1), tol).all())
+        for k, value, row, r in zip(group, lam.tolist(), x, res.tolist()):
+            values[k], vectors[k], residuals[k] = value, row, r
         if keep:  # one product Q^T W per size
             rows = (offsets[group][:, None] + np.arange(stack.shape[-1])).ravel()
             ws = np.array([blocks[k][1] for k in group])
             mu[rows], w[rows] = eig.ravel(), ws.reshape(-1, 2)
             b[rows] = (q.transpose(0, 2, 1) @ ws).reshape(-1, 2)
             bases.append((rows, q, stack))
-        for i, k in enumerate(group):
-            solved[k] = (lam[i], x[i], res[i])
-    return solved, certified, (mu, b, w, bases) if keep else None
+    values, residuals = np.array(values), np.array(residuals)
+    return values, residuals, vectors, certified, (mu, b, w, bases) if keep else None
 
 
 def _grid_points(paths, mu, b, w, bases, ts: np.ndarray, tol: float) -> tuple:
@@ -364,8 +413,10 @@ def _grid_points(paths, mu, b, w, bases, ts: np.ndarray, tol: float) -> tuple:
     the terms of :func:`_solve_blocks`, ``len(a)`` rows per path in path
     order, then component order: ``A_I``'s eigenvalues ``mu``, ``b = Q^T W``,
     ``W`` and ``bases``: one row per path of roots and of slopes
-    ``lambda'(t)``, per path the unit vectors (rows) with their residuals,
-    and per path whether each pair passes its certificate at ``tol``.
+    ``lambda'(t)``, the unit vectors, each path's as the rows of a
+    ``(points, n)`` block in vertex order, the blocks end to end, with one
+    row per path of their residuals, and one row per path of whether each
+    pair passes its certificate at ``tol``.
 
     Above ``mu_top = max(mu)``, ``lambda`` is an eigenvalue of ``A(t)`` iff
     ``det(I - t S M(lambda)) = 0`` with ``M(lambda) = sum_i b_i b_i^T /
@@ -397,6 +448,8 @@ def _grid_points(paths, mu, b, w, bases, ts: np.ndarray, tol: float) -> tuple:
     do not depend on the other points or on the passes."""
     sizes = np.array([len(a) for a, _, _ in paths])  # a path's components split its vertices
     first, owner = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(paths)), sizes)
+    vertex = np.fromiter(chain.from_iterable(c for _, _, comps in paths for c in comps), np.intp, len(mu))
+    at, stride = first[owner] * len(ts) + vertex, sizes[owner]  # a term's entry in its block at point 0, and per point
     top = np.maximum.reduceat(mu, first)
     d = top[owner] - mu  # >= 0: lambda - mu_i = delta + d_i
     coef = np.stack([b[:, 0] * b[:, 0], b[:, 1] * b[:, 1], b[:, 0] * b[:, 1]])
@@ -417,12 +470,10 @@ def _grid_points(paths, mu, b, w, bases, ts: np.ndarray, tol: float) -> tuple:
     weyl = np.sqrt(gram[1])  # ||P|| = |s|: delta <= t |s|
     start = (top, a, beta2, gamma, c, weyl, first)
 
-    order = [np.concatenate(comps) for _, _, comps in paths]
-
     def per_stack(mats, v, idx):  # the rows ``idx`` of ``v``, one matrix of ``mats`` per component
         return (mats @ v[idx].reshape(mats.shape[0], mats.shape[1], -1)).reshape(len(idx), -1)
 
-    vectors = [np.empty((len(ts), len(m))) for m, _, _ in paths]
+    vectors = np.empty(len(mu) * len(ts))
     roots, slopes, res = (np.empty((len(paths), len(ts))) for _ in range(3))
     passed = np.empty(roots.shape, dtype=bool)
     for j, k in _passes(len(ts), len(mu)):
@@ -449,9 +500,8 @@ def _grid_points(paths, mu, b, w, bases, ts: np.ndarray, tol: float) -> tuple:
             r = ax + t * (w[:, :1] * z_s[owner] + w[:, 1:] * z_u[owner]) - root[owner] * x
             res[:, j:k] = np.sqrt(np.add.reduceat(r * r, first))
             passed[:, j:k] = _certified(res[:, j:k], np.minimum.reduceat(x, first), tol)
-        for v, o, at, size in zip(vectors, order, first, sizes):
-            v[j:k, o] = x[at : at + size].T
-    return roots, slopes, list(zip(vectors, res)), passed
+        vectors[at[:, None] + stride[:, None] * np.arange(j, k)] = x
+    return roots, slopes, (vectors, res), passed
 
 
 def _passes(points: int, terms: int):
@@ -486,16 +536,14 @@ def _secular_newton(t, top, a, beta2, gamma, c, weyl, first, npts, coef, d) -> t
     src += np.arange(len(src))
     coef, d = coef[:, src], d[src]
     del src
-    r, term, sums = np.empty(len(d)), np.empty(len(d)), np.empty((6, len(t)))  # reused
+    r, term, m, dm = np.empty(len(d)), np.empty(coef.shape), np.empty((3, len(t))), np.empty((3, len(t)))  # reused
     active = np.ones(len(t), dtype=bool)
     for _ in range(_NEWTON_STEPS + 1):  # the last pass only evaluates at the final delta
         np.add(np.repeat(delta, npts), d, out=r)
         np.reciprocal(r, out=r)
-        for row in range(6):  # M(lambda), then -M'(lambda)
-            if row == 3:
-                np.multiply(r, r, out=r)
-            sums[row] = np.add.reduceat(np.multiply(coef[row % 3], r, out=term), seg)
-        m, dm = sums[:3], sums[3:]
+        np.add.reduceat(np.multiply(coef, r, out=term), seg, axis=1, out=m)  # M(lambda)
+        np.multiply(r, r, out=r)
+        np.add.reduceat(np.multiply(coef, r, out=term), seg, axis=1, out=dm)  # -M'(lambda)
         root = np.sqrt(m[0] * m[1])
         theta = m[2] + root
         slope = dm[2] + (dm[0] * m[1] + m[0] * dm[1]) / (2.0 * root)  # -theta'

@@ -20,12 +20,14 @@ every instance, :func:`~specbound.graphs._solve_stacks`: one stack of
 ``A_I`` and one of ``W`` per final size, with each host's degrees, for its
 degree data and its equality case, read off its rows.  No ``Graph`` or
 ``Perturbation`` is built for a trial that passes.  They are solved
-together: ``A_I``'s components and ``A_I + P`` one LAPACK call per matrix
-size, the secular roots of every path point as one array iteration, the
-grid vectors one ``matmul`` in the components' eigenbases per size.  Then
-they are checked together (:func:`_check_block`): each check is one array
-over the block, with ``u(t)`` and ``f(t, lambda)`` evaluated once per kind
-on the instances' arrays.  The vertex and edge roots are array roots, the
+together: ``A_I``'s components one LAPACK call per matrix size, the secular
+roots of every path point as one array iteration, the grid vectors one
+``matmul`` in the components' eigenbases per size.  The root at ``t = 1``
+is ``lambda_F``, so ``A_I + P`` is never built.  The set-up hands the block
+over as arrays (:class:`~specbound.graphs._Block`), and they are checked
+together (:func:`_check_block`): each check is one array over the block,
+with ``u(t)`` and ``f(t, lambda)`` evaluated once per kind on those
+arrays.  The vertex and edge roots are array roots, the
 pendant root the scalar bracketed Newton per point, and the majorant the
 complex step in Python's ``complex`` per point; so every number gets the
 bits of the scalar check of a lone trial.  A failure record is built only
@@ -44,16 +46,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import KIND_SPECS, PerturbationKind, _initial_value, _majorant
+from .bounds import KIND_SPECS, PerturbationKind, _majorant, _phi_at_zero
 from .graphs import (
     _BLOCK_ENTRIES,
-    _Instance,
+    _Block,
     _solve_stacks,
     _Trial,
     format_edge_list,
     format_perturbation_spec,
 )
-from .pathsim import _check_steps, _curves
+from .pathsim import COMPARISON_TOL, _check_steps, _curves
 from .rng import EDGE_PROBABILITIES, SplitMix64, _check_n_max, _draw
 from .spectral import PERRON_TOL, _as_float
 
@@ -61,7 +63,6 @@ _KINDS = tuple(PerturbationKind)
 
 DERIVATIVE_TOL = 1e-6
 INEQUALITY_TOL = 1e-6
-COMPARISON_TOL = 1e-9
 EQUALITY_GAP_TOL = 1e-8
 STRICT_SLACK_MIN = 1e-7
 
@@ -177,40 +178,37 @@ def _blocks(seed: int, trials: int, n_max: int, steps: int):
         yield block
 
 
-def _check_block(
-    summary: VerifySummary, trials: list[int], drawn: list[_Trial], insts: list[_Instance], corrupt: bool
-) -> None:
-    """Every check of a block's solved instances, into ``summary``: each
-    check one array over the block, ``u(t)`` and ``f(t, lambda)`` from one
-    array evaluation per kind; ``corrupt`` forces the bound of trial 0 below
-    the exact value.  Failures come in trial order, then in check order,
-    each with its trial's graph and perturbation, built from ``drawn``."""
-    tolerance, grid = summary.tolerance, insts[0].grid
+def _check_block(summary: VerifySummary, trials: list[int], drawn: list[_Trial], block: _Block, corrupt: bool) -> None:
+    """Every check of a block's solved trials, into ``summary``: each check
+    one array over the block, ``u(t)`` and ``f(t, lambda)`` from one array
+    evaluation per kind; ``corrupt`` forces the bound of trial 0 below the
+    exact value.  Failures come in trial order, then in check order, each
+    with its trial's graph and perturbation, built from ``drawn``."""
+    tolerance, grid = summary.tolerance, block.grid
     ts = np.concatenate([[0.0], grid])
-    for inst in insts:
-        summary.counts[inst.kind.value] = summary.counts.get(inst.kind.value, 0) + 1
-    lambda_f = np.array([inst.lambda_f for inst in insts])
-    values = np.column_stack([[inst.lambda_i for inst in insts], [inst.values for inst in insts]])
-    forms = np.array([inst.forms[:-1] for inst in insts])  # <P x, x> at the interior grid
-    mismatch = np.abs(np.array([inst.lhs for inst in insts]) - forms).max(axis=1)
+    for kind in block.kinds:
+        summary.counts[kind.value] = summary.counts.get(kind.value, 0) + 1
+    lambda_f = block.lambda_f
+    values = np.column_stack([block.lambda_i, block.values])
+    forms = block.forms[:, :-1]  # <P x, x> at the interior grid
+    mismatch = np.abs(block.lhs - forms).max(axis=1)
     u, f = np.empty_like(values), np.empty_like(forms)
     for kind, spec in KIND_SPECS.items():
-        idx = [i for i, inst in enumerate(insts) if inst.kind is kind]
+        idx = [i for i, k in enumerate(block.kinds) if k is kind]
         if not idx:
             continue
-        _, d, c = zip(*(_initial_value(kind, insts[i].lambda_i, **insts[i].params) for i in idx))
-        d, c = np.array(d), np.array(c)
-        u[idx] = _curves(spec, values[idx, 0], c, d, ts)
+        lambda_i, d = block.lambda_i[idx], block.weights[idx]
+        u[idx] = _curves(spec, lambda_i, _phi_at_zero(spec, lambda_i, d), d, ts)
         f[idx] = _majorant(spec, grid[:-1], values[idx, 1:-1], d[:, None])
     bound = u[:, -1].copy()
     if corrupt and trials[0] == 0:
         bound[0] = lambda_f[0] - 1.0
     violation, gap = lambda_f - bound, bound - lambda_f
     ineq, comp = (forms - f).max(axis=1), (-(u - values)).max(axis=1)
-    equal = np.array([inst.equality for inst in insts], dtype=bool)
+    equal = block.equality
 
     summary.equality_cases += int(equal.sum())
-    summary.strict_cases += len(insts) - int(equal.sum())
+    summary.strict_cases += len(equal) - int(equal.sum())
     for name, pick, rows in (
         ("max_bound_violation", max, violation),
         ("max_equality_gap", max, np.abs(gap[equal])),

@@ -23,6 +23,8 @@ import pytest
 import specbound as sb
 from oracles import MAJORANTS, jacobi_spectrum, power_perron, rk4
 from specbound import Perturbation, PerturbationKind, graphs
+from specbound.bounds import KIND_SPECS
+from specbound.spectral import PERRON_TOL
 from specbound.rng import SplitMix64, random_instance
 
 SEED = 42
@@ -228,6 +230,84 @@ def test_criterion_2_equality_dichotomy(bound_corpus):
     if failures:
         detail += f"; {failures[0]}"
     _verdict(2, "equality dichotomy", not failures, detail)
+
+
+def _every_small_instance():
+    """Every perturbation of every graph on at most 6 vertices, connected or
+    not, whose final graph is connected: each target set of a new isolated
+    vertex, each missing edge and each pendant edge, with the final graph."""
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        if not 1 <= n <= 6:
+            continue
+        host = sb.from_edge_list(n, [(int(a), int(b)) for a, b in g.edges()])
+        with_u = sb.Graph(n + 1, host.edges)  # vertex n is isolated
+        cases = [
+            (with_u, Perturbation.vertex_connection(n, [v for v in range(n) if mask >> v & 1]))
+            for mask in range(1, 1 << n)
+        ]
+        cases += [(host, Perturbation.edge_addition(u, v)) for u in range(n) for v in range(u + 1, n)
+                  if not host.has_edge(u, v)]
+        cases += [(host, Perturbation.pendant_edge(u)) for u in range(n)]
+        for h, pert in cases:
+            final = sb.apply_perturbation(h, pert)
+            if sb.is_connected(final):
+                yield h, pert, final
+
+
+def _equality_core(host, pert, final):
+    """The regular core of an equality case, as ``(n, delta)``: the final
+    graph without the ends of the added edges (``u`` alone for a vertex
+    connection).  Each core vertex is joined to every apex, one per degree
+    keyword of the kind."""
+    ends = graphs._ends(pert, host.n)
+    left_out = ends[:1] if pert.kind is PerturbationKind.VERTEX_CONNECTION else ends
+    core = [v for v in range(final.n) if v not in left_out]
+    return len(core), (final.degree(core[0]) - len(KIND_SPECS[pert.kind].params) if core else 0)
+
+
+def test_equality_dichotomy_on_every_instance_of_at_most_6_vertices():
+    # Every instance of every host on at most 6 vertices whose final graph
+    # is connected, disconnected hosts included, solved in blocks with grid
+    # points, so lambda_F is the certified root at t = 1: it matches LAPACK's
+    # top eigenvalue of the final graph, the recognizer fires iff the bound
+    # is attained, and each equality case is its closed-form join.
+    t0 = time.perf_counter()
+    cases = list(_every_small_instance())
+    counts, equal, failures = {kind: 0 for kind in KINDS}, 0, []
+    min_strict, max_equality_gap, max_root_error = math.inf, 0.0, 0.0
+    for first in range(0, len(cases), 500):
+        block = cases[first : first + 500]
+        insts = graphs._instances([(h, pert) for h, pert, _ in block], PERRON_TOL, 2)
+        for (host, pert, final), inst in zip(block, insts, strict=True):
+            counts[pert.kind] += 1
+            exact = float(sb.full_spectrum(final.adjacency())[0])
+            error = abs(inst.lambda_f - exact) / max(1.0, inst.lambda_f)
+            max_root_error = max(max_root_error, error)
+            if error > 1e-12:
+                failures.append(f"lambda_F {inst.lambda_f!r} against {exact!r}: {_repro(host, pert)}")
+            gap = sb.perturbation_bound(pert.kind, inst.lambda_i, **inst.params) - inst.lambda_f
+            if inst.equality != sb.equality_case(host, pert):
+                failures.append(f"set-up recognizer disagrees: {_repro(host, pert)}")
+            if inst.equality:
+                equal += 1
+                max_equality_gap = max(max_equality_gap, abs(gap))
+                n, delta = _equality_core(host, pert, final)
+                join = sb.closed_form_join(pert.kind, n, delta, 1.0).value if n else 1.0  # K2 over no core
+                if abs(gap) > 1e-8 or abs(inst.lambda_f - join) > 1e-12 * max(1.0, join):
+                    failures.append(f"equality case off its join (gap {gap:.3e}): {_repro(host, pert)}")
+            else:
+                min_strict = min(min_strict, gap)
+                if gap < 1e-7:
+                    failures.append(f"strict instance with slack {gap:.3e}: {_repro(host, pert)}")
+    detail = (
+        ", ".join(f"{kind.value} {count}" for kind, count in counts.items())
+        + f"; {equal} equality cases, max equality gap {max_equality_gap:.2e}, min strict slack "
+        f"{min_strict:.2e}, max lambda_F error {max_root_error:.1e}, {time.perf_counter() - t0:.2f} s"
+    )
+    if failures:
+        detail += f"; {failures[0]}"
+    _verdict(2, "equality dichotomy on every instance of at most 6 host vertices", not failures, detail)
 
 
 def _perturbations(host):

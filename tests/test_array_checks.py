@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import specbound as sb
 from oracles import complex_step_majorant, larger_quadratic_root
 from specbound import PerturbationKind
-from specbound.bounds import KIND_SPECS, _initial_value, _larger_quadratic_root, _majorant
+from specbound.bounds import KIND_SPECS, _initial_value, _larger_quadratic_root, _majorant, _phi_at_zero
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -107,9 +107,29 @@ def test_array_comparison_roots_have_the_bits_of_the_scalar_roots(inst, ts):
     assert all(same_bits(a, spec.root(t, c, weight)) for a, t in zip(got, ts, strict=True))
 
 
+@PROPERTY
+@given(st.lists(instances(), min_size=1, max_size=24), st.integers(0, 4))
+def test_array_initial_values_have_the_bits_of_the_scalar_ones(drawn, zeros):
+    # verify takes Phi(0, lambda_I) of a kind's trials as one array, with the
+    # bits of the scalar value the public bound starts from, lambda_I = 0 and
+    # d = 0 (Phi's 0/0) included.
+    drawn = drawn + [(kind, d * (k % 2), 0.0) for k, (kind, d, _) in enumerate(drawn[:zeros])]
+    for kind in PerturbationKind:
+        rows = [(d, lam) for k, d, lam in drawn if k is kind]
+        if not rows:
+            continue
+        d, lam = (np.array(column) for column in zip(*rows))
+        got = _phi_at_zero(KIND_SPECS[kind], lam, d).tolist()
+        expected = [_phi_at_zero(KIND_SPECS[kind], b, a) for a, b in rows]
+        assert all(same_bits(a, b) for a, b in zip(got, expected, strict=True))
+        assert all(same_bits(a, _initial_value(kind, b, **degree_params(kind, w))[2])
+                   for a, (w, b) in zip(got, rows) if b > 0.0)
+
+
 # float.hex of the six summary extremes of run_verification(seed, 30), as the
-# per-trial scalar checks gave them: bound violation, strict slack, equality
-# gap, derivative mismatch, inequality violation, comparison violation.
+# per-trial scalar checks gave them, with lambda_F the certified root at
+# t = 1: bound violation, strict slack, equality gap, derivative mismatch,
+# inequality violation, comparison violation.
 EXTREMES = (
     "max_bound_violation",
     "min_strict_slack",
@@ -119,15 +139,15 @@ EXTREMES = (
     "max_comparison_violation",
 )
 PINNED = {
-    0: ("0x1.0000000000000p-51", "0x1.c37a865c20000p-13", "0x1.8000000000000p-50",
+    0: ("0x1.0000000000000p-50", "0x1.c37a865c38000p-13", "0x1.0000000000000p-50",
         "0x1.a000000000000p-50", "0x1.0000000000000p-52", "0x1.8000000000000p-50"),
-    1: ("0x1.0000000000000p-49", "0x1.19b4a6b7eb800p-10", "0x1.0000000000000p-49",
+    1: ("0x1.0000000000000p-50", "0x1.19b4a6b7eb800p-10", "0x1.0000000000000p-50",
         "0x1.8000000000000p-49", "0x1.0000000000000p-52", "0x1.8000000000000p-50"),
-    2: ("0x1.0000000000000p-49", "0x1.1a860ce352c00p-9", "0x1.0000000000000p-49",
+    2: ("0x1.0000000000000p-51", "0x1.1a860ce352800p-9", "0x1.0000000000000p-50",
         "0x1.2000000000000p-49", "0x1.0000000000000p-52", "0x1.8000000000000p-51"),
-    3: ("0x1.0000000000000p-51", "0x1.2d358c6230000p-12", "0x1.0000000000000p-51",
+    3: ("0x1.0000000000000p-51", "0x1.2d358c6234000p-12", "0x1.0000000000000p-51",
         "0x1.8000000000000p-50", "0x1.0000000000000p-52", "0x1.8000000000000p-51"),
-    4: ("0x1.0000000000000p-50", "0x1.aae151c334000p-12", "0x1.0000000000000p-50",
+    4: ("0x1.0000000000000p-51", "0x1.aae151c32c000p-12", "0x1.0000000000000p-50",
         "0x1.4000000000000p-50", "0x1.0000000000000p-52", "0x1.0000000000000p-50"),
 }
 

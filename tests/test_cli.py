@@ -447,7 +447,7 @@ def test_the_row_sum_recognizer_is_the_graph_recognizer(capsys, monkeypatch):
     for seed in range(60):
         for block in verify._blocks(seed, 30, 9, 2):
             drawn = [d for _, d in block]
-            insts = solve_stacks(drawn, spectral.PERRON_TOL, 2)
+            insts = solve_stacks(drawn, spectral.PERRON_TOL, 2).instances()
             for d, inst in zip(drawn, insts, strict=True):
                 host, pert = d.pair()
                 assert inst.equality == sb.equality_case(host, pert) == _cone_by_matrix(host, pert)
@@ -468,17 +468,19 @@ def test_the_row_sum_recognizer_is_the_graph_recognizer(capsys, monkeypatch):
 
 def _lone_failures(trial, host, pert, inst, tol, corrupt):
     """The failure records of one solved trial of ``pert`` on ``host``,
-    check by check, from its sampled path and the public checks."""
+    check by check, from its sampled path and the public checks, with
+    ``lambda_F`` from the lone public path solve."""
     kind, failures = inst.kind, []
+    lambda_f = sb.sample_path(host, pert, steps=len(inst.grid)).lambda_f
 
     def fail(check, detail):
         graph, spec = sb.format_edge_list(host), sb.format_perturbation_spec(pert)
         failures.append(verify.TrialFailure(trial, kind.value, check, detail, graph, spec))
 
-    bound = inst.lambda_f - 1.0 if corrupt else sb.perturbation_bound(kind, inst.lambda_i, **inst.params)
-    if inst.lambda_f - bound > tol:
-        fail("bound_validity", f"lambda_F - bound = {inst.lambda_f - bound:.3e}")
-    gap = bound - inst.lambda_f
+    bound = lambda_f - 1.0 if corrupt else sb.perturbation_bound(kind, inst.lambda_i, **inst.params)
+    if lambda_f - bound > tol:
+        fail("bound_validity", f"lambda_F - bound = {lambda_f - bound:.3e}")
+    gap = bound - lambda_f
     if sb.equality_case(host, pert):
         if abs(gap) > verify.EQUALITY_GAP_TOL:
             fail("equality_gap", f"|bound - lambda_F| = {abs(gap):.3e}")
@@ -515,13 +517,11 @@ def test_verify_records_every_failed_check_like_the_lone_checks(monkeypatch):
     solved, solve_stacks = [], verify._solve_stacks
 
     def flattened(*args):
-        insts = solve_stacks(*args)
+        block = solve_stacks(*args)
         if not solved:
-            values = insts[4].values.copy()
-            values[2] = values[1]
-            insts[4] = insts[4]._replace(values=values)
-        solved.extend(insts)
-        return insts
+            block.values[4, 2] = block.values[4, 1]
+        solved.extend(block.instances())
+        return block
 
     monkeypatch.setattr(verify, "_solve_stacks", flattened)
     summary = sb.run_verification(11, 12, tolerance=0.0, inject_failure=True)
@@ -537,10 +537,10 @@ def test_verify_records_every_failed_check_like_the_lone_checks(monkeypatch):
     assert summary.failures == expected
 
 
-def _lone_matrices(seed, trials):
-    """Each verify trial's A_I component blocks and its A_I + P, rebuilt with
-    the public functions, as (size, bytes) keys."""
-    components, final = [], []
+def _lone_components(seed, trials):
+    """Each verify trial's A_I component blocks, rebuilt with the public
+    functions, as (size, bytes) keys."""
+    components = []
     for trial in range(trials):
         kind = list(sb.PerturbationKind)[trial % 3]
         p_edge = EDGE_PROBABILITIES[(trial // 3) % 3]
@@ -550,19 +550,18 @@ def _lone_matrices(seed, trials):
         a_initial[: host.n, : host.n] = host.adjacency()
         mats = [a_initial[np.ix_(c, c)] for c in spectral.connected_components(a_initial)]
         components += [(len(m), m.tobytes()) for m in mats]
-        final.append((len(p_mat), (1.0 * p_mat + a_initial).tobytes()))
-    return components, final
+    return components
 
 
 def test_verify_sets_each_trial_up_once(monkeypatch):
     # Trials are solved in blocks: the eigendecompositions cover each trial's
-    # A_I components exactly once, and eigvalsh its A_I + P once.  Each
-    # LAPACK routine runs exactly once per matrix size and block, on one
-    # stack of all the block's matrices of that size.  The grid vectors come
-    # from the components' eigendecompositions, so no grid point reaches a
-    # linear solve.
+    # A_I components exactly once, and lambda_F is the root at t = 1, so no
+    # eigvalsh runs.  eigh runs exactly once per matrix size and block, on
+    # one stack of all the block's matrices of that size.  The grid vectors
+    # come from the components' eigendecompositions, so no grid point
+    # reaches a linear solve.
     blocks = _count_calls(monkeypatch, graphs, "_solve_stacks")
-    calls, components, final = [], [], []
+    calls, components = [], []
     original_stack = spectral._perron_stack
 
     def recorded_stack(stack):
@@ -574,53 +573,48 @@ def test_verify_sets_each_trial_up_once(monkeypatch):
 
         def recorded(stack, *args, _name=name, _original=getattr(np.linalg, name)):
             calls.append((_name, len(blocks), stack.shape[-1], len(stack)))
-            if _name == "eigvalsh":
-                final.extend((stack.shape[-1], m.tobytes()) for m in stack)
             return _original(stack, *args)
 
         monkeypatch.setattr(np.linalg, name, recorded)
     summary = sb.run_verification(42, 300).to_dict()
     assert summary["instances"] == {"vertex": 100, "edge": 100, "pendant": 100}
     assert (summary["equality_cases"], summary["strict_cases"], summary["ok"]) == (63, 237, True)
-    lone_components, lone_final = _lone_matrices(42, 300)
-    assert Counter(components) == Counter(lone_components)
-    assert Counter(final) == Counter(lone_final)
-    assert [name for name, _, _, _ in calls if name == "solve"] == []
-    groups = Counter((name, block, n) for name, block, n, _ in calls)
-    assert set(groups.values()) == {1}  # one call per routine, block and size
+    assert Counter(components) == Counter(_lone_components(42, 300))
+    assert {name for name, _, _, _ in calls} == {"eigh"}
+    groups = Counter((block, n) for _, block, n, _ in calls)
+    assert set(groups.values()) == {1}  # one call per block and size
     dims = {n for _, _, n, _ in calls}
-    assert len(calls) <= 2 * len(dims) * len(blocks)  # eigh, eigvalsh
-    assert len(calls) < 300  # alone, each trial would make at least two
+    assert len(calls) <= len(dims) * len(blocks)
+    assert len(calls) < 300  # alone, each trial would make at least one
 
 
 def test_verify_groups_each_block_by_size_once(monkeypatch):
     # The draw lays a block out as one A_I stack and one W stack per final
-    # size, and A_I + P is solved from those stacks as they are: the only
-    # regrouping by size is of the components.
+    # size, and the paths are the rows of those stacks: the only regrouping
+    # by size is of the components.  lambda_F is each path's root at t = 1,
+    # so no A_I + P is built or solved.
     blocks = _count_calls(monkeypatch, graphs, "_solve_stacks")
     groupings = _count_calls(monkeypatch, spectral, "_by_size")
-    rows, stacks = [], []
-    solve_paths, final_tops = graphs._solve_paths, spectral._final_tops
+    tops = _count_calls(monkeypatch, spectral, "_final_tops")
+    rows = []
+    solve_paths = graphs._solve_paths
 
     def recorded_paths(paths, *args):
         rows.extend(a for a, _, _ in paths)
         return solve_paths(paths, *args)
 
-    def recorded_tops(a_stack, w_stack):
-        stacks.append(a_stack)
-        return final_tops(a_stack, w_stack)
-
     monkeypatch.setattr(graphs, "_solve_paths", recorded_paths)
-    monkeypatch.setattr(spectral, "_final_tops", recorded_tops)
     assert sb.run_verification(7, 30).ok
-    assert (len(blocks), len(groupings)) == (1, 1)
-    assert len(rows) == 30 and stacks
-    assert all(sum(np.shares_memory(a, stack) for stack in stacks) == 1 for a in rows)
-    assert all(any(np.shares_memory(a, stack) for a in rows) for stack in stacks)
+    assert (len(blocks), len(groupings), len(tops)) == (1, 1, 0)
+    assert len(rows) == 30
+    stacks = {id(a.base): a.base for a in rows}.values()
+    assert len(stacks) == len({len(a) for a in rows})  # one A_I stack per final size
+    assert all(stack.ndim == 3 and stack.shape[0] == sum(a.base is stack for a in rows) for stack in stacks)
 
 
 def test_verify_extremes_equal_the_lone_public_solves():
     # Stacking a block of trials must not change a bit of the summary.
+    # lambda_F is the lone path's root at t = 1, as in verify.
     tol = COMPARISON_TOL
     for seed in range(20):
         worst = {
@@ -636,13 +630,13 @@ def test_verify_extremes_equal_the_lone_public_solves():
             p_edge = EDGE_PROBABILITIES[(trial // 3) % 3]
             host, pert = sb.random_instance(sb.SplitMix64.spawn(seed, trial), kind, 9, p_edge)
             rep = sb.bound_report(host, pert)
-            gap = rep.bound - rep.lambda_f_exact
+            path = sb.sample_path(host, pert, steps=8)
+            gap = rep.bound - path.lambda_f
             worst["max_bound_violation"] = max(worst["max_bound_violation"], -gap)
             if rep.equality_case:
                 worst["max_equality_gap"] = max(worst["max_equality_gap"], abs(gap))
             else:
                 worst["min_strict_slack"] = min(worst["min_strict_slack"], gap)
-            path = sb.sample_path(host, pert, steps=8)
             mismatch = max(
                 abs(s.derivative_lhs - s.derivative_rhs)
                 for s in path.samples

@@ -10,12 +10,13 @@ so no linter is needed.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import specbound
-from specbound import bounds, graphs
+from specbound import bounds, graphs, pathsim, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "specbound"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -218,6 +219,55 @@ def test_one_attempt_loop_and_one_word_source_draw_the_hosts():
     source = (SRC / "rng.py").read_text(encoding="utf-8")
     assert readers(source, "_components") == ["_connected_part"]
     assert readers(source, "_words") == ["_connect"]
+
+
+def test_one_constant_is_the_dominance_tolerance():
+    # ``pathsim`` alone binds the tolerance of comparison dominance: the
+    # public check defaults to it, and ``verify`` and the CLI import it.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    binders = {
+        file
+        for file, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "COMPARISON_TOL" for t in node.targets)
+    }
+    assert binders == {"pathsim.py"}
+    for check in (pathsim.check_comparison, verify.run_verification):
+        assert inspect.signature(check).parameters["tolerance"].default is pathsim.COMPARISON_TOL
+
+
+def lone_row_pads(source: str) -> list[str]:
+    """The module-level function around each ``+ [0]`` or ``+ [0] * (...)``
+    in a module's code: a zero row appended to bit rows."""
+    zero = "[0]"
+    found = []
+    for node in ast.parse(source).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Add):
+                right = sub.right.left if isinstance(sub.right, ast.BinOp) else sub.right
+                if ast.unparse(right) == zero:
+                    found.append(node.name)
+    return found
+
+
+def test_checker_finds_the_lone_row_pads():
+    source = "def f(r):\n    return r + [0]\ndef g(r, p):\n    return [0] * 3, r + [0] * (not p)\n"
+    assert lone_row_pads(source) == ["f", "g"]
+
+
+def test_one_function_adds_the_lone_vertex():
+    # The vertex that ``A_I`` holds alone past a host's rows, a pendant
+    # edge's new vertex or a drawn vertex connection's isolated ``u``, is
+    # added by ``_with_lone_vertex`` alone: the set-up and the draw read it,
+    # and no other function appends a zero row.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    found = {file: readers(source, "_with_lone_vertex") for file, source in sources.items()}
+    assert {file: owners for file, owners in found.items() if owners} == {
+        "graphs.py": ["_solve_stacks"],
+        "rng.py": ["_draw"],
+    }
+    pads = {file: lone_row_pads(source) for file, source in sources.items()}
+    assert {file: owners for file, owners in pads.items() if owners} == {"graphs.py": ["_with_lone_vertex"]}
 
 
 def test_one_function_builds_the_stacks():

@@ -42,7 +42,7 @@ def solved_points(host, pert, steps):
 
     spectral._grid_points = capture
     try:
-        inst = graphs._instances([(host, pert)], TOL, steps, final=False)[0]
+        inst = graphs._instances([(host, pert)], TOL, steps)[0]
     finally:
         spectral._grid_points = original
     ((ts, roots),) = seen
@@ -237,7 +237,7 @@ def test_the_eigensolve_lays_out_the_terms_the_secular_solve_reads(monkeypatch):
         return grid_points(paths, mu, b, w, bases, ts, tol)
 
     monkeypatch.setattr(spectral, "_grid_points", recorded)
-    graphs._instances(instances, TOL, 8, final=False)
+    graphs._instances(instances, TOL, 8)
     ((paths, mu, b, w, bases),) = seen
     terms = sum(len(a) for a, _, _ in paths)
     assert len(mu) == len(b) == len(w) == terms
@@ -279,7 +279,7 @@ def test_shifted_solve_takes_exactly_the_points_the_eigenbasis_fails(monkeypatch
 
     monkeypatch.setattr(spectral, "_grid_points", record_grid_points)
     monkeypatch.setattr(spectral, "_shifted_pairs", record_shifted)
-    insts = graphs._instances(instances, TOL, 16, final=False)
+    insts = graphs._instances(instances, TOL, 16)
     (ok,), (retry,) = passed, retried
     assert not ok[1].any() and ok[0].all()
     failing = []
@@ -316,4 +316,4 @@ def test_a_point_failing_both_routes_raises_in_caller_order(monkeypatch):
     monkeypatch.setattr(spectral, "_grid_points", failing_grid_points)
     monkeypatch.setattr(spectral, "_shifted_pairs", failing_shifted)
     with pytest.raises(RuntimeError, match=r"residual 1\.000e-03"):
-        graphs._instances(instances, TOL, 8, final=False)
+        graphs._instances(instances, TOL, 8)

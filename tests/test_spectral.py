@@ -233,10 +233,11 @@ def test_stacked_perron_solves_each_matrix_as_alone():
     # Only the lollipop in the middle needs the positivity fix-up.
     mats = [g.adjacency() for g in (sb.path_graph(40), lollipop_graph(20, 20), sb.complete_graph(40))]
     solved = spectral._solve_paths([whole(m) for m in mats], (), 1e-11)
-    for m, (value, vector, residual, *_) in zip(mats, solved, strict=True):
+    assert len(solved.lambda_i) == len(solved.residuals) == len(mats)
+    for k, m in enumerate(mats):
         pair = sb.perron(m)
-        assert (value, residual) == (pair.value, pair.residual)
-        assert np.array_equal(vector, pair.vector)
+        assert (solved.lambda_i[k], solved.residuals[k]) == (pair.value, pair.residual)
+        assert np.array_equal(solved.start(k), pair.vector)
 
 
 def test_stacked_perron_reports_the_first_uncertified_matrix():
