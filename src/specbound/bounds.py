@@ -14,12 +14,15 @@ integral ``Phi(t, y; d)`` constant along its solution ``u(t)``:
   ``Phi(t, y) = y - d y / (y^2 - t^2)``.
 
 So ``u(t)`` is the largest root of ``Phi(t, y) = Phi(0, lambda_I)``, the
-bound on the final index is ``u(1)``, and ``f = -Phi_t / Phi_y``.  The
+bound on the final index is ``u(1)``, and ``f = -Phi_t / Phi_y`` is
+``2 d t y / (y^2 + d t^2)``, ``d / ((y - t)^2 + d)`` and
+``2 d t y / ((y^2 - t^2)^2 + d (y^2 + t^2))`` in closed form.  The
 paper's auxiliary maps are slices of Phi: ``H(x) = x - g/x`` and
 ``L2(x) = x - du/(x - 1/x)`` at t = 1, ``K(x) = x - (du+dv)/x`` and
 ``L1(x) = x - du/x`` at t = 0.  The vertex and edge roots are quadratic; the
 pendant root is the one above t of the cubic
-``y^3 - c y^2 - (d + t^2) y + c t^2``.  :data:`KIND_SPECS`, the one table
+``y^3 - c y^2 - (d + t^2) y + c t^2``, found by Newton's iteration from
+above.  :data:`KIND_SPECS`, the one table
 of the :class:`PerturbationKind` members, holds these per kind, every
 function below reads it, and its entries also say what a perturbation of
 the kind takes: target count, usage line, an isolated ``u``, host sizes.
@@ -31,7 +34,6 @@ and the iterated bound for joining a coclique complete the module.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 import sys
@@ -40,10 +42,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-_CUBIC_TOL = 1e-12
-_COMPLEX_STEP = 1e-100
+_PENDANT_STEPS = 64  # Newton steps; the pendant root took at most 7 from its start
 # A positive lambda_i lies in [2^-256, 2^256]: there the gap d / lambda_i^3
-# and the squares and cubes the roots take stay within float range.
+# and every partial result of the roots and majorants stay within float range.
 _LAMBDA_RANGE = (2.0**-256, 2.0**256)
 
 
@@ -70,8 +71,11 @@ def _larger_quadratic_root(y, c):
 # First integrals and their roots
 # ---------------------------------------------------------------------------
 
-# Each Phi and root takes floats or numpy arrays, and each Phi also a
-# Python complex in t or y: the majorant differentiates Phi by complex steps.
+# Each Phi, right-hand side f = -Phi_t / Phi_y and root takes floats or numpy
+# arrays, with the same bits per entry.  Each f is written so that no partial
+# result leaves float range for lambda in _LAMBDA_RANGE; f at d = 0, where Phi
+# is the identity, and at lambda = 0, a pole of the vertex and pendant Phi,
+# is left to the callers.
 
 def _phi_vertex(t, y, d):
     return y - d * t * t / y
@@ -86,6 +90,23 @@ def _phi_pendant(t, y, d):
     return y - d / (y - t * t / y)
 
 
+def _rhs_vertex(t, y, d):
+    # 2 d t y / (y^2 + d t^2), over y
+    dt = d * t
+    return 2.0 * dt / (y + dt * (t / y))
+
+
+def _rhs_edge(t, y, d):
+    gap = y - t
+    return d / (gap * gap + d)
+
+
+def _rhs_pendant(t, y, d):
+    # 2 d t y / ((y^2 - t^2)^2 + d (y^2 + t^2)), over d y
+    tt = t * (t / y)
+    return 2.0 * t / ((y + tt) + y * ((y - tt) * (y - tt)) / d)
+
+
 def _root_vertex(t, c, d):
     return _larger_quadratic_root(c, d * t * t)
 
@@ -95,81 +116,43 @@ def _root_edge(t, c, d):
 
 
 def _root_pendant(t, c, d):
-    """Unique root above t of ``v^3 - c v^2 - (d + t^2) v + c t^2``.
+    """Largest root of ``p(v) = (v - c)(v^2 - t^2) - d v``, the one at least t.
 
-    That cubic is ``(v - c)(v^2 - t^2) - d v``: negative at ``v = t``, at most
-    0 at ``sqrt(d + t^2)`` when ``c >= 0`` (every input coming from a graph),
-    and nonnegative at ``max(sqrt(d + t^2), c + d + 2)``, or, where ``c`` is
-    above about ``2^53 (d + 2)`` and that sum rounds to ``c``, at the next
-    float above it.  Bracketed Newton with bisection fallback solves it to
-    1e-12 on the polynomial value.
-    Arrays are solved one point at a time (:func:`_pointwise`): a masked array
-    Newton gives the same bits but costs more at a path's few dozen points.
+    That root is at least ``max(c, t)``, where ``p <= 0``, and there ``p``
+    is convex.  At the edge root ``v0 = t + r``, ``r(r + t - c) = d``, ``p``
+    is ``d t >= 0``: so Newton's iteration from ``v0`` decreases to the root
+    without crossing it, up to the rounding of ``p``.  Each point stops once
+    a step is within 2 ulps, or goes up, which only rounding does.  At
+    ``d = 0`` the root is ``max(c, t)``.  On arrays every point takes the
+    steps the float takes, masked once it stops (:func:`_pendant_newton`).
     """
-    if isinstance(t, np.ndarray) or isinstance(c, np.ndarray):
-        return _pointwise(_pendant_root, t, c, d)
-    return _pendant_root(t, c, d)
+    v = _root_edge(t, c, d)
+    if not isinstance(v, np.ndarray):
+        if not d:
+            return float(max(c, t))
+        for _ in range(_PENDANT_STEPS):
+            v, moving = _pendant_newton(v, t, c, d)
+            if not moving:
+                return v
+        raise RuntimeError(f"pendant root search stalled for t={t}, c={c}, d={d}")  # pragma: no cover
+    active = np.broadcast_to(d != 0, v.shape).copy()
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the points of d = 0, never taken
+        for _ in range(_PENDANT_STEPS):
+            new, moving = _pendant_newton(v, t, c, d)
+            v = np.where(active, new, v)
+            active &= moving
+            if not active.any():
+                return np.where(d != 0, v, np.maximum(c, t))
+    raise RuntimeError("pendant root search stalled")  # pragma: no cover
 
 
-def _pointwise(fn: Callable, *arrays) -> np.ndarray:
-    """``fn`` at each point of the broadcast ``arrays``, called on Python
-    numbers, as a float array of their broadcast shape."""
-    shape = np.broadcast(*arrays).shape
-    points = []
-    for x in arrays:  # a third of the time of np.broadcast_arrays on a path's points
-        full = np.empty(shape, dtype=np.asarray(x).dtype)
-        np.copyto(full, x)
-        points.append(full.ravel().tolist())
-    return np.fromiter(map(fn, *points), float, len(points[0])).reshape(shape)
-
-
-def _pendant_root(t: float, c: float, d: int) -> float:
-    """:func:`_root_pendant` at one point."""
-    if d == 0:  # the cubic is (v - c)(v^2 - t^2)
-        return float(max(c, t))
-
-    dt2 = d + t * t
-    ct2 = c * t * t
-
-    def poly(v: float) -> float:
-        return ((v - c) * v - dt2) * v + ct2
-
-    def dpoly(v: float) -> float:
-        return (3.0 * v - 2.0 * c) * v - dt2
-
-    lo = t if c < 0.0 else math.sqrt(dt2)
-    hi = max(math.sqrt(dt2), c + d + 2.0)
-    flo, fhi = poly(lo), poly(hi)
-    if c >= 0.0 and abs(flo) <= _CUBIC_TOL:  # p(t) = -d t is never a root, however small
-        return lo
-    if abs(fhi) <= _CUBIC_TOL:
-        return hi
-    if fhi < 0.0:  # c + d + 2 rounded to c
-        hi = math.nextafter(hi, math.inf)
-        fhi = poly(hi)
-    if flo > 0.0 or fhi < 0.0:  # pragma: no cover - bracket is analytic
-        raise RuntimeError(f"cubic bracket failed for t={t}, c={c}, d={d}")
-
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        fx = poly(x)
-        if abs(fx) <= _CUBIC_TOL:
-            return x
-        if fx > 0.0:
-            hi = x
-        else:
-            lo = x
-        if hi - lo <= 1e-15 * max(1.0, abs(x)):
-            return x
-        dfx = dpoly(x)
-        if dfx != 0.0:
-            step = x - fx / dfx
-            x = step if lo < step < hi else 0.5 * (lo + hi)
-        else:
-            x = 0.5 * (lo + hi)
-    raise RuntimeError(  # pragma: no cover - Newton/bisection always lands
-        f"cubic root search stalled for t={t}, c={c}, d={d} on [{lo}, {hi}]"
-    )
+def _pendant_newton(v, t, c, d):
+    """One Newton step for the pendant cubic from ``v``, with ``p(v) / v =
+    (v - c)(v - t^2/v) - d``, and whether the iteration goes on: a step down
+    by more than 2 ulps of ``v``."""
+    q, e = v - t * (t / v), v - c
+    step = v * (e * q - d) / (v * (q + 2.0 * e) - d)
+    return v - step, step > 2.0 * (np.spacing(v) if isinstance(v, np.ndarray) else math.ulp(v))
 
 
 class PerturbationKind(enum.Enum):
@@ -193,6 +176,7 @@ class KindSpec(NamedTuple):
     sizes: tuple[int, int]  # a random host's connected part has randint(lo, n_max + offset) vertices
     params: tuple[str, ...]  # degree keywords; the weight d is their sum
     phi: Callable  # Phi(t, y, d)
+    rhs: Callable  # rhs(t, y, d): f = -Phi_t / Phi_y, the majorant
     root: Callable  # root(t, c, d): the largest y with Phi(t, y, d) = c
     gap_power: int  # bound - lambda_I ~ d / lambda_I**gap_power
     # The equality path over a delta-regular core on n vertices.  Each degree
@@ -205,17 +189,17 @@ class KindSpec(NamedTuple):
 KIND_SPECS = {  # cells: new vertex, core | both apexes, core | pendant vertex, apex, core
     PerturbationKind.VERTEX_CONNECTION: KindSpec(
         range(1, sys.maxsize), "at least one target", "vertex u v1 [v2 ...]", True, (1, -1),
-        ("g",), _phi_vertex, _root_vertex, 1,
+        ("g",), _phi_vertex, _rhs_vertex, _root_vertex, 1,
         ("alpha", "beta"), lambda n, c, t: ((1, n), ((0, t * n), (t, c))),
     ),
     PerturbationKind.EDGE_ADDITION: KindSpec(
         range(1, 2), "one opposite endpoint", "edge u v", False, (3, 0),
-        ("delta_u", "delta_v"), _phi_edge, _root_edge, 2,
+        ("delta_u", "delta_v"), _phi_edge, _rhs_edge, _root_edge, 2,
         ("alpha", "gamma"), lambda n, c, t: ((2, n), ((t, n), (2, c))),
     ),
     PerturbationKind.PENDANT_EDGE: KindSpec(
         range(1), "no targets", "pendant u", False, (2, -1),
-        ("delta_u",), _phi_pendant, _root_pendant, 3,
+        ("delta_u",), _phi_pendant, _rhs_pendant, _root_pendant, 3,
         ("alpha", "beta", "gamma"), lambda n, c, t: ((1, 1, n), ((0, t, 0), (t, 0, n), (0, 1, c))),
     ),
 }
@@ -320,32 +304,28 @@ def inequality_rhs(
     delta_v: int = 0,
 ) -> float:
     """The majorant ``f(t, lambda) = -Phi_t / Phi_y`` with ``lambda' <= f``
-    along the path: :func:`_slope` of the kind's Phi.  At ``lambda = 0``, a
-    pole of the vertex and pendant Phi, it is the limit, 0, where one exists:
-    off ``t = 0``, and everywhere at ``d = 0``, where Phi is the identity.
-    At ``(0, 0)`` with ``d > 0`` ``f`` has no limit, and ``ValueError``, as
-    off ``t`` in ``[0, 1]`` and ``lam`` in ``[-2^256, 2^256]``."""
+    along the path: the kind's closed form, ``spec.rhs``.  At ``d = 0`` Phi is
+    the identity and ``f`` is 0.  At ``lambda = 0``, a pole of the vertex and
+    pendant Phi, it is the limit, 0, off ``t = 0``.  At ``(0, 0)`` with
+    ``d > 0`` ``f`` has no limit, and ``ValueError``, as off ``t`` in
+    ``[0, 1]`` and ``lam`` in ``[-2^256, 2^256]``."""
     spec, d = _weight(kind, g, delta_u, delta_v)
     t, lam = _check_in("t", float(t), 0.0, 1.0), _check_in("lambda", float(lam))
+    if not d:
+        return 0.0
     try:
-        return _slope(spec.phi, t, lam, d)
+        return spec.rhs(t, lam, d)
     except ZeroDivisionError:  # lambda = 0; f = 2 d t y / (y^2 + d t^2) for the vertex kind
-        if t == 0.0 and d:
+        if t == 0.0:
             raise ValueError(f"the {kind.value} majorant has no limit at t = {t}, lambda = {lam}") from None
         return 0.0
 
 
-def _slope(phi: Callable, t: float, y: float, d: int) -> float:
-    """``-Phi_t / Phi_y`` of ``phi`` at one point.  Both partial derivatives
-    are complex steps ``Im Phi(x + ih) / h`` in Python's ``complex``, exact to
-    rounding for the rational Phi; the step h cancels in the quotient."""
-    return -phi(complex(t, _COMPLEX_STEP), y, d).imag / phi(t, complex(y, _COMPLEX_STEP), d).imag
-
-
 def _majorant(spec: KindSpec, t, lam, d) -> np.ndarray:
-    """:func:`_slope` of ``spec`` at each point of the broadcast arrays
-    ``t``, ``lam`` and ``d``."""
-    return _pointwise(functools.partial(_slope, spec.phi), t, lam, d)
+    """:func:`inequality_rhs` of ``spec`` at each point of the broadcast
+    arrays ``t``, ``lam > 0`` and ``d``, with its bits."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # at d = 0, in the branch not taken
+        return np.where(d != 0, spec.rhs(t, lam, d), 0.0)
 
 
 def perturbation_bound(

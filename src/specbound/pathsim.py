@@ -15,10 +15,10 @@ and compares ``lambda(t)`` against the exact solution ``u(t)`` of the
 majorizing Cauchy problem ``y' = f(t, y), y(0) = lambda_I`` (which dominates
 the path and is attained exactly in the equality cases).  ``f`` and ``u``
 both come from the kind's first integral in :mod:`specbound.bounds`, set up
-once per path, and are evaluated on arrays (:func:`_curves`,
-:func:`~specbound.bounds._majorant`, the majorant one point at a time in
-Python's ``complex``) that ``verify`` runs on a whole block of paths and the
-public checks on one.
+once per path: ``u`` as the kind's root and ``f`` as its closed form, each
+a few numpy calls over every point at once (:func:`_curves`,
+:func:`~specbound.bounds._majorant`), which ``verify`` runs on a whole block
+of paths and the public checks on one.
 
 The equality cases are cones and double cones over regular graphs, where the
 path is ``u(t)`` itself; :func:`closed_form_join` gives its eigenpairs from
@@ -211,7 +211,7 @@ def closed_form_join(kind: PerturbationKind, n: int, delta: int, t: float) -> Jo
         v.append(((lam - b[i, i]) * v[i] - below) / b[i, i + 1])
     vec = np.array(v) / math.sqrt(sizes @ np.square(v))
     residual = max(np.abs(b @ vec - lam * vec).max(), abs(sizes @ np.square(vec) - 1.0))
-    if residual > _RESIDUAL_TOL:  # pragma: no cover - root solved to 1e-12
+    if residual > _RESIDUAL_TOL:  # pragma: no cover - roots within a few ulps
         raise RuntimeError(f"{kind.value} join eigenpair residual {residual:.3e}")
     return JoinSolution(lam, float(residual), **dict(zip(spec.cells, vec.tolist())))
 

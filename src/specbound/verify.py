@@ -27,10 +27,10 @@ is ``lambda_F``, so ``A_I + P`` is never built.  The set-up hands the block
 over as arrays (:class:`~specbound.graphs._Block`), and they are checked
 together (:func:`_check_block`): each check is one array over the block,
 with ``u(t)`` and ``f(t, lambda)`` evaluated once per kind on those
-arrays.  The vertex and edge roots are array roots, the
-pendant root the scalar bracketed Newton per point, and the majorant the
-complex step in Python's ``complex`` per point; so every number gets the
-bits of the scalar check of a lone trial.  A failure record is built only
+arrays.  The vertex and edge roots are quadratic, the pendant root a Newton
+iteration from above masked per point, and the majorant each kind's closed
+form, all in a few numpy calls over the block with the bits of the scalar
+forms the public functions take.  A failure record is built only
 for a failed check, in trial order and then in the order of the list
 above.  The block is the only bound on how many matrices one call stacks.
 A stacked matrix gets the same bits as a lone one, and each root and
@@ -186,8 +186,6 @@ def _check_block(summary: VerifySummary, trials: list[int], drawn: list[_Trial],
     with its trial's graph and perturbation, built from ``drawn``."""
     tolerance, grid = summary.tolerance, block.grid
     ts = np.concatenate([[0.0], grid])
-    for kind in block.kinds:
-        summary.counts[kind.value] = summary.counts.get(kind.value, 0) + 1
     lambda_f = block.lambda_f
     values = np.column_stack([block.lambda_i, block.values])
     forms = block.forms[:, :-1]  # <P x, x> at the interior grid
@@ -197,7 +195,8 @@ def _check_block(summary: VerifySummary, trials: list[int], drawn: list[_Trial],
         idx = [i for i, k in enumerate(block.kinds) if k is kind]
         if not idx:
             continue
-        lambda_i, d = block.lambda_i[idx], block.weights[idx]
+        summary.counts[kind.value] = summary.counts.get(kind.value, 0) + len(idx)
+        lambda_i, d = block.lambda_i[idx], block.weights[idx].astype(float)  # cast once, not in each call
         u[idx] = _curves(spec, lambda_i, _phi_at_zero(spec, lambda_i, d), d, ts)
         f[idx] = _majorant(spec, grid[:-1], values[idx, 1:-1], d[:, None])
     bound = u[:, -1].copy()

@@ -16,10 +16,12 @@ The library solves the majorizing Cauchy problem through a first integral
 numerically from the right-hand sides in :data:`MAJORANTS`, written out here
 from the paper rather than taken from the library.
 
-:func:`complex_step_majorant` and :func:`larger_quadratic_root` are the
-scalar forms of the library's majorant and quadratic root, on Python's
-``complex`` and ``math``: the bit references of the array forms that
-``verify`` evaluates.
+The library's majorants are closed forms of ``-Phi_t / Phi_y``, and its
+pendant root a Newton iteration in floats.  :func:`complex_step_majorant`
+differentiates each kind's Phi by complex steps instead, and :data:`MAJORANTS`
+evaluated on Fractions gives the exact value; :func:`pendant_root` solves the
+cubic by bisection in mpmath, and :func:`larger_quadratic_root` is the
+quadratic root on Python's ``math``, the bit reference of its array form.
 
 :func:`random_instance` and :func:`random_connected_graph` draw one
 instance at a time from :class:`~specbound.rng.SplitMix64`, one uniform per
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from specbound.graphs import Graph, Perturbation, PerturbationKind, from_edge_list
@@ -155,11 +158,12 @@ def jacobi_spectrum(a) -> np.ndarray:
     return vals
 
 
-# y' = f(t, y; d) for each perturbation kind, keyed by its spec name
+# y' = f(t, y; d) for each perturbation kind, keyed by its spec name; on
+# floats, or exactly on Fractions
 MAJORANTS = {
-    "vertex": lambda t, y, d: 2.0 * d * t * y / (y * y + d * t * t),
+    "vertex": lambda t, y, d: 2 * d * t * y / (y * y + d * t * t),
     "edge": lambda t, y, d: d / ((y - t) ** 2 + d),
-    "pendant": lambda t, y, d: 2.0 * d * t * y / ((y * y - t * t) ** 2 + d * (y * y + t * t)),
+    "pendant": lambda t, y, d: 2 * d * t * y / ((y * y - t * t) ** 2 + d * (y * y + t * t)),
 }
 
 
@@ -172,6 +176,24 @@ def complex_step_majorant(phi, t: float, lam: float, d: int) -> float:
     phi_t = phi(complex(t, _COMPLEX_STEP), lam, d).imag
     phi_y = phi(t, complex(lam, _COMPLEX_STEP), d).imag
     return -phi_t / phi_y
+
+
+def pendant_root(t: float, c: float, d: int, bits: int = 200):
+    """The largest root of ``(v - c)(v^2 - t^2) - d v``, to ``bits`` bits, as
+    an mpmath number: bisection on ``[m, m + sqrt(d) + 1]``, ``m = max(c, t)``,
+    where the cubic is ``-d m <= 0`` at the left end and positive at the
+    right, with each factor evaluated apart so that no root cancels."""
+    with mpmath.workprec(bits + 20):
+        t, c, d = mpmath.mpf(t), mpmath.mpf(c), mpmath.mpf(d)
+        lo = max(c, t)
+        hi = lo + mpmath.sqrt(d) + 1
+        while hi - lo > abs(hi) * mpmath.mpf(2) ** -bits:
+            mid = (lo + hi) / 2
+            if (mid - c) * (mid - t) * (mid + t) - d * mid > 0:
+                hi = mid
+            else:
+                lo = mid
+        return +hi
 
 
 def larger_quadratic_root(y: float, c: float) -> float:

@@ -116,7 +116,7 @@ VERTEX, EDGE, PENDANT = PerturbationKind
     [
         (VERTEX, {"g": 0}, "g must be an integer >= 1, got 0"),
         (VERTEX, {"g": 2}, "the vertex majorant has no limit at t = 0.0, lambda = 0.0"),
-        (EDGE, {}, -0.0),
+        (EDGE, {}, 0.0),
         (EDGE, {"delta_u": 1}, 1.0),
         (PENDANT, {}, 0.0),
         (PENDANT, {"delta_u": 1}, "the pendant majorant has no limit at t = 0.0, lambda = 0.0"),
@@ -127,9 +127,8 @@ def test_inequality_rhs_at_the_origin(kind, params, expected):
     # The t = 0 sample of a path on an edgeless host reaches (0, 0), a pole
     # of the vertex and pendant Phi, which used to raise ZeroDivisionError.
     # With d > 0 their f has no limit there (2 d t y / (y^2 + d t^2) for the
-    # vertex kind); at d = 0 the pendant Phi is the identity, so f = 0.  The
-    # edge kind's f = d / ((y - t)^2 + d) is 1 there; its d = 0 value keeps
-    # its bits.
+    # vertex kind); at d = 0 every Phi is the identity, so f = 0.  The edge
+    # kind's f = d / ((y - t)^2 + d) is 1 there.
     if isinstance(expected, str):
         with pytest.raises(ValueError, match=expected):
             sb.inequality_rhs(kind, 0.0, 0.0, **params)
