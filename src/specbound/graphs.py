@@ -4,7 +4,12 @@ A :class:`Graph` is an immutable value: a vertex count ``n`` plus a set of
 normalized edges ``(i, j)`` with ``i < j``.  Vertices are the integers
 ``0 .. n-1`` (Python or numpy integers, never ``bool``) and ``edges`` is a
 ``frozenset``; construction rejects anything else, and self-loops.
-Duplicate edges collapse under set semantics.
+Duplicate edges collapse under set semantics, and numpy vertices are
+stored as Python ints.  A graph also holds its bit rows, built once on
+first use: bit ``j`` of row ``i`` marks the edge ``(i, j)``.  The rows
+are its one structural form: its degrees, :func:`is_connected`, the
+recognizers and the applicability check of a perturbation read them, and
+only ``has_edge`` and ``adjacency`` read the edge set.
 
 Three perturbation kinds are modeled:
 
@@ -22,13 +27,14 @@ vertex is always index ``n``, so the matrices of the path ``A_I + t P``
 align once ``A_I`` is zero-padded by one row and column.  One
 private instance holds the bounds' degree data, the equality case and the
 solved path.  Every instance is set up in one place, :func:`_solve_stacks`,
-from a trial record (:class:`_Trial`): the perturbation, the host as bit
+from a trial record (:class:`_Trial`): the perturbation, the host's bit
 rows and ``A_I``'s components.  :func:`_instances` makes the records of
-graphs, for ``bound_report`` and ``sample_path``, taking the components
-from one pass of the one graph search of :mod:`specbound.spectral`, which
-:func:`is_connected` and the random draw share, over the host's bit rows;
-the random draw of :mod:`specbound.rng` makes them from the rows it draws,
-for ``verify``, which builds no :class:`Graph`.  :func:`_solve_stacks`
+graphs, for ``bound_report`` and ``sample_path``, from each graph's own
+rows, taking the components from one pass of the one graph search of
+:mod:`specbound.spectral`, which :func:`is_connected` and the random draw
+share; the random draw of :mod:`specbound.rng` makes them from the rows it
+draws, for ``verify``, and builds a :class:`Graph` of them (:func:`_graph`)
+only for a trial's reproducer or a public draw.  :func:`_solve_stacks`
 unpacks each final size's rows into one ``A_I`` stack, builds its ``W``
 stack, reads each host's degrees off its rows, for the degree data and the
 one cone recognizer (:func:`_is_cone`), which the public recognizers
@@ -45,6 +51,7 @@ the public reference), and reads each grid vector's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -99,6 +106,7 @@ class Graph:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         if not isinstance(self.edges, frozenset):
             raise ValueError(f"edges must be a frozenset, got {type(self.edges).__name__}")
+        plain = True
         for edge in self.edges:
             try:
                 i, j = edge
@@ -107,10 +115,24 @@ class Graph:
             if type(i) is not int or type(j) is not int:  # plain ints skip the slower test
                 if not (_is_index(i) and _is_index(j)):
                     raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer vertex")
+                plain = False
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < j < self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+        if not plain:  # the rows shift by vertices, and a numpy shift drops every bit past 63
+            object.__setattr__(self, "edges", frozenset((int(i), int(j)) for i, j in self.edges))
+
+    @cached_property
+    def _rows(self) -> list[int]:
+        """The graph as the bit rows the graph search reads, built on first
+        use: bit ``j`` of row ``i`` marks the edge ``(i, j)``.  Every reader
+        shares them, so none may change them."""
+        rows = [0] * self.n
+        for i, j in self.edges:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return rows
 
     @property
     def m(self) -> int:
@@ -121,14 +143,10 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return sum(1 for e in self.edges if v in e)
+        return self._rows[v].bit_count()
 
     def degrees(self) -> list[int]:
-        degs = [0] * self.n
-        for i, j in self.edges:
-            degs[i] += 1
-            degs[j] += 1
-        return degs
+        return [row.bit_count() for row in self._rows]
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix; ``ValueError`` above
@@ -158,17 +176,7 @@ def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component (n >= 1)."""
     if g.n < 1:
         raise ValueError("connectivity is undefined for the empty graph")
-    return len(_components(_bit_rows(g))) == 1
-
-
-def _bit_rows(g: Graph) -> list[int]:
-    """The graph as the bit rows the graph search reads: bit ``j`` of row
-    ``i`` marks the edge ``(i, j)``."""
-    rows = [0] * g.n
-    for i, j in g.edges:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return rows
+    return len(_components(g._rows)) == 1
 
 
 def is_regular(g: Graph) -> Optional[int]:
@@ -323,42 +331,26 @@ def _ends(p, n: int) -> tuple[int, ...]:
     return (p.u, *(p.targets or (n,)))
 
 
-def _added_edges(g, p) -> list[tuple[int, int]]:
-    """The edges ``p`` adds to ``g``, once ``p`` is checked to apply to ``g``:
-    a :class:`Graph`, or a drawn host's :class:`_BitGraph`."""
-    if p.u >= g.n:
-        raise PerturbationError(f"vertex {p.u} out of range for n={g.n}")
-    if KIND_SPECS[p.kind].isolated and g.degree(p.u) != 0:
+def _added_edges(rows: list[int], p) -> list[tuple[int, int]]:
+    """The edges ``p`` adds to the host of bit rows ``rows``, once ``p`` is
+    checked to apply to it."""
+    n = len(rows)
+    if p.u >= n:
+        raise PerturbationError(f"vertex {p.u} out of range for n={n}")
+    if KIND_SPECS[p.kind].isolated and rows[p.u]:
         raise PerturbationError(f"vertex {p.u} is not isolated")
     for t in p.targets:
-        if t >= g.n:
-            raise PerturbationError(f"vertex {t} out of range for n={g.n}")
-        if g.has_edge(p.u, t):
+        if t >= n:
+            raise PerturbationError(f"vertex {t} out of range for n={n}")
+        if rows[p.u] >> int(t) & 1:  # a numpy shift overflows past bit 63
             raise PerturbationError(f"edge ({p.u}, {t}) already present")
-    return [_normalize_edge(p.u, t) for t in _ends(p, g.n)[1:]]
+    return [_normalize_edge(p.u, t) for t in _ends(p, n)[1:]]
 
 
-class _BitGraph(NamedTuple):
-    """A host as the bit rows the graph search reads: bit ``j`` of
-    ``rows[i]`` marks the edge ``(i, j)``.  It answers what
-    :func:`_added_edges` asks of a :class:`Graph`, which it builds only on
-    request."""
-
-    rows: list[int]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
-    def graph(self) -> Graph:
-        edges = ((i, j) for i, row in enumerate(self.rows) for j in range(i + 1, self.n) if row >> j & 1)
-        return Graph(self.n, frozenset(edges))
+def _graph(rows: list[int]) -> Graph:
+    """The :class:`Graph` of the bit rows ``rows``."""
+    n = len(rows)
+    return Graph(n, frozenset((i, j) for i, row in enumerate(rows) for j in range(i + 1, n) if row >> j & 1))
 
 
 class _Trial(NamedTuple):
@@ -370,16 +362,21 @@ class _Trial(NamedTuple):
     kind: PerturbationKind
     u: int
     targets: tuple[int, ...]
-    host: _BitGraph
+    rows: list[int]
     comps: list[list[int]]
+
+    @property
+    def n(self) -> int:
+        """Vertex count of the host."""
+        return len(self.rows)
 
     @property
     def size(self) -> int:
         """Vertex count of the final graph."""
-        return perturbed_dimension(self.host, self)
+        return perturbed_dimension(self, self)
 
     def pair(self) -> tuple[Graph, Perturbation]:
-        return self.host.graph(), Perturbation(self.kind, self.u, self.targets)
+        return _graph(self.rows), Perturbation(self.kind, self.u, self.targets)
 
 
 def _with_lone_vertex(rows: list[int], comps: list[list[int]], alone: bool) -> tuple:
@@ -397,7 +394,7 @@ def perturbed_dimension(g: Graph, p: Perturbation) -> int:
 
 def apply_perturbation(g: Graph, p: Perturbation) -> Graph:
     """The final graph after the perturbation (validated)."""
-    return Graph(perturbed_dimension(g, p), g.edges | frozenset(_added_edges(g, p)))
+    return Graph(perturbed_dimension(g, p), g.edges | frozenset(_added_edges(g._rows, p)))
 
 
 def perturbation_matrix(g: Graph, p: Perturbation) -> np.ndarray:
@@ -407,13 +404,13 @@ def perturbation_matrix(g: Graph, p: Perturbation) -> np.ndarray:
     Its dimension matches the final graph, so for a pendant edge it is
     (n+1) x (n+1) with ones only at the new off-diagonal pair.
     """
-    added = frozenset(_added_edges(g, p))
-    return Graph(_check_vertex_count(perturbed_dimension(g, p)), added).adjacency()
+    n = _check_vertex_count(perturbed_dimension(g, p))
+    return Graph(n, frozenset(_added_edges(g._rows, p))).adjacency()
 
 
 def bound_parameters(g: Graph, p: Perturbation) -> dict[str, int]:
     """The degree/size data the closed-form bounds need, read off the host."""
-    _added_edges(g, p)
+    _added_edges(g._rows, p)
     return _degree_data(p, g.degrees())
 
 
@@ -491,16 +488,13 @@ class _Block(NamedTuple):
 def _instances(pairs, tol: float, steps: int = 0) -> list[_Instance]:
     """Solve each ``(g, p)`` of ``pairs`` (:func:`_solve_stacks`), set up
     from the host's bit rows and their components.  Each ``(g, p)`` is
-    checked once, with :func:`_added_edges` and then against
-    ``_MAX_VERTICES``, before any rows are built."""
+    checked once, against ``_MAX_VERTICES`` before any row is read, then
+    with :func:`_added_edges`."""
     pairs = list(pairs)
     for g, p in pairs:
-        _added_edges(g, p)  # PerturbationError unless p applies to g
         _check_vertex_count(perturbed_dimension(g, p))
-    trials = []
-    for g, p in pairs:
-        rows = _bit_rows(g)
-        trials.append(_Trial(p.kind, p.u, p.targets, _BitGraph(rows), _components(rows)))
+        _added_edges(g._rows, p)  # PerturbationError unless p applies to g
+    trials = [_Trial(p.kind, p.u, p.targets, g._rows, _components(g._rows)) for g, p in pairs]
     return _solve_stacks(trials, tol, steps).instances()
 
 
@@ -527,8 +521,8 @@ def _solve_stacks(trials: list[_Trial], tol: float, steps: int = 0) -> _Block:
     stack gives their forms.  Each host's degrees, for its degree data and
     its equality case, are its rows' bit counts.  :class:`DisconnectedError`
     unless every ``A_I + P`` is connected, before any stack is built."""
-    initial = [_with_lone_vertex(d.host.rows, d.comps, not d.targets) for d in trials]
-    if not all(_joins_components(comps, d, d.host.n) for d, (_, comps) in zip(trials, initial)):
+    initial = [_with_lone_vertex(d.rows, d.comps, not d.targets) for d in trials]
+    if not all(_joins_components(comps, d, d.n) for d, (_, comps) in zip(trials, initial)):
         raise DisconnectedError("the perturbed graph is disconnected")
     grid = np.arange(1, steps + 1) / max(steps, 1)  # empty for steps = 0
     by_size: dict[int, list[int]] = {}
@@ -538,11 +532,11 @@ def _solve_stacks(trials: list[_Trial], tol: float, steps: int = 0) -> _Block:
     for n, group in by_size.items():
         bits = _unpack_rows([r for k in group for r in initial[k][0]], n).reshape(len(group), n, n)
         a_stack = bits.astype(float, order="C")
-        w_stack = _w_stack(n, [_ends(trials[k], trials[k].host.n) for k in group])
+        w_stack = _w_stack(n, [_ends(trials[k], trials[k].n) for k in group])
         paths += [(a, w, initial[k][1]) for k, a, w in zip(group, a_stack, w_stack)]
         stacks.append((slice(len(order), len(order) + len(group)), a_stack, w_stack))
         order += group
-    degrees = [[row.bit_count() for row in d.host.rows] for d in trials]
+    degrees = [[row.bit_count() for row in d.rows] for d in trials]
     params = [_degree_data(d, degs) for d, degs in zip(trials, degrees)]
     solved = _solve_paths(paths, grid, tol, stacks)
     forms = np.empty(solved.roots.shape)

@@ -7,7 +7,8 @@ structural equality recognizer.  A report reads the instance of
 samples: ``lambda_I`` is its start and the final index the top of the
 spectrum of ``A_I + P``, both solved with it.  The perturbation is checked
 once, with the instance, and its degree data and equality case are read
-once, off its host's bit rows; no final graph is built.
+once, off the bit rows the host :class:`~specbound.graphs.Graph` holds; no
+final graph is built.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def equality_case(graph: Graph, pert: Perturbation) -> bool:
     The apexes are ``u`` and its targets, ``u`` alone for the vertex
     connection; the test reads only the host's degrees.
     """
-    _added_edges(graph, pert)  # PerturbationError unless pert applies
+    _added_edges(graph._rows, pert)  # PerturbationError unless pert applies
     return _equality(pert, graph.degrees())
 
 

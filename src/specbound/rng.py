@@ -17,11 +17,11 @@ pair, each tested with the one graph search of :mod:`specbound.spectral`.
 pass computes the next run of words of every trial still drawing.
 :func:`_draw` then draws each trial's targets, opposite endpoint or pendant
 anchor, and hands the trial over, checked, as the record
-:class:`~specbound.graphs._Trial` that
-:func:`~specbound.graphs._solve_stacks` sets up from its bit rows, so a
-drawn trial builds no :class:`~specbound.graphs.Graph`.
-:func:`random_instance` and :func:`random_connected_graph` are the draw of
-one trial.
+:class:`~specbound.graphs._Trial` of its bare bit rows that
+:func:`~specbound.graphs._solve_stacks` sets up from, so a drawn trial
+builds no :class:`~specbound.graphs.Graph`.  :func:`random_instance` and
+:func:`random_connected_graph` are the draw of one trial, whose rows
+:func:`~specbound.graphs._graph` turns into the one graph they return.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .graphs import (
     Graph,
     Perturbation,
     _added_edges,
-    _BitGraph,
     _check_vertex_count,
+    _graph,
     _Trial,
     _with_lone_vertex,
 )
@@ -244,8 +244,8 @@ def _draw(streams: list[SplitMix64], kinds, n_max: int, ps) -> list[_Trial]:
             targets = (v,)
         else:
             u, targets = stream.randint(0, n - 1), ()
-        trial = _Trial(kind, u, targets, _BitGraph(host), comps)
-        _added_edges(trial.host, trial)  # PerturbationError unless it applies
+        trial = _Trial(kind, u, targets, host, comps)
+        _added_edges(host, trial)  # PerturbationError unless it applies
         _check_vertex_count(trial.size)
         drawn.append(trial)
     return drawn
@@ -262,7 +262,7 @@ def random_connected_graph(rng: SplitMix64, n: int, p: float, max_attempts: int 
     if isinstance(max_attempts, bool) or not isinstance(max_attempts, numbers.Integral):
         raise ValueError(f"max_attempts must be an integer, got {max_attempts!r}")
     (rows,) = _connect([rng], [_connected_part(None, p, below, n, n, int(max_attempts))])
-    return _BitGraph(rows).graph()
+    return _graph(rows)
 
 
 def random_instance(

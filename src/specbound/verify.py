@@ -15,11 +15,12 @@ bit-for-bit reproducible and order-independent.  They run in blocks of about
 ``_BLOCK_ENTRIES`` matrix entries.  A block's instances are drawn together
 (:func:`~specbound.rng._draw`: each trial's draw one generator that tests
 its attempts on their bit rows, the words of all of them one numpy pass
-per round) and set up straight from their bit rows by the one set-up of
-every instance, :func:`~specbound.graphs._solve_stacks`: one stack of
-``A_I`` and one of ``W`` per final size, with each host's degrees, for its
-degree data and its equality case, read off its rows.  No ``Graph`` or
-``Perturbation`` is built for a trial that passes.  They are solved
+per round) and set up straight from their bare bit rows, the rows a
+``Graph`` holds, by the one set-up of every instance,
+:func:`~specbound.graphs._solve_stacks`: one stack of ``A_I`` and one of
+``W`` per final size, with each host's degrees, for its degree data and
+its equality case, read off its rows.  No ``Graph`` or ``Perturbation`` is
+built for a trial that passes.  They are solved
 together: ``A_I``'s components one LAPACK call per matrix size, the secular
 roots of every path point as one array iteration, the grid vectors one
 ``matmul`` in the components' eigenbases per size.  The root at ``t = 1``

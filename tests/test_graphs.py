@@ -1,5 +1,6 @@
 """Graph construction, perturbations, recognizers, and text formats."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +283,12 @@ def test_public_matrices_refuse_graphs_past_the_vertex_limit():
         host.adjacency()
     with pytest.raises(ValueError, match="^the final graph has 1000001 vertices; at most 8192 are supported$"):
         sb.perturbation_matrix(host, Perturbation.pendant_edge(0))
+    # A host too large for its bit rows (``[0] * n``) is refused before they
+    # are built, ahead of an anchor out of range.
+    huge = sb.Graph(10**11)
+    for refuse in (sb.perturbation_matrix, sb.bound_report, sb.sample_path):
+        with pytest.raises(ValueError, match="^the final graph has 100000000001 vertices; at most 8192 are supported$"):
+            refuse(huge, Perturbation.pendant_edge(10**12))
 
 
 def test_graph_rejects_fractional_vertex():
@@ -378,6 +385,54 @@ def test_graph_and_perturbation_accept_numpy_integers():
     assert g.adjacency()[0, 2] == 1.0 and g.m == 1
     pert = Perturbation.pendant_edge(np.int64(1))
     assert sb.apply_perturbation(g, pert).n == 4
+    # A numpy shift drops every bit past 63 and numpy ints have no
+    # ``bit_length``, so the rows hold Python ints: at 70 vertices they span
+    # two 64-bit words, and a numpy anchor and target index them too.
+    for n in (6, 70):
+        plain = sb.path_graph(n)
+        g = sb.Graph(n, frozenset((np.int64(i), np.int64(j)) for i, j in plain.edges))
+        assert g == plain and hash(g) == hash(plain)
+        assert all(type(row) is int for row in g._rows) and g._rows == plain._rows
+        assert sb.is_connected(g) and g.degrees() == plain.degrees() and g.degree(np.int64(n - 1)) == 1
+        last, before = np.int64(n - 1), np.int64(n - 3)
+        for pert, same in [
+            (Perturbation.pendant_edge(last), Perturbation.pendant_edge(n - 1)),
+            (Perturbation.edge_addition(last, before), Perturbation.edge_addition(n - 1, n - 3)),
+        ]:
+            assert sb.bound_report(g, pert) == sb.bound_report(plain, same)
+            values = [[s.value for s in sb.sample_path(h, q, steps=3).samples] for h, q in ((g, pert), (plain, same))]
+            assert values[0] == values[1]
+        with pytest.raises(PerturbationError, match="already present"):
+            sb.apply_perturbation(g, Perturbation.edge_addition(last, np.int64(n - 2)))
+        host = sb.disjoint_union(g, sb.empty_graph(1))
+        star = Perturbation.vertex_connection(np.int64(n), [np.int64(v) for v in (0, n - 1)])
+        assert sb.bound_report(host, star) == sb.bound_report(sb.disjoint_union(plain, sb.empty_graph(1)), star)
+
+
+@st.composite
+def wide_graphs(draw):
+    """Graphs of up to 130 vertices, so the rows span three 64-bit words,
+    with Python or numpy vertices: random edges, over a path through every
+    vertex for about half of them, so that those are connected."""
+    n = draw(st.integers(1, 130))
+    vertex = st.integers(0, n - 1)
+    pairs = [(i, i + 1) for i in range(n - 1)] if draw(st.booleans()) else []
+    pairs += draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    to = np.int64 if draw(st.booleans()) else int
+    return sb.from_edge_list(n, [(to(i), to(j)) for i, j in pairs])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(wide_graphs())
+def test_rows_answer_like_the_edge_set_and_networkx(g):
+    reference = nx.Graph(list(g.edges))
+    reference.add_nodes_from(range(g.n))
+    degrees = [sum(v in e for e in g.edges) for v in range(g.n)]
+    assert g.degrees() == degrees == [reference.degree(v) for v in range(g.n)]
+    assert [g.degree(v) for v in range(g.n)] == degrees
+    for i in range(g.n):
+        assert [j for j in range(g.n) if g.has_edge(i, j)] == sorted(reference[i])
+    assert sb.is_connected(g) == nx.is_connected(reference)
 
 
 # ---------------------------------------------------------------------------

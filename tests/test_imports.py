@@ -184,22 +184,29 @@ def test_only_spectral_sees_the_path_numerics(name):
 
 
 def readers(source: str, name: str) -> list[str]:
-    """The module-level function around each read of ``name`` in a module's
-    code, as a name or an attribute, and ``""`` for a read outside any
-    function; a binding of ``name`` is not a read."""
+    """The module-level function or the method (``Class.method``) around
+    each read of ``name`` in a module's code, as a name or an attribute,
+    and ``""`` for a read outside any function; a binding of ``name`` is
+    not a read."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for node in ast.parse(source).body:
-        owner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else ""
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load):
-                if (sub.id if isinstance(sub, ast.Name) else sub.attr) == name:
-                    found.append(owner)
+        scopes = [(node, node.name if isinstance(node, functions) else "")]
+        if isinstance(node, ast.ClassDef):
+            scopes = [(sub, f"{node.name}.{sub.name}" if isinstance(sub, functions) else "") for sub in node.body]
+        for scope, owner in scopes:
+            for sub in ast.walk(scope):
+                if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load):
+                    if (sub.id if isinstance(sub, ast.Name) else sub.attr) == name:
+                        found.append(owner)
     return found
 
 
 def test_checker_finds_the_readers_of_a_name():
     source = 'X = 1\nY = X\ndef f():\n    return X\ndef g(m):\n    """X"""\n    return m.X + X\n'
     assert readers(source, "X") == ["", "f", "g", "g"]
+    source = 'class C:\n    Z = X\n    def h(self):\n        return X\n'
+    assert readers(source, "X") == ["", "C.h"]
 
 
 def test_one_function_splits_the_grid_into_passes():
@@ -284,6 +291,20 @@ def test_one_function_builds_the_stacks():
         found = {file: readers(source, name) for file, source in sources.items()}
         assert {file: owners for file, owners in found.items() if owners} == {module: [owner]}
         assert name not in mentioned_names(sources["rng.py"])
+
+
+def test_graph_holds_the_one_host_representation():
+    # A host's bit rows live behind ``Graph``, which builds them once, and a
+    # drawn trial keeps bare rows: no second row type or edge-to-row
+    # converter remains, and ``_graph`` turns rows into a ``Graph`` only for
+    # a trial's pair and a drawn connected graph.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert [file for file, source in sources.items() if "_BitGraph" in source or "_bit_rows" in source] == []
+    found = {file: readers(source, "_graph") for file, source in sources.items()}
+    assert {file: owners for file, owners in found.items() if owners} == {
+        "graphs.py": ["_Trial.pair"],
+        "rng.py": ["random_connected_graph"],
+    }
 
 
 def test_no_module_builds_the_dense_perturbation():
